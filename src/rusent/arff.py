@@ -233,15 +233,17 @@ def _convert(decl: AttributeDecl, text: str, quoted: bool, lineno: int, col: int
     return text
 
 
-def _parse_sparse_row(body: str, attributes, lineno: int) -> tuple:
-    row = []
-    for decl in attributes:
-        if decl.kind == NUMERIC:
-            row.append(0.0)
-        elif decl.kind == NOMINAL:
-            row.append(decl.values[0])
-        else:
-            row.append(_STRING_HOLE)
+def _sparse_defaults(attributes) -> list:
+    """A sparse row's value for each omitted entry (_STRING_HOLE for
+    strings, which have none)."""
+    return [
+        0.0 if decl.kind == NUMERIC else decl.values[0] if decl.kind == NOMINAL else _STRING_HOLE
+        for decl in attributes
+    ]
+
+
+def _parse_sparse_row(body: str, attributes, defaults: list, lineno: int) -> tuple:
+    row = defaults.copy()
     seen = set()
     entries = _scan_fields(body, lineno, sep=",")
     if len(entries) == 1 and entries[0][0] == "" and not entries[0][1]:
@@ -264,13 +266,13 @@ def _parse_sparse_row(body: str, attributes, lineno: int) -> tuple:
             raise ArffError(f"duplicate sparse index {idx}", lineno, col)
         seen.add(idx)
         row[idx] = _convert(attributes[idx], val_text, val_quoted, lineno, col)
-    for idx, value in enumerate(row):
-        if value is _STRING_HOLE:
-            raise ArffError(
-                f"sparse row omits string attribute {attributes[idx].name!r},"
-                " which has no default",
-                lineno,
-            )
+    if _STRING_HOLE in row:
+        idx = row.index(_STRING_HOLE)
+        raise ArffError(
+            f"sparse row omits string attribute {attributes[idx].name!r},"
+            " which has no default",
+            lineno,
+        )
     return tuple(row)
 
 
@@ -292,6 +294,7 @@ def parse_arff(source: str | bytes) -> Dataset:
 
     relation = None
     attributes: list[AttributeDecl] = []
+    names: set[str] = set()
     instances: list[tuple] = []
     in_data = False
 
@@ -318,8 +321,9 @@ def parse_arff(source: str | bytes) -> Dataset:
                 if relation is None:
                     raise ArffError("@attribute before @relation", lineno)
                 decl = _parse_attribute(rest, lineno)
-                if any(a.name == decl.name for a in attributes):
+                if decl.name in names:
                     raise ArffError(f"duplicate attribute name {decl.name!r}", lineno)
+                names.add(decl.name)
                 attributes.append(decl)
                 continue
             if word == "@data":
@@ -328,6 +332,7 @@ def parse_arff(source: str | bytes) -> Dataset:
                 if not attributes:
                     raise ArffError("@data before any @attribute", lineno)
                 in_data = True
+                defaults = _sparse_defaults(attributes)
                 continue
             raise ArffError(f"unknown declaration {word!r}", lineno)
         if not in_data:
@@ -335,7 +340,7 @@ def parse_arff(source: str | bytes) -> Dataset:
         if line.startswith("{"):
             if not line.endswith("}"):
                 raise ArffError("sparse row missing closing '}'", lineno)
-            instances.append(_parse_sparse_row(line[1:-1], attributes, lineno))
+            instances.append(_parse_sparse_row(line[1:-1], attributes, defaults, lineno))
         else:
             fields = _scan_fields(line, lineno, sep=",")
             if len(fields) != len(attributes):

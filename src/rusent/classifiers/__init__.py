@@ -6,14 +6,7 @@ rusent.rng for the generator contract).
 """
 
 from .adaboost import AdaBoostModel, train_adaboost
-from .base import (
-    Model,
-    TreeConfig,
-    load_model,
-    loads_model,
-    predict,
-    predict_scores,
-)
+from .base import Model, TreeConfig, load_model, loads_model
 from .ensemble import BaggingModel, RandomForestModel, train_bagging, train_rforest
 from .knn import DISTANCES, KnnModel, train_knn
 from .mlp import ACTIVATIONS, MlpModel, init_mlp, train_mlp
@@ -42,8 +35,6 @@ __all__ = [
     "init_mlp",
     "load_model",
     "loads_model",
-    "predict",
-    "predict_scores",
     "svm_objective",
     "train_adaboost",
     "train_bagging",

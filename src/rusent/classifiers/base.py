@@ -1,11 +1,14 @@
 """Uniform model contract and plain-text persistence.
 
 Every trained model exposes predict / predict_scores over fixed-width
-feature vectors. Tie-breaking is one rule everywhere: the lowest class
-index wins an argmax tie, the lowest feature index wins a split-gain tie,
-and the lowest training-instance index wins an equal-distance tie.
-predict() is implemented as argmax over predict_scores(), and every
-variant arranges its scores so that rule holds.
+feature vectors, and predict_indices over a whole (n, d) matrix: the one
+batch path that evaluation uses. Tie-breaking is one rule everywhere: the
+lowest class index wins an argmax tie, the lowest feature index wins a
+split-gain tie, and the lowest training-instance index wins an
+equal-distance tie. predict_indices() is, per row, the lowest index of
+the maximum of predict_scores() unless a variant overrides it with an
+equivalent batch computation, and predict() is predict_indices() on a
+one-row matrix.
 
 Persistence is a versioned key-value text format:
 
@@ -80,16 +83,26 @@ class Model:
             )
         return vec
 
+    def check_matrix(self, X) -> np.ndarray:
+        mat = np.asarray(X, dtype=np.float64)
+        if mat.ndim != 2 or mat.shape[1] != self.feature_width:
+            raise ModelError(
+                f"expected a matrix of width {self.feature_width}, got shape {mat.shape}"
+            )
+        return mat
+
     def predict_scores(self, x) -> list[float]:
         raise NotImplementedError
 
+    def predict_indices(self, X) -> np.ndarray:
+        """Predicted class index of every row of X, shape (n,)."""
+        return np.array(
+            [_first_max(self.predict_scores(x)) for x in self.check_matrix(X)],
+            dtype=np.intp,
+        )
+
     def predict(self, x) -> str:
-        scores = self.predict_scores(x)
-        best = 0
-        for i in range(1, len(scores)):
-            if scores[i] > scores[best]:
-                best = i
-        return self.class_values[best]
+        return self.class_values[self.predict_indices(self.check_vector(x)[None])[0]]
 
     # -- persistence -----------------------------------------------------
 
@@ -109,12 +122,15 @@ class Model:
         atomic_write_text(path, self.dumps())
 
 
-def predict(model: Model, vector) -> str:
-    return model.predict(vector)
-
-
-def predict_scores(model: Model, vector) -> list[float]:
-    return model.predict_scores(vector)
+def _first_max(scores) -> int:
+    """Lowest index of the maximum under `>`. Unlike np.argmax, which
+    picks the first NaN, a later NaN score never displaces the best so far,
+    so a model with non-finite parameters predicts as it always has."""
+    best = 0
+    for i in range(1, len(scores)):
+        if scores[i] > scores[best]:
+            best = i
+    return best
 
 
 def loads_model(text: str) -> Model:

@@ -5,6 +5,45 @@ instances by distance (euclidean, manhattan, or minkowski with a
 configurable exponent), breaking distance ties toward the lowest training
 index, then takes the majority label of the k nearest, breaking vote ties
 toward the lowest class index. Scores are vote fractions.
+
+The neighbours are always those of the exhaustive scan: `_distances` over
+the training rows, then a stable argsort. Manhattan and minkowski run that
+scan for every test row. Euclidean batch prediction first screens the
+training rows, so the exact scan runs on a few candidates only:
+
+* For a block of test rows at a time, approximate the squared distances
+  as a_i = (|x|^2 + |r_i|^2) - 2 r_i.x, with the dot products of the whole
+  block taken as one matrix product. A block has _BLOCK_ENTRIES // n_train
+  test rows (at least one), a fixed budget that bounds the screen's
+  scratch memory whatever the training set's size.
+* Error bound. Let n be the width, u = 2^-53 the unit roundoff,
+  gamma_m = m u / (1 - m u), and S_i = |x|^2 + |r_i|^2 exactly. The two
+  norms and the dot product are inner products of length n, so in any
+  summation order they are off by at most gamma_n |r_i|^2, gamma_n |x|^2
+  and gamma_n sum_j |r_ij x_j| <= gamma_n S_i / 2; the final addition and
+  subtraction add at most about 2u S_i. So |a_i - e_i| <= (2 gamma_n + 3u)
+  S_i to first order, where e_i = |r_i - x|^2 exactly. `_distances`
+  computes s_i from n rounded squares of rounded differences, summed in
+  some order: |s_i - e_i| <= gamma_(n+2) e_i <= 2 gamma_(n+2) S_i, as
+  e_i <= 2 S_i. Hence |s_i - a_i| <= (4n + 7) u S_i to first order. The
+  screen uses
+  B_i = 8 (n + 2) (u N_i + eta), where N_i is the computed S_i and
+  eta = 2^-1074. That is at least twice the first-order bound, which
+  covers the second-order terms and the rounding of the screen's own
+  arithmetic, and the eta term covers products that underflow (each is
+  off by at most eta / 2).
+* So s_i lies in [a_i - B_i, a_i + B_i], and the k-th smallest s is at
+  most tau, the k-th smallest a_i + B_i. Distances are compared after a
+  correctly rounded sqrt, which can merge two squared distances that
+  differ by a relative 4u, so a row can equal or beat the k-th neighbour
+  only if s_i <= tau (1 + 5u). The candidates are the rows with
+  a_i - B_i <= tau (1 + 8u): a superset of the k neighbours and of every
+  row tied with the k-th one.
+* The exact distances of the candidates, in training-index order, then
+  go through the same stable argsort, so the result equals the
+  exhaustive scan's, ties included. If any norm or bound of a test row is
+  not finite (squares overflow past about 1e154), that row scans every
+  training row.
 """
 
 from __future__ import annotations
@@ -15,6 +54,12 @@ from ..errors import ModelError
 from .base import Model, fmt_floats, parse_floats
 
 DISTANCES = ("euclidean", "manhattan", "minkowski")
+
+#: entries (test rows x training rows) per block of the euclidean screen,
+#: which bounds each of its scratch arrays to 128 KiB
+_BLOCK_ENTRIES = 1 << 14
+_U = 2.0**-53
+_ETA = 2.0**-1074
 
 
 def _distances(rows: np.ndarray, x: np.ndarray, metric: str, p: float) -> np.ndarray:
@@ -34,15 +79,62 @@ class KnnModel(Model):
         self.k = int(k)
         self.metric = metric
         self.p = float(p)
-        self.rows = np.asarray(rows, dtype=np.float64)
+        self.rows = np.ascontiguousarray(rows, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.intp)
+
+    def _candidates(self, X: np.ndarray):
+        """Yield (x, training indices that can be among x's neighbours, in
+        ascending order, or None for all of them) for each row x of X."""
+        n_train = self.rows.shape[0]
+        if self.metric != "euclidean" or not 1 <= self.k <= n_train:
+            for x in X:
+                yield x, None
+            return
+        with np.errstate(over="ignore"):
+            row_sq = np.einsum("ij,ij->i", self.rows, self.rows)
+        slack = 8.0 * (self.feature_width + 2)
+        step = max(1, _BLOCK_ENTRIES // n_train)
+        for start in range(0, X.shape[0], step):
+            block = X[start:start + step]
+            # overflow only makes a bound non-finite, which the scan handles
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = np.einsum("ij,ij->i", block, block)[:, None] + row_sq
+                approx = norms - 2.0 * (block @ self.rows.T)
+                bound = norms
+                bound *= _U
+                bound += _ETA
+                bound *= slack
+                upper = approx + bound
+                lower = np.subtract(approx, bound, out=approx)
+                tau = np.partition(upper, self.k - 1, axis=1)[:, self.k - 1]
+                # every a_i + B_i >= s_i >= 0, so tau >= 0 and scaling it
+                # up widens the screen
+                keep = lower <= (tau * (1.0 + 8.0 * _U))[:, None]
+            finite = np.isfinite(upper).all(axis=1) & np.isfinite(lower).all(axis=1)
+            for x, mask, ok in zip(block, keep, finite):
+                yield x, np.flatnonzero(mask) if ok else None
+
+    def _neighbours(self, X: np.ndarray):
+        """Yield the k nearest training indices of each row of X, nearest
+        first, equal distances in training-index order."""
+        for x, cand in self._candidates(X):
+            rows = self.rows if cand is None else self.rows[cand]
+            order = np.argsort(_distances(rows, x, self.metric, self.p), kind="stable")[: self.k]
+            yield order if cand is None else cand[order]
 
     def predict_scores(self, x) -> list[float]:
         vec = self.check_vector(x)
-        dist = _distances(self.rows, vec, self.metric, self.p)
-        order = np.argsort(dist, kind="stable")[: self.k]  # stable = lowest index first
-        votes = np.bincount(self.labels[order], minlength=len(self.class_values))
+        nearest = next(self._neighbours(vec[None]))
+        votes = np.bincount(self.labels[nearest], minlength=len(self.class_values))
         return [float(v) / self.k for v in votes]
+
+    def predict_indices(self, X) -> np.ndarray:
+        n_classes = len(self.class_values)
+        return np.array(
+            [np.argmax(np.bincount(self.labels[nearest], minlength=n_classes))
+             for nearest in self._neighbours(self.check_matrix(X))],
+            dtype=np.intp,
+        )
 
     def _body_lines(self) -> list[str]:
         lines = [
@@ -57,6 +149,8 @@ class KnnModel(Model):
     @classmethod
     def _from_body(cls, body, class_values, feature_width):
         k = int(body[0].split()[1])
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         metric = body[1].split()[1]
         p = float(body[2].split()[1])
         labels = [int(t) for t in body[3].split()[1:]]

@@ -8,6 +8,14 @@ Training stores, per class c:
 and scoring a vector x computes log P(c) + sum_i x_i * log P(w_i | c) in
 log space. predict_scores exponentiates and normalizes the log posteriors
 into probabilities summing to 1.
+
+predict_indices takes the argmax in log space, one matrix-vector product
+per row: a matrix-matrix product over the whole test set would sum in a
+different order and could move a near-tie. The argmax is of the rounded
+log posteriors, so it matches the exact posterior argmax wherever the
+exact posteriors differ by more than the rounding error. Where two
+classes' exact posteriors are equal (e.g. 4/21 each), rounding in log
+space may pick either of them, not necessarily the lower class index.
 """
 
 from __future__ import annotations
@@ -37,9 +45,11 @@ class MultinomialNBModel(Model):
         probs = shifted / shifted.sum()
         return [float(p) for p in probs]
 
-    def predict(self, x) -> str:
+    def predict_indices(self, X) -> np.ndarray:
         # argmax in log space; ties go to the lowest class index
-        return self.class_values[int(np.argmax(self.log_posteriors(x)))]
+        return np.array(
+            [np.argmax(self.log_posteriors(x)) for x in self.check_matrix(X)], dtype=np.intp
+        )
 
     def _body_lines(self) -> list[str]:
         lines = [f"alpha {repr(self.alpha)}", f"log_prior {fmt_floats(self.log_prior)}"]

@@ -112,6 +112,10 @@ def metrics_from_matrix(matrix: ConfusionMatrix, model_name: str) -> EvalReport:
 def evaluate(model, test: FeatureMatrix, positive_class: str | None = None) -> EvalReport:
     """Predict every test instance and tally against positive_class.
 
+    The whole test matrix is scored in one `model.predict_indices` call,
+    which gives, row for row, the class that `model.predict` gives (for
+    k-NN, the neighbours of the exhaustive scan; see classifiers/knn.py).
+
     positive_class defaults to "pos" when declared, otherwise the first
     class value.
     """
@@ -125,8 +129,9 @@ def evaluate(model, test: FeatureMatrix, positive_class: str | None = None) -> E
     if positive_class not in test.class_values:
         raise EvalError(f"positive class {positive_class!r} is not declared")
     tp = fp = fn = tn = 0
-    for row, actual in zip(test.rows, test.labels):
-        predicted = model.predict(row)
+    predictions = model.predict_indices(test.rows)
+    for index, actual in zip(predictions, test.labels):
+        predicted = model.class_values[index]
         if actual == positive_class:
             if predicted == positive_class:
                 tp += 1

@@ -14,6 +14,7 @@ ratio is always >= 1).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,12 +196,13 @@ def matrix_from_dataset(data: Dataset) -> FeatureMatrix:
                 f"attribute {data.attributes[i].name!r} is not numeric;"
                 " vectorize the dataset first"
             )
-    rows = np.empty((len(data.instances), len(feature_idx)), dtype=np.float64)
-    labels = []
-    for j, row in enumerate(data.instances):
-        if any(row[i] is None for i in range(len(row))):
-            raise VectorizeError("dataset contains missing values; classifiers reject these")
-        for out_i, i in enumerate(feature_idx):
-            rows[j, out_i] = row[i]
-        labels.append(row[ci])
+    if data.has_missing():
+        raise VectorizeError("dataset contains missing values; classifiers reject these")
+    n, width = len(data.instances), len(feature_idx)
+    # one pass over the cells, without an intermediate list of rows
+    rows = np.fromiter(
+        itertools.chain.from_iterable(row[:ci] + row[ci + 1:] for row in data.instances),
+        dtype=np.float64, count=n * width,
+    ).reshape(n, width)
+    labels = [row[ci] for row in data.instances]
     return FeatureMatrix(rows, labels, data.attributes[ci].values)

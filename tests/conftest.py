@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rusent.vectorize import FeatureMatrix
+
+# Every run draws the same examples: a property either holds on them or
+# fails the same way each time. No example database, so a failure found
+# once is not replayed into later runs, and no deadline, so a slow
+# machine cannot fail a test that a fast one passes.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def make_matrix(rows, labels, class_values=("neg", "pos")):

@@ -69,6 +69,24 @@ class TestParse:
         )
         assert d.instances[0][0] == "acha hai"
 
+    def test_duplicate_attribute_name_reports_its_line(self):
+        text = (
+            "@relation r\n@attribute a numeric\n@attribute b numeric\n"
+            "% a comment line\n@attribute a numeric\n@attribute c {pos,neg}\n@data\n"
+        )
+        with pytest.raises(ArffError, match="duplicate attribute name 'a'") as info:
+            parse_arff(text)
+        assert info.value.line == 5
+
+    def test_sparse_row_omitting_a_string_names_the_first_one(self):
+        text = (
+            "@relation r\n@attribute a numeric\n@attribute s string\n"
+            "@attribute t string\n@attribute c {pos,neg}\n@data\n{2 x}\n{1 y}\n"
+        )
+        with pytest.raises(ArffError, match="omits string attribute 's'") as info:
+            parse_arff(text)
+        assert info.value.line == 7
+
     def test_arity_error_reports_line(self):
         with pytest.raises(ArffError) as exc:
             parse_arff(MINIMAL + "1,pos,extra\n")

@@ -1,11 +1,25 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rusent.classifiers import train_knn
+from rusent.classifiers import DISTANCES, train_knn
+from rusent.classifiers.knn import _distances
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
 from conftest import make_matrix
+
+
+def _power(base, exponent):
+    """base ** exponent, inf where that overflows (as IEEE arithmetic gives)."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def brute_force_predict(rows, labels, class_values, x, k, metric, p):
@@ -13,11 +27,11 @@ def brute_force_predict(rows, labels, class_values, x, k, metric, p):
     scored = []
     for i, row in enumerate(rows):
         if metric == "euclidean":
-            d = sum((a - b) ** 2 for a, b in zip(row, x)) ** 0.5
+            d = sum(_power(a - b, 2) for a, b in zip(row, x)) ** 0.5
         elif metric == "manhattan":
             d = sum(abs(a - b) for a, b in zip(row, x))
         else:
-            d = sum(abs(a - b) ** p for a, b in zip(row, x)) ** (1.0 / p)
+            d = sum(_power(abs(a - b), p) for a, b in zip(row, x)) ** (1.0 / p)
         scored.append((d, i))
     scored.sort()  # ties fall back to the index, i.e. lowest training index
     votes = [0] * len(class_values)
@@ -111,3 +125,122 @@ class TestAgainstBruteForce:
                         rows, labels, class_values, q, k, metric, p
                     )
                     assert model.predict(q) == expected
+
+
+CLASSES3 = ("neg", "neu", "pos")
+# dyadic weights: with them every distance the oracle and the model
+# compute is exact (or overflows), so exact ties are the same ties in both
+DYADIC_IDF = (0.5, 0.75, 1.0, 1.25)
+
+
+@st.composite
+def knn_problems(draw):
+    """(rows, labels, queries): small count rows, optionally tf-idf-like
+    fractional weights, duplicated rows, an all-zero query, and a scale of
+    1 or 2**510 (about 3e153, where sums of squares overflow)."""
+    width = draw(st.integers(1, 6))
+    counts = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    rows = draw(st.lists(counts, min_size=5, max_size=14))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
+    if draw(st.booleans()):
+        idf = draw(st.lists(st.sampled_from(DYADIC_IDF), min_size=width, max_size=width))
+    else:
+        idf = [1.0] * width
+    scale = draw(st.sampled_from([1.0, 2.0**510]))
+    labels = draw(st.lists(st.sampled_from(CLASSES3), min_size=len(rows), max_size=len(rows)))
+    queries = draw(st.lists(counts, min_size=1, max_size=6)) + [[0] * width]
+
+    def weigh(r):
+        return [c * w * scale for c, w in zip(r, idf)]
+
+    return [weigh(r) for r in rows], labels, [weigh(q) for q in queries]
+
+
+def exhaustive_neighbours(model, queries):
+    """Each query's k nearest training indices by the full euclidean scan."""
+    return [
+        np.argsort(_distances(model.rows, x, "euclidean", 3.0), kind="stable")[: model.k].tolist()
+        for x in queries
+    ]
+
+
+def screened_neighbours(model, queries):
+    return [nearest.tolist() for nearest in model._neighbours(queries)]
+
+
+class TestBatchPrediction:
+    @given(knn_problems(), st.sampled_from(DISTANCES), st.sampled_from([1, 3, 5]))
+    @settings(max_examples=300, deadline=None)
+    def test_predict_indices_matches_brute_force(self, problem, metric, k):
+        rows, labels, queries = problem
+        model = train_knn(make_matrix(rows, labels, CLASSES3), k=k, distance=metric, p=3.0)
+        got = [CLASSES3[i] for i in model.predict_indices(np.array(queries))]
+        assert got == [
+            brute_force_predict(rows, labels, CLASSES3, q, k, metric, 3.0) for q in queries
+        ]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e154])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_screened_neighbours_equal_the_exhaustive_scan(self, seed, scale):
+        # tf-idf rows over real log weights, so the screen's approximate
+        # distances are inexact; duplicates and zero rows force exact ties;
+        # 1e-160 makes products underflow and 1e154 makes squares overflow
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 60))
+        n = int(rng.integers(10, 120))
+        idf = np.log(n / rng.integers(1, n, size=width))
+        counts = rng.integers(0, 3, size=(n, width)) * (rng.random((n, width)) < 0.2)
+        rows = counts * idf * scale
+        rows[rng.integers(0, n, size=n // 4)] = rows[rng.integers(0, n, size=n // 4)]
+        queries = np.vstack([
+            rows[rng.integers(0, n, size=40)],
+            rng.integers(0, 3, size=(100, width)) * (rng.random((100, width)) < 0.2) * idf * scale,
+            np.zeros((1, width)),
+        ])
+        labels = [CLASSES3[i] for i in rng.integers(0, 3, size=n)]
+        for k in (1, 3, 5):
+            model = train_knn(make_matrix(rows, labels, CLASSES3), k=k)
+            assert screened_neighbours(model, queries) == exhaustive_neighbours(model, queries)
+
+    @pytest.mark.parametrize("width", [4, 6, 9])
+    def test_screen_keeps_ties_that_rounding_splits(self, width):
+        # every permutation of the same values is at the same exact distance
+        # from a constant query, but each sums its squares in another order,
+        # so the computed distances differ in the last bits; only a screen
+        # whose error bound holds keeps the order the exhaustive scan finds
+        rng = np.random.default_rng(width)
+        values = list(rng.random(4) * 10.0) + [0.0] * (width - 4)
+        rows = np.array(sorted(set(itertools.permutations(values)))[:400])
+        queries = np.array([np.full(width, c) for c in rng.random(70) * 10.0])
+        labels = [CLASSES3[i % 3] for i in range(len(rows))]
+        for k in (1, 3, 5):
+            model = train_knn(make_matrix(rows, labels, CLASSES3), k=k)
+            assert screened_neighbours(model, queries) == exhaustive_neighbours(model, queries)
+
+    @pytest.mark.parametrize("metric", DISTANCES)
+    def test_distances_of_a_subset_are_bitwise_those_of_the_full_scan(self, metric):
+        # the screen re-runs _distances on candidate rows only, which is
+        # exact only if a row's distance does not depend on its neighbours
+        rng = np.random.default_rng(3)
+        for width in (1, 3, 7, 8, 9, 31, 130, 1890):
+            rows = rng.random((70, width)) * rng.choice([1e-3, 1.0, 1e3], size=(70, width))
+            x = rng.random(width)
+            full = _distances(rows, x, metric, 3.0)
+            for subset in ([5], [0, 69], list(range(0, 70, 3))):
+                assert _distances(rows[subset], x, metric, 3.0).tolist() == full[subset].tolist()
+
+    def test_predict_indices_rejects_a_bad_shape(self):
+        model = train_knn(make_matrix([[0.0, 1.0], [1.0, 0.0]], ["neg", "pos"]), k=1)
+        for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))):
+            with pytest.raises(ModelError):
+                model.predict_indices(bad)
+        assert model.predict_indices(np.zeros((0, 2))).tolist() == []
+
+
+def test_model_file_with_k_below_one_is_rejected():
+    from rusent.classifiers.base import loads_model
+
+    m = make_matrix([[0.0], [1.0]], ["neg", "pos"], ("neg", "pos"))
+    text = train_knn(m, k=1).dumps()
+    with pytest.raises(ModelError):
+        loads_model(text.replace("\nk 1\n", "\nk 0\n"))

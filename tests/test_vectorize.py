@@ -158,12 +158,40 @@ class TestMatrixFromDataset:
         with pytest.raises(VectorizeError):
             matrix_from_dataset(d)
 
+    def test_missing_class_value_rejected(self):
+        d = parse_arff(
+            "@relation r\n@attribute c {p,n}\n@attribute a numeric\n@data\n?,1\n"
+        )
+        with pytest.raises(VectorizeError, match="missing values"):
+            matrix_from_dataset(d)
+
     def test_string_attribute_rejected(self):
         d = parse_arff(
             "@relation r\n@attribute t string\n@attribute c {p,n}\n@data\nhi,p\n"
         )
         with pytest.raises(VectorizeError):
             matrix_from_dataset(d)
+
+    def test_class_attribute_not_last(self):
+        d = parse_arff(
+            "@relation r\n@attribute a numeric\n@attribute c {p,n}\n"
+            "@attribute b numeric\n@attribute z numeric\n@data\n"
+            "1.5,n,-2,0\n{0 3,2 4.25}\n0,p,0,1e-300\n"
+        )
+        m = matrix_from_dataset(d)
+        assert m.rows.dtype == np.float64 and m.rows.flags.c_contiguous
+        assert m.rows.tolist() == [[1.5, -2.0, 0.0], [3.0, 4.25, 0.0], [0.0, 0.0, 1e-300]]
+        assert m.labels == ["n", "p", "p"]
+        assert m.class_values == ("p", "n")
+
+    def test_zero_instances(self):
+        d = parse_arff(
+            "@relation r\n@attribute a numeric\n@attribute b numeric\n"
+            "@attribute c {p,n}\n@data\n"
+        )
+        m = matrix_from_dataset(d)
+        assert m.rows.shape == (0, 2)
+        assert m.labels == []
 
 
 words = st.lists(st.sampled_from(["gari", "achi", "kharab", "hai", "engine"]),
