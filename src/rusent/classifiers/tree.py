@@ -22,8 +22,30 @@ its left subtree, which draws before the right). When subset_size covers
 every feature the draw is skipped entirely, making the forest reduce
 exactly to bagging.
 
-Gain ties break toward the lowest feature index, then lowest threshold;
-leaf majorities break toward the lowest class index.
+Gain ties break toward the feature that comes first in the candidate
+list (the lowest index: the list is range(d) or a sorted subset), then the
+lowest threshold; leaf majorities break toward the lowest class index.
+
+Split search and model bytes. With non-dyadic weights (AdaBoost) a gain's
+last bits depend on the order of every addition, so the search fixes that
+order; the model bytes stay fixed only while it holds:
+
+* each feature's rows are ordered by a stable sort of its values (ties
+  keep row order);
+* each class's left-side weight at a boundary is a sequential prefix sum
+  (cumsum) of that class's weights in this order, never a pairwise sum;
+* the node's class totals are summed in row order (np.add.at), and every
+  candidate's gain comes from the same elementwise formula on its
+  (candidates, classes) rows of left weights;
+* the first maximum wins: in candidate-list order, then lowest threshold.
+
+Features are scored a block at a time, so one argsort, one cumsum per
+class and one gain evaluation cover many features instead of a dozen
+small numpy calls per feature. A block of an n-row node has
+_BLOCK_ENTRIES // n features (at least one), so each scratch array holds
+about _BLOCK_ENTRIES values: scratch memory stays fixed as the vocabulary
+grows, and the search never copies the whole node matrix. Features
+constant within the node are dropped from their block before sorting.
 """
 
 from __future__ import annotations
@@ -34,6 +56,10 @@ from ..errors import ModelError
 from .base import Model, TreeConfig, fmt_floats, parse_floats
 
 _GAIN_EPS = 1e-12
+
+# Scratch entries per block of features: each of the block's (features x
+# rows) arrays holds at most this many values, whatever the node's width.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class TreeNode:
@@ -70,37 +96,50 @@ def _entropy_rows(cw: np.ndarray) -> np.ndarray:
 
 
 def _best_split(X, y, w, n_classes, min_leaf, features):
-    """Best (gain, feature, threshold) over the candidate features, or None."""
+    """Best (gain, feature, threshold) over the candidate features, or None.
+
+    Features are scored a block at a time, in `features` order; see the
+    module docstring for the evaluation order that keeps results fixed."""
     n = X.shape[0]
     total_cw = np.zeros(n_classes)
     np.add.at(total_cw, y, w)
     total_w = total_cw.sum()
     parent_h = entropy(total_cw)
+    class_w = [np.where(y == c, w, 0.0) for c in range(n_classes)]
+    # boundary i lies between sorted rows i and i + 1; it leaves i + 1 rows
+    # on the left, so both sides keep min_leaf rows for lo <= i < hi
+    lo, hi = min_leaf - 1, n - min_leaf
+    feats = np.asarray(features, dtype=np.intp)
+    step = max(1, _BLOCK_ENTRIES // n)
     best = None
-    for f in features:
-        order = np.argsort(X[:, f], kind="stable")
-        xv = X[order, f]
-        boundaries = np.nonzero(xv[1:] != xv[:-1])[0]  # split between i and i+1
-        if boundaries.size == 0:
+    for start in range(0, feats.size, step):
+        block = feats[start:start + step]
+        cols = X.T[block]  # (features, rows), each column contiguous
+        varying = cols.min(axis=1) != cols.max(axis=1)
+        block, cols = block[varying], cols[varying]
+        if block.size == 0:
             continue
-        counts = boundaries + 1
-        valid = (counts >= min_leaf) & (n - counts >= min_leaf)
-        boundaries = boundaries[valid]
-        if boundaries.size == 0:
+        order = np.argsort(cols, axis=1, kind="stable")
+        # sorted values do not depend on how ties are ordered, so a plain
+        # sort finds the boundaries faster than a gather through `order`
+        xs = np.sort(cols, axis=1)
+        fi, bi = np.nonzero(xs[:, lo + 1:hi + 1] != xs[:, lo:hi])  # feature-major
+        if fi.size == 0:
             continue
-        cw = np.zeros((n, n_classes))
-        cw[np.arange(n), y[order]] = w[order]
-        cum = cw.cumsum(axis=0)
-        left_cw = cum[boundaries]
+        bi += lo
+        left_cw = np.empty((fi.size, n_classes))
+        for c in range(n_classes):
+            left_cw[:, c] = class_w[c][order].cumsum(axis=1)[fi, bi]
         right_cw = total_cw - left_cw
         left_w = left_cw.sum(axis=1)
         right_w = right_cw.sum(axis=1)
         gains = parent_h - (left_w * _entropy_rows(left_cw) + right_w * _entropy_rows(right_cw)) / total_w
-        i = int(np.argmax(gains))  # first max = lowest threshold
+        i = int(np.argmax(gains))  # first max: earliest feature, then lowest threshold
         gain = float(gains[i])
         if best is None or gain > best[0]:
-            thr = float((xv[boundaries[i]] + xv[boundaries[i] + 1]) / 2.0)
-            best = (gain, f, thr)
+            f, rows = fi[i], order[fi[i]]
+            thr = float((cols[f, rows[bi[i]]] + cols[f, rows[bi[i] + 1]]) / 2.0)
+            best = (gain, int(block[f]), thr)
     return best
 
 
@@ -113,40 +152,45 @@ def grow_tree(
     min_leaf: int,
     rng=None,
     subset_size: int | None = None,
-    depth: int = 0,
 ) -> TreeNode:
-    node = TreeNode()
-    cw = np.zeros(n_classes)
-    np.add.at(cw, y, weights)
-    n = X.shape[0]
-    can_split = (
-        n >= 2 * min_leaf
-        and (max_depth is None or depth < max_depth)
-        and np.count_nonzero(cw) > 1
-    )
-    if can_split:
-        d = X.shape[1]
-        if subset_size is not None and subset_size < d:
-            features = rng.sample_indices(d, subset_size)
-        else:
-            features = range(d)
-        best = _best_split(X, y, weights, n_classes, min_leaf, features)
-        if best is not None and best[0] > _GAIN_EPS:
-            _, node.feature, node.threshold = best
-            mask = X[:, node.feature] <= node.threshold
-            node.left = grow_tree(
-                X[mask], y[mask], weights[mask], n_classes,
-                max_depth, min_leaf, rng, subset_size, depth + 1,
-            )
-            node.right = grow_tree(
-                X[~mask], y[~mask], weights[~mask], n_classes,
-                max_depth, min_leaf, rng, subset_size, depth + 1,
-            )
-            return node
-    total = cw.sum()
-    node.distribution = cw / total if total > 0.0 else np.full(n_classes, 1.0 / n_classes)
-    node.class_index = int(np.argmax(cw))
-    return node
+    """Grow a tree in preorder: a node is split (and draws its feature
+    subset) before its left subtree, which is grown before its right one.
+
+    An explicit stack replaces recursion, so depth is not bounded by the
+    interpreter's recursion limit. A split hands each child a copy of its
+    rows and drops the node's own, so the pending right subtrees on the
+    stack hold disjoint rows: at most one copy of X in all, whatever the
+    depth."""
+    root = TreeNode()
+    stack = [(root, X, y, weights, 0)]
+    while stack:
+        node, Xn, yn, wn, depth = stack.pop()
+        cw = np.zeros(n_classes)
+        np.add.at(cw, yn, wn)
+        n = Xn.shape[0]
+        can_split = (
+            n >= 2 * min_leaf
+            and (max_depth is None or depth < max_depth)
+            and np.count_nonzero(cw) > 1
+        )
+        if can_split:
+            d = Xn.shape[1]
+            if subset_size is not None and subset_size < d:
+                features = rng.sample_indices(d, subset_size)
+            else:
+                features = range(d)
+            best = _best_split(Xn, yn, wn, n_classes, min_leaf, features)
+            if best is not None and best[0] > _GAIN_EPS:
+                _, node.feature, node.threshold = best
+                mask = Xn[:, node.feature] <= node.threshold
+                node.left, node.right = TreeNode(), TreeNode()
+                stack.append((node.right, Xn[~mask], yn[~mask], wn[~mask], depth + 1))
+                stack.append((node.left, Xn[mask], yn[mask], wn[mask], depth + 1))
+                continue
+        total = cw.sum()
+        node.distribution = cw / total if total > 0.0 else np.full(n_classes, 1.0 / n_classes)
+        node.class_index = int(np.argmax(cw))
+    return root
 
 
 def tree_apply(node: TreeNode, x: np.ndarray) -> TreeNode:
@@ -160,29 +204,40 @@ def tree_predict_batch(node: TreeNode, X: np.ndarray) -> np.ndarray:
 
 
 def tree_lines(node: TreeNode) -> list[str]:
-    """Preorder serialization: `split f thr` / `leaf class p0 p1 ...`."""
-    if node.is_leaf:
-        return [f"leaf {node.class_index} {fmt_floats(node.distribution)}"]
-    lines = [f"split {node.feature} {repr(node.threshold)}"]
-    lines.extend(tree_lines(node.left))
-    lines.extend(tree_lines(node.right))
+    """Preorder serialization: `split f thr` / `leaf class p0 p1 ...`.
+    Iterative, so a tree of any depth serializes."""
+    lines = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            lines.append(f"leaf {node.class_index} {fmt_floats(node.distribution)}")
+        else:
+            lines.append(f"split {node.feature} {repr(node.threshold)}")
+            stack += (node.right, node.left)
     return lines
 
 
 def tree_from_lines(lines: list[str], pos: int = 0) -> tuple[TreeNode, int]:
-    parts = lines[pos].split()
-    node = TreeNode()
-    if parts[0] == "split":
-        node.feature = int(parts[1])
-        node.threshold = float(parts[2])
-        node.left, pos = tree_from_lines(lines, pos + 1)
-        node.right, pos = tree_from_lines(lines, pos)
-        return node, pos
-    if parts[0] == "leaf":
-        node.class_index = int(parts[1])
-        node.distribution = parse_floats(" ".join(parts[2:]))
-        return node, pos + 1
-    raise ValueError(f"bad tree line {lines[pos]!r}")
+    """Read one preorder tree starting at lines[pos]; returns the root and
+    the index of the first line after it. Iterative, like tree_lines."""
+    root = TreeNode()
+    pending = [root]  # nodes not yet read, the next one on top
+    while pending:
+        node = pending.pop()
+        parts = lines[pos].split()
+        if parts[0] == "split":
+            node.feature = int(parts[1])
+            node.threshold = float(parts[2])
+            node.left, node.right = TreeNode(), TreeNode()
+            pending += (node.right, node.left)
+        elif parts[0] == "leaf":
+            node.class_index = int(parts[1])
+            node.distribution = parse_floats(" ".join(parts[2:]))
+        else:
+            raise ValueError(f"bad tree line {lines[pos]!r}")
+        pos += 1
+    return root, pos
 
 
 class DecisionTreeModel(Model):

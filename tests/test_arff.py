@@ -119,6 +119,56 @@ class TestParse:
         assert d.class_index is None
 
 
+class TestDatasetChecks:
+    ATTRS = (
+        AttributeDecl("a", "numeric"),
+        AttributeDecl("b", "numeric"),
+        AttributeDecl("t", "string"),
+        AttributeDecl("c", "nominal", ("neg", "pos")),
+    )
+
+    def make(self, *rows):
+        return Dataset("r", self.ATTRS, tuple(rows), 3)
+
+    @pytest.mark.parametrize("bad", [1, True, float("nan"), float("inf"), float("-inf")])
+    def test_non_float_or_non_finite_numeric_rejected(self, bad):
+        ok = (0.5, 1.0, "x", "pos")
+        with pytest.raises(ValueError, match="^non-finite numeric value in 'b'$"):
+            self.make(ok, (0.5, bad, "x", "neg"))
+
+    def test_undeclared_nominal_rejected(self):
+        with pytest.raises(ValueError, match="^undeclared nominal value 'meh' for 'c'$"):
+            self.make((0.5, 1.0, "x", "meh"))
+
+    def test_first_bad_cell_of_a_row_is_named(self):
+        with pytest.raises(ValueError, match="^non-finite numeric value in 'a'$"):
+            self.make((float("nan"), 1, "x", "meh"))
+
+    def test_missing_values_accepted(self):
+        d = self.make((MISSING, 1.0, MISSING, "neg"), (0.0, 2.0, "y", MISSING))
+        assert d.has_missing()
+
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        d = self.make((1e308, 1e308, "x", "pos"), (-1e308, -1e308, "y", "neg"))
+        assert len(d.instances) == 2
+
+    def test_first_bad_row_is_named(self):
+        # a missing value, then a bad cell, then a short row
+        rows = ((MISSING, 1.0, "x", "pos"), (0.5, 1.0, "x", "meh"), (0.5, 1.0, "x"))
+        with pytest.raises(ValueError, match="^undeclared nominal value 'meh' for 'c'$"):
+            self.make(*rows)
+
+    def test_short_row_rejected(self):
+        with pytest.raises(ValueError, match="^row has 3 values for 4 attributes$"):
+            self.make((0.5, 1.0, "x"))
+
+    def test_single_numeric_column(self):
+        attrs = (AttributeDecl("a", "numeric"), AttributeDecl("c", "nominal", ("n", "p")))
+        Dataset("r", attrs, ((1.0, "n"), (MISSING, "p")), 1)
+        with pytest.raises(ValueError, match="^non-finite numeric value in 'a'$"):
+            Dataset("r", attrs, ((1.0, "n"), (float("inf"), "p")), 1)
+
+
 class TestWrite:
     def test_round_trip_minimal(self):
         d = parse_arff(MINIMAL)

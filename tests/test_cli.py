@@ -206,3 +206,22 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("rusent ")
+
+
+class TestDeepTreeModel:
+    def test_evaluating_a_1200_deep_tree_does_not_exit_3(self, tmp_path, capsys):
+        from test_tree import chain_model_text
+
+        model = tmp_path / "deep.model"
+        model.write_text(chain_model_text(1200), encoding="utf-8")
+        test = tmp_path / "test.arff"
+        test.write_text(
+            "@relation r\n@attribute x0 numeric\n@attribute class {neg,pos}\n@data\n"
+            "0,neg\n1,pos\n2,neg\n1199,pos\n",
+            encoding="utf-8",
+        )
+        report = tmp_path / "report.json"
+        code = main(["evaluate", "--model", str(model), "--test", str(test),
+                     "--report-out", str(report)])
+        assert code == 0, capsys.readouterr().err
+        assert json.loads(report.read_text())["reports"][0]["accuracy"] == 1.0
