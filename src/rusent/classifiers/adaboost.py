@@ -24,8 +24,8 @@ import math
 import numpy as np
 
 from ..errors import ModelError
-from .base import Model, TreeConfig, require_binary
-from .tree import grow_tree, tree_apply, tree_from_lines, tree_lines, tree_predict_batch
+from .base import Model, TreeConfig, fmt_floats, require_binary
+from .tree import grow_tree, read_tree, tree_apply, tree_lines, tree_predict_batch
 
 ALPHA_CAP = math.log(1e10) / 2.0
 
@@ -52,36 +52,20 @@ class AdaBoostModel(Model):
         return [-v, v]
 
     def _body_lines(self):
-        depth = -1 if self.weak.max_depth is None else self.weak.max_depth
-        lines = [
-            f"rounds {self.rounds}",
-            f"weak_max_depth {depth}",
-            f"weak_min_leaf {self.weak.min_leaf}",
-            f"stages {len(self.stages)}",
-        ]
+        lines = [f"rounds {self.rounds}"] + self.weak.lines("weak_") + [f"stages {len(self.stages)}"]
         for i, (alpha, root) in enumerate(self.stages):
-            lines.append(f"stage {i} {repr(alpha)}")
+            lines.append(f"stage {i} {fmt_floats(alpha)}")
             lines.extend(tree_lines(root))
         return lines
 
     @classmethod
-    def _from_body(cls, body, class_values, feature_width):
-        rounds = int(body[0].split()[1])
-        depth = int(body[1].split()[1])
-        weak = TreeConfig(None if depth < 0 else depth, int(body[2].split()[1]))
-        n_stages = int(body[3].split()[1])
-        stages = []
-        pos = 4
-        for i in range(n_stages):
-            head = body[pos].split()
-            if head[0] != "stage" or int(head[1]) != i:
-                raise ValueError(f"expected stage {i}, got {body[pos]!r}")
-            alpha = float(head[2])
-            root, pos = tree_from_lines(body, pos + 1)
-            stages.append((alpha, root))
-        if pos != len(body):
-            raise ValueError("trailing data after stages")
-        return cls(class_values, feature_width, stages, weak, rounds)
+    def _from_body(cls, reader):
+        require_binary(reader.class_values)
+        rounds = reader.integer("rounds", lo=1)
+        weak = reader.tree_config("weak_")
+        n_stages = reader.integer("stages", hi=rounds)
+        stages = [(reader.real(f"stage {i}"), read_tree(reader)) for i in range(n_stages)]
+        return cls(reader.class_values, reader.feature_width, stages, weak, rounds)
 
 
 def train_adaboost(

@@ -19,9 +19,16 @@ Persistence is a versioned key-value text format:
     <variant-specific body lines>
     end
 
-Learned floats are written with repr(), i.e. the shortest string that
-round-trips to the exact same double, so model files are byte-stable and
-loading loses no precision. Unknown versions are rejected.
+Body lines are a key of one or more words (`alpha`, `log_likelihood 1`)
+and its values, separated by single spaces; each line has a fixed place
+and an exact number of values. Floats are written with repr(), the
+shortest string that round-trips to the same double, so model files are
+byte-stable and loading loses no precision; fmt_floats refuses non-finite
+ones. loads_model reads the file through one BodyReader and raises
+ModelError (exit 2) on any other line or value count, trailing lines,
+repeated classes, non-finite floats, and values that training would
+refuse or prediction could not use, such as a split feature at or past
+feature_width or a leaf class at or past the class count.
 """
 
 from __future__ import annotations
@@ -38,11 +45,11 @@ _REGISTRY: dict[str, type] = {}
 
 
 def fmt_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
-
-
-def parse_floats(text: str) -> np.ndarray:
-    return np.array([float(t) for t in text.split()], dtype=np.float64)
+    """repr() of a float or of each float of an array; ModelError if one is not finite."""
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    if not np.isfinite(arr).all():
+        raise ModelError("cannot write a non-finite model parameter (did training diverge?)")
+    return " ".join(map(repr, arr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,78 @@ class TreeConfig:
             raise ModelError("max_depth must be >= 0 or None")
         if self.min_leaf < 1:
             raise ModelError("min_leaf must be >= 1")
+
+    def lines(self, prefix: str = "") -> list[str]:
+        """Body lines; an unlimited depth is written as -1."""
+        depth = -1 if self.max_depth is None else self.max_depth
+        return [f"{prefix}max_depth {depth}", f"{prefix}min_leaf {self.min_leaf}"]
+
+
+class BodyReader:
+    """Cursor over the lines of a model file; it reads the header when made.
+    Each read names the key the next line must have and the number of
+    values it must hold, and raises ValueError otherwise."""
+
+    def __init__(self, lines: list[str]):
+        self.lines = lines
+        self.pos = 1  # after the magic line
+        self.variant = self.rest("variant")
+        self.feature_width = self.integer("feature_width")
+        classes = []
+        while self.at("class"):
+            classes.append(self.rest("class"))
+        if not classes or len(set(classes)) < len(classes):
+            raise ValueError("the model must declare one or more distinct classes")
+        self.class_values = tuple(classes)
+
+    def at(self, key: str) -> bool:
+        return self.pos < len(self.lines) and self.lines[self.pos].startswith(key + " ")
+
+    def rest(self, key: str) -> str:
+        if not self.at(key):
+            raise ValueError(f"line {self.pos + 1}: expected {key!r}")
+        self.pos += 1
+        return self.lines[self.pos - 1][len(key) + 1:]
+
+    def values(self, key: str, count: int | None = None) -> list[str]:
+        """Exactly `count` values, or any number if count is None."""
+        rest = self.rest(key)
+        words = rest.split(" ") if rest else []  # "key " holds no values
+        if count is not None and len(words) != count:
+            raise ValueError(f"line {self.pos}: {key!r} needs {count} values, not {len(words)}")
+        return words
+
+    def integers(self, key: str, count=None, lo=0, hi=None) -> list[int]:
+        """Ints in [lo, hi]; None leaves that side unbounded."""
+        values = [int(w) for w in self.values(key, count)]
+        if any((lo is not None and v < lo) or (hi is not None and v > hi) for v in values):
+            raise ValueError(f"line {self.pos}: {key!r} must lie in [{lo}, {hi}]")
+        return values
+
+    def integer(self, key: str, lo=0, hi=None) -> int:
+        return self.integers(key, 1, lo, hi)[0]
+
+    def reals(self, key: str, count: int) -> np.ndarray:
+        values = np.array(self.values(key, count), dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError(f"line {self.pos}: {key!r} holds a non-finite value")
+        return values
+
+    def real(self, key: str, positive: bool = False) -> float:
+        value = float(self.reals(key, 1)[0])
+        if positive and value <= 0.0:
+            raise ValueError(f"line {self.pos}: {key!r} must be positive")
+        return value
+
+    def tree_config(self, prefix: str = "") -> TreeConfig:
+        """Inverse of TreeConfig.lines."""
+        depth = self.integer(prefix + "max_depth", lo=None)  # TreeConfig checks both
+        min_leaf = self.integer(prefix + "min_leaf", lo=None)
+        return TreeConfig(None if depth == -1 else depth, min_leaf)
+
+    def end(self) -> None:
+        if self.lines[self.pos:] != ["end"]:
+            raise ValueError(f"line {self.pos + 1}: expected 'end' as the last line")
 
 
 class Model:
@@ -138,31 +217,15 @@ def loads_model(text: str) -> Model:
     if not lines or lines[0] != MAGIC:
         raise ModelError("not a rusent model file or unknown format version")
     try:
-        if not lines[1].startswith("variant "):
-            raise ModelError("missing variant line")
-        variant = lines[1].split(" ", 1)[1]
-        if not lines[2].startswith("feature_width "):
-            raise ModelError("missing feature_width line")
-        feature_width = int(lines[2].split(" ", 1)[1])
-    except IndexError:
-        raise ModelError("truncated model header") from None
-    class_values = []
-    i = 3
-    while i < len(lines) and lines[i].startswith("class "):
-        class_values.append(lines[i].split(" ", 1)[1])
-        i += 1
-    if not class_values:
-        raise ModelError("model declares no classes")
-    if not lines or lines[-1] != "end":
-        raise ModelError("model file missing 'end' terminator")
-    body = lines[i:-1]
-    cls = _REGISTRY.get(variant)
-    if cls is None:
-        raise ModelError(f"unknown model variant {variant!r}")
-    try:
-        return cls._from_body(body, tuple(class_values), feature_width)
-    except (ValueError, IndexError) as exc:
-        raise ModelError(f"corrupt {variant} model body: {exc}") from None
+        reader = BodyReader(lines)
+        cls = _REGISTRY.get(reader.variant)
+        if cls is None:
+            raise ModelError(f"unknown model variant {reader.variant!r}")
+        model = cls._from_body(reader)
+        reader.end()
+    except ValueError as exc:
+        raise ModelError(f"corrupt model file: {exc}") from None
+    return model
 
 
 def load_model(path) -> Model:

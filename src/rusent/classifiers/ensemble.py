@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import ModelError
 from ..rng import SplitMix64, derive
 from .base import Model, TreeConfig
-from .tree import grow_tree, tree_apply, tree_from_lines, tree_lines
+from .tree import grow_tree, read_tree, tree_apply, tree_lines
 
 
 class _VotingTreeEnsemble(Model):
@@ -34,52 +34,27 @@ class _VotingTreeEnsemble(Model):
             votes[tree_apply(root, vec).class_index] += 1.0
         return [float(v) / len(self.trees) for v in votes]
 
-    def _common_lines(self) -> list[str]:
-        depth = -1 if self.base.max_depth is None else self.base.max_depth
-        lines = [
-            f"m {len(self.trees)}",
-            f"seed {self.seed}",
-            f"base_max_depth {depth}",
-            f"base_min_leaf {self.base.min_leaf}",
-        ]
+    def _body_lines(self) -> list[str]:
+        lines = [f"m {len(self.trees)}", f"seed {self.seed}"] + self.base.lines("base_")
         for i, root in enumerate(self.trees):
             lines.append(f"member {i}")
             lines.extend(tree_lines(root))
         return lines
 
     @classmethod
-    def _parse_common(cls, body):
-        m = int(body[0].split()[1])
-        seed = int(body[1].split()[1])
-        depth = int(body[2].split()[1])
-        base = TreeConfig(None if depth < 0 else depth, int(body[3].split()[1]))
-        return m, seed, base
-
-    @classmethod
-    def _parse_members(cls, body, start, m):
+    def _from_body(cls, reader, *extra):
+        m = reader.integer("m", lo=1)
+        seed = reader.integer("seed", lo=None)
+        base = reader.tree_config("base_")
         trees = []
-        pos = start
         for i in range(m):
-            if body[pos] != f"member {i}":
-                raise ValueError(f"expected 'member {i}', got {body[pos]!r}")
-            root, pos = tree_from_lines(body, pos + 1)
-            trees.append(root)
-        if pos != len(body):
-            raise ValueError("trailing data after ensemble members")
-        return trees
+            reader.integer("member", lo=i, hi=i)
+            trees.append(read_tree(reader))
+        return cls(reader.class_values, reader.feature_width, trees, base, seed, *extra)
 
 
 class BaggingModel(_VotingTreeEnsemble):
     variant = "bagging"
-
-    def _body_lines(self):
-        return self._common_lines()
-
-    @classmethod
-    def _from_body(cls, body, class_values, feature_width):
-        m, seed, base = cls._parse_common(body)
-        trees = cls._parse_members(body, 4, m)
-        return cls(class_values, feature_width, trees, base, seed)
 
 
 class RandomForestModel(_VotingTreeEnsemble):
@@ -90,14 +65,12 @@ class RandomForestModel(_VotingTreeEnsemble):
         self.features_per_split = int(features_per_split)
 
     def _body_lines(self):
-        return [f"features_per_split {self.features_per_split}"] + self._common_lines()
+        return [f"features_per_split {self.features_per_split}"] + super()._body_lines()
 
     @classmethod
-    def _from_body(cls, body, class_values, feature_width):
-        fps = int(body[0].split()[1])
-        m, seed, base = cls._parse_common(body[1:])
-        trees = cls._parse_members(body, 5, m)
-        return cls(class_values, feature_width, trees, base, seed, fps)
+    def _from_body(cls, reader):
+        fps = reader.integer("features_per_split", lo=1, hi=reader.feature_width)
+        return super()._from_body(reader, fps)
 
 
 def _bootstrap_trees(matrix, m, base: TreeConfig, seed, subset_size):

@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import Model, fmt_floats, parse_floats
+from .base import Model, fmt_floats
 
 DISTANCES = ("euclidean", "manhattan", "minkowski")
 
@@ -76,6 +76,12 @@ class KnnModel(Model):
 
     def __init__(self, class_values, feature_width, k, metric, p, rows, labels):
         super().__init__(class_values, feature_width)
+        if metric not in DISTANCES:
+            raise ModelError(f"distance must be one of {DISTANCES}")
+        if not 1 <= k <= len(labels):
+            raise ModelError(f"k={k} is outside [1, {len(labels)}], the training instances")
+        if metric == "minkowski" and p <= 0:
+            raise ModelError("minkowski exponent must be positive")
         self.k = int(k)
         self.metric = metric
         self.p = float(p)
@@ -86,7 +92,7 @@ class KnnModel(Model):
         """Yield (x, training indices that can be among x's neighbours, in
         ascending order, or None for all of them) for each row x of X."""
         n_train = self.rows.shape[0]
-        if self.metric != "euclidean" or not 1 <= self.k <= n_train:
+        if self.metric != "euclidean":
             for x in X:
                 yield x, None
             return
@@ -140,35 +146,22 @@ class KnnModel(Model):
         lines = [
             f"k {self.k}",
             f"distance {self.metric}",
-            f"p {repr(self.p)}",
+            f"p {fmt_floats(self.p)}",
             f"labels {' '.join(str(int(l)) for l in self.labels)}",
         ]
         lines.extend(f"row {fmt_floats(row)}" for row in self.rows)
         return lines
 
     @classmethod
-    def _from_body(cls, body, class_values, feature_width):
-        k = int(body[0].split()[1])
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        metric = body[1].split()[1]
-        p = float(body[2].split()[1])
-        labels = [int(t) for t in body[3].split()[1:]]
-        rows = np.array([parse_floats(line.split(" ", 1)[1]) for line in body[4:]])
-        rows = rows.reshape(len(labels), feature_width)
-        return cls(class_values, feature_width, k, metric, p, rows, labels)
+    def _from_body(cls, reader):
+        k = reader.integer("k", lo=None)
+        metric = reader.rest("distance")
+        p = reader.real("p")
+        labels = reader.integers("labels", hi=len(reader.class_values) - 1)
+        rows = np.array([reader.reals("row", reader.feature_width) for _ in labels])
+        return cls(reader.class_values, reader.feature_width, k, metric, p, rows, labels)
 
 
 def train_knn(matrix, k: int = 1, distance: str = "euclidean", p: float = 3.0) -> KnnModel:
-    if distance not in DISTANCES:
-        raise ModelError(f"distance must be one of {DISTANCES}")
-    if k < 1:
-        raise ModelError("k must be >= 1")
-    if k > matrix.rows.shape[0]:
-        raise ModelError(f"k={k} exceeds the {matrix.rows.shape[0]} training instances")
-    if distance == "minkowski" and p <= 0:
-        raise ModelError("minkowski exponent must be positive")
-    return KnnModel(
-        matrix.class_values, matrix.width, k, distance, p,
-        matrix.rows.copy(), matrix.label_indices(),
-    )
+    return KnnModel(matrix.class_values, matrix.width, k, distance, p,
+                    matrix.rows.copy(), matrix.label_indices())

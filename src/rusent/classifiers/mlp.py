@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..rng import SplitMix64
-from .base import Model, fmt_floats, parse_floats
+from .base import Model, fmt_floats
 
 ACTIVATIONS = ("logistic", "tanh")
 
@@ -46,6 +46,16 @@ class MlpModel(Model):
     def __init__(self, class_values, feature_width, weights, biases, activation,
                  learning_rate, epochs, batch_size, seed):
         super().__init__(class_values, feature_width)
+        if len(weights) < 2:
+            raise ModelError("at least one hidden layer is required")
+        if activation not in ACTIVATIONS:
+            raise ModelError(f"activation must be one of {ACTIVATIONS}")
+        if learning_rate <= 0.0:
+            raise ModelError("learning rate must be positive")
+        if epochs < 0:
+            raise ModelError("epochs must be >= 0")
+        if batch_size < 1:
+            raise ModelError("batch_size must be >= 1")
         self.weights = [np.asarray(W, dtype=np.float64) for W in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         self.activation = activation
@@ -108,7 +118,7 @@ class MlpModel(Model):
         lines = [
             f"hidden {' '.join(str(h) for h in self.hidden_layers)}",
             f"activation {self.activation}",
-            f"learning_rate {repr(self.learning_rate)}",
+            f"learning_rate {fmt_floats(self.learning_rate)}",
             f"epochs {self.epochs}",
             f"batch_size {self.batch_size}",
             f"seed {self.seed}",
@@ -120,33 +130,20 @@ class MlpModel(Model):
         return lines
 
     @classmethod
-    def _from_body(cls, body, class_values, feature_width):
-        hidden = [int(t) for t in body[0].split()[1:]]
-        activation = body[1].split()[1]
-        learning_rate = float(body[2].split()[1])
-        epochs = int(body[3].split()[1])
-        batch_size = int(body[4].split()[1])
-        seed = int(body[5].split()[1])
-        sizes = [feature_width] + hidden + [len(class_values)]
+    def _from_body(cls, reader):
+        hidden = reader.integers("hidden", lo=1)
+        activation = reader.rest("activation")
+        learning_rate = reader.real("learning_rate")
+        epochs = reader.integer("epochs", lo=None)
+        batch_size = reader.integer("batch_size", lo=None)
+        seed = reader.integer("seed", lo=None)
+        sizes = [reader.feature_width] + hidden + [len(reader.class_values)]
         weights, biases = [], []
-        pos = 6
-        for li in range(len(sizes) - 1):
-            rows = []
-            for _ in range(sizes[li]):
-                tag, idx, rest = body[pos].split(" ", 2)
-                if tag != "w" or int(idx) != li:
-                    raise ValueError(f"unexpected line {body[pos]!r}")
-                rows.append(parse_floats(rest))
-                pos += 1
-            tag, idx, rest = body[pos].split(" ", 2)
-            if tag != "b" or int(idx) != li:
-                raise ValueError(f"unexpected line {body[pos]!r}")
-            biases.append(parse_floats(rest))
-            pos += 1
-            weights.append(np.vstack(rows).reshape(sizes[li], sizes[li + 1]))
-        if pos != len(body):
-            raise ValueError("trailing data after network parameters")
-        return cls(class_values, feature_width, weights, biases, activation,
+        for li, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            rows = [reader.reals(f"w {li}", fan_out) for _ in range(fan_in)]
+            weights.append(np.array(rows).reshape(fan_in, fan_out))
+            biases.append(reader.reals(f"b {li}", fan_out))
+        return cls(reader.class_values, reader.feature_width, weights, biases, activation,
                    learning_rate, epochs, batch_size, seed)
 
 
@@ -154,20 +151,16 @@ def init_mlp(matrix, hidden: list[int], activation: str = "logistic",
              learning_rate: float = 0.1, epochs: int = 200,
              batch_size: int = 16, seed: int = 0) -> MlpModel:
     """Build a network with freshly initialized weights (no training)."""
-    if not hidden:
-        raise ModelError("at least one hidden layer is required")
+    return _init_mlp(SplitMix64(seed), matrix, hidden, activation, learning_rate,
+                     epochs, batch_size, seed)
+
+
+def _init_mlp(rng: SplitMix64, matrix, hidden, activation, learning_rate, epochs,
+              batch_size, seed) -> MlpModel:
+    """init_mlp, drawing the weights from `rng`; the caller may draw on."""
     if any(h < 1 for h in hidden):
         raise ModelError("hidden layer widths must be >= 1")
-    if activation not in ACTIVATIONS:
-        raise ModelError(f"activation must be one of {ACTIVATIONS}")
-    if learning_rate <= 0.0:
-        raise ModelError("learning rate must be positive")
-    if epochs < 0:
-        raise ModelError("epochs must be >= 0")
-    if batch_size < 1:
-        raise ModelError("batch_size must be >= 1")
     sizes = [matrix.width] + list(hidden) + [len(matrix.class_values)]
-    rng = SplitMix64(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         r = np.sqrt(6.0 / (fan_in + fan_out))
@@ -177,10 +170,8 @@ def init_mlp(matrix, hidden: list[int], activation: str = "logistic",
                 W[i, j] = rng.uniform(-r, r)
         weights.append(W)
         biases.append(np.zeros(fan_out))
-    model = MlpModel(matrix.class_values, matrix.width, weights, biases,
-                     activation, learning_rate, epochs, batch_size, seed)
-    model._rng = rng  # training continues on the same stream
-    return model
+    return MlpModel(matrix.class_values, matrix.width, weights, biases,
+                    activation, learning_rate, epochs, batch_size, seed)
 
 
 def train_mlp(matrix, hidden: list[int] | None = None, activation: str = "logistic",
@@ -188,14 +179,14 @@ def train_mlp(matrix, hidden: list[int] | None = None, activation: str = "logist
               batch_size: int = 16, seed: int = 0) -> MlpModel:
     if hidden is None:
         hidden = [32, 32]
-    model = init_mlp(matrix, list(hidden), activation, learning_rate,
-                     epochs, batch_size, seed)
+    rng = SplitMix64(seed)  # the weight draws, then one shuffle per epoch
+    model = _init_mlp(rng, matrix, list(hidden), activation, learning_rate,
+                      epochs, batch_size, seed)
     X = matrix.rows
     y = matrix.label_indices()
     n = X.shape[0]
     if n == 0:
         raise ModelError("cannot train on an empty matrix")
-    rng = model._rng
     for _ in range(epochs):
         order = list(range(n))
         rng.shuffle(order)

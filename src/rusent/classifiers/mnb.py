@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import Model, fmt_floats, parse_floats
+from .base import Model, fmt_floats
 
 
 class MultinomialNBModel(Model):
@@ -52,22 +52,18 @@ class MultinomialNBModel(Model):
         )
 
     def _body_lines(self) -> list[str]:
-        lines = [f"alpha {repr(self.alpha)}", f"log_prior {fmt_floats(self.log_prior)}"]
+        lines = [f"alpha {fmt_floats(self.alpha)}", f"log_prior {fmt_floats(self.log_prior)}"]
         for c, row in enumerate(self.log_likelihood):
             lines.append(f"log_likelihood {c} {fmt_floats(row)}")
         return lines
 
     @classmethod
-    def _from_body(cls, body, class_values, feature_width):
-        alpha = float(body[0].split()[1])
-        log_prior = parse_floats(body[1].split(" ", 1)[1])
-        rows = []
-        for line in body[2:]:
-            parts = line.split(" ", 2)
-            if parts[0] != "log_likelihood":
-                raise ValueError(f"unexpected line {line!r}")
-            rows.append(parse_floats(parts[2]))
-        return cls(class_values, feature_width, alpha, log_prior, np.vstack(rows))
+    def _from_body(cls, reader):
+        n_classes = len(reader.class_values)
+        alpha = reader.real("alpha", positive=True)
+        log_prior = reader.reals("log_prior", n_classes)
+        rows = [reader.reals(f"log_likelihood {c}", reader.feature_width) for c in range(n_classes)]
+        return cls(reader.class_values, reader.feature_width, alpha, log_prior, np.array(rows))
 
 
 def train_mnb(matrix, alpha: float = 1.0) -> MultinomialNBModel:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..rng import SplitMix64
-from .base import Model, fmt_floats, parse_floats, require_binary
+from .base import Model, fmt_floats, require_binary
 
 
 class LinearSvmModel(Model):
@@ -41,21 +41,22 @@ class LinearSvmModel(Model):
 
     def _body_lines(self):
         return [
-            f"lambda {repr(self.lam)}",
+            f"lambda {fmt_floats(self.lam)}",
             f"epochs {self.epochs}",
             f"seed {self.seed}",
-            f"bias {repr(self.bias)}",
+            f"bias {fmt_floats(self.bias)}",
             f"weights {fmt_floats(self.weights)}",
         ]
 
     @classmethod
-    def _from_body(cls, body, class_values, feature_width):
-        lam = float(body[0].split()[1])
-        epochs = int(body[1].split()[1])
-        seed = int(body[2].split()[1])
-        bias = float(body[3].split()[1])
-        weights = parse_floats(body[4].split(" ", 1)[1])
-        return cls(class_values, feature_width, weights, bias, lam, epochs, seed)
+    def _from_body(cls, reader):
+        require_binary(reader.class_values)
+        lam = reader.real("lambda", positive=True)
+        epochs = reader.integer("epochs", lo=1)
+        seed = reader.integer("seed", lo=None)
+        bias = reader.real("bias")
+        weights = reader.reals("weights", reader.feature_width)
+        return cls(reader.class_values, reader.feature_width, weights, bias, lam, epochs, seed)
 
 
 def svm_objective(weights: np.ndarray, bias: float, X: np.ndarray, signs: np.ndarray,

@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import Model, TreeConfig, fmt_floats, parse_floats
+from .base import Model, TreeConfig, fmt_floats
 
 _GAIN_EPS = 1e-12
 
@@ -213,31 +213,34 @@ def tree_lines(node: TreeNode) -> list[str]:
         if node.is_leaf:
             lines.append(f"leaf {node.class_index} {fmt_floats(node.distribution)}")
         else:
-            lines.append(f"split {node.feature} {repr(node.threshold)}")
+            lines.append(f"split {node.feature} {fmt_floats(node.threshold)}")
             stack += (node.right, node.left)
     return lines
 
 
-def tree_from_lines(lines: list[str], pos: int = 0) -> tuple[TreeNode, int]:
-    """Read one preorder tree starting at lines[pos]; returns the root and
-    the index of the first line after it. Iterative, like tree_lines."""
+def read_tree(reader) -> TreeNode:
+    """Read one preorder tree written by tree_lines, iteratively like it. Split
+    features and leaf classes must be in range; a leaf holds a value per class."""
+    n_classes = len(reader.class_values)
     root = TreeNode()
     pending = [root]  # nodes not yet read, the next one on top
     while pending:
         node = pending.pop()
-        parts = lines[pos].split()
-        if parts[0] == "split":
-            node.feature = int(parts[1])
-            node.threshold = float(parts[2])
+        if reader.at("split"):
+            feature, node.threshold = reader.reals("split", 2).tolist()
+            node.feature = _index(feature, reader.feature_width)
             node.left, node.right = TreeNode(), TreeNode()
             pending += (node.right, node.left)
-        elif parts[0] == "leaf":
-            node.class_index = int(parts[1])
-            node.distribution = parse_floats(" ".join(parts[2:]))
         else:
-            raise ValueError(f"bad tree line {lines[pos]!r}")
-        pos += 1
-    return root, pos
+            leaf = reader.reals("leaf", 1 + n_classes)
+            node.class_index, node.distribution = _index(leaf[0], n_classes), leaf[1:]
+    return root
+
+
+def _index(value: float, n: int) -> int:
+    if not (float(value).is_integer() and 0 <= value < n):
+        raise ValueError(f"{value!r} is not an index below {n}")
+    return int(value)
 
 
 class DecisionTreeModel(Model):
@@ -253,17 +256,12 @@ class DecisionTreeModel(Model):
         return [float(p) for p in tree_apply(self.root, vec).distribution]
 
     def _body_lines(self) -> list[str]:
-        depth = -1 if self.config.max_depth is None else self.config.max_depth
-        return [f"max_depth {depth}", f"min_leaf {self.config.min_leaf}"] + tree_lines(self.root)
+        return self.config.lines() + tree_lines(self.root)
 
     @classmethod
-    def _from_body(cls, body, class_values, feature_width):
-        depth = int(body[0].split()[1])
-        config = TreeConfig(None if depth < 0 else depth, int(body[1].split()[1]))
-        root, end = tree_from_lines(body, 2)
-        if end != len(body):
-            raise ValueError("trailing data after tree")
-        return cls(class_values, feature_width, root, config)
+    def _from_body(cls, reader):
+        config = reader.tree_config()
+        return cls(reader.class_values, reader.feature_width, read_tree(reader), config)
 
 
 def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1,

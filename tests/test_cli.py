@@ -125,6 +125,15 @@ class TestTrainEvaluate:
                      "--model-out", str(tmp_path / "m.model")])
         assert code == 2
 
+    def test_diverged_svm_exits_2_and_writes_no_model(self, arff_paths, tmp_path, capsys):
+        vtr, _ = self.vectorized(arff_paths, tmp_path)
+        model = tmp_path / "svm.model"
+        code = main(["train", "--train", str(vtr), "--algorithm", "svm",
+                     "--svm-lambda", "1e-320", "--model-out", str(model)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_same_seed_models_byte_identical(self, arff_paths, tmp_path):
         vtr, _ = self.vectorized(arff_paths, tmp_path)
         a, b = tmp_path / "a.model", tmp_path / "b.model"
@@ -208,20 +217,34 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("rusent ")
 
 
+def evaluate_tree_model(tmp_path, model_text, report):
+    """Run `evaluate` on a hand-written model over one numeric feature."""
+    model = tmp_path / "tree.model"
+    model.write_text(model_text, encoding="utf-8")
+    test = tmp_path / "test.arff"
+    test.write_text(
+        "@relation r\n@attribute x0 numeric\n@attribute class {neg,pos}\n@data\n"
+        "0,neg\n1,pos\n2,neg\n1199,pos\n",
+        encoding="utf-8",
+    )
+    return main(["evaluate", "--model", str(model), "--test", str(test),
+                 "--report-out", str(report)])
+
+
 class TestDeepTreeModel:
     def test_evaluating_a_1200_deep_tree_does_not_exit_3(self, tmp_path, capsys):
         from test_tree import chain_model_text
 
-        model = tmp_path / "deep.model"
-        model.write_text(chain_model_text(1200), encoding="utf-8")
-        test = tmp_path / "test.arff"
-        test.write_text(
-            "@relation r\n@attribute x0 numeric\n@attribute class {neg,pos}\n@data\n"
-            "0,neg\n1,pos\n2,neg\n1199,pos\n",
-            encoding="utf-8",
-        )
         report = tmp_path / "report.json"
-        code = main(["evaluate", "--model", str(model), "--test", str(test),
-                     "--report-out", str(report)])
+        code = evaluate_tree_model(tmp_path, chain_model_text(1200), report)
         assert code == 0, capsys.readouterr().err
         assert json.loads(report.read_text())["reports"][0]["accuracy"] == 1.0
+
+
+class TestCorruptModel:
+    def test_a_split_past_the_feature_width_exits_2(self, tmp_path, capsys):
+        from test_tree import chain_model_text
+
+        text = chain_model_text(3).replace("split 0 ", "split 7 ", 1)
+        assert evaluate_tree_model(tmp_path, text, tmp_path / "report.json") == 2
+        assert "corrupt model file" in capsys.readouterr().err

@@ -99,9 +99,84 @@ class TestCorruptInput:
         with pytest.raises(ModelError):
             load_model(tmp_path / "nope.model")
 
+    @pytest.mark.parametrize("variant, old, new", [
+        ("mnb", "feature_width 4", "feature_width x"),
+        ("dtree-stump", "feature_width 4", "feature_width -4"),
+        ("knn", "class pos\n", "class pos\nclass pos\n"),
+        ("knn", "distance euclidean", "distance chebyshev"),
+        ("knn", "distance euclidean\np 3.0", "distance minkowski\np 0.0"),
+        ("mlp", "activation logistic", "activation relu"),
+        ("svm", "epochs 5", "epochs 5 7"),
+    ])
+    def test_bad_field_is_rejected(self, variant, old, new):
+        # a stump is a single leaf, which names no feature
+        trainers = {**TRAINERS, "dtree-stump": lambda m: train_dtree(m, max_depth=0)}
+        text = trainers[variant](training_matrix()).dumps()
+        assert old in text and loads_model(text).dumps() == text
+        with pytest.raises(ModelError):
+            loads_model(text.replace(old, new, 1))
+
+    def test_split_feature_past_the_width_is_rejected(self):
+        text = TRAINERS["dtree"](training_matrix()).dumps()
+        lines = text.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("split "))
+        lines[i] = "split 4 " + lines[i].split(" ")[2]  # feature_width is 4
+        with pytest.raises(ModelError):
+            loads_model("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("variant", ["bagging", "rforest"])
+    def test_dropping_a_class_is_rejected(self, variant):
+        text = TRAINERS[variant](training_matrix()).dumps()
+        with pytest.raises(ModelError):
+            loads_model(text.replace("class pos\n", "", 1))
+
     def test_float_repr_survives_exactly(self):
         m = training_matrix()
         model = train_svm(m, epochs=7, seed=5)
         clone = loads_model(model.dumps())
         assert np.array_equal(clone.weights, model.weights)
         assert clone.bias == model.bias
+
+
+def line_mutants(text):
+    """(name, text) for each mutation of each line after the magic line:
+    dropped, cut at half its length, doubled, with " nan" appended, with
+    its last value replaced by nan, and for a split line with its feature
+    index set to 99."""
+    lines = text.splitlines()
+    for i in range(1, len(lines)):
+        line = lines[i]
+        words = line.split(" ")
+        edits = {
+            "drop": [],
+            "truncate": [line[: len(line) // 2]],
+            "duplicate": [line, line],
+            "append nan": [line + " nan"],
+            "last nan": [" ".join(words[:-1] + ["nan"])],
+        }
+        if words[0] == "split":
+            edits["feature 99"] = [" ".join(["split", "99"] + words[2:])]
+        for name, new in edits.items():
+            yield f"line {i + 1} {name}", "\n".join(lines[:i] + new + lines[i + 1:]) + "\n"
+
+
+@pytest.mark.parametrize("variant", sorted(TRAINERS))
+def test_every_line_mutant_is_rejected_or_loads_canonically(variant):
+    """A mutated model file either raises ModelError, or loads, dumps to
+    the same text and predicts."""
+    m = training_matrix()
+    for name, text in line_mutants(TRAINERS[variant](m).dumps()):
+        try:
+            model = loads_model(text)
+        except ModelError:
+            continue
+        assert model.dumps() == text, name
+        model.predict_indices(m.rows)
+
+
+@pytest.mark.parametrize("variant", ["mnb", "knn", "dtree", "bagging", "adaboost", "svm", "mlp"])
+def test_a_model_of_no_features_round_trips(variant):
+    # array lines of zero values are written as the key and a space
+    m = make_matrix(np.zeros((4, 0)), ["neg", "pos", "neg", "pos"])
+    text = TRAINERS[variant](m).dumps()
+    assert loads_model(text).dumps() == text
