@@ -213,8 +213,10 @@ def _first_max(scores) -> int:
 
 
 def loads_model(text: str) -> Model:
-    lines = text.splitlines()
-    if not lines or lines[0] != MAGIC:
+    # split where dumps joined, at "\n" only: str.splitlines would also
+    # break inside a class value at U+2028, U+0085 or \x1c-\x1e
+    lines = text.removesuffix("\n").split("\n")
+    if lines[0] != MAGIC:
         raise ModelError("not a rusent model file or unknown format version")
     try:
         reader = BodyReader(lines)

@@ -73,6 +73,12 @@ class RandomForestModel(_VotingTreeEnsemble):
         return super()._from_body(reader, fps)
 
 
+def bootstrap_indices(rng: SplitMix64, n: int) -> np.ndarray:
+    """The rows of one bootstrap sample: n draws of rng.next_below(n), in
+    order, taken as one block."""
+    return (rng.block(n) % np.uint64(n)).astype(np.intp)
+
+
 def _bootstrap_trees(matrix, m, base: TreeConfig, seed, subset_size):
     if m < 1:
         raise ModelError("ensemble size m must be >= 1")
@@ -85,7 +91,7 @@ def _bootstrap_trees(matrix, m, base: TreeConfig, seed, subset_size):
     trees = []
     for i in range(m):
         rng = SplitMix64(derive(seed, i))
-        indices = np.array([rng.next_below(n) for _ in range(n)], dtype=np.intp)
+        indices = bootstrap_indices(rng, n)
         trees.append(
             grow_tree(
                 X[indices], y[indices], np.ones(n), n_classes,

@@ -88,6 +88,14 @@ class MlpModel(Model):
 
     def gradients(self, X: np.ndarray, y: np.ndarray):
         """Mean cross-entropy gradients, as (loss, dW list, db list)."""
+        probs, grads_w, grads_b = self._backprop(X, y)
+        picked = probs[np.arange(X.shape[0]), y]
+        loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
+        return loss, grads_w, grads_b
+
+    def _backprop(self, X: np.ndarray, y: np.ndarray):
+        """The gradients without the loss, as (softmax output, dW list,
+        db list); training steps call this and skip the loss."""
         acts = self.forward(X)
         n = X.shape[0]
         probs = acts[-1]
@@ -101,9 +109,7 @@ class MlpModel(Model):
             grads_b[li] = delta.sum(axis=0)
             if li > 0:
                 delta = (delta @ self.weights[li].T) * _activate_grad(acts[li], self.activation)
-        picked = probs[np.arange(n), y]
-        loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-        return loss, grads_w, grads_b
+        return probs, grads_w, grads_b
 
     # -- prediction --------------------------------------------------------
 
@@ -164,11 +170,10 @@ def _init_mlp(rng: SplitMix64, matrix, hidden, activation, learning_rate, epochs
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         r = np.sqrt(6.0 / (fan_in + fan_out))
-        W = np.empty((fan_in, fan_out))
-        for i in range(fan_in):  # row-major draw order
-            for j in range(fan_out):
-                W[i, j] = rng.uniform(-r, r)
-        weights.append(W)
+        lo, hi = -r, r
+        # rng.uniform(lo, hi) per element, in row-major draw order
+        u = rng.block(fan_in * fan_out).reshape(fan_in, fan_out)
+        weights.append(lo + (hi - lo) * ((u >> np.uint64(11)) * 2.0**-53))
         biases.append(np.zeros(fan_out))
     return MlpModel(matrix.class_values, matrix.width, weights, biases,
                     activation, learning_rate, epochs, batch_size, seed)
@@ -187,13 +192,15 @@ def train_mlp(matrix, hidden: list[int] | None = None, activation: str = "logist
     n = X.shape[0]
     if n == 0:
         raise ModelError("cannot train on an empty matrix")
+    weights, biases = model.weights, model.biases
     for _ in range(epochs):
         order = list(range(n))
         rng.shuffle(order)
+        order = np.array(order, dtype=np.intp)
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
-            _, grads_w, grads_b = model.gradients(X[batch], y[batch])
-            for li in range(len(model.weights)):
-                model.weights[li] -= learning_rate * grads_w[li]
-                model.biases[li] -= learning_rate * grads_b[li]
+            _, grads_w, grads_b = model._backprop(X[batch], y[batch])
+            for li in range(len(weights)):
+                weights[li] -= learning_rate * grads_w[li]
+                biases[li] -= learning_rate * grads_b[li]
     return model

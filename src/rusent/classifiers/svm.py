@@ -76,7 +76,10 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
     n = X.shape[0]
     if n == 0:
         raise ModelError("cannot train on an empty matrix")
-    signs = np.where(matrix.label_indices() == 1, 1.0, -1.0)
+    # per-instance row views and signs, made once; x.dot(w) is the same
+    # ddot as x @ w, with less call overhead per step
+    signs = np.where(matrix.label_indices() == 1, 1.0, -1.0).tolist()
+    rows = list(X)
     w = np.zeros(matrix.width)
     b = 0.0
     rng = SplitMix64(seed)
@@ -85,11 +88,13 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
         order = list(range(n))
         rng.shuffle(order)
         for i in order:
+            x, sign = rows[i], signs[i]
             t += 1
             eta = 1.0 / (lam * t)
-            margin = signs[i] * (X[i] @ w + b)
+            margin = sign * (x.dot(w) + b)
             w *= 1.0 - eta * lam
             if margin < 1.0:
-                w += eta * signs[i] * X[i]
-                b += eta * signs[i]
+                step = eta * sign
+                w += step * x
+                b += step
     return LinearSvmModel(matrix.class_values, matrix.width, w, b, lam, epochs, seed)

@@ -8,8 +8,9 @@ information gain
 
 with entropy H = -sum_c p_c log2(p_c) over (optionally weighted) class
 proportions. Candidate thresholds are the midpoints between consecutive
-distinct sorted feature values. Growth stops at purity, max_depth,
-min_leaf, or when no candidate split has positive gain.
+distinct sorted feature values (the lower value where the midpoint is not
+below the upper one). Growth stops at purity, max_depth, min_leaf, or
+when no candidate split has positive gain.
 
 Instance weights make this the weak learner for boosting: class
 proportions inside the entropy use weight mass, while min_leaf keeps
@@ -95,6 +96,15 @@ def _entropy_rows(cw: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
+def _threshold(a: float, b: float) -> float:
+    """The split point between sorted distinct values a < b: their midpoint,
+    or a where the midpoint does not fall in [a, b) (a + b overflows, or
+    the midpoint of adjacent doubles rounds to b), so the rows <= it are
+    exactly those <= a."""
+    mid = (a + b) / 2.0
+    return mid if a <= mid < b else a
+
+
 def _best_split(X, y, w, n_classes, min_leaf, features):
     """Best (gain, feature, threshold) over the candidate features, or None.
 
@@ -138,8 +148,8 @@ def _best_split(X, y, w, n_classes, min_leaf, features):
         gain = float(gains[i])
         if best is None or gain > best[0]:
             f, rows = fi[i], order[fi[i]]
-            thr = float((cols[f, rows[bi[i]]] + cols[f, rows[bi[i] + 1]]) / 2.0)
-            best = (gain, int(block[f]), thr)
+            a, b = float(cols[f, rows[bi[i]]]), float(cols[f, rows[bi[i] + 1]])
+            best = (gain, int(block[f]), _threshold(a, b))
     return best
 
 

@@ -13,7 +13,11 @@ from rusent.arff import (
     parse_arff,
     write_arff,
 )
+from rusent.classifiers import train_dtree
+from rusent.cli import main
 from rusent.errors import ArffError, CorpusError
+
+from conftest import make_matrix
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -207,6 +211,51 @@ class TestGoldenFiles:
         text = write_arff(original)
         assert parse_arff(text) == original
         assert write_arff(parse_arff(text)) == text
+
+
+def golden_mutants():
+    """(name, text) for six edits of every line of every golden file: the
+    line dropped, cut at half its length, doubled, with ",nan" appended,
+    with "{" prefixed, and with "'" appended. The lines are those of
+    text.split("\\n"), so the empty one after the final newline counts."""
+    for path in sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.arff"))):
+        with open(path, "rb") as fh:
+            lines = fh.read().decode("utf-8").split("\n")
+        for i, line in enumerate(lines):
+            edits = {
+                "drop": [],
+                "cut": [line[: len(line) // 2]],
+                "duplicate": [line, line],
+                "nan": [line + ",nan"],
+                "brace": ["{" + line],
+                "quote": [line + "'"],
+            }
+            for edit, new in edits.items():
+                name = f"{os.path.basename(path)} line {i + 1} {edit}"
+                yield name, "\n".join(lines[:i] + new + lines[i + 1:])
+
+
+class TestGoldenMutants:
+    def test_every_mutant_parses_or_raises_arff_error(self):
+        count = 0
+        for name, text in golden_mutants():
+            count += 1
+            try:
+                parse_arff(text)
+            except ArffError:
+                pass
+        assert count == 1008
+
+    def test_evaluate_on_a_mutant_exits_0_or_2(self, tmp_path, capsys):
+        # a model over one numeric feature, the schema of most golden files
+        model = tmp_path / "one.model"
+        train_dtree(make_matrix([[0.0], [1.0], [2.0]], ["p", "n", "p"], ("p", "n"))).save(model)
+        test = tmp_path / "mutant.arff"
+        for name, text in list(golden_mutants())[::25]:
+            test.write_text(text, encoding="utf-8", newline="")
+            code = main(["evaluate", "--model", str(model), "--test", str(test)])
+            assert code in (0, 2), (name, capsys.readouterr().err)
+            capsys.readouterr()
 
 
 # strategy for arbitrary valid datasets, used by the round-trip property

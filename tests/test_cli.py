@@ -248,3 +248,21 @@ class TestCorruptModel:
         text = chain_model_text(3).replace("split 0 ", "split 7 ", 1)
         assert evaluate_tree_model(tmp_path, text, tmp_path / "report.json") == 2
         assert "corrupt model file" in capsys.readouterr().err
+
+
+class TestHugeFeatureValues:
+    def test_dtree_on_values_near_the_double_maximum_trains(self, tmp_path, capsys):
+        # the midpoint of 1.7e308 and 1.79e308 overflows; the tree must
+        # still split once and stop
+        train = tmp_path / "huge.arff"
+        train.write_text(
+            "@relation r\n@attribute x numeric\n@attribute class {neg,pos}\n@data\n"
+            "1.7e308,neg\n1.79e308,pos\n",
+            encoding="utf-8",
+        )
+        model = tmp_path / "huge.model"
+        code = main(["train", "--train", str(train), "--algorithm", "dtree",
+                     "--model-out", str(model)])
+        assert code == 0, capsys.readouterr().err
+        assert "training accuracy 100.00%" in capsys.readouterr().out
+        assert main(["evaluate", "--model", str(model), "--test", str(train)]) == 0

@@ -68,6 +68,21 @@ class TestRoundTrip:
         assert load_model(path).dumps() == model.dumps()
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\x1c", "\x1e"])
+def test_class_value_with_a_unicode_line_break_round_trips(separator, tmp_path):
+    # str.splitlines breaks at these; model files break lines at \n only
+    m = training_matrix()
+    classes = ("neg", f"pos{separator}itive")
+    m = make_matrix(m.rows, [classes[v == "pos"] for v in m.labels], classes)
+    model = train_dtree(m, max_depth=4)
+    path = tmp_path / "dtree.model"
+    model.save(path)
+    clone = load_model(path)
+    assert clone.class_values == classes
+    assert clone.dumps() == model.dumps()
+    assert clone.predict_indices(m.rows).tolist() == model.predict_indices(m.rows).tolist()
+
+
 class TestCorruptInput:
     def good_text(self):
         return TRAINERS["mnb"](training_matrix()).dumps()

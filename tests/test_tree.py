@@ -158,6 +158,37 @@ class TestGrowth:
         assert node.class_index == 1
 
 
+# Adjacent sorted values whose plain midpoint (a + b) / 2 does not fall in
+# [a, b): above about 9e307 the sum overflows to inf (or to -inf below
+# -9e307), and between adjacent doubles it can round up to b. A threshold
+# outside [a, b) sends both rows to one side, so the split separates nothing.
+EDGE_PAIRS = [
+    (1.7e308, 1.79e308),
+    (-1.79e308, -1.7e308),
+    (1.0 + 2.0**-52, 1.0 + 2.0**-51),
+]
+
+
+class TestThresholdEdges:
+    @pytest.mark.parametrize("a, b", EDGE_PAIRS)
+    def test_threshold_lies_in_a_to_b(self, a, b):
+        X = np.array([[a], [b]])
+        _, feature, threshold = _best_split(X, np.array([0, 1]), np.ones(2), 2, 1, range(1))
+        assert feature == 0
+        assert math.isfinite(threshold)
+        assert a <= threshold < b
+
+    @pytest.mark.parametrize("a, b", EDGE_PAIRS)
+    def test_tree_separates_the_two_rows_at_depth_one(self, a, b):
+        m = make_matrix([[a], [b]], ["neg", "pos"])
+        model = train_dtree(m, max_depth=40)
+        root = model.root
+        assert not root.is_leaf
+        assert root.left.is_leaf and root.right.is_leaf
+        assert [model.predict([a]), model.predict([b])] == ["neg", "pos"]
+        assert loads_model(model.dumps()).dumps() == model.dumps()
+
+
 class TestProperties:
     datasets = st.lists(
         st.tuples(
