@@ -18,6 +18,12 @@ Conventions fixed by this module:
   byte-stable, so golden-file tests can compare exact text.
 * Input must be valid UTF-8; decoding failures are parse errors.
 
+rusent.vectorize.read_matrix reads the sparse vectorized files that
+rusent.vectorize.to_arff writes without building a Dataset. It sends the
+header through parse_arff, accepts only quote-, whitespace- and
+comment-free `{index value,...}` rows, and hands every other input to
+parse_arff, so this module's rules and errors hold for all input.
+
 A Dataset is immutable once built and safe to share across threads.
 """
 

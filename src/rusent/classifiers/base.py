@@ -24,11 +24,13 @@ and its values, separated by single spaces; each line has a fixed place
 and an exact number of values. Floats are written with repr(), the
 shortest string that round-trips to the same double, so model files are
 byte-stable and loading loses no precision; fmt_floats refuses non-finite
-ones. loads_model reads the file through one BodyReader and raises
-ModelError (exit 2) on any other line or value count, trailing lines,
-repeated classes, non-finite floats, and values that training would
-refuse or prediction could not use, such as a split feature at or past
-feature_width or a leaf class at or past the class count.
+ones. A class line has no escape, so dumps refuses a class value that
+holds a line feed or a carriage return. loads_model reads the file
+through one BodyReader and raises ModelError (exit 2) on any other line
+or value count, trailing lines, repeated classes, non-finite floats, and
+values that training would refuse or prediction could not use, such as a
+split feature at or past feature_width or a leaf class at or past the
+class count.
 """
 
 from __future__ import annotations
@@ -189,6 +191,9 @@ class Model:
         raise NotImplementedError
 
     def dumps(self) -> str:
+        if any("\n" in v or "\r" in v for v in self.class_values):
+            # load_model reads in text mode, which also breaks lines at "\r"
+            raise ModelError("cannot write a class value that holds a line break")
         lines = [MAGIC, f"variant {self.variant}", f"feature_width {self.feature_width}"]
         lines.extend(f"class {v}" for v in self.class_values)
         lines.extend(self._body_lines())

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__, synth
 from .arff import load_text_directory, parse_arff, write_arff
@@ -45,7 +46,7 @@ from .errors import ArffError, RusentError
 from .evaluation import compare as compare_models
 from .evaluation import evaluate, render_json, render_table
 from .util import atomic_write_text
-from .vectorize import fit, matrix_from_dataset, to_arff, transform
+from .vectorize import fit, matrix_from_dataset, read_matrix, to_arff, transform
 
 MANIFEST_SCHEMA = "rusent-manifest/1"
 
@@ -58,12 +59,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_arff(path):
+def _read_bytes(path) -> bytes:
     try:
         with open(path, "rb") as fh:
-            return parse_arff(fh.read())
+            return fh.read()
     except OSError as exc:
         raise ArffError(f"cannot read {path!r}: {exc}") from None
+
+
+def _read_arff(path):
+    return parse_arff(_read_bytes(path))
 
 
 def _write_manifest(path, command, config):
@@ -111,7 +116,7 @@ def cmd_vectorize(args) -> int:
     vocab_out = args.vocab_out or os.path.splitext(args.out_train)[0] + ".vocab.txt"
 
     train_matrix = transform(space, train)
-    atomic_write_text(args.out_train, write_arff(to_arff(space, train_matrix), sparse=True))
+    atomic_write_text(args.out_train, to_arff(space, train_matrix))
     atomic_write_text(vocab_out, "\n".join(space.vocabulary) + "\n")
     outputs = {"out_train": args.out_train, "vocab_out": vocab_out}
 
@@ -120,14 +125,8 @@ def cmd_vectorize(args) -> int:
             raise RusentError("--out-test is required when --test is given")
         test = _read_arff(args.test)
         test_matrix = transform(space, test)
-        empty = int((test_matrix.rows.sum(axis=1) == 0).sum())
-        if empty:
-            print(
-                f"warning: {empty} test instance(s) contain only out-of-vocabulary"
-                " words and became all-zero rows",
-                file=sys.stderr,
-            )
-        atomic_write_text(args.out_test, write_arff(to_arff(space, test_matrix), sparse=True))
+        _warn_zero_rows(space, test, test_matrix)
+        atomic_write_text(args.out_test, to_arff(space, test_matrix))
         outputs["out_test"] = args.out_test
 
     _write_manifest(args.out_train + ".manifest.json", "vectorize", {
@@ -137,6 +136,28 @@ def cmd_vectorize(args) -> int:
     })
     print(f"vocabulary size {space.width}; wrote {', '.join(outputs.values())}")
     return 0
+
+
+def _warn_zero_rows(space, test, test_matrix) -> None:
+    """Say on stderr how many test rows became all zeros, and why."""
+    empty = ~test_matrix.rows.any(axis=1)
+    if space.weighting == "tfidf" and empty.any():
+        # a term in every training document weighs ln(1) = 0 under tf-idf
+        idf_zero = empty & transform(replace(space, weighting="count"), test).rows.any(axis=1)
+        empty &= ~idf_zero
+        if idf_zero.any():
+            print(
+                f"warning: {int(idf_zero.sum())} test instance(s) became all-zero rows:"
+                " each of their vocabulary words occurs in every training document,"
+                " so its tf-idf weight is 0",
+                file=sys.stderr,
+            )
+    if empty.any():
+        print(
+            f"warning: {int(empty.sum())} test instance(s) contain only out-of-vocabulary"
+            " words and became all-zero rows",
+            file=sys.stderr,
+        )
 
 
 def _hidden_layers(text: str) -> list[int]:
@@ -191,7 +212,7 @@ def _hyper_config(args) -> dict:
 
 
 def cmd_train(args) -> int:
-    matrix = matrix_from_dataset(_read_arff(args.train))
+    matrix = read_matrix(_read_bytes(args.train))
     trainer = _trainer_for(args.algorithm, args, args.seed)
     started = time.perf_counter()
     model = trainer(matrix)
@@ -209,7 +230,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    matrix = matrix_from_dataset(_read_arff(args.test))
+    matrix = read_matrix(_read_bytes(args.test))
     report = evaluate(model, matrix, args.positive_class)
     print(render_table([report]), end="")
     if args.report_out:
@@ -234,14 +255,10 @@ def cmd_compare(args) -> int:
                     stopwords=stops, min_term_freq=args.min_term_freq)
         train_matrix = transform(space, train)
         test_matrix = transform(space, test)
-        atomic_write_text(
-            os.path.join(args.out_dir, "train_vectorized.arff"),
-            write_arff(to_arff(space, train_matrix), sparse=True),
-        )
-        atomic_write_text(
-            os.path.join(args.out_dir, "test_vectorized.arff"),
-            write_arff(to_arff(space, test_matrix), sparse=True),
-        )
+        atomic_write_text(os.path.join(args.out_dir, "train_vectorized.arff"),
+                          to_arff(space, train_matrix))
+        atomic_write_text(os.path.join(args.out_dir, "test_vectorized.arff"),
+                          to_arff(space, test_matrix))
         atomic_write_text(
             os.path.join(args.out_dir, "vocabulary.txt"),
             "\n".join(space.vocabulary) + "\n",

@@ -10,18 +10,29 @@ Weighting modes: binary (presence), count (raw term frequency), tfidf
 (count * ln(doc_count / doc_frequency), natural log, no smoothing --
 every vocabulary term occurs in at least one training document so the
 ratio is always >= 1).
+
+Vectorized ARFF goes straight between text and a FeatureMatrix, without
+a Dataset of per-cell values. to_arff returns the sparse ARFF text of a
+matrix, byte for byte what write_arff(..., sparse=True) writes for that
+relation. read_matrix reads such text back: a strict subset (a numeric
+header with the nominal class last, parsed by parse_arff, then quote-
+and whitespace-free `{index value,...}` rows with ascending indices and
+finite values) is read with a few array operations; any other input, and
+any input that fails a check, goes through parse_arff and
+matrix_from_dataset, so results and errors are always theirs.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arff import NOMINAL, NUMERIC, STRING, AttributeDecl, Dataset
+from .arff import NUMERIC, STRING, Dataset, _quote, parse_arff
 from .corpus import StopWordList, TokenizerConfig, lowercase, remove_stopwords, tokenize
-from .errors import ConfigError, VectorizeError
+from .errors import ArffError, ConfigError, VectorizeError
 
 WEIGHTINGS = ("binary", "count", "tfidf")
 
@@ -103,6 +114,8 @@ def fit(
 
     min_term_freq prunes terms whose total occurrence count across the
     training corpus is below the threshold (default 1 = keep everything).
+    A term named like the class attribute is a VectorizeError: the
+    vectorized ARFF could not declare both.
     """
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}")
@@ -125,6 +138,13 @@ def fit(
     vocabulary = tuple(sorted(t for t, c in totals.items() if c >= min_term_freq))
     if not vocabulary:
         raise VectorizeError("vocabulary is empty after token processing")
+    class_attr = train.attributes[ci].name
+    if class_attr in vocabulary:
+        # the vectorized ARFF would declare two attributes of that name
+        raise VectorizeError(
+            f"vocabulary term {class_attr!r} has the name of the class attribute;"
+            " add it to a --stopwords file"
+        )
     frequencies = tuple(doc_freq[t] for t in vocabulary) if weighting == "tfidf" else None
     return VectorSpace(
         vocabulary=vocabulary,
@@ -134,7 +154,7 @@ def fit(
         tokenizer=tokenizer,
         stopwords=stopwords,
         text_attr=train.attributes[ti].name,
-        class_attr=train.attributes[ci].name,
+        class_attr=class_attr,
         class_values=train.attributes[ci].values,
     )
 
@@ -166,17 +186,33 @@ def transform(space: VectorSpace, data: Dataset) -> FeatureMatrix:
     return FeatureMatrix(rows, labels, space.class_values)
 
 
-def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> Dataset:
-    """Render a feature matrix as a numeric Dataset (one attribute per
-    vocabulary term plus the nominal class, in that order)."""
-    attributes = tuple(
-        AttributeDecl(term, NUMERIC) for term in space.vocabulary
-    ) + (AttributeDecl(space.class_attr, NOMINAL, space.class_values),)
-    instances = tuple(
-        tuple(float(v) for v in row) + (label,)
-        for row, label in zip(matrix.rows, matrix.labels)
-    )
-    return Dataset("vectorized", attributes, instances, len(space.vocabulary))
+def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> str:
+    """The sparse ARFF text of a feature matrix: one numeric attribute per
+    vocabulary term, then the nominal class, and one `{index value,...}`
+    row per instance.
+
+    The text is write_arff(..., sparse=True) of that relation, byte for
+    byte, written straight from the matrix: a row lists its non-zero
+    cells (np.nonzero drops -0.0, as `value == 0.0` does) with repr()
+    values, then a class entry unless the label is the first class
+    value.
+    """
+    classes = space.class_values
+    lines = ["@relation vectorized"]
+    lines += [f"@attribute {_quote(term)} numeric" for term in space.vocabulary]
+    lines.append(f"@attribute {_quote(space.class_attr)} {{{','.join(map(_quote, classes))}}}")
+    lines.append("@data")
+    rows, cols = np.nonzero(matrix.rows)
+    entries = [f"{j} {v!r}" for j, v in zip(cols.tolist(), matrix.rows[rows, cols].tolist())]
+    ends = np.cumsum(np.bincount(rows, minlength=len(matrix.labels))).tolist()
+    start = 0
+    for end, label in zip(ends, matrix.labels):
+        row = entries[start:end]
+        if label != classes[0]:
+            row.append(f"{space.width} {_quote(label)}")
+        lines.append("{" + ",".join(row) + "}")
+        start = end
+    return "\n".join(lines) + "\n"
 
 
 def matrix_from_dataset(data: Dataset) -> FeatureMatrix:
@@ -206,3 +242,94 @@ def matrix_from_dataset(data: Dataset) -> FeatureMatrix:
     ).reshape(n, width)
     labels = [row[ci] for row in data.instances]
     return FeatureMatrix(rows, labels, data.attributes[ci].values)
+
+
+# The data section read_matrix takes without building a Dataset: rows of
+# `{index value,...}`, each ended by "\n", with no quote, brace, comma or
+# whitespace inside an index or a value.
+_SPARSE_ROWS = re.compile(r"(?:\{(?:[0-9]+ [^\s,'{}]+(?:,[0-9]+ [^\s,'{}]+)*)?\}\n)*")
+_DATA_LINE = "\n@data\n"
+
+
+def read_matrix(source: str | bytes) -> FeatureMatrix:
+    """Read a vectorized ARFF into a FeatureMatrix.
+
+    The result is matrix_from_dataset(parse_arff(source)): the same matrix
+    bits, labels and class values, or the same error. Text in the form
+    to_arff writes is read straight into the matrix; everything else
+    takes that full path (see _read_sparse).
+    """
+    matrix = _read_sparse(source)
+    if matrix is None:
+        matrix = matrix_from_dataset(parse_arff(source))
+    return matrix
+
+
+def _read_sparse(source: str | bytes) -> FeatureMatrix | None:
+    """The matrix of a strict subset of vectorized ARFF, or None for any
+    other input and on any failed check.
+
+    The subset: UTF-8 whose header, up to a line that is exactly `@data`,
+    parse_arff accepts with numeric attributes and then one nominal class
+    attribute; after it only `{i v,...}` rows, each ended by "\\n", with
+    no quotes, no whitespace and no blank or comment lines; indices
+    ascending within a row and at most the class index, so that the class
+    entry, if any, comes last; class values declared and not `?`; every
+    other value finite under float(), the conversion _convert applies to
+    the same text. parse_arff gives such rows the same values.
+    """
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    at = source.find(_DATA_LINE)
+    if at < 0:
+        return None
+    at += len(_DATA_LINE)
+    try:
+        header = parse_arff(source[:at])
+    except ArffError:
+        return None
+    attributes = header.attributes
+    width = len(attributes) - 1
+    # no instances: the `@data` line found is the declaration, not a row
+    if header.instances or header.class_index != width or any(
+        a.kind != NUMERIC for a in attributes[:width]
+    ):
+        return None
+    body = source[at:]
+    if not _SPARSE_ROWS.fullmatch(body):
+        return None
+    lines = body.split("\n")[:-1]
+    counts = [line.count(",") + 1 if len(line) > 2 else 0 for line in lines]
+    cells = ",".join([line[1:-1] for line in lines if len(line) > 2])
+    tokens = cells.replace(",", " ").split(" ") if cells else []
+    texts = tokens[1::2]
+    try:
+        index = np.fromiter(map(int, tokens[0::2]), dtype=np.int64, count=len(texts))
+    except (ValueError, OverflowError):
+        return None
+    row_of = np.repeat(np.arange(len(lines)), counts)
+    if (index > width).any() or (np.diff(index)[row_of[1:] == row_of[:-1]] <= 0).any():
+        return None
+    is_class = index == width
+    classes = attributes[width].values
+    labels = [classes[0]] * len(lines)
+    for k in np.flatnonzero(is_class).tolist():
+        if texts[k] == "?" or texts[k] not in classes:
+            return None
+        labels[row_of[k]] = texts[k]
+    numeric = ~is_class
+    try:
+        values = np.fromiter(
+            map(float, itertools.compress(texts, numeric.tolist())),
+            dtype=np.float64, count=int(numeric.sum()),
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    rows = np.zeros((len(lines), width), dtype=np.float64)
+    rows[row_of[numeric], index[numeric]] = values
+    return FeatureMatrix(rows, labels, classes)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rusent.vectorize import FeatureMatrix
+from rusent.arff import parse_arff
+from rusent.vectorize import FeatureMatrix, matrix_from_dataset
 
 # Every run draws the same examples: a property either holds on them or
 # fails the same way each time. No example database, so a failure found
@@ -14,6 +15,21 @@ settings.load_profile("deterministic")
 
 def make_matrix(rows, labels, class_values=("neg", "pos")):
     return FeatureMatrix(np.asarray(rows, dtype=float), list(labels), tuple(class_values))
+
+
+def full_read(source):
+    """A vectorized ARFF's matrix through the Dataset path."""
+    return matrix_from_dataset(parse_arff(source))
+
+
+def read_outcome(read, source):
+    """What a reader makes of source: the matrix bits, labels and class
+    values, or the exception type and message."""
+    try:
+        m = read(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return m.rows.shape, m.rows.tobytes(), m.labels, m.class_values
 
 
 @pytest.fixture

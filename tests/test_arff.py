@@ -16,8 +16,9 @@ from rusent.arff import (
 from rusent.classifiers import train_dtree
 from rusent.cli import main
 from rusent.errors import ArffError, CorpusError
+from rusent.vectorize import read_matrix
 
-from conftest import make_matrix
+from conftest import full_read, make_matrix, read_outcome
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -213,26 +214,30 @@ class TestGoldenFiles:
         assert write_arff(parse_arff(text)) == text
 
 
-def golden_mutants():
-    """(name, text) for six edits of every line of every golden file: the
-    line dropped, cut at half its length, doubled, with ",nan" appended,
-    with "{" prefixed, and with "'" appended. The lines are those of
+def line_mutants(name, text):
+    """(name, text) for six edits of every line of text: the line dropped,
+    cut at half its length, doubled, with ",nan" appended, with "{"
+    prefixed, and with "'" appended. The lines are those of
     text.split("\\n"), so the empty one after the final newline counts."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        edits = {
+            "drop": [],
+            "cut": [line[: len(line) // 2]],
+            "duplicate": [line, line],
+            "nan": [line + ",nan"],
+            "brace": ["{" + line],
+            "quote": [line + "'"],
+        }
+        for edit, new in edits.items():
+            yield f"{name} line {i + 1} {edit}", "\n".join(lines[:i] + new + lines[i + 1:])
+
+
+def golden_mutants():
+    """line_mutants of every golden file."""
     for path in sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.arff"))):
         with open(path, "rb") as fh:
-            lines = fh.read().decode("utf-8").split("\n")
-        for i, line in enumerate(lines):
-            edits = {
-                "drop": [],
-                "cut": [line[: len(line) // 2]],
-                "duplicate": [line, line],
-                "nan": [line + ",nan"],
-                "brace": ["{" + line],
-                "quote": [line + "'"],
-            }
-            for edit, new in edits.items():
-                name = f"{os.path.basename(path)} line {i + 1} {edit}"
-                yield name, "\n".join(lines[:i] + new + lines[i + 1:])
+            yield from line_mutants(os.path.basename(path), fh.read().decode("utf-8"))
 
 
 class TestGoldenMutants:
@@ -245,6 +250,12 @@ class TestGoldenMutants:
             except ArffError:
                 pass
         assert count == 1008
+
+    def test_read_matrix_agrees_with_the_full_path_on_every_mutant(self):
+        mutants = list(golden_mutants())
+        assert len(mutants) == 1008
+        for name, text in mutants:
+            assert read_outcome(read_matrix, text) == read_outcome(full_read, text), name
 
     def test_evaluate_on_a_mutant_exits_0_or_2(self, tmp_path, capsys):
         # a model over one numeric feature, the schema of most golden files

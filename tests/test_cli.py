@@ -95,6 +95,89 @@ class TestVectorize:
         assert a.read_bytes() == b.read_bytes()
 
 
+RAW_WITH_CLASS_WORD = (
+    "@relation r\n@attribute text string\n@attribute class {neg,pos}\n@data\n"
+    "'world class gari',pos\n'bekar gari',neg\n"
+)
+
+
+class TestTermNamedLikeTheClass:
+    def test_vectorize_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        train = tmp_path / "raw.arff"
+        train.write_text(RAW_WITH_CLASS_WORD, encoding="utf-8")
+        out = tmp_path / "vec.arff"
+        code = main(["vectorize", "--train", str(train), "--test", str(train),
+                     "--out-train", str(out), "--out-test", str(tmp_path / "te.arff")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'class'" in err and "--stopwords" in err
+        assert os.listdir(tmp_path) == ["raw.arff"]
+
+    def test_compare_exits_2_and_writes_no_file(self, tmp_path, capsys):
+        train = tmp_path / "raw.arff"
+        train.write_text(RAW_WITH_CLASS_WORD, encoding="utf-8")
+        out_dir = tmp_path / "cmp"
+        code = main(["compare", "--train", str(train), "--test", str(train),
+                     "--out-dir", str(out_dir), "--algorithms", "mnb"])
+        assert code == 2
+        assert "--stopwords" in capsys.readouterr().err
+        assert [f for _, _, files in os.walk(out_dir) for f in files] == []
+
+    def test_a_stopwords_file_lets_the_term_go(self, tmp_path, capsys):
+        train = tmp_path / "raw.arff"
+        train.write_text(RAW_WITH_CLASS_WORD, encoding="utf-8")
+        stops = tmp_path / "stops.txt"
+        stops.write_text("class\n", encoding="utf-8")
+        out = tmp_path / "vec.arff"
+        assert main(["vectorize", "--train", str(train), "--out-train", str(out),
+                     "--stopwords", str(stops)]) == 0
+        assert main(["train", "--train", str(out), "--algorithm", "mnb",
+                     "--model-out", str(tmp_path / "m.model")]) == 0
+
+
+class TestTfidfZeroRows:
+    def run(self, tmp_path, test_docs):
+        train, test = tmp_path / "train.arff", tmp_path / "test.arff"
+        head = "@relation r\n@attribute text string\n@attribute class {neg,pos}\n@data\n"
+        train.write_text(head + "'gari acha',pos\n'gari bekar',neg\n", encoding="utf-8")
+        test.write_text(head + test_docs, encoding="utf-8")
+        return main(["vectorize", "--train", str(train), "--test", str(test),
+                     "--out-train", str(tmp_path / "tr.arff"),
+                     "--out-test", str(tmp_path / "te.arff"),
+                     "--weighting", "tfidf", "--stopwords", "none"])
+
+    def test_a_row_of_terms_in_every_training_document(self, tmp_path, capsys):
+        assert self.run(tmp_path, "gari,pos\n") == 0
+        err = capsys.readouterr().err
+        assert "1 test instance(s) became all-zero rows" in err
+        assert "every training document" in err
+        assert "out-of-vocabulary" not in err
+
+    def test_both_causes_are_counted_apart(self, tmp_path, capsys):
+        assert self.run(tmp_path, "gari,pos\n'jahaz tez',neg\n'gari gari',neg\n") == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("warning: 2 test instance(s) became all-zero rows")
+        assert lines[1].startswith("warning: 1 test instance(s) contain only out-of-vocabulary")
+
+
+class TestClassValueWithALineBreak:
+    @pytest.mark.parametrize("escape", ["\\r", "\\n"])
+    def test_train_exits_2_and_writes_no_model(self, tmp_path, capsys, escape):
+        train = tmp_path / "t.arff"
+        train.write_text(
+            f"@relation r\n@attribute x numeric\n@attribute class {{'a{escape}b',c}}\n"
+            f"@data\n0,'a{escape}b'\n1,c\n",
+            encoding="utf-8",
+        )
+        model = tmp_path / "m.model"
+        code = main(["train", "--train", str(train), "--algorithm", "dtree",
+                     "--model-out", str(model)])
+        assert code == 2
+        assert "line break" in capsys.readouterr().err
+        assert not model.exists()
+
+
 class TestTrainEvaluate:
     def vectorized(self, arff_paths, tmp_path):
         train, test = arff_paths

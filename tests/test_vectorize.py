@@ -6,15 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rusent.arff import AttributeDecl, Dataset, parse_arff, write_arff
-from rusent.corpus import StopWordList
+from rusent.corpus import StopWordList, TokenizerConfig
 from rusent.errors import ConfigError, VectorizeError
 from rusent.vectorize import (
     FeatureMatrix,
+    VectorSpace,
+    _read_sparse,
     fit,
     matrix_from_dataset,
+    read_matrix,
     to_arff,
     transform,
 )
+
+from conftest import full_read, read_outcome
+from test_arff import line_mutants
 
 
 def text_dataset(docs, class_values=("neg", "pos")):
@@ -60,6 +66,13 @@ class TestFit:
         d = text_dataset([("gari", "pos"), ("x", "neg")])
         with pytest.raises(ConfigError):
             fit(d, weighting="log")
+
+    def test_term_named_like_the_class_attribute_rejected(self):
+        d = text_dataset([("world class gari", "pos"), ("bekar gari", "neg")])
+        with pytest.raises(VectorizeError, match="'class'.*--stopwords"):
+            fit(d)
+        stops = StopWordList(frozenset({"class"}))
+        assert "class" not in fit(d, stopwords=stops).vocabulary
 
     def test_two_string_attributes_rejected(self):
         attrs = (
@@ -127,7 +140,7 @@ class TestToArff:
     def test_shape(self):
         d = text_dataset([("gari achi", "pos"), ("gari kharab", "neg")])
         space = fit(d)
-        out = to_arff(space, transform(space, d))
+        out = parse_arff(to_arff(space, transform(space, d)))
         assert len(out.attributes) == 4
         assert out.class_index == 3
         assert len(out.instances) == 2
@@ -136,7 +149,7 @@ class TestToArff:
         d = text_dataset([("gari achi", "pos"), ("x", "neg")])
         space = fit(d)
         matrix = FeatureMatrix(np.zeros((0, space.width)), [], space.class_values)
-        out = to_arff(space, matrix)
+        out = parse_arff(to_arff(space, matrix))
         assert len(out.attributes) == space.width + 1
         assert out.instances == ()
 
@@ -144,10 +157,181 @@ class TestToArff:
         d = text_dataset([("gari gari achi hai", "pos"), ("bakwas engine", "neg")])
         space = fit(d, weighting="tfidf")
         matrix = transform(space, d)
-        reparsed = parse_arff(write_arff(to_arff(space, matrix)))
+        reparsed = parse_arff(to_arff(space, matrix))
         back = matrix_from_dataset(reparsed)
         assert back.rows.tolist() == matrix.rows.tolist()
         assert back.labels == matrix.labels
+
+
+# vectorized relations for the writer and reader properties: terms and
+# class values that need quoting, and values at the edges of the doubles
+_names = st.sampled_from(["gari", "achi", "a b", "?", "%x", "{", "x'y", "c,d", "é", "0"]) | (
+    st.text(min_size=1, max_size=4).filter(lambda s: "\x00" not in s))
+_edge_values = st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072e-308, 1e308, -1e308, 1.7976931348623157e308, -2.5, 1 / 3])
+_cells = st.one_of(st.just(0.0), st.just(0.0), _edge_values,  # half the cells are zeros
+                   st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+@st.composite
+def vectorized(draw, classes=st.lists(_names, min_size=1, max_size=3, unique=True)):
+    """(space, matrix) of up to 5 rows over up to 6 terms."""
+    names = draw(st.lists(_names, min_size=1, max_size=7, unique=True))
+    class_attr, terms = names[0], tuple(names[1:])
+    class_values = tuple(draw(classes))
+    n = draw(st.integers(0, 5))
+    rows = np.array(draw(st.lists(st.lists(_cells, min_size=len(terms), max_size=len(terms)),
+                                  min_size=n, max_size=n)), dtype=np.float64).reshape(n, len(terms))
+    labels = draw(st.lists(st.sampled_from(class_values), min_size=n, max_size=n))
+    space = VectorSpace(terms, "count", 1, None, TokenizerConfig(), StopWordList(),
+                        "text", class_attr, class_values)
+    return space, FeatureMatrix(rows, labels, class_values)
+
+
+class TestToArffText:
+    @given(vectorized())
+    @settings(max_examples=300)
+    def test_equals_write_arff_of_the_same_relation(self, case):
+        space, matrix = case
+        attributes = tuple(AttributeDecl(t, "numeric") for t in space.vocabulary) + (
+            AttributeDecl(space.class_attr, "nominal", space.class_values),)
+        instances = tuple(tuple(float(v) for v in row) + (label,)
+                          for row, label in zip(matrix.rows, matrix.labels))
+        oracle = Dataset("vectorized", attributes, instances, space.width)
+        assert to_arff(space, matrix) == write_arff(oracle, sparse=True)
+
+    def test_negative_zero_is_omitted_and_edge_values_round_trip(self):
+        space = VectorSpace(("a b", "?"), "count", 1, None, TokenizerConfig(), StopWordList(),
+                            "text", "class", ("neg", "pos x"))
+        rows = [[-0.0, 5e-324], [-1e308, 0.0]]
+        text = to_arff(space, FeatureMatrix(rows, ["pos x", "neg"], space.class_values))
+        assert text.endswith("@data\n{1 5e-324,2 'pos x'}\n{0 -1e+308}\n")
+        assert "@attribute 'a b' numeric\n@attribute '?' numeric\n" in text
+
+
+def _entries(text):
+    """(line number, entries) of every non-empty data row."""
+    lines = text.split("\n")
+    start = lines.index("@data") + 1
+    return [(i, lines[i][1:-1].split(",")) for i in range(start, len(lines))
+            if lines[i].startswith("{") and len(lines[i]) > 2]
+
+
+def _edit_row(text, pick, edit):
+    """text with one data row's entries replaced by edit(entries), or
+    text itself when it has no non-empty row."""
+    rows = _entries(text)
+    if not rows:
+        return text
+    i, entries = rows[pick % len(rows)]
+    lines = text.split("\n")
+    lines[i] = "{" + ",".join(edit(entries)) + "}"
+    return "\n".join(lines)
+
+
+def _set_value(text, pick, value):
+    return _edit_row(text, pick, lambda e: [e[0].split(" ")[0] + " " + value] + e[1:])
+
+
+def _insert_data_line(text, pick, line):
+    lines = text.split("\n")
+    at = lines.index("@data") + 1 + pick % (len(lines) - lines.index("@data"))
+    return "\n".join(lines[:at] + [line] + lines[at:])
+
+
+MUTATIONS = {
+    "none": lambda t, k: t,
+    "nan": lambda t, k: _set_value(t, k, "nan"),
+    "inf": lambda t, k: _set_value(t, k, "-inf"),
+    "overflow": lambda t, k: _set_value(t, k, "1e400"),
+    "missing": lambda t, k: _set_value(t, k, "?"),
+    "quoted": lambda t, k: _set_value(t, k, "'1.5'"),
+    "underscore": lambda t, k: _set_value(t, k, "1_0.5"),
+    "not a number": lambda t, k: _set_value(t, k, "1e"),
+    "crlf": lambda t, k: t.replace("\n", "\r\n"),
+    "blank line": lambda t, k: _insert_data_line(t, k, ""),
+    "comment line": lambda t, k: _insert_data_line(t, k, "% note"),
+    "empty row": lambda t, k: _insert_data_line(t, k, "{}"),
+    "dense row": lambda t, k: _insert_data_line(t, k, "0"),
+    "reversed": lambda t, k: _edit_row(t, k, lambda e: e[::-1]),
+    "duplicate": lambda t, k: _edit_row(t, k, lambda e: e + e[-1:]),
+    "class first": lambda t, k: _edit_row(t, k, lambda e: e[-1:] + e[:-1]),
+    "out of range": lambda t, k: _edit_row(
+        t, k, lambda e: e + [f"{t.count('@attribute')} 1"]),
+    "huge index": lambda t, k: _edit_row(t, k, lambda e: ["99999999999999999999 1"] + e),
+    "padded": lambda t, k: _edit_row(t, k, lambda e: [" " + e[0]] + e[1:]),
+    "tab": lambda t, k: _edit_row(t, k, lambda e: [e[0].replace(" ", "\t", 1)] + e[1:]),
+    "undeclared class": lambda t, k: _edit_row(
+        t, k, lambda e: e + [f"{t.count('@attribute') - 1} nope"]),
+    "space in value": lambda t, k: _set_value(t, k, "1 5"),
+    "trailing space": lambda t, k: _edit_row(t, k, lambda e: e[:-1] + [e[-1] + " "]),
+    "missing class": lambda t, k: _edit_row(
+        t, k, lambda e: e + [f"{t.count('@attribute') - 1} ?"]),
+    "nominal feature": lambda t, k: t.replace(" numeric\n", " {x,y}\n", 1),
+    "string feature": lambda t, k: t.replace(" numeric\n", " string\n", 1),
+    "class after class": lambda t, k: t.replace("@data\n", "@attribute zz numeric\n@data\n", 1),
+    "upper data": lambda t, k: t.replace("\n@data\n", "\n@DATA\n", 1),
+    "no final newline": lambda t, k: t[:-1],
+    "truncated": lambda t, k: t[: len(t) - 1 - k % 7],
+}
+
+
+SMALL = (
+    VectorSpace(("achi", "gari", "kharab"), "count", 1, None, TokenizerConfig(), StopWordList(),
+                "text", "class", ("neg", "pos")),
+    FeatureMatrix([[1.0, 2.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]], ["pos", "neg", "pos"],
+                  ("neg", "pos")),
+)
+
+
+class TestReadMatrix:
+    @given(vectorized(), st.sampled_from(sorted(MUTATIONS)), st.integers(0, 50), st.booleans())
+    @settings(max_examples=600)
+    def test_agrees_with_parse_arff_and_matrix_from_dataset(self, case, mutation, pick, as_bytes):
+        text = MUTATIONS[mutation](to_arff(*case), pick)
+        source = text.encode("utf-8") if as_bytes else text
+        assert read_outcome(read_matrix, source) == read_outcome(full_read, source)
+
+    @given(vectorized(), st.integers(0, 10_000))
+    @settings(max_examples=100)
+    def test_invalid_utf8_agrees(self, case, pick):
+        data = to_arff(*case).encode("utf-8")
+        at = pick % (len(data) + 1)
+        source = data[:at] + b"\xff" + data[at:]
+        assert read_outcome(read_matrix, source) == read_outcome(full_read, source)
+
+    @given(vectorized(classes=st.lists(st.sampled_from(["neg", "pos", "mixed", "0"]),
+                                       min_size=1, max_size=3, unique=True)))
+    @settings(max_examples=100)
+    def test_the_writers_text_is_read_without_the_full_path(self, case):
+        # every class value is written unquoted, so to_arff's text is in the subset
+        text = to_arff(*case)
+        assert _read_sparse(text) is not None
+        assert read_outcome(_read_sparse, text) == read_outcome(full_read, text)
+
+    def test_line_mutants_of_a_written_file_agree(self):
+        for name, text in line_mutants("written", to_arff(*SMALL)):
+            assert read_outcome(read_matrix, text) == read_outcome(full_read, text), name
+
+    def test_an_unquoted_question_mark_is_a_missing_class(self):
+        text = "@relation r\n@attribute x numeric\n@attribute c {'?',b}\n@data\n{0 1,1 ?}\n"
+        assert _read_sparse(text) is None
+        with pytest.raises(VectorizeError, match="missing values"):
+            read_matrix(text)
+
+    def test_a_data_line_that_reads_like_the_declaration_is_a_row(self):
+        # the first "@data" line is a row here: @DATA opened the section
+        text = "@relation r\n@attribute c {'@data',b}\n@DATA\n@data\n{0 b}\n"
+        assert _read_sparse(text) is None
+        assert read_matrix(text).labels == ["@data", "b"]
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_each_mutation_agrees_on_a_small_file(self, mutation):
+        text = MUTATIONS[mutation](to_arff(*SMALL), 1)
+        assert read_outcome(read_matrix, text) == read_outcome(full_read, text)
+        if mutation == "none":
+            assert _read_sparse(text) is not None
+            assert read_matrix(text).rows.tolist() == SMALL[1].rows.tolist()
 
 
 class TestMatrixFromDataset:
