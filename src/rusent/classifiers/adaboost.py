@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import ModelError
 from .base import Model, TreeConfig, fmt_floats, require_binary
-from .tree import grow_tree, read_tree, tree_apply, tree_lines, tree_predict_batch
+from .tree import grow_tree, read_tree, tree_lines, tree_predict_batch
 
 ALPHA_CAP = math.log(1e10) / 2.0
 
@@ -39,17 +39,12 @@ class AdaBoostModel(Model):
         self.weak = weak
         self.rounds = int(rounds)
 
-    def decision_value(self, x) -> float:
-        vec = self.check_vector(x)
-        total = 0.0
+    def scores(self, X) -> np.ndarray:
+        X = self.check_matrix(X)
+        margin = np.zeros(X.shape[0])  # summed stage by stage, which fixes its bits
         for alpha, root in self.stages:
-            sign = 1.0 if tree_apply(root, vec).class_index == 1 else -1.0
-            total += alpha * sign
-        return total
-
-    def predict_scores(self, x) -> list[float]:
-        v = self.decision_value(x)
-        return [-v, v]
+            margin += alpha * np.where(tree_predict_batch(root, X) == 1, 1.0, -1.0)
+        return np.stack([-margin, margin], axis=1)
 
     def _body_lines(self):
         lines = [f"rounds {self.rounds}"] + self.weak.lines("weak_") + [f"stages {len(self.stages)}"]

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import ModelError
 from ..rng import SplitMix64, derive
 from .base import Model, TreeConfig
-from .tree import grow_tree, read_tree, tree_apply, tree_lines
+from .tree import grow_tree, read_tree, tree_lines, tree_predict_batch
 
 
 class _VotingTreeEnsemble(Model):
@@ -27,12 +27,13 @@ class _VotingTreeEnsemble(Model):
         self.base = base
         self.seed = int(seed)
 
-    def predict_scores(self, x) -> list[float]:
-        vec = self.check_vector(x)
-        votes = np.zeros(len(self.class_values))
+    def scores(self, X) -> np.ndarray:
+        X = self.check_matrix(X)
+        votes = np.zeros((X.shape[0], len(self.class_values)))
+        rows = np.arange(X.shape[0])
         for root in self.trees:
-            votes[tree_apply(root, vec).class_index] += 1.0
-        return [float(v) / len(self.trees) for v in votes]
+            votes[rows, tree_predict_batch(root, X)] += 1.0
+        return votes / len(self.trees)
 
     def _body_lines(self) -> list[str]:
         lines = [f"m {len(self.trees)}", f"seed {self.seed}"] + self.base.lines("base_")

@@ -128,19 +128,11 @@ class KnnModel(Model):
             order = np.argsort(_distances(rows, x, self.metric, self.p), kind="stable")[: self.k]
             yield order if cand is None else cand[order]
 
-    def predict_scores(self, x) -> list[float]:
-        vec = self.check_vector(x)
-        nearest = next(self._neighbours(vec[None]))
-        votes = np.bincount(self.labels[nearest], minlength=len(self.class_values))
-        return [float(v) / self.k for v in votes]
-
-    def predict_indices(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         n_classes = len(self.class_values)
-        return np.array(
-            [np.argmax(np.bincount(self.labels[nearest], minlength=n_classes))
-             for nearest in self._neighbours(self.check_matrix(X))],
-            dtype=np.intp,
-        )
+        votes = [np.bincount(self.labels[nearest], minlength=n_classes)
+                 for nearest in self._neighbours(self.check_matrix(X))]
+        return np.array(votes, dtype=np.float64).reshape(-1, n_classes) / self.k
 
     def _body_lines(self) -> list[str]:
         lines = [

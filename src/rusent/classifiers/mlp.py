@@ -113,10 +113,8 @@ class MlpModel(Model):
 
     # -- prediction --------------------------------------------------------
 
-    def predict_scores(self, x) -> list[float]:
-        vec = self.check_vector(x)
-        probs = self.forward(vec.reshape(1, -1))[-1][0]
-        return [float(p) for p in probs]
+    def scores(self, X) -> np.ndarray:
+        return self.forward(self.check_matrix(X))[-1]
 
     # -- persistence -------------------------------------------------------
 

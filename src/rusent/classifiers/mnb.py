@@ -5,17 +5,17 @@ Training stores, per class c:
     log P(c)      = log(n_c / n)
     log P(w | c)  = log((count(w, c) + alpha) / (sum_w' count(w', c) + alpha * |V|))
 
-and scoring a vector x computes log P(c) + sum_i x_i * log P(w_i | c) in
-log space. predict_scores exponentiates and normalizes the log posteriors
-into probabilities summing to 1.
+and scoring computes log P(c) + sum_i x_i * log P(w_i | c) in log space,
+for every row of a matrix in one matrix product (log_posteriors). scores
+exponentiates and normalizes each row into probabilities summing to 1.
 
-predict_indices takes the argmax in log space, one matrix-vector product
-per row: a matrix-matrix product over the whole test set would sum in a
-different order and could move a near-tie. The argmax is of the rounded
-log posteriors, so it matches the exact posterior argmax wherever the
-exact posteriors differ by more than the rounding error. Where two
+predict_indices takes the argmax in log space. It is the argmax of the
+rounded log posteriors, so it matches the exact posterior argmax wherever
+the exact posteriors differ by more than the rounding error. Where two
 classes' exact posteriors are equal (e.g. 4/21 each), rounding in log
 space may pick either of them, not necessarily the lower class index.
+A row's rounding can differ between a one-row call and a multi-row
+batch; see classifiers/base.py.
 """
 
 from __future__ import annotations
@@ -35,21 +35,21 @@ class MultinomialNBModel(Model):
         self.log_prior = np.asarray(log_prior, dtype=np.float64)
         self.log_likelihood = np.asarray(log_likelihood, dtype=np.float64)  # (C, d)
 
-    def log_posteriors(self, x) -> np.ndarray:
-        vec = self.check_vector(x)
-        return self.log_prior + self.log_likelihood @ vec
+    def log_posteriors(self, X) -> np.ndarray:
+        """log P(c) + sum_i x_i log P(w_i | c) of a vector, shape (C,), or of
+        every row of a matrix, shape (n, C), in one matrix product."""
+        X = np.asarray(X, dtype=np.float64)
+        self.check_matrix(X[None] if X.ndim == 1 else X)
+        return self.log_prior + X @ self.log_likelihood.T
 
-    def predict_scores(self, x) -> list[float]:
-        log_post = self.log_posteriors(x)
-        shifted = np.exp(log_post - log_post.max())
-        probs = shifted / shifted.sum()
-        return [float(p) for p in probs]
+    def scores(self, X) -> np.ndarray:
+        log_post = self.log_posteriors(self.check_matrix(X))
+        shifted = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+        return shifted / shifted.sum(axis=1, keepdims=True)
 
     def predict_indices(self, X) -> np.ndarray:
         # argmax in log space; ties go to the lowest class index
-        return np.array(
-            [np.argmax(self.log_posteriors(x)) for x in self.check_matrix(X)], dtype=np.intp
-        )
+        return np.argmax(self.log_posteriors(self.check_matrix(X)), axis=1)
 
     def _body_lines(self) -> list[str]:
         lines = [f"alpha {fmt_floats(self.alpha)}", f"log_prior {fmt_floats(self.log_prior)}"]

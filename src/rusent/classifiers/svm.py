@@ -31,13 +31,9 @@ class LinearSvmModel(Model):
         self.epochs = int(epochs)
         self.seed = int(seed)
 
-    def decision_value(self, x) -> float:
-        vec = self.check_vector(x)
-        return float(self.weights @ vec + self.bias)
-
-    def predict_scores(self, x) -> list[float]:
-        v = self.decision_value(x)
-        return [-v, v]
+    def scores(self, X) -> np.ndarray:
+        v = self.check_matrix(X) @ self.weights + self.bias
+        return np.stack([-v, v], axis=1)
 
     def _body_lines(self):
         return [

@@ -203,14 +203,26 @@ def grow_tree(
     return root
 
 
-def tree_apply(node: TreeNode, x: np.ndarray) -> TreeNode:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node
+def tree_leaves(root: TreeNode, X: np.ndarray):
+    """Yield (leaf, indices of the rows of X that reach it). The walk keeps a
+    stack of (node, row indices) and makes one comparison per node: a row
+    goes left where x[feature] <= threshold, so a NaN feature goes right."""
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            yield node, rows
+        elif rows.size:
+            left = X[rows, node.feature] <= node.threshold
+            stack += ((node.right, rows[~left]), (node.left, rows[left]))
 
 
-def tree_predict_batch(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    return np.array([tree_apply(node, row).class_index for row in X], dtype=np.intp)
+def tree_predict_batch(root: TreeNode, X: np.ndarray) -> np.ndarray:
+    """The leaf class index of every row of X, shape (n,)."""
+    out = np.empty(X.shape[0], dtype=np.intp)
+    for leaf, rows in tree_leaves(root, X):
+        out[rows] = leaf.class_index
+    return out
 
 
 def tree_lines(node: TreeNode) -> list[str]:
@@ -261,9 +273,12 @@ class DecisionTreeModel(Model):
         self.root = root
         self.config = config
 
-    def predict_scores(self, x) -> list[float]:
-        vec = self.check_vector(x)
-        return [float(p) for p in tree_apply(self.root, vec).distribution]
+    def scores(self, X) -> np.ndarray:
+        X = self.check_matrix(X)
+        out = np.empty((X.shape[0], len(self.class_values)))
+        for leaf, rows in tree_leaves(self.root, X):
+            out[rows] = leaf.distribution
+        return out
 
     def _body_lines(self) -> list[str]:
         return self.config.lines() + tree_lines(self.root)

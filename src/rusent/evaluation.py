@@ -112,9 +112,12 @@ def metrics_from_matrix(matrix: ConfusionMatrix, model_name: str) -> EvalReport:
 def evaluate(model, test: FeatureMatrix, positive_class: str | None = None) -> EvalReport:
     """Predict every test instance and tally against positive_class.
 
-    The whole test matrix is scored in one `model.predict_indices` call,
-    which gives, row for row, the class that `model.predict` gives (for
-    k-NN, the neighbours of the exhaustive scan; see classifiers/knn.py).
+    The whole test matrix is scored in one `model.predict_indices` call
+    (for k-NN, the neighbours of the exhaustive scan; see
+    classifiers/knn.py). It gives, row for row, the class `model.predict`
+    gives, except where two class scores lie within rounding of each
+    other, as a one-row call can round differently from the batch (see
+    classifiers/base.py).
 
     positive_class defaults to "pos" when declared, otherwise the first
     class value.

@@ -80,8 +80,8 @@ class TestBoostingLoop:
     def test_margin_sign_maps_to_classes(self):
         m = make_matrix([[0.0], [1.0]], ["neg", "pos"], ("neg", "pos"))
         model = train_adaboost(m, rounds=1)
-        assert model.decision_value([0.0]) < 0 and model.predict([0.0]) == "neg"
-        assert model.decision_value([1.0]) > 0 and model.predict([1.0]) == "pos"
+        assert model.predict_scores([0.0])[1] < 0 and model.predict([0.0]) == "neg"
+        assert model.predict_scores([1.0])[1] > 0 and model.predict([1.0]) == "pos"
         lo, hi = model.predict_scores([1.0])
         assert lo == -hi
 

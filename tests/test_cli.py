@@ -226,6 +226,53 @@ class TestTrainEvaluate:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestUnwritableOutput:
+    """An output in a missing directory, or at a directory, exits 2 and
+    leaves no temporary file."""
+
+    @pytest.fixture
+    def trained(self, arff_paths, tmp_path):
+        vtr, vte = TestTrainEvaluate().vectorized(arff_paths, tmp_path)
+        model = tmp_path / "m.model"
+        assert main(["train", "--train", str(vtr), "--algorithm", "mnb",
+                     "--model-out", str(model)]) == 0
+        return vtr, vte, model
+
+    def assert_exits_2(self, argv, target, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and str(target) in err
+        assert list(tmp_path.rglob(".tmp-*")) == []
+
+    def test_convert(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "nodir" / "c.arff"
+        self.assert_exits_2(["convert", str(corpus_dir), str(out)], out, tmp_path, capsys)
+
+    def test_vectorize(self, arff_paths, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.arff"
+        argv = ["vectorize", "--train", str(arff_paths[0]), "--out-train", str(out)]
+        self.assert_exits_2(argv, out, tmp_path, capsys)
+
+    def test_train(self, trained, tmp_path, capsys):
+        out = tmp_path / "nodir" / "m.model"
+        argv = ["train", "--train", str(trained[0]), "--algorithm", "mnb", "--model-out", str(out)]
+        self.assert_exits_2(argv, out, tmp_path, capsys)
+
+    def test_train_into_a_directory(self, trained, tmp_path, capsys):
+        out = tmp_path / "adir"
+        out.mkdir()
+        argv = ["train", "--train", str(trained[0]), "--algorithm", "mnb", "--model-out", str(out)]
+        self.assert_exits_2(argv, out, tmp_path, capsys)
+        assert out.is_dir() and list(out.iterdir()) == []
+
+    def test_evaluate(self, trained, tmp_path, capsys):
+        _, vte, model = trained
+        out = tmp_path / "nodir" / "r.json"
+        argv = ["evaluate", "--model", str(model), "--test", str(vte), "--report-out", str(out)]
+        self.assert_exits_2(argv, out, tmp_path, capsys)
+
+
 class TestCompare:
     def test_full_run_on_raw_text(self, arff_paths, tmp_path, capsys):
         train, test = arff_paths

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rusent.arff import load_text_directory
 from rusent.classifiers import (
@@ -14,6 +16,7 @@ from rusent.classifiers import (
     train_rforest,
     train_svm,
 )
+from rusent.classifiers.base import _first_max
 from rusent.corpus import SplitSpec, split
 from rusent.errors import ModelError
 from rusent.evaluation import evaluate
@@ -73,11 +76,57 @@ def test_evaluate_tallies_the_batch_predictions(matrices):
     assert report.correct == correct and report.total == len(test.labels)
 
 
-@pytest.mark.parametrize("variant", ["mnb", "dtree"])
+VARIANTS = ["mnb", "knn", "dtree", "bagging", "rforest", "adaboost", "svm", "mlp"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_predict_indices_checks_the_shape(variant, matrices):
     model = CASES[variant][1](matrices["count"][0])
     width = model.feature_width
-    for bad in (np.zeros(width), np.zeros((2, width + 1)), np.zeros((1, 1, width))):
-        with pytest.raises(ModelError):
-            model.predict_indices(bad)
+    for bad in (np.zeros(width), np.zeros((2, width + 1)), np.zeros((1, 1, width)), 0.0):
+        for method in (model.predict_indices, model.scores):
+            with pytest.raises(ModelError):
+                method(bad)
+    one_row = [np.zeros(width + 1), np.zeros((1, width)), 0.0, np.zeros((1, 1, width))]
+    for bad in one_row:
+        for method in (model.predict, model.predict_scores):
+            with pytest.raises(ModelError):
+                method(bad)
+    if variant == "mnb":
+        for bad in (np.zeros(width + 1), 0.0, np.zeros((1, 1, width)), np.zeros((2, width + 1))):
+            with pytest.raises(ModelError):
+                model.log_posteriors(bad)
     assert model.predict_indices(np.zeros((0, width))).tolist() == []
+    assert model.scores(np.zeros((0, width))).shape == (0, len(model.class_values))
+
+
+def scalar_first_max(scores):
+    """The row-by-row first maximum under `>`: the reference for _first_max."""
+    best = 0
+    for i in range(1, len(scores)):
+        if scores[i] > scores[best]:
+            best = i
+    return best
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 0.5]
+score_matrices = st.integers(1, 5).flatmap(
+    lambda classes: st.lists(
+        st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=classes, max_size=classes),
+        max_size=8,
+    ).map(lambda rows: np.array(rows, dtype=np.float64).reshape(-1, classes))
+)
+
+
+@given(score_matrices)
+@example(np.array([[np.nan, 1.0, 2.0]]))  # a first NaN keeps index 0
+@example(np.array([[1.0, np.nan, 2.0], [2.0, np.nan, 1.0]]))  # a later NaN is passed over
+@example(np.array([[-np.inf, np.nan, -np.inf]]))
+@example(np.array([[-0.0, 0.0], [0.0, -0.0]]))  # equal scores: the first wins
+@example(np.array([[np.inf, np.inf], [3.0, 3.0]]))
+@example(np.zeros((0, 3)))
+@example(np.array([[np.nan], [-np.inf], [1.0]]))  # one column
+def test_first_max_equals_the_scalar_loop(scores):
+    got = _first_max(scores)
+    assert got.shape == (scores.shape[0],)
+    assert got.tolist() == [scalar_first_max(row.tolist()) for row in scores]

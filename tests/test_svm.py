@@ -31,8 +31,8 @@ class TestTraining:
     def test_margin_signs(self):
         m = blob_matrix()
         model = train_svm(m)
-        assert model.decision_value([-3.0, 0.0]) < 0
-        assert model.decision_value([3.0, 0.0]) > 0
+        assert model.predict_scores([-3.0, 0.0])[1] < 0
+        assert model.predict_scores([3.0, 0.0])[1] > 0
         lo, hi = model.predict_scores([3.0, 0.0])
         assert lo == -hi
 

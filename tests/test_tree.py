@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rusent.classifiers import train_adaboost, train_bagging, train_dtree, train_rforest
 from rusent.classifiers import tree
 from rusent.classifiers.base import TreeConfig, loads_model
-from rusent.classifiers.tree import _best_split, _entropy_rows, entropy, grow_tree, tree_apply
+from rusent.classifiers.tree import _best_split, _entropy_rows, entropy, grow_tree, tree_predict_batch
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
@@ -154,8 +154,7 @@ class TestGrowth:
                         ["neg", "neg", "pos", "pos"], ("neg", "pos"))
         w = np.array([1.0, 1.0, 5.0, 1.0])
         model = train_dtree(m, sample_weights=w)
-        node = tree_apply(model.root, np.array([0.0]))
-        assert node.class_index == 1
+        assert tree_predict_batch(model.root, np.array([[0.0]])).tolist() == [1]
 
 
 # Adjacent sorted values whose plain midpoint (a + b) / 2 does not fall in
@@ -412,6 +411,119 @@ def test_a_1100_deep_tree_grows_without_recursion():
     assert max(depth for depth, _, _ in leaves) == 1100
     assert all(len(set(ys.tolist())) == 1 for _, _, ys in leaves)
 
+
+
+def walk_one(node, x):
+    """The leaf one row reaches, walked row by row: the reference for
+    the batch walk."""
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node
+
+
+def split_nodes(root):
+    stack, out = [root], []
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            out.append(node)
+            stack += (node.left, node.right)
+    return out
+
+
+def batch_walk_problem():
+    """A 3-class training matrix with repeated values, so rows tie at
+    thresholds."""
+    rng = np.random.default_rng(11)
+    X = rng.integers(-3, 4, size=(90, 4)).astype(float)
+    y = (X[:, 0] + 2 * X[:, 1] - X[:, 2] > 0).astype(int) + (X[:, 3] > 1)
+    return make_matrix(X, [("a", "b", "c")[i] for i in y], ("a", "b", "c"))
+
+
+def batch_walk_queries(X, roots):
+    """Training rows, rows at, just below and just above every split
+    threshold, rows holding NaN, +-inf or -0.0 in each feature, and an
+    all -0.0 row."""
+    rows = [X]
+    for root in roots:
+        for node in split_nodes(root):
+            for value in (node.threshold, np.nextafter(node.threshold, -np.inf),
+                          np.nextafter(node.threshold, np.inf)):
+                row = X[:5].copy()
+                row[:, node.feature] = value
+                rows.append(row)
+    for value in (np.nan, np.inf, -np.inf, -0.0):
+        for f in range(X.shape[1]):
+            row = X[:3].copy()
+            row[:, f] = value
+            rows.append(row)
+    rows.append(np.full((1, X.shape[1]), -0.0))
+    return np.vstack(rows)
+
+
+class TestBatchWalk:
+    """tree_predict_batch and every tree model's scores equal the row-by-row
+    walk bit for bit, on grown trees and on trees read back from text."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        m = batch_walk_problem()
+        binary = make_matrix(m.rows, ["neg" if l == "a" else "pos" for l in m.labels])
+        grown = [
+            train_dtree(m),
+            train_dtree(m, max_depth=2, min_leaf=4),
+            train_bagging(m, m=4, seed=3),
+            train_rforest(m, m=4, features_per_split=2, seed=3),
+            train_adaboost(binary, rounds=6, weak=TreeConfig(max_depth=2)),
+        ]
+        return m.rows, grown + [loads_model(model.dumps()) for model in grown]
+
+    @staticmethod
+    def roots(model):
+        if model.variant == "dtree":
+            return [model.root]
+        if model.variant == "adaboost":
+            return [root for _, root in model.stages]
+        return model.trees
+
+    def test_tree_predict_batch(self, models):
+        X, trained = models
+        for model in trained:
+            Q = batch_walk_queries(X, self.roots(model))
+            for root in self.roots(model):
+                got = tree_predict_batch(root, Q)
+                assert got.dtype == np.intp
+                assert got.tolist() == [walk_one(root, q).class_index for q in Q]
+                assert tree_predict_batch(root, Q[:0]).shape == (0,)
+
+    def test_scores(self, models):
+        X, trained = models
+        for model in trained:
+            Q = batch_walk_queries(X, self.roots(model))
+            expected = []
+            for q in Q:
+                if model.variant == "dtree":
+                    expected.append(walk_one(model.root, q).distribution)
+                elif model.variant == "adaboost":
+                    margin = 0.0
+                    for alpha, root in model.stages:
+                        margin += alpha * (1.0 if walk_one(root, q).class_index == 1 else -1.0)
+                    expected.append([-margin, margin])
+                else:
+                    votes = np.zeros(len(model.class_values))
+                    for root in model.trees:
+                        votes[walk_one(root, q).class_index] += 1.0
+                    expected.append(votes / len(model.trees))
+            got = model.scores(Q)
+            assert got.tobytes() == np.array(expected).tobytes(), model.variant
+            assert model.scores(Q[:0]).shape == (0, len(model.class_values))
+
+    def test_a_deep_chain_read_from_text(self):
+        model = loads_model(chain_model_text(1500))
+        Q = np.array([[v] for v in (-1.0, 0.5, 0.0, -0.0, 1499.5, 1500.0, np.nan, np.inf,
+                                    -np.inf, 700.0, 700.5, 701.0)])
+        assert model.scores(Q).tobytes() == np.array(
+            [walk_one(model.root, q).distribution for q in Q]).tobytes()
 
 
 def chain_model_text(depth):
