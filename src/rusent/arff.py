@@ -145,14 +145,6 @@ class Dataset:
         return any(MISSING in row for row in self.instances)
 
 
-@dataclass(frozen=True)
-class Document:
-    """One raw review: text plus its class label."""
-
-    text: str
-    label: str
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

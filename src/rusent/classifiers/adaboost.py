@@ -35,22 +35,22 @@ class AdaBoostModel(Model):
 
     def __init__(self, class_values, feature_width, stages, weak: TreeConfig, rounds: int):
         super().__init__(class_values, feature_width)
-        self.stages = list(stages)  # (alpha, tree root) pairs
+        self.stages = list(stages)  # (alpha, tree) pairs
         self.weak = weak
         self.rounds = int(rounds)
 
     def scores(self, X) -> np.ndarray:
         X = self.check_matrix(X)
         margin = np.zeros(X.shape[0])  # summed stage by stage, which fixes its bits
-        for alpha, root in self.stages:
-            margin += alpha * np.where(tree_predict_batch(root, X) == 1, 1.0, -1.0)
+        for alpha, tree in self.stages:
+            margin += alpha * np.where(tree_predict_batch(tree, X) == 1, 1.0, -1.0)
         return np.stack([-margin, margin], axis=1)
 
     def _body_lines(self):
         lines = [f"rounds {self.rounds}"] + self.weak.lines("weak_") + [f"stages {len(self.stages)}"]
-        for i, (alpha, root) in enumerate(self.stages):
+        for i, (alpha, tree) in enumerate(self.stages):
             lines.append(f"stage {i} {fmt_floats(alpha)}")
-            lines.extend(tree_lines(root))
+            lines.extend(tree_lines(tree))
         return lines
 
     @classmethod
@@ -67,10 +67,7 @@ def train_adaboost(
     matrix,
     rounds: int = 10,
     weak: TreeConfig = TreeConfig(max_depth=1),
-    seed: int = 0,
 ) -> AdaBoostModel:
-    # seed is accepted for interface uniformity; the boosting loop itself
-    # is deterministic (weighted tree fitting draws nothing).
     require_binary(matrix.class_values)
     if rounds < 1:
         raise ModelError("rounds must be >= 1")
@@ -82,17 +79,17 @@ def train_adaboost(
     weights = np.full(n, 1.0 / n)
     stages = []
     for _ in range(rounds):
-        root = grow_tree(X, y, weights, 2, weak.max_depth, weak.min_leaf)
-        preds = tree_predict_batch(root, X)
+        tree = grow_tree(X, y, weights, 2, weak.max_depth, weak.min_leaf)
+        preds = tree_predict_batch(tree, X)
         miss = preds != y
         eps = float(weights[miss].sum())
         if eps <= 0.0:
-            stages.append((ALPHA_CAP, root))
+            stages.append((ALPHA_CAP, tree))
             break
         if eps >= 0.5:
             break
         alpha = 0.5 * math.log((1.0 - eps) / eps)
-        stages.append((alpha, root))
+        stages.append((alpha, tree))
         weights = weights * np.where(miss, math.exp(alpha), math.exp(-alpha))
         weights /= weights.sum()
     return AdaBoostModel(matrix.class_values, matrix.width, stages, weak, rounds)

@@ -31,15 +31,15 @@ class _VotingTreeEnsemble(Model):
         X = self.check_matrix(X)
         votes = np.zeros((X.shape[0], len(self.class_values)))
         rows = np.arange(X.shape[0])
-        for root in self.trees:
-            votes[rows, tree_predict_batch(root, X)] += 1.0
+        for tree in self.trees:
+            votes[rows, tree_predict_batch(tree, X)] += 1.0
         return votes / len(self.trees)
 
     def _body_lines(self) -> list[str]:
         lines = [f"m {len(self.trees)}", f"seed {self.seed}"] + self.base.lines("base_")
-        for i, root in enumerate(self.trees):
+        for i, tree in enumerate(self.trees):
             lines.append(f"member {i}")
-            lines.extend(tree_lines(root))
+            lines.extend(tree_lines(tree))
         return lines
 
     @classmethod

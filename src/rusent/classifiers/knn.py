@@ -80,8 +80,9 @@ class KnnModel(Model):
             raise ModelError(f"distance must be one of {DISTANCES}")
         if not 1 <= k <= len(labels):
             raise ModelError(f"k={k} is outside [1, {len(labels)}], the training instances")
-        if metric == "minkowski" and p <= 0:
-            raise ModelError("minkowski exponent must be positive")
+        if not np.isfinite(p) or (metric == "minkowski" and p <= 0):
+            # p is written to the model file whatever the metric
+            raise ModelError(f"minkowski exponent p={p!r} must be finite (positive for minkowski)")
         self.k = int(k)
         self.metric = metric
         self.p = float(p)

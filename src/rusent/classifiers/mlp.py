@@ -50,8 +50,8 @@ class MlpModel(Model):
             raise ModelError("at least one hidden layer is required")
         if activation not in ACTIVATIONS:
             raise ModelError(f"activation must be one of {ACTIVATIONS}")
-        if learning_rate <= 0.0:
-            raise ModelError("learning rate must be positive")
+        if not 0.0 < learning_rate < np.inf:
+            raise ModelError(f"learning rate must be positive and finite, not {learning_rate!r}")
         if epochs < 0:
             raise ModelError("epochs must be >= 0")
         if batch_size < 1:

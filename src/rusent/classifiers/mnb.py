@@ -67,8 +67,8 @@ class MultinomialNBModel(Model):
 
 
 def train_mnb(matrix, alpha: float = 1.0) -> MultinomialNBModel:
-    if alpha <= 0.0:
-        raise ModelError("smoothing alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ModelError(f"smoothing alpha must be positive and finite, not {alpha!r}")
     if np.any(matrix.rows < 0):
         raise ModelError("multinomial NB requires non-negative feature values")
     y = matrix.label_indices()

@@ -64,8 +64,8 @@ def svm_objective(weights: np.ndarray, bias: float, X: np.ndarray, signs: np.nda
 
 def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> LinearSvmModel:
     require_binary(matrix.class_values)
-    if lam <= 0.0:
-        raise ModelError("regularization lambda must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ModelError(f"regularization lambda must be positive and finite, not {lam!r}")
     if epochs < 1:
         raise ModelError("epochs must be >= 1")
     X = matrix.rows

@@ -47,6 +47,14 @@ _BLOCK_ENTRIES // n features (at least one), so each scratch array holds
 about _BLOCK_ENTRIES values: scratch memory stays fixed as the vocabulary
 grows, and the search never copies the whole node matrix. Features
 constant within the node are dropped from their block before sorting.
+
+A Tree holds arrays over its nodes in preorder, the model file's order:
+`feature` and `threshold` (-1 and 0.0 at a leaf), `right`, a split's
+right child (-1 at a leaf), `leaf_class` (-1 at a split) and
+`distribution`, a leaf's class proportions (zeros at a split). A split's
+left child is always the next node. tree_leaves moves all rows down one
+level per step, so its Python steps grow with the depth, not the node
+count. Nothing recurses, so a tree of any depth grows, loads and scores.
 """
 
 from __future__ import annotations
@@ -63,20 +71,26 @@ _GAIN_EPS = 1e-12
 _BLOCK_ENTRIES = 1 << 16
 
 
-class TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "class_index", "distribution")
+class Tree:
+    """Arrays over a tree's nodes in preorder (see the module docstring),
+    made from each node's (feature, threshold, leaf_class, distribution)."""
 
-    def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.class_index = -1
-        self.distribution = None  # leaf-only: weighted class proportions
+    __slots__ = ("feature", "threshold", "right", "leaf_class", "distribution")
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    def __init__(self, nodes):
+        feature, threshold, leaf_class, distribution = zip(*nodes)
+        # one backward pass: the right child of split i follows its left
+        # subtree, which starts at i + 1 and spans size[i + 1] nodes
+        size, right = [1] * len(nodes), [-1] * len(nodes)
+        for i in reversed(range(len(nodes))):
+            if feature[i] >= 0:
+                right[i] = i + 1 + size[i + 1]
+                size[i] += size[i + 1] + size[right[i]]
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.right = np.array(right, dtype=np.intp)
+        self.leaf_class = np.array(leaf_class, dtype=np.intp)
+        self.distribution = np.array(distribution, dtype=np.float64)
 
 
 def entropy(class_weights: np.ndarray) -> float:
@@ -162,7 +176,7 @@ def grow_tree(
     min_leaf: int,
     rng=None,
     subset_size: int | None = None,
-) -> TreeNode:
+) -> Tree:
     """Grow a tree in preorder: a node is split (and draws its feature
     subset) before its left subtree, which is grown before its right one.
 
@@ -171,10 +185,11 @@ def grow_tree(
     rows and drops the node's own, so the pending right subtrees on the
     stack hold disjoint rows: at most one copy of X in all, whatever the
     depth."""
-    root = TreeNode()
-    stack = [(root, X, y, weights, 0)]
+    no_distribution = np.zeros(n_classes)
+    nodes = []
+    stack = [(X, y, weights, 0)]
     while stack:
-        node, Xn, yn, wn, depth = stack.pop()
+        Xn, yn, wn, depth = stack.pop()
         cw = np.zeros(n_classes)
         np.add.at(cw, yn, wn)
         n = Xn.shape[0]
@@ -191,72 +206,61 @@ def grow_tree(
                 features = range(d)
             best = _best_split(Xn, yn, wn, n_classes, min_leaf, features)
             if best is not None and best[0] > _GAIN_EPS:
-                _, node.feature, node.threshold = best
-                mask = Xn[:, node.feature] <= node.threshold
-                node.left, node.right = TreeNode(), TreeNode()
-                stack.append((node.right, Xn[~mask], yn[~mask], wn[~mask], depth + 1))
-                stack.append((node.left, Xn[mask], yn[mask], wn[mask], depth + 1))
+                _, feature, threshold = best
+                nodes.append((feature, threshold, -1, no_distribution))
+                mask = Xn[:, feature] <= threshold
+                stack.append((Xn[~mask], yn[~mask], wn[~mask], depth + 1))
+                stack.append((Xn[mask], yn[mask], wn[mask], depth + 1))
                 continue
         total = cw.sum()
-        node.distribution = cw / total if total > 0.0 else np.full(n_classes, 1.0 / n_classes)
-        node.class_index = int(np.argmax(cw))
-    return root
+        distribution = cw / total if total > 0.0 else np.full(n_classes, 1.0 / n_classes)
+        nodes.append((-1, 0.0, int(np.argmax(cw)), distribution))
+    return Tree(nodes)
 
 
-def tree_leaves(root: TreeNode, X: np.ndarray):
-    """Yield (leaf, indices of the rows of X that reach it). The walk keeps a
-    stack of (node, row indices) and makes one comparison per node: a row
-    goes left where x[feature] <= threshold, so a NaN feature goes right."""
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if node.is_leaf:
-            yield node, rows
-        elif rows.size:
-            left = X[rows, node.feature] <= node.threshold
-            stack += ((node.right, rows[~left]), (node.left, rows[left]))
+def tree_leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The index of the leaf each row of X reaches, shape (n,). The walk
+    moves every row still at a split down one level per step: a row goes
+    left where x[feature] <= threshold, so a NaN feature goes right."""
+    at = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.flatnonzero(tree.feature[at] >= 0)
+    while rows.size:
+        node = at[rows]
+        left = X[rows, tree.feature[node]] <= tree.threshold[node]
+        at[rows] = np.where(left, node + 1, tree.right[node])
+        rows = rows[tree.feature[at[rows]] >= 0]
+    return at
 
 
-def tree_predict_batch(root: TreeNode, X: np.ndarray) -> np.ndarray:
+def tree_predict_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The leaf class index of every row of X, shape (n,)."""
-    out = np.empty(X.shape[0], dtype=np.intp)
-    for leaf, rows in tree_leaves(root, X):
-        out[rows] = leaf.class_index
-    return out
+    return tree.leaf_class[tree_leaves(tree, X)]
 
 
-def tree_lines(node: TreeNode) -> list[str]:
-    """Preorder serialization: `split f thr` / `leaf class p0 p1 ...`.
-    Iterative, so a tree of any depth serializes."""
-    lines = []
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            lines.append(f"leaf {node.class_index} {fmt_floats(node.distribution)}")
-        else:
-            lines.append(f"split {node.feature} {fmt_floats(node.threshold)}")
-            stack += (node.right, node.left)
-    return lines
+def tree_lines(tree: Tree) -> list[str]:
+    """Preorder serialization: `split f thr` / `leaf class p0 p1 ...`."""
+    return [f"split {f} {fmt_floats(t)}" if f >= 0 else f"leaf {c} {fmt_floats(p)}"
+            for f, t, c, p in zip(tree.feature.tolist(), tree.threshold.tolist(),
+                                  tree.leaf_class.tolist(), tree.distribution)]
 
 
-def read_tree(reader) -> TreeNode:
-    """Read one preorder tree written by tree_lines, iteratively like it. Split
-    features and leaf classes must be in range; a leaf holds a value per class."""
+def read_tree(reader) -> Tree:
+    """Read one preorder tree written by tree_lines. Split features and leaf
+    classes must be in range; a leaf holds a value per class."""
     n_classes = len(reader.class_values)
-    root = TreeNode()
-    pending = [root]  # nodes not yet read, the next one on top
-    while pending:
-        node = pending.pop()
+    no_distribution = np.zeros(n_classes)
+    nodes = []
+    unread = 1  # subtrees still to read: a split opens two, each node closes one
+    while unread:
         if reader.at("split"):
-            feature, node.threshold = reader.reals("split", 2).tolist()
-            node.feature = _index(feature, reader.feature_width)
-            node.left, node.right = TreeNode(), TreeNode()
-            pending += (node.right, node.left)
+            feature, threshold = reader.reals("split", 2).tolist()
+            nodes.append((_index(feature, reader.feature_width), threshold, -1, no_distribution))
+            unread += 1
         else:
             leaf = reader.reals("leaf", 1 + n_classes)
-            node.class_index, node.distribution = _index(leaf[0], n_classes), leaf[1:]
-    return root
+            nodes.append((-1, 0.0, _index(leaf[0], n_classes), leaf[1:]))
+            unread -= 1
+    return Tree(nodes)
 
 
 def _index(value: float, n: int) -> int:
@@ -268,20 +272,17 @@ def _index(value: float, n: int) -> int:
 class DecisionTreeModel(Model):
     variant = "dtree"
 
-    def __init__(self, class_values, feature_width, root: TreeNode, config: TreeConfig):
+    def __init__(self, class_values, feature_width, tree: Tree, config: TreeConfig):
         super().__init__(class_values, feature_width)
-        self.root = root
+        self.tree = tree
         self.config = config
 
     def scores(self, X) -> np.ndarray:
         X = self.check_matrix(X)
-        out = np.empty((X.shape[0], len(self.class_values)))
-        for leaf, rows in tree_leaves(self.root, X):
-            out[rows] = leaf.distribution
-        return out
+        return self.tree.distribution[tree_leaves(self.tree, X)]
 
     def _body_lines(self) -> list[str]:
-        return self.config.lines() + tree_lines(self.root)
+        return self.config.lines() + tree_lines(self.tree)
 
     @classmethod
     def _from_body(cls, reader):
@@ -299,8 +300,8 @@ def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1,
     y = matrix.label_indices()
     if sample_weights is None:
         sample_weights = np.ones(len(y))
-    root = grow_tree(
+    tree = grow_tree(
         matrix.rows, y, np.asarray(sample_weights, dtype=np.float64),
         len(matrix.class_values), config.max_depth, config.min_leaf,
     )
-    return DecisionTreeModel(matrix.class_values, matrix.width, root, config)
+    return DecisionTreeModel(matrix.class_values, matrix.width, tree, config)

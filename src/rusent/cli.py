@@ -185,7 +185,7 @@ def _trainer_for(algorithm: str, args, seed: int):
     if algorithm == "adaboost":
         return lambda m: train_adaboost(
             m, rounds=args.rounds,
-            weak=TreeConfig(args.weak_depth, args.min_leaf), seed=seed,
+            weak=TreeConfig(args.weak_depth, args.min_leaf),
         )
     if algorithm == "svm":
         return lambda m: train_svm(m, lam=args.svm_lambda, epochs=args.svm_epochs, seed=seed)
@@ -199,16 +199,8 @@ def _trainer_for(algorithm: str, args, seed: int):
 
 
 def _hyper_config(args) -> dict:
-    return {
-        "alpha": args.alpha, "k": args.k, "distance": args.distance,
-        "minkowski_p": args.minkowski_p, "max_depth": args.max_depth,
-        "min_leaf": args.min_leaf, "trees": args.trees,
-        "features_per_split": args.features_per_split, "rounds": args.rounds,
-        "weak_depth": args.weak_depth, "svm_lambda": args.svm_lambda,
-        "svm_epochs": args.svm_epochs, "hidden": args.hidden,
-        "activation": args.activation, "learning_rate": args.learning_rate,
-        "mlp_epochs": args.mlp_epochs, "batch_size": args.batch_size,
-    }
+    dests = (flag[2:].replace("-", "_") for flag in _HYPER_FLAGS)
+    return {dest: getattr(args, dest) for dest in dests}
 
 
 def cmd_train(args) -> int:
@@ -318,40 +310,39 @@ def cmd_gen_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+# The hyperparameter flags of train and compare, in the order the help lists
+# them; each manifest records every one of them under its dest name.
+_HYPER_FLAGS = {
+    "--alpha": dict(type=float, default=1.0, help="MNB smoothing (default 1.0)"),
+    "--k": dict(type=int, default=1, help="k-NN neighbor count (default 1)"),
+    "--distance": dict(choices=("euclidean", "manhattan", "minkowski"),
+                       default="euclidean", help="k-NN distance (default euclidean)"),
+    "--minkowski-p": dict(type=float, default=3.0, help="minkowski exponent (default 3)"),
+    "--max-depth": dict(type=int, default=None, help="tree depth limit (default unlimited)"),
+    "--min-leaf": dict(type=int, default=1,
+                       help="minimum instances per tree leaf (default 1)"),
+    "--trees": dict(type=int, default=10, help="bagging/forest ensemble size (default 10)"),
+    "--features-per-split": dict(type=int, default=None,
+                                 help="forest feature subset size (default ceil(sqrt(d)))"),
+    "--rounds": dict(type=int, default=10, help="AdaBoost rounds (default 10)"),
+    "--weak-depth": dict(type=int, default=1,
+                         help="AdaBoost weak-tree depth (default 1 = stumps)"),
+    "--svm-lambda": dict(type=float, default=1e-3, help="SVM regularization (default 1e-3)"),
+    "--svm-epochs": dict(type=int, default=100, help="SVM training epochs (default 100)"),
+    "--hidden": dict(default="32,32",
+                     help="MLP hidden layer widths, comma separated (default 32,32)"),
+    "--activation": dict(choices=("logistic", "tanh"), default="logistic",
+                         help="MLP hidden activation (default logistic)"),
+    "--learning-rate": dict(type=float, default=0.1, help="MLP learning rate (default 0.1)"),
+    "--mlp-epochs": dict(type=int, default=200, help="MLP training epochs (default 200)"),
+    "--batch-size": dict(type=int, default=16, help="MLP mini-batch size (default 16)"),
+}
+
+
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("hyperparameters")
-    g.add_argument("--alpha", type=float, default=1.0, help="MNB smoothing (default 1.0)")
-    g.add_argument("--k", type=int, default=1, help="k-NN neighbor count (default 1)")
-    g.add_argument("--distance", choices=("euclidean", "manhattan", "minkowski"),
-                   default="euclidean", help="k-NN distance (default euclidean)")
-    g.add_argument("--minkowski-p", type=float, default=3.0,
-                   help="minkowski exponent (default 3)")
-    g.add_argument("--max-depth", type=int, default=None,
-                   help="tree depth limit (default unlimited)")
-    g.add_argument("--min-leaf", type=int, default=1,
-                   help="minimum instances per tree leaf (default 1)")
-    g.add_argument("--trees", type=int, default=10,
-                   help="bagging/forest ensemble size (default 10)")
-    g.add_argument("--features-per-split", type=int, default=None,
-                   help="forest feature subset size (default ceil(sqrt(d)))")
-    g.add_argument("--rounds", type=int, default=10,
-                   help="AdaBoost rounds (default 10)")
-    g.add_argument("--weak-depth", type=int, default=1,
-                   help="AdaBoost weak-tree depth (default 1 = stumps)")
-    g.add_argument("--svm-lambda", type=float, default=1e-3,
-                   help="SVM regularization (default 1e-3)")
-    g.add_argument("--svm-epochs", type=int, default=100,
-                   help="SVM training epochs (default 100)")
-    g.add_argument("--hidden", default="32,32",
-                   help="MLP hidden layer widths, comma separated (default 32,32)")
-    g.add_argument("--activation", choices=("logistic", "tanh"), default="logistic",
-                   help="MLP hidden activation (default logistic)")
-    g.add_argument("--learning-rate", type=float, default=0.1,
-                   help="MLP learning rate (default 0.1)")
-    g.add_argument("--mlp-epochs", type=int, default=200,
-                   help="MLP training epochs (default 200)")
-    g.add_argument("--batch-size", type=int, default=16,
-                   help="MLP mini-batch size (default 16)")
+    for flag, options in _HYPER_FLAGS.items():
+        g.add_argument(flag, **options)
 
 
 def _add_vectorize_flags(p: argparse.ArgumentParser) -> None:

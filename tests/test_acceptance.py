@@ -47,7 +47,7 @@ from conftest import make_matrix
 from test_adaboost import NONSEP_LABELS, NONSEP_ROWS, best_stump_accuracy
 from test_knn import brute_force_predict
 from test_mlp import XOR, finite_difference_grads
-from test_tree import walk_splits
+from test_tree import is_leaf, walk_splits
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -132,8 +132,8 @@ def test_criterion_4_entropy_and_gain():
         X = np.array([[float(rng.next_below(5)) for _ in range(4)] for _ in range(40)])
         y = np.array([rng.next_below(2) for _ in range(40)], dtype=np.intp)
         w = np.ones(40)
-        root = grow_tree(X, y, w, 2, None, 1)
-        splits = list(walk_splits(root, X, y, w, 2))
+        tree = grow_tree(X, y, w, 2, None, 1)
+        splits = list(walk_splits(tree, X, y, w, 2))
         assert splits  # the noisy data forces at least one split
         for _, gain in splits:
             assert gain > 0.0
@@ -142,9 +142,9 @@ def test_criterion_4_entropy_and_gain():
         )
         from rusent.classifiers import train_dtree
 
-        tree = train_dtree(sep)
-        assert not tree.root.is_leaf
-        assert tree.root.left.is_leaf and tree.root.right.is_leaf
+        model = train_dtree(sep)
+        assert not is_leaf(model.tree, 0)
+        assert is_leaf(model.tree, 1) and is_leaf(model.tree, model.tree.right[0])
 
 
 def test_criterion_5_knn_brute_force_equivalence():

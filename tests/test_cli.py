@@ -217,6 +217,25 @@ class TestTrainEvaluate:
         assert "non-finite" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("algorithm, flag, value, name", [
+        ("mnb", "--alpha", "nan", "alpha"),
+        ("mnb", "--alpha", "inf", "alpha"),
+        ("svm", "--svm-lambda", "inf", "lambda"),
+        ("mlp", "--learning-rate", "nan", "learning rate"),
+        ("knn", "--minkowski-p", "nan", "exponent p"),
+    ])
+    def test_non_finite_hyperparameter_exits_2_before_training(
+            self, arff_paths, tmp_path, capsys, algorithm, flag, value, name):
+        vtr, _ = self.vectorized(arff_paths, tmp_path)
+        model = tmp_path / "m.model"
+        code = main(["train", "--train", str(vtr), "--algorithm", algorithm,
+                     flag, value, "--model-out", str(model)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert name in captured.err and "diverge" not in captured.err
+        assert "trained" not in captured.out
+        assert not model.exists()
+
     def test_same_seed_models_byte_identical(self, arff_paths, tmp_path):
         vtr, _ = self.vectorized(arff_paths, tmp_path)
         a, b = tmp_path / "a.model", tmp_path / "b.model"

@@ -7,6 +7,7 @@ from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
 from conftest import make_matrix
+from test_tree import is_leaf
 
 
 def random_matrix(n, d, seed, class_values=("neg", "pos")):
@@ -104,7 +105,9 @@ class TestRandomForest:
         m = random_matrix(40, 4, seed=9)
         model = train_rforest(m, m=3, base=TreeConfig(max_depth=1), seed=0)
 
-        def depth(node):
-            return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+        def depth(tree, i=0):
+            if is_leaf(tree, i):
+                return 0
+            return 1 + max(depth(tree, i + 1), depth(tree, tree.right[i]))
 
         assert all(depth(t) <= 1 for t in model.trees)

@@ -108,6 +108,14 @@ class TestValidation:
         with pytest.raises(ModelError):
             train_knn(m, distance="minkowski", p=0.0)
 
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan", "minkowski"])
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_p_rejected_for_every_distance(self, distance, p):
+        # p is written to the model file whatever the distance
+        m = make_matrix([[0.0]], ["neg"], ("neg", "pos"))
+        with pytest.raises(ModelError, match="exponent p"):
+            train_knn(m, distance=distance, p=p)
+
 
 class TestAgainstBruteForce:
     def test_random_instances_match_oracle(self):

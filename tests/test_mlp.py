@@ -108,6 +108,11 @@ class TestValidation:
         with pytest.raises(ModelError):
             init_mlp(XOR, hidden=[3], learning_rate=0.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ModelError, match="learning rate"):
+            train_mlp(XOR, hidden=[3], learning_rate=rate)
+
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ModelError):
             init_mlp(XOR, hidden=[3], batch_size=0)

@@ -62,6 +62,11 @@ class TestEdgeCases:
         with pytest.raises(ModelError):
             train_mnb(hand_corpus, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, hand_corpus, alpha):
+        with pytest.raises(ModelError, match="alpha"):
+            train_mnb(hand_corpus, alpha=alpha)
+
     def test_scores_are_probabilities(self, hand_corpus):
         model = train_mnb(hand_corpus)
         scores = model.predict_scores([2.0, 0.0, 1.0])

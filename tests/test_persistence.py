@@ -139,6 +139,16 @@ class TestCorruptInput:
         with pytest.raises(ModelError):
             loads_model("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("variant", ["dtree", "bagging", "adaboost"])
+    @pytest.mark.parametrize("leaf_class", ["2", "-1", "0.5", "1e300"])
+    def test_leaf_class_outside_the_classes_is_rejected(self, variant, leaf_class):
+        lines = TRAINERS[variant](training_matrix()).dumps().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("leaf "))
+        words = lines[i].split(" ")
+        lines[i] = " ".join(["leaf", leaf_class] + words[2:])  # two classes
+        with pytest.raises(ModelError):
+            loads_model("\n".join(lines) + "\n")
+
     @pytest.mark.parametrize("variant", ["bagging", "rforest"])
     def test_dropping_a_class_is_rejected(self, variant):
         text = TRAINERS[variant](training_matrix()).dumps()

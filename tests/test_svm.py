@@ -95,6 +95,11 @@ class TestValidation:
         with pytest.raises(ModelError):
             train_svm(blob_matrix(), lam=0.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ModelError, match="lambda"):
+            train_svm(blob_matrix(), lam=lam)
+
     def test_zero_epochs_rejected(self):
         with pytest.raises(ModelError):
             train_svm(blob_matrix(), epochs=0)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from rusent.classifiers import train_adaboost, train_bagging, train_dtree, train_rforest
 from rusent.classifiers import tree
-from rusent.classifiers.base import TreeConfig, loads_model
-from rusent.classifiers.tree import _best_split, _entropy_rows, entropy, grow_tree, tree_predict_batch
+from rusent.classifiers.base import MAGIC, BodyReader, TreeConfig, loads_model
+from rusent.classifiers.tree import (
+    _best_split, _entropy_rows, entropy, grow_tree, read_tree, tree_lines, tree_predict_batch,
+)
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
@@ -38,35 +40,40 @@ class TestEntropy:
         assert entropy(a) == pytest.approx(entropy(a * 17.5), abs=1e-12)
 
 
-def walk_splits(node, X, y, weights, n_classes):
-    """Yield (node, gain recomputed from first principles) for internal nodes."""
-    if node.is_leaf:
+def is_leaf(tree, i=0):
+    return tree.feature[i] < 0
+
+
+def walk_splits(tree, X, y, weights, n_classes, i=0):
+    """Yield (node index, gain recomputed from first principles) for the
+    internal nodes of the subtree at node i."""
+    if is_leaf(tree, i):
         return
     cw = np.zeros(n_classes)
     np.add.at(cw, y, weights)
-    mask = X[:, node.feature] <= node.threshold
+    mask = X[:, tree.feature[i]] <= tree.threshold[i]
     lcw = np.zeros(n_classes)
     np.add.at(lcw, y[mask], weights[mask])
     rcw = cw - lcw
     total = cw.sum()
     gain = entropy(cw) - (lcw.sum() * entropy(lcw) + rcw.sum() * entropy(rcw)) / total
-    yield node, gain
-    yield from walk_splits(node.left, X[mask], y[mask], weights[mask], n_classes)
-    yield from walk_splits(node.right, X[~mask], y[~mask], weights[~mask], n_classes)
+    yield i, gain
+    yield from walk_splits(tree, X[mask], y[mask], weights[mask], n_classes, i + 1)
+    yield from walk_splits(tree, X[~mask], y[~mask], weights[~mask], n_classes, tree.right[i])
 
 
-def walk_leaves(root, X, y):
+def walk_leaves(tree, X, y):
     """Yield (depth, rows, labels) for every leaf of a tree grown on X, y,
     left to right; without recursion, so any depth can be walked."""
-    stack = [(root, X, y, 0)]
+    stack = [(0, X, y, 0)]
     while stack:
-        node, X, y, depth = stack.pop()
-        if node.is_leaf:
+        i, X, y, depth = stack.pop()
+        if is_leaf(tree, i):
             yield depth, X, y
             continue
-        mask = X[:, node.feature] <= node.threshold
-        stack.append((node.right, X[~mask], y[~mask], depth + 1))
-        stack.append((node.left, X[mask], y[mask], depth + 1))
+        mask = X[:, tree.feature[i]] <= tree.threshold[i]
+        stack.append((tree.right[i], X[~mask], y[~mask], depth + 1))
+        stack.append((i + 1, X[mask], y[mask], depth + 1))
 
 
 def candidate_gains(X, y, min_leaf):
@@ -95,11 +102,11 @@ GAIN_NOISE = 1e-9
 class TestGrowth:
     def test_perfect_single_feature_gives_depth_one_tree(self, separable_1d):
         model = train_dtree(separable_1d)
-        root = model.root
-        assert not root.is_leaf
-        assert root.feature == 0
-        assert root.threshold == pytest.approx(6.0)
-        assert root.left.is_leaf and root.right.is_leaf
+        tree = model.tree
+        assert not is_leaf(tree, 0)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx(6.0)
+        assert is_leaf(tree, 1) and is_leaf(tree, tree.right[0])
         for row, label in zip(separable_1d.rows, separable_1d.labels):
             assert model.predict(row) == label
 
@@ -107,19 +114,19 @@ class TestGrowth:
         # both features separate the classes perfectly; feature 0 must win
         m = make_matrix([[0, 0], [1, 1]], ["neg", "pos"], ("neg", "pos"))
         model = train_dtree(m)
-        assert model.root.feature == 0
+        assert model.tree.feature[0] == 0
 
     def test_pure_node_is_leaf(self):
         m = make_matrix([[0.0], [1.0]], ["pos", "pos"], ("neg", "pos"))
         model = train_dtree(m)
-        assert model.root.is_leaf
+        assert is_leaf(model.tree, 0)
         assert model.predict([5.0]) == "pos"
 
     def test_max_depth_zero_is_majority_stump(self):
         m = make_matrix([[0.0], [1.0], [2.0]], ["neg", "pos", "pos"], ("neg", "pos"))
         model = train_dtree(m, max_depth=0)
-        assert model.root.is_leaf
-        assert model.root.class_index == 1
+        assert is_leaf(model.tree, 0)
+        assert model.tree.leaf_class[0] == 1
 
     def test_min_leaf_blocks_small_splits(self):
         m = make_matrix([[0.0], [1.0], [2.0], [3.0]],
@@ -127,21 +134,20 @@ class TestGrowth:
         model = train_dtree(m, min_leaf=2)
         # the only pure split (3 vs 1) is forbidden; 2-2 split has gain
         # H(3,1) - 0.5*H(2,0) - 0.5*H(1,1) = 0.8113 - 0.5 > 0
-        assert not model.root.is_leaf
-        assert model.root.threshold == pytest.approx(1.5)
+        assert not is_leaf(model.tree, 0)
+        assert model.tree.threshold[0] == pytest.approx(1.5)
 
     def test_leaf_majority_tie_breaks_to_lowest_class(self):
         m = make_matrix([[0.0], [0.0]], ["pos", "neg"], ("neg", "pos"))
         model = train_dtree(m)
-        assert model.root.is_leaf
+        assert is_leaf(model.tree, 0)
         assert model.predict([0.0]) == "neg"
 
     def test_duplicate_conflicting_rows_leaf_distribution(self):
         m = make_matrix([[1.0], [1.0], [1.0]], ["pos", "pos", "neg"], ("neg", "pos"))
         model = train_dtree(m)
-        leaf = model.root
-        assert leaf.is_leaf
-        assert leaf.distribution.tolist() == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
+        assert is_leaf(model.tree, 0)
+        assert model.tree.distribution[0].tolist() == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
 
     def test_empty_matrix_rejected(self):
         m = make_matrix(np.zeros((0, 2)), [], ("neg", "pos"))
@@ -154,7 +160,7 @@ class TestGrowth:
                         ["neg", "neg", "pos", "pos"], ("neg", "pos"))
         w = np.array([1.0, 1.0, 5.0, 1.0])
         model = train_dtree(m, sample_weights=w)
-        assert tree_predict_batch(model.root, np.array([[0.0]])).tolist() == [1]
+        assert tree_predict_batch(model.tree, np.array([[0.0]])).tolist() == [1]
 
 
 # Adjacent sorted values whose plain midpoint (a + b) / 2 does not fall in
@@ -181,9 +187,9 @@ class TestThresholdEdges:
     def test_tree_separates_the_two_rows_at_depth_one(self, a, b):
         m = make_matrix([[a], [b]], ["neg", "pos"])
         model = train_dtree(m, max_depth=40)
-        root = model.root
-        assert not root.is_leaf
-        assert root.left.is_leaf and root.right.is_leaf
+        tree = model.tree
+        assert not is_leaf(tree, 0)
+        assert is_leaf(tree, 1) and is_leaf(tree, tree.right[0])
         assert [model.predict([a]), model.predict([b])] == ["neg", "pos"]
         assert loads_model(model.dumps()).dumps() == model.dumps()
 
@@ -204,8 +210,8 @@ class TestProperties:
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
         w = np.ones(len(y))
-        root = grow_tree(rows, y, w, 2, None, 1)
-        for _, gain in walk_splits(root, rows, y, w, 2):
+        tree = grow_tree(rows, y, w, 2, None, 1)
+        for _, gain in walk_splits(tree, rows, y, w, 2):
             assert gain > 0.0
 
     # A tree need not fit consistent training data: on XOR-type data no
@@ -228,8 +234,8 @@ class TestProperties:
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
         w = np.ones(len(y))
-        root = grow_tree(rows, y, w, 2, max_depth, min_leaf)
-        for depth, X, ys in walk_leaves(root, rows, y):
+        tree = grow_tree(rows, y, w, 2, max_depth, min_leaf)
+        for depth, X, ys in walk_leaves(tree, rows, y):
             stopped = (
                 len(set(ys.tolist())) == 1
                 or (max_depth is not None and depth >= max_depth)
@@ -249,10 +255,11 @@ class TestProperties:
         a = grow_tree(rows, y, np.ones(len(y)), 2, None, 1)
         b = grow_tree(rows, y, np.full(len(y), scale), 2, None, 1)
 
-        def shape(n):
-            if n.is_leaf:
-                return ("leaf", n.class_index)
-            return ("split", n.feature, n.threshold, shape(n.left), shape(n.right))
+        def shape(t, i=0):
+            if is_leaf(t, i):
+                return ("leaf", int(t.leaf_class[i]))
+            return ("split", int(t.feature[i]), float(t.threshold[i]),
+                    shape(t, i + 1), shape(t, t.right[i]))
 
         assert shape(a) == shape(b)
 
@@ -405,29 +412,30 @@ def test_a_1100_deep_tree_grows_without_recursion():
     n = 2200
     X = np.arange(n, dtype=float)[:, None]
     y = np.array([(i * (i + 1) // 2) % 2 for i in range(n)])
-    root = grow_tree(X, y, np.ones(n), 2, None, 1)
-    leaves = list(walk_leaves(root, X, y))
+    tree = grow_tree(X, y, np.ones(n), 2, None, 1)
+    leaves = list(walk_leaves(tree, X, y))
     assert len(leaves) == 1101
     assert max(depth for depth, _, _ in leaves) == 1100
     assert all(len(set(ys.tolist())) == 1 for _, _, ys in leaves)
 
 
 
-def walk_one(node, x):
-    """The leaf one row reaches, walked row by row: the reference for
-    the batch walk."""
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node
+def walk_one(tree, x):
+    """The index of the leaf one row reaches, walked row by row: the
+    reference for the batch walk."""
+    i = 0
+    while not is_leaf(tree, i):
+        i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return i
 
 
-def split_nodes(root):
-    stack, out = [root], []
+def split_nodes(tree):
+    stack, out = [0], []
     while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            out.append(node)
-            stack += (node.left, node.right)
+        i = stack.pop()
+        if not is_leaf(tree, i):
+            out.append(i)
+            stack += (i + 1, tree.right[i])
     return out
 
 
@@ -440,17 +448,18 @@ def batch_walk_problem():
     return make_matrix(X, [("a", "b", "c")[i] for i in y], ("a", "b", "c"))
 
 
-def batch_walk_queries(X, roots):
+def batch_walk_queries(X, trees):
     """Training rows, rows at, just below and just above every split
     threshold, rows holding NaN, +-inf or -0.0 in each feature, and an
     all -0.0 row."""
     rows = [X]
-    for root in roots:
-        for node in split_nodes(root):
-            for value in (node.threshold, np.nextafter(node.threshold, -np.inf),
-                          np.nextafter(node.threshold, np.inf)):
+    for tree in trees:
+        for i in split_nodes(tree):
+            threshold = tree.threshold[i]
+            for value in (threshold, np.nextafter(threshold, -np.inf),
+                          np.nextafter(threshold, np.inf)):
                 row = X[:5].copy()
-                row[:, node.feature] = value
+                row[:, tree.feature[i]] = value
                 rows.append(row)
     for value in (np.nan, np.inf, -np.inf, -0.0):
         for f in range(X.shape[1]):
@@ -459,6 +468,14 @@ def batch_walk_queries(X, roots):
             rows.append(row)
     rows.append(np.full((1, X.shape[1]), -0.0))
     return np.vstack(rows)
+
+
+def model_trees(model):
+    if model.variant == "dtree":
+        return [model.tree]
+    if model.variant == "adaboost":
+        return [tree for _, tree in model.stages]
+    return model.trees
 
 
 class TestBatchWalk:
@@ -478,41 +495,33 @@ class TestBatchWalk:
         ]
         return m.rows, grown + [loads_model(model.dumps()) for model in grown]
 
-    @staticmethod
-    def roots(model):
-        if model.variant == "dtree":
-            return [model.root]
-        if model.variant == "adaboost":
-            return [root for _, root in model.stages]
-        return model.trees
-
     def test_tree_predict_batch(self, models):
         X, trained = models
         for model in trained:
-            Q = batch_walk_queries(X, self.roots(model))
-            for root in self.roots(model):
-                got = tree_predict_batch(root, Q)
+            Q = batch_walk_queries(X, model_trees(model))
+            for tree in model_trees(model):
+                got = tree_predict_batch(tree, Q)
                 assert got.dtype == np.intp
-                assert got.tolist() == [walk_one(root, q).class_index for q in Q]
-                assert tree_predict_batch(root, Q[:0]).shape == (0,)
+                assert got.tolist() == [tree.leaf_class[walk_one(tree, q)] for q in Q]
+                assert tree_predict_batch(tree, Q[:0]).shape == (0,)
 
     def test_scores(self, models):
         X, trained = models
         for model in trained:
-            Q = batch_walk_queries(X, self.roots(model))
+            Q = batch_walk_queries(X, model_trees(model))
             expected = []
             for q in Q:
                 if model.variant == "dtree":
-                    expected.append(walk_one(model.root, q).distribution)
+                    expected.append(model.tree.distribution[walk_one(model.tree, q)])
                 elif model.variant == "adaboost":
                     margin = 0.0
-                    for alpha, root in model.stages:
-                        margin += alpha * (1.0 if walk_one(root, q).class_index == 1 else -1.0)
+                    for alpha, tree in model.stages:
+                        margin += alpha * (1.0 if tree.leaf_class[walk_one(tree, q)] == 1 else -1.0)
                     expected.append([-margin, margin])
                 else:
                     votes = np.zeros(len(model.class_values))
-                    for root in model.trees:
-                        votes[walk_one(root, q).class_index] += 1.0
+                    for tree in model.trees:
+                        votes[tree.leaf_class[walk_one(tree, q)]] += 1.0
                     expected.append(votes / len(model.trees))
             got = model.scores(Q)
             assert got.tobytes() == np.array(expected).tobytes(), model.variant
@@ -523,7 +532,7 @@ class TestBatchWalk:
         Q = np.array([[v] for v in (-1.0, 0.5, 0.0, -0.0, 1499.5, 1500.0, np.nan, np.inf,
                                     -np.inf, 700.0, 700.5, 701.0)])
         assert model.scores(Q).tobytes() == np.array(
-            [walk_one(model.root, q).distribution for q in Q]).tobytes()
+            [model.tree.distribution[walk_one(model.tree, q)] for q in Q]).tobytes()
 
 
 def chain_model_text(depth):
@@ -547,3 +556,81 @@ def test_deep_chain_loads_and_dumps_byte_for_byte():
     for k in (0, 1, 2, 2500, 4999):
         expected = 0 if k == 0 else (5000 - k) % 2
         assert model.predict([float(k)]) == ("neg", "pos")[expected]
+
+
+def right_children(tree):
+    """The right child of every node (-1 at a leaf), found by reading the
+    preorder nodes with a stack of the child slots still to fill: the
+    oracle for Tree.right."""
+    right = [-1] * tree.feature.size
+    slots = [None]  # per slot, the split it is the right child of, or None
+    for i, feature in enumerate(tree.feature.tolist()):
+        parent = slots.pop()
+        if parent is not None:
+            right[parent] = i
+        if feature >= 0:
+            slots += (i, None)  # the left child's slot on top
+    assert not slots
+    return right
+
+
+def reread(lines):
+    """A tree over 3 features and 2 classes read back from its lines, with
+    the reader checked to stop at the tree's last line."""
+    reader = BodyReader([MAGIC, "variant dtree", "feature_width 3",
+                         "class neg", "class pos"] + lines + ["end"])
+    tree = read_tree(reader)
+    reader.end()
+    return tree
+
+
+@st.composite
+def tree_lines_text(draw):
+    """The lines of a random preorder tree over 3 features and 2 classes."""
+    lines, unread, splits = [], 1, draw(st.integers(0, 40))
+    real = st.floats(allow_nan=False, allow_infinity=False)
+    while unread:
+        if splits and draw(st.booleans()):
+            lines.append(f"split {draw(st.integers(0, 2))} {draw(real)!r}")
+            splits, unread = splits - 1, unread + 1
+        else:
+            p = draw(st.floats(0.0, 1.0))
+            lines.append(f"leaf {draw(st.integers(0, 1))} {p!r} {1.0 - p!r}")
+            unread -= 1
+    return lines
+
+
+class TestFlatTree:
+    """Tree.right, worked out from subtree sizes, equals the stack oracle,
+    and writing then reading a tree gives back the same lines, on grown
+    trees and on trees read from text."""
+
+    @staticmethod
+    def check(tree):
+        assert tree.right.tolist() == right_children(tree)
+        lines = tree_lines(tree)
+        assert tree_lines(reread(lines)) == lines
+
+    @given(TestProperties.datasets, st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=40)
+    def test_grown_trees(self, docs, max_depth):
+        m = make_matrix([r for r, _ in docs], [l for _, l in docs])
+        base = TreeConfig(max_depth)
+        grown = [
+            train_dtree(m, max_depth=max_depth),
+            train_bagging(m, m=3, base=base, seed=1),
+            train_rforest(m, m=3, features_per_split=2, base=base, seed=1),
+            train_adaboost(m, rounds=4, weak=base),
+        ]
+        for model in grown + [loads_model(model.dumps()) for model in grown]:
+            for tree in model_trees(model):
+                self.check(tree)
+
+    @given(tree_lines_text())
+    @example(["leaf 1 0.0 1.0"])
+    @example(chain_model_text(40).split("\n")[7:-2])
+    @settings(max_examples=150)
+    def test_trees_read_from_text(self, lines):
+        tree = reread(lines)
+        self.check(tree)
+        assert tree_lines(tree) == lines
