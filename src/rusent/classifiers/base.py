@@ -1,23 +1,19 @@
 """Uniform model contract and plain-text persistence.
 
 Every variant implements one scoring method, scores(X): the (n, classes)
-scores of an (n, d) matrix, computed in one call. The rest of the
-prediction contract is built on it here. predict_indices(X), the path
-evaluation uses, is the first maximum of each row of scores(X) (MNB
-alone overrides it, to take the argmax in log space); predict_scores(x)
-is scores(x[None])[0]; predict(x) is predict_indices on a one-row matrix.
-Tie-breaking is one rule everywhere: the lowest class index wins an
-argmax tie, the lowest feature index wins a split-gain tie, and the
-lowest training-instance index wins an equal-distance tie.
+scores of an (n, d) matrix, computed in one call. predict_indices(X), the
+path evaluation uses, is the first maximum of each row of scores(X) (MNB
+alone overrides it, to take the argmax in log space). Both take a 2-D
+matrix only; a single row is scored as a one-row matrix. Tie-breaking is
+one rule everywhere: the lowest class index wins an argmax tie, the
+lowest feature index wins a split-gain tie, and the lowest
+training-instance index wins an equal-distance tie.
 
 Batch scores and their bits. Where a variant takes a matrix product
 (MNB, SVM, MLP), numpy and the BLAS choose the routine by the matrix's
-shape, so a row's scores can differ in the last bits between a one-row
-call and a multi-row batch, or between batches of different sizes; the
-same matrix always gives the same bits. So predict(x) agrees with
-evaluate except where two class scores lie within rounding of each
-other: in 39,600 rows per model (Zipf and synth corpora, count and
-tf-idf) no prediction moved.
+shape, so a row's scores can differ in the last bits between batches of
+different shapes, a one-row matrix among them; the same matrix always
+gives the same bits.
 
 Persistence is a versioned key-value text format:
 
@@ -44,6 +40,7 @@ class count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,12 +178,6 @@ class Model:
         """Predicted class index of every row of X, shape (n,)."""
         return _first_max(self.scores(X))
 
-    def predict_scores(self, x) -> list[float]:
-        return self.scores(np.asarray(x, dtype=np.float64)[None])[0].tolist()
-
-    def predict(self, x) -> str:
-        return self.class_values[self.predict_indices(np.asarray(x, dtype=np.float64)[None])[0]]
-
     # -- persistence -----------------------------------------------------
 
     def _body_lines(self) -> list[str]:
@@ -240,9 +231,12 @@ def loads_model(text: str) -> Model:
 def load_model(path) -> Model:
     try:
         with open(path, encoding="utf-8") as fh:
-            return loads_model(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise ModelError(f"cannot read model file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"model file {os.fspath(path)!r} is not valid UTF-8: {exc}") from None
+    return loads_model(text)
 
 
 def require_binary(class_values) -> None:

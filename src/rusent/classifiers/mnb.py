@@ -14,8 +14,8 @@ rounded log posteriors, so it matches the exact posterior argmax wherever
 the exact posteriors differ by more than the rounding error. Where two
 classes' exact posteriors are equal (e.g. 4/21 each), rounding in log
 space may pick either of them, not necessarily the lower class index.
-A row's rounding can differ between a one-row call and a multi-row
-batch; see classifiers/base.py.
+A row's rounding can differ between batches of different shapes; the
+same matrix always gives the same bits (see classifiers/base.py).
 """
 
 from __future__ import annotations
@@ -36,20 +36,18 @@ class MultinomialNBModel(Model):
         self.log_likelihood = np.asarray(log_likelihood, dtype=np.float64)  # (C, d)
 
     def log_posteriors(self, X) -> np.ndarray:
-        """log P(c) + sum_i x_i log P(w_i | c) of a vector, shape (C,), or of
-        every row of a matrix, shape (n, C), in one matrix product."""
-        X = np.asarray(X, dtype=np.float64)
-        self.check_matrix(X[None] if X.ndim == 1 else X)
-        return self.log_prior + X @ self.log_likelihood.T
+        """log P(c) + sum_i x_i log P(w_i | c) of every row of a matrix,
+        shape (n, C), in one matrix product."""
+        return self.log_prior + self.check_matrix(X) @ self.log_likelihood.T
 
     def scores(self, X) -> np.ndarray:
-        log_post = self.log_posteriors(self.check_matrix(X))
+        log_post = self.log_posteriors(X)
         shifted = np.exp(log_post - log_post.max(axis=1, keepdims=True))
         return shifted / shifted.sum(axis=1, keepdims=True)
 
     def predict_indices(self, X) -> np.ndarray:
         # argmax in log space; ties go to the lowest class index
-        return np.argmax(self.log_posteriors(self.check_matrix(X)), axis=1)
+        return np.argmax(self.log_posteriors(X), axis=1)
 
     def _body_lines(self) -> list[str]:
         lines = [f"alpha {fmt_floats(self.alpha)}", f"log_prior {fmt_floats(self.log_prior)}"]

@@ -290,18 +290,14 @@ class DecisionTreeModel(Model):
         return cls(reader.class_values, reader.feature_width, read_tree(reader), config)
 
 
-def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1,
-                sample_weights: np.ndarray | None = None) -> DecisionTreeModel:
-    """Grow a tree on a FeatureMatrix. sample_weights (if given) must be
-    positive and is used for boosting; it does not need to sum to 1 here."""
+def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1) -> DecisionTreeModel:
+    """Grow a tree on a FeatureMatrix, every instance weighing 1."""
     config = TreeConfig(max_depth, min_leaf)
     if matrix.rows.shape[0] == 0:
         raise ModelError("cannot train a tree on an empty matrix")
     y = matrix.label_indices()
-    if sample_weights is None:
-        sample_weights = np.ones(len(y))
     tree = grow_tree(
-        matrix.rows, y, np.asarray(sample_weights, dtype=np.float64),
-        len(matrix.class_values), config.max_depth, config.min_leaf,
+        matrix.rows, y, np.ones(len(y)), len(matrix.class_values),
+        config.max_depth, config.min_leaf,
     )
     return DecisionTreeModel(matrix.class_values, matrix.width, tree, config)

@@ -41,11 +41,11 @@ from .classifiers import (
     train_rforest,
     train_svm,
 )
-from .corpus import StopWordList, TokenizerConfig
+from .corpus import StopWordList
 from .errors import ArffError, RusentError
 from .evaluation import compare as compare_models
 from .evaluation import evaluate, render_json, render_table
-from .util import atomic_write_text
+from .util import atomic_write_text, make_dirs
 from .vectorize import fit, matrix_from_dataset, read_matrix, to_arff, transform
 
 MANIFEST_SCHEMA = "rusent-manifest/1"
@@ -111,8 +111,8 @@ def cmd_convert(args) -> int:
 def cmd_vectorize(args) -> int:
     train = _read_arff(args.train)
     stops = _stopwords(args.stopwords)
-    space = fit(train, weighting=args.weighting, tokenizer=TokenizerConfig(),
-                stopwords=stops, min_term_freq=args.min_term_freq)
+    space = fit(train, weighting=args.weighting, stopwords=stops,
+                min_term_freq=args.min_term_freq)
     vocab_out = args.vocab_out or os.path.splitext(args.out_train)[0] + ".vocab.txt"
 
     train_matrix = transform(space, train)
@@ -235,7 +235,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    make_dirs(args.out_dir)
     train = _read_arff(args.train)
     test = _read_arff(args.test)
 
@@ -243,10 +243,11 @@ def cmd_compare(args) -> int:
     if any(a.kind == "string" for a in train.attributes):
         # raw text corpus: one shared vectorization for every algorithm
         stops = _stopwords(args.stopwords)
-        space = fit(train, weighting=args.weighting, tokenizer=TokenizerConfig(),
-                    stopwords=stops, min_term_freq=args.min_term_freq)
+        space = fit(train, weighting=args.weighting, stopwords=stops,
+                    min_term_freq=args.min_term_freq)
         train_matrix = transform(space, train)
         test_matrix = transform(space, test)
+        _warn_zero_rows(space, test, test_matrix)
         atomic_write_text(os.path.join(args.out_dir, "train_vectorized.arff"),
                           to_arff(space, train_matrix))
         atomic_write_text(os.path.join(args.out_dir, "test_vectorized.arff"),
@@ -266,7 +267,7 @@ def cmd_compare(args) -> int:
     models = []
     failures = []
     models_dir = os.path.join(args.out_dir, "models")
-    os.makedirs(models_dir, exist_ok=True)
+    make_dirs(models_dir)
     for algorithm in args.algorithms:
         try:
             model = _trainer_for(algorithm, args, args.seed)(train_matrix)

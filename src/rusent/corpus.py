@@ -1,9 +1,9 @@
 """Text normalization and train/test splitting.
 
-Tokenization splits on maximal runs of a configurable delimiter set; the
-default set matches WEKA's word-tokenizer delimiters (whitespace plus
-common punctuation). Stop-word matching is exact token equality after
-lowercasing; no stemming is applied.
+Tokenization splits on maximal runs of WEKA's word-tokenizer delimiters,
+a fixed set: whitespace plus common punctuation (DEFAULT_DELIMITERS).
+Stop-word matching is exact token equality after lowercasing; no
+stemming is applied.
 
 The bundled Roman Urdu stop-word list lives in data/stopwords_roman_urdu.txt
 and is a config input, not a constant: pass any file in the same format
@@ -15,29 +15,17 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arff import Dataset
 from .errors import ConfigError, CorpusError
 from .rng import SplitMix64
 
 DEFAULT_DELIMITERS = frozenset(" \t\r\n.,;:'\"()?!")
+_SPLITTER = re.compile("[" + "".join(re.escape(ch) for ch in sorted(DEFAULT_DELIMITERS)) + "]+")
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DEFAULT_STOPWORD_FILE = os.path.join(_DATA_DIR, "stopwords_roman_urdu.txt")
-
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Characters treated as token boundaries."""
-
-    delimiters: frozenset[str] = DEFAULT_DELIMITERS
-
-    def __post_init__(self):
-        if not self.delimiters:
-            raise ConfigError("delimiter set must be non-empty")
-        pattern = "[" + "".join(re.escape(ch) for ch in sorted(self.delimiters)) + "]+"
-        object.__setattr__(self, "_splitter", re.compile(pattern))
 
 
 @dataclass(frozen=True)
@@ -62,6 +50,9 @@ class StopWordList:
                         words.add(word.lower())
         except OSError as exc:
             raise CorpusError(f"cannot read stop-word file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            path = os.fspath(path)
+            raise CorpusError(f"stop-word file {path!r} is not valid UTF-8: {exc}") from None
         return cls(frozenset(words))
 
     @classmethod
@@ -69,9 +60,9 @@ class StopWordList:
         return cls.from_file(DEFAULT_STOPWORD_FILE)
 
 
-def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Split on maximal delimiter runs; empty tokens never appear."""
-    return [t for t in config._splitter.split(text) if t]
+    return [t for t in _SPLITTER.split(text) if t]
 
 
 def lowercase(tokens: list[str]) -> list[str]:

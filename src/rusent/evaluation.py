@@ -114,10 +114,9 @@ def evaluate(model, test: FeatureMatrix, positive_class: str | None = None) -> E
 
     The whole test matrix is scored in one `model.predict_indices` call
     (for k-NN, the neighbours of the exhaustive scan; see
-    classifiers/knn.py). It gives, row for row, the class `model.predict`
-    gives, except where two class scores lie within rounding of each
-    other, as a one-row call can round differently from the batch (see
-    classifiers/base.py).
+    classifiers/knn.py). The same matrix always gives the same
+    predictions; a batch of another shape may round a row's scores
+    differently in the last bits (see classifiers/base.py).
 
     positive_class defaults to "pos" when declared, otherwise the first
     class value.

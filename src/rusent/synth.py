@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import os
 
+from .errors import ConfigError, RusentError
 from .rng import SplitMix64
+from .util import make_dirs
 
 POSITIVE_WORDS = (
     "acha", "achi", "zabardast", "behtreen", "umda", "shandar",
@@ -44,16 +46,24 @@ def generate_review(rng: SplitMix64, label: str) -> str:
 
 
 def generate_corpus(root: str | os.PathLike, per_class: int = 1000, seed: int = 0) -> dict[str, int]:
-    """Write root/<class>/<class>_<i>.txt files; returns per-class counts."""
+    """Write root/<class>/<class>_<i>.txt files; returns per-class counts.
+
+    per_class below 1 is a ConfigError, raised before anything is written;
+    a path that cannot be written is a RusentError that names it."""
+    if per_class < 1:
+        raise ConfigError(f"per_class must be >= 1, not {per_class}")
     root = os.fspath(root)
     rng = SplitMix64(seed)
     counts = {}
     for label in sorted(CLASS_POOLS):
         class_dir = os.path.join(root, label)
-        os.makedirs(class_dir, exist_ok=True)
+        make_dirs(class_dir)
         for i in range(per_class):
             path = os.path.join(class_dir, f"{label}_{i:05d}.txt")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(generate_review(rng, label) + "\n")
+            try:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(generate_review(rng, label) + "\n")
+            except OSError as exc:
+                raise RusentError(f"cannot write {path!r}: {exc.strerror or exc}") from None
         counts[label] = per_class
     return counts

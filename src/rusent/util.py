@@ -28,3 +28,13 @@ def atomic_write_text(path, text: str) -> None:
             raise
     except OSError as exc:
         raise RusentError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
+def make_dirs(path) -> None:
+    """os.makedirs(path, exist_ok=True); an OSError, such as a file at
+    `path` or at one of its parents, becomes a RusentError (exit 2) that
+    names the path."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise RusentError(f"cannot write {os.fspath(path)!r}: {exc.strerror or exc}") from None

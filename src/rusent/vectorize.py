@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arff import NUMERIC, STRING, Dataset, _quote, parse_arff
-from .corpus import StopWordList, TokenizerConfig, lowercase, remove_stopwords, tokenize
+from .corpus import StopWordList, lowercase, remove_stopwords, tokenize
 from .errors import ArffError, ConfigError, VectorizeError
 
 WEIGHTINGS = ("binary", "count", "tfidf")
@@ -45,7 +45,6 @@ class VectorSpace:
     weighting: str
     doc_count: int
     doc_frequency: tuple[int, ...] | None
-    tokenizer: TokenizerConfig
     stopwords: StopWordList
     text_attr: str
     class_attr: str
@@ -99,14 +98,13 @@ def _schema(data: Dataset) -> tuple[int, int]:
     return string_idx[0], data.class_index
 
 
-def _processed_tokens(text: str, tokenizer: TokenizerConfig, stops: StopWordList) -> list[str]:
-    return remove_stopwords(lowercase(tokenize(text, tokenizer)), stops)
+def _processed_tokens(text: str, stops: StopWordList) -> list[str]:
+    return remove_stopwords(lowercase(tokenize(text)), stops)
 
 
 def fit(
     train: Dataset,
     weighting: str = "count",
-    tokenizer: TokenizerConfig = TokenizerConfig(),
     stopwords: StopWordList = StopWordList(),
     min_term_freq: int = 1,
 ) -> VectorSpace:
@@ -130,7 +128,7 @@ def fit(
         if text is None:
             raise VectorizeError("training data contains a missing text value")
         n_docs += 1
-        tokens = _processed_tokens(text, tokenizer, stopwords)
+        tokens = _processed_tokens(text, stopwords)
         for t in tokens:
             totals[t] = totals.get(t, 0) + 1
         for t in set(tokens):
@@ -151,7 +149,6 @@ def fit(
         weighting=weighting,
         doc_count=n_docs,
         doc_frequency=frequencies,
-        tokenizer=tokenizer,
         stopwords=stopwords,
         text_attr=train.attributes[ti].name,
         class_attr=class_attr,
@@ -174,7 +171,7 @@ def transform(space: VectorSpace, data: Dataset) -> FeatureMatrix:
         if text is None or label is None:
             raise VectorizeError("cannot vectorize instances with missing values")
         labels.append(label)
-        for token in _processed_tokens(text, space.tokenizer, space.stopwords):
+        for token in _processed_tokens(text, space.stopwords):
             i = space._index.get(token)
             if i is not None:
                 rows[j, i] += 1.0

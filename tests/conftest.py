@@ -17,6 +17,12 @@ def make_matrix(rows, labels, class_values=("neg", "pos")):
     return FeatureMatrix(np.asarray(rows, dtype=float), list(labels), tuple(class_values))
 
 
+def predicted(model, rows):
+    """The class values a model predicts for the rows of a matrix, by
+    predict_indices; a single row goes in as a one-row matrix."""
+    return [model.class_values[i] for i in model.predict_indices(rows)]
+
+
 def full_read(source):
     """A vectorized ARFF's matrix through the Dataset path."""
     return matrix_from_dataset(parse_arff(source))

@@ -43,7 +43,7 @@ from rusent.rng import SplitMix64
 from rusent.synth import generate_corpus
 from rusent.vectorize import FeatureMatrix
 
-from conftest import make_matrix
+from conftest import make_matrix, predicted
 from test_adaboost import NONSEP_LABELS, NONSEP_ROWS, best_stump_accuracy
 from test_knn import brute_force_predict
 from test_mlp import XOR, finite_difference_grads
@@ -114,15 +114,15 @@ def test_criterion_3_mnb_hand_oracle():
             for i in range(3):
                 assert likes[1, i] == pytest.approx(pos_probs[i], abs=1e-12)
                 assert likes[0, i] == pytest.approx(neg_probs[i], abs=1e-12)
-            x = np.array([1.0, 1.0, 0.0])
-            post = mod.log_posteriors(x)
+            x = np.array([[1.0, 1.0, 0.0]])
+            post = mod.log_posteriors(x)[0]
             assert post[1] == pytest.approx(
                 math.log(0.5 * pos_probs[0] * pos_probs[1]), abs=1e-12
             )
             assert post[0] == pytest.approx(
                 math.log(0.5 * neg_probs[0] * neg_probs[1]), abs=1e-12
             )
-            assert mod.predict(x) == "pos"
+            assert predicted(mod, x) == ["pos"]
 
 
 def test_criterion_4_entropy_and_gain():
@@ -160,10 +160,10 @@ def test_criterion_5_knn_brute_force_equivalence():
         for metric in ("euclidean", "manhattan", "minkowski"):
             for k in (1, 3, 5):
                 model = train_knn(m, k=k, distance=metric, p=3.0)
-                for q in queries:
-                    assert model.predict(q) == brute_force_predict(
-                        rows, labels, class_values, q, k, metric, 3.0
-                    )
+                assert predicted(model, queries) == [
+                    brute_force_predict(rows, labels, class_values, q, k, metric, 3.0)
+                    for q in queries
+                ]
         assert time.perf_counter() - started < 5.0
 
 
@@ -180,7 +180,7 @@ def test_criterion_6_adaboost_identity_and_stump():
             assert weights[miss].sum() == pytest.approx(0.5, abs=1e-9)
         stump_best = best_stump_accuracy(NONSEP_ROWS, NONSEP_LABELS)
         assert stump_best < 1.0
-        acc = np.mean([model.predict(r) == l for r, l in zip(m.rows, m.labels)])
+        acc = np.mean(np.array(predicted(model, m.rows)) == m.labels)
         assert acc > stump_best
 
 
@@ -202,7 +202,7 @@ def test_criterion_7_mlp_gradients_and_xor():
         assert worst < 1e-4
         xor_model = train_mlp(XOR, hidden=[8], learning_rate=0.5, epochs=2000,
                               batch_size=4, seed=1)
-        assert all(xor_model.predict(r) == l for r, l in zip(XOR.rows, XOR.labels))
+        assert predicted(xor_model, XOR.rows) == XOR.labels
 
 
 def test_criterion_8_svm_blob_and_objective():
@@ -219,7 +219,7 @@ def test_criterion_8_svm_blob_and_objective():
         m = make_matrix(rows, labels, ("neg", "pos"))
         lam = 0.05
         model = train_svm(m, lam=lam, epochs=1000, seed=0)
-        assert all(model.predict(r) == l for r, l in zip(m.rows, m.labels))
+        assert predicted(model, m.rows) == m.labels
         signs = np.where(m.label_indices() == 1, 1.0, -1.0)
         achieved = svm_objective(model.weights, model.bias, m.rows, signs, lam)
         best = np.inf

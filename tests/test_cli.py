@@ -136,7 +136,7 @@ class TestTermNamedLikeTheClass:
 
 
 class TestTfidfZeroRows:
-    def run(self, tmp_path, test_docs):
+    def run(self, tmp_path, test_docs, weighting="tfidf"):
         train, test = tmp_path / "train.arff", tmp_path / "test.arff"
         head = "@relation r\n@attribute text string\n@attribute class {neg,pos}\n@data\n"
         train.write_text(head + "'gari acha',pos\n'gari bekar',neg\n", encoding="utf-8")
@@ -144,7 +144,7 @@ class TestTfidfZeroRows:
         return main(["vectorize", "--train", str(train), "--test", str(test),
                      "--out-train", str(tmp_path / "tr.arff"),
                      "--out-test", str(tmp_path / "te.arff"),
-                     "--weighting", "tfidf", "--stopwords", "none"])
+                     "--weighting", weighting, "--stopwords", "none"])
 
     def test_a_row_of_terms_in_every_training_document(self, tmp_path, capsys):
         assert self.run(tmp_path, "gari,pos\n") == 0
@@ -159,6 +159,18 @@ class TestTfidfZeroRows:
         assert len(lines) == 2
         assert lines[0].startswith("warning: 2 test instance(s) became all-zero rows")
         assert lines[1].startswith("warning: 1 test instance(s) contain only out-of-vocabulary")
+
+    @pytest.mark.parametrize("weighting", ["count", "tfidf"])
+    def test_compare_warns_as_vectorize_does(self, tmp_path, capsys, weighting):
+        test_docs = "gari,pos\n'zzz qqq',neg\n"
+        assert self.run(tmp_path, test_docs, weighting) == 0
+        warnings = capsys.readouterr().err
+        assert "out-of-vocabulary" in warnings
+        assert main(["compare", "--train", str(tmp_path / "train.arff"),
+                     "--test", str(tmp_path / "test.arff"), "--out-dir", str(tmp_path / "cmp"),
+                     "--algorithms", "mnb", "--weighting", weighting,
+                     "--stopwords", "none"]) == 0
+        assert capsys.readouterr().err == warnings
 
 
 class TestClassValueWithALineBreak:
@@ -291,6 +303,64 @@ class TestUnwritableOutput:
         argv = ["evaluate", "--model", str(model), "--test", str(vte), "--report-out", str(out)]
         self.assert_exits_2(argv, out, tmp_path, capsys)
 
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_compare_out_dir_at_or_under_a_file(self, arff_paths, tmp_path, capsys, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        out = afile / sub if sub else afile
+        argv = ["compare", "--train", str(arff_paths[0]), "--test", str(arff_paths[1]),
+                "--out-dir", str(out), "--algorithms", "mnb"]
+        self.assert_exits_2(argv, out, tmp_path, capsys)
+        assert afile.read_text(encoding="utf-8") == ""
+
+    def test_gen_corpus_under_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        argv = ["gen-corpus", "--out", str(afile), "--per-class", "2"]
+        self.assert_exits_2(argv, afile, tmp_path, capsys)
+
+    def test_gen_corpus_onto_a_directory(self, tmp_path, capsys):
+        review = tmp_path / "c" / "neg" / "neg_00001.txt"
+        review.mkdir(parents=True)
+        argv = ["gen-corpus", "--out", str(tmp_path / "c"), "--per-class", "2"]
+        self.assert_exits_2(argv, review, tmp_path, capsys)
+        assert not (tmp_path / "c" / "manifest.json").exists()
+
+
+class TestUndecodableInput:
+    """An input file that is not UTF-8 exits 2, names the file and
+    writes no output."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text + b"\xff",
+        lambda text: text.replace(b"variant dtree", b"variant dtree\xff"),
+    ], ids=["appended", "in-variant"])
+    def test_evaluate_a_model_file(self, tmp_path, capsys, corrupt):
+        from test_tree import chain_model_text
+
+        model = tmp_path / "tree.model"
+        model.write_bytes(corrupt(chain_model_text(3).encode()))
+        test = tmp_path / "test.arff"
+        test.write_text("@relation r\n@attribute x0 numeric\n@attribute class {neg,pos}\n"
+                        "@data\n0,neg\n", encoding="utf-8")
+        code = main(["evaluate", "--model", str(model), "--test", str(test),
+                     "--report-out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "not valid UTF-8" in err
+        assert sorted(os.listdir(tmp_path)) == ["test.arff", "tree.model"]
+
+    def test_vectorize_stopwords(self, arff_paths, tmp_path, capsys):
+        stops = tmp_path / "stops.bin"
+        stops.write_bytes(b"gari\n\xff\xfe\n")
+        out = tmp_path / "vec.arff"
+        code = main(["vectorize", "--train", str(arff_paths[0]), "--out-train", str(out),
+                     "--stopwords", str(stops)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(stops) in err and "not valid UTF-8" in err
+        assert not out.exists() and not (tmp_path / "vec.vocab.txt").exists()
+
 
 class TestCompare:
     def test_full_run_on_raw_text(self, arff_paths, tmp_path, capsys):
@@ -339,6 +409,13 @@ class TestGenCorpus:
         assert main(["gen-corpus", "--out", str(out), "--per-class", "3"]) == 0
         assert sorted(os.listdir(out)) == ["manifest.json", "neg", "pos"]
         assert "wrote 6 reviews" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("per_class", ["-3", "0"])
+    def test_per_class_below_one_exits_1_and_writes_nothing(self, tmp_path, capsys, per_class):
+        out = tmp_path / "c"
+        assert main(["gen-corpus", "--out", str(out), "--per-class", per_class]) == 1
+        assert "per_class must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -6,7 +6,6 @@ from rusent.arff import AttributeDecl, Dataset
 from rusent.corpus import (
     SplitSpec,
     StopWordList,
-    TokenizerConfig,
     lowercase,
     remove_stopwords,
     split,
@@ -35,14 +34,6 @@ class TestTokenize:
 
     def test_punctuation_runs_collapse(self):
         assert tokenize("gari,achi. hai!") == ["gari", "achi", "hai"]
-
-    def test_custom_delimiters(self):
-        config = TokenizerConfig(frozenset("-"))
-        assert tokenize("ab-cd--ef", config) == ["ab", "cd", "ef"]
-
-    def test_empty_delimiter_set_rejected(self):
-        with pytest.raises(ConfigError):
-            TokenizerConfig(frozenset())
 
 
 class TestLowercase:

@@ -6,7 +6,7 @@ from rusent.classifiers.base import TreeConfig
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
-from conftest import make_matrix
+from conftest import make_matrix, predicted
 from test_tree import is_leaf
 
 
@@ -45,7 +45,7 @@ class TestBagging:
     def test_vote_fraction_scores(self):
         m = random_matrix(30, 2, seed=3)
         model = train_bagging(m, m=5, seed=0)
-        scores = model.predict_scores(m.rows[0])
+        scores = model.scores(m.rows[:1])[0]
         assert sum(scores) == pytest.approx(1.0)
         assert all(s in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0) for s in scores)
 
@@ -54,7 +54,7 @@ class TestBagging:
         # member is the plain tree
         m = make_matrix([[1.0], [1.0]], ["pos", "pos"], ("neg", "pos"))
         model = train_bagging(m, m=1, seed=0)
-        assert model.predict([1.0]) == "pos"
+        assert predicted(model, [[1.0]]) == ["pos"]
 
     def test_zero_members_rejected(self):
         m = random_matrix(10, 2, seed=0)
@@ -65,8 +65,8 @@ class TestBagging:
         m = random_matrix(50, 3, seed=11)
         tree = train_dtree(m)
         bag = train_bagging(m, m=25, seed=0)
-        tree_acc = np.mean([tree.predict(r) == l for r, l in zip(m.rows, m.labels)])
-        bag_acc = np.mean([bag.predict(r) == l for r, l in zip(m.rows, m.labels)])
+        tree_acc = np.mean(np.array(predicted(tree, m.rows)) == m.labels)
+        bag_acc = np.mean(np.array(predicted(bag, m.rows)) == m.labels)
         assert bag_acc >= tree_acc - 0.15
 
 

@@ -11,7 +11,7 @@ from rusent.classifiers.knn import _distances
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
-from conftest import make_matrix
+from conftest import make_matrix, predicted
 
 
 def _power(base, exponent):
@@ -44,31 +44,30 @@ class TestExamples:
     def test_k1_returns_nearest_label(self):
         m = make_matrix([[0.0, 0.0], [10.0, 10.0]], ["neg", "pos"], ("neg", "pos"))
         model = train_knn(m, k=1)
-        assert model.predict([1.0, 1.0]) == "neg"
-        assert model.predict([9.0, 9.0]) == "pos"
+        assert predicted(model, [[1.0, 1.0], [9.0, 9.0]]) == ["neg", "pos"]
 
     def test_k3_majority(self):
         m = make_matrix([[0.0], [1.0], [2.0], [10.0]],
                         ["neg", "neg", "pos", "pos"], ("neg", "pos"))
         model = train_knn(m, k=3)
-        assert model.predict([0.5]) == "neg"
+        assert predicted(model, [[0.5]]) == ["neg"]
 
     def test_distance_tie_prefers_lowest_training_index(self):
         m = make_matrix([[1.0], [-1.0]], ["pos", "neg"], ("neg", "pos"))
         model = train_knn(m, k=1)
-        assert model.predict([0.0]) == "pos"
+        assert predicted(model, [[0.0]]) == ["pos"]
 
     def test_vote_tie_prefers_lowest_class_index(self):
         m = make_matrix([[0.0], [2.0]], ["pos", "neg"], ("neg", "pos"))
         model = train_knn(m, k=2)
-        assert model.predict([1.0]) == "neg"
+        assert predicted(model, [[1.0]]) == ["neg"]
 
     def test_manhattan_differs_from_euclidean(self):
         # (3,3) is euclidean-closer to origin-ish query than (4.5,0),
         # but manhattan-farther
         m = make_matrix([[3.0, 3.0], [4.5, 0.0]], ["pos", "neg"], ("neg", "pos"))
-        assert train_knn(m, k=1, distance="euclidean").predict([0.0, 0.0]) == "pos"
-        assert train_knn(m, k=1, distance="manhattan").predict([0.0, 0.0]) == "neg"
+        assert predicted(train_knn(m, k=1, distance="euclidean"), [[0.0, 0.0]]) == ["pos"]
+        assert predicted(train_knn(m, k=1, distance="manhattan"), [[0.0, 0.0]]) == ["neg"]
 
     def test_minkowski_p2_matches_euclidean(self):
         rng = SplitMix64(7)
@@ -78,13 +77,13 @@ class TestExamples:
         a = train_knn(m, k=3, distance="euclidean")
         b = train_knn(m, k=3, distance="minkowski", p=2.0)
         for _ in range(30):
-            q = [rng.uniform(-1, 1) for _ in range(4)]
-            assert a.predict(q) == b.predict(q)
+            q = [[rng.uniform(-1, 1) for _ in range(4)]]
+            assert predicted(a, q) == predicted(b, q)
 
     def test_scores_are_vote_fractions(self):
         m = make_matrix([[0.0], [1.0], [2.0]], ["neg", "neg", "pos"], ("neg", "pos"))
         model = train_knn(m, k=3)
-        assert model.predict_scores([0.0]) == pytest.approx([2 / 3, 1 / 3])
+        assert model.scores([[0.0]])[0] == pytest.approx([2 / 3, 1 / 3])
 
 
 class TestValidation:
@@ -132,7 +131,7 @@ class TestAgainstBruteForce:
                     expected = brute_force_predict(
                         rows, labels, class_values, q, k, metric, p
                     )
-                    assert model.predict(q) == expected
+                    assert predicted(model, [q]) == [expected]
 
 
 CLASSES3 = ("neg", "neu", "pos")

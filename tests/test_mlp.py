@@ -5,7 +5,7 @@ from rusent.classifiers import train_mlp
 from rusent.classifiers.mlp import init_mlp
 from rusent.errors import ModelError
 
-from conftest import make_matrix
+from conftest import make_matrix, predicted
 
 XOR = make_matrix(
     [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
@@ -60,11 +60,11 @@ class TestTraining:
     def test_learns_xor(self):
         model = train_mlp(XOR, hidden=[8], learning_rate=0.5, epochs=2000,
                           batch_size=4, seed=1)
-        assert all(model.predict(r) == l for r, l in zip(XOR.rows, XOR.labels))
+        assert predicted(model, XOR.rows) == XOR.labels
 
     def test_scores_sum_to_one(self):
         model = train_mlp(XOR, hidden=[3], epochs=5, seed=0)
-        scores = model.predict_scores([0.5, 0.5])
+        scores = model.scores([[0.5, 0.5]])[0]
         assert sum(scores) == pytest.approx(1.0, abs=1e-9)
         assert all(0.0 <= s <= 1.0 for s in scores)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rusent.classifiers import train_mnb
 from rusent.errors import ModelError
 
-from conftest import make_matrix
+from conftest import make_matrix, predicted
 
 # hand computation for the 4-document corpus, alpha=1, |V|=3:
 #   pos counts (achi, gari, kharab) = (2, 1, 0), total 3
@@ -31,13 +31,13 @@ class TestHandOracle:
 
     def test_posteriors_match_hand_computation(self, hand_corpus):
         model = train_mnb(hand_corpus, alpha=1.0)
-        x = [1.0, 1.0, 0.0]  # test doc "achi gari"
-        log_post = model.log_posteriors(x)
+        x = [[1.0, 1.0, 0.0]]  # test doc "achi gari"
+        log_post = model.log_posteriors(x)[0]
         expected_pos = math.log(0.5) + math.log(POS_PROBS[0]) + math.log(POS_PROBS[1])
         expected_neg = math.log(0.5) + math.log(NEG_PROBS[0]) + math.log(NEG_PROBS[1])
         assert log_post[1] == pytest.approx(expected_pos, abs=1e-12)
         assert log_post[0] == pytest.approx(expected_neg, abs=1e-12)
-        assert model.predict(x) == "pos"
+        assert predicted(model, x) == ["pos"]
 
 
 class TestEdgeCases:
@@ -51,7 +51,7 @@ class TestEdgeCases:
             [[1, 0], [0, 1], [1, 1]], ["pos", "pos", "neg"], ("neg", "pos")
         )
         model = train_mnb(m)
-        assert model.predict([0.0, 0.0]) == "pos"
+        assert predicted(model, [[0.0, 0.0]]) == ["pos"]
 
     def test_negative_features_rejected(self):
         m = make_matrix([[1, -1], [0, 1]], ["pos", "neg"], ("neg", "pos"))
@@ -69,7 +69,7 @@ class TestEdgeCases:
 
     def test_scores_are_probabilities(self, hand_corpus):
         model = train_mnb(hand_corpus)
-        scores = model.predict_scores([2.0, 0.0, 1.0])
+        scores = model.scores([[2.0, 0.0, 1.0]])[0]
         assert sum(scores) == pytest.approx(1.0, abs=1e-9)
         assert all(0.0 <= s <= 1.0 for s in scores)
 
@@ -109,4 +109,4 @@ class TestLogSpaceEquivalence:
         best = max(exact.values())
         # an exact tie may go either way once rounded; otherwise the
         # model must pick the class with the larger exact posterior
-        assert exact[model.predict(np.asarray(query, float))] == best
+        assert exact[predicted(model, [query])[0]] == best

@@ -1,4 +1,4 @@
-"""The batch prediction path agrees with per-row prediction."""
+"""The batch prediction path agrees with one-row prediction."""
 
 import numpy as np
 import pytest
@@ -62,16 +62,16 @@ def test_predict_indices_equals_per_row_predict(case, matrices):
     X = np.vstack([test.rows, train.rows[:100]])
     indices = model.predict_indices(X)
     assert indices.dtype == np.intp and indices.shape == (X.shape[0],)
-    assert [model.class_values[i] for i in indices] == [model.predict(x) for x in X]
+    assert indices.tolist() == [model.predict_indices(x[None])[0] for x in X]
     if model.variant != "mnb":  # MNB takes its argmax in log space
-        assert indices.tolist() == [first_max(model.predict_scores(x)) for x in X]
+        assert indices.tolist() == [first_max(model.scores(x[None])[0].tolist()) for x in X]
 
 
 def test_evaluate_tallies_the_batch_predictions(matrices):
     train, test = matrices["count"]
     model = train_knn(train, k=3)
     report = evaluate(model, test)
-    predicted = [model.predict(x) for x in test.rows]
+    predicted = [model.class_values[model.predict_indices(x[None])[0]] for x in test.rows]
     correct = sum(p == a for p, a in zip(predicted, test.labels))
     assert report.correct == correct and report.total == len(test.labels)
 
@@ -83,19 +83,14 @@ VARIANTS = ["mnb", "knn", "dtree", "bagging", "rforest", "adaboost", "svm", "mlp
 def test_predict_indices_checks_the_shape(variant, matrices):
     model = CASES[variant][1](matrices["count"][0])
     width = model.feature_width
-    for bad in (np.zeros(width), np.zeros((2, width + 1)), np.zeros((1, 1, width)), 0.0):
-        for method in (model.predict_indices, model.scores):
-            with pytest.raises(ModelError):
-                method(bad)
-    one_row = [np.zeros(width + 1), np.zeros((1, width)), 0.0, np.zeros((1, 1, width))]
-    for bad in one_row:
-        for method in (model.predict, model.predict_scores):
-            with pytest.raises(ModelError):
-                method(bad)
+    bad_inputs = (np.zeros(width), np.zeros((2, width + 1)), np.zeros((1, 1, width)), 0.0)
+    methods = [model.predict_indices, model.scores]
     if variant == "mnb":
-        for bad in (np.zeros(width + 1), 0.0, np.zeros((1, 1, width)), np.zeros((2, width + 1))):
+        methods.append(model.log_posteriors)  # a 1-D row is refused too
+    for bad in bad_inputs:
+        for method in methods:
             with pytest.raises(ModelError):
-                model.log_posteriors(bad)
+                method(bad)
     assert model.predict_indices(np.zeros((0, width))).tolist() == []
     assert model.scores(np.zeros((0, width))).shape == (0, len(model.class_values))
 

@@ -16,7 +16,7 @@ from rusent.classifiers.tree import (
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
-from conftest import make_matrix
+from conftest import make_matrix, predicted
 
 
 class TestEntropy:
@@ -108,7 +108,7 @@ class TestGrowth:
         assert tree.threshold[0] == pytest.approx(6.0)
         assert is_leaf(tree, 1) and is_leaf(tree, tree.right[0])
         for row, label in zip(separable_1d.rows, separable_1d.labels):
-            assert model.predict(row) == label
+            assert predicted(model, [row]) == [label]
 
     def test_gain_tie_breaks_to_lowest_feature(self):
         # both features separate the classes perfectly; feature 0 must win
@@ -120,7 +120,7 @@ class TestGrowth:
         m = make_matrix([[0.0], [1.0]], ["pos", "pos"], ("neg", "pos"))
         model = train_dtree(m)
         assert is_leaf(model.tree, 0)
-        assert model.predict([5.0]) == "pos"
+        assert predicted(model, [[5.0]]) == ["pos"]
 
     def test_max_depth_zero_is_majority_stump(self):
         m = make_matrix([[0.0], [1.0], [2.0]], ["neg", "pos", "pos"], ("neg", "pos"))
@@ -141,7 +141,7 @@ class TestGrowth:
         m = make_matrix([[0.0], [0.0]], ["pos", "neg"], ("neg", "pos"))
         model = train_dtree(m)
         assert is_leaf(model.tree, 0)
-        assert model.predict([0.0]) == "neg"
+        assert predicted(model, [[0.0]]) == ["neg"]
 
     def test_duplicate_conflicting_rows_leaf_distribution(self):
         m = make_matrix([[1.0], [1.0], [1.0]], ["pos", "pos", "neg"], ("neg", "pos"))
@@ -159,8 +159,8 @@ class TestGrowth:
         m = make_matrix([[0.0], [0.0], [0.0], [1.0]],
                         ["neg", "neg", "pos", "pos"], ("neg", "pos"))
         w = np.array([1.0, 1.0, 5.0, 1.0])
-        model = train_dtree(m, sample_weights=w)
-        assert tree_predict_batch(model.tree, np.array([[0.0]])).tolist() == [1]
+        grown = grow_tree(m.rows, m.label_indices(), w, 2, None, 1)
+        assert tree_predict_batch(grown, np.array([[0.0]])).tolist() == [1]
 
 
 # Adjacent sorted values whose plain midpoint (a + b) / 2 does not fall in
@@ -190,7 +190,7 @@ class TestThresholdEdges:
         tree = model.tree
         assert not is_leaf(tree, 0)
         assert is_leaf(tree, 1) and is_leaf(tree, tree.right[0])
-        assert [model.predict([a]), model.predict([b])] == ["neg", "pos"]
+        assert predicted(model, [[a]]) + predicted(model, [[b]]) == ["neg", "pos"]
         assert loads_model(model.dumps()).dumps() == model.dumps()
 
 
@@ -555,7 +555,7 @@ def test_deep_chain_loads_and_dumps_byte_for_byte():
     # x = k leaves the chain at node depth - k, to its right leaf
     for k in (0, 1, 2, 2500, 4999):
         expected = 0 if k == 0 else (5000 - k) % 2
-        assert model.predict([float(k)]) == ("neg", "pos")[expected]
+        assert predicted(model, [[float(k)]]) == [("neg", "pos")[expected]]
 
 
 def right_children(tree):

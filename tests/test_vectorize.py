@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rusent.arff import AttributeDecl, Dataset, parse_arff, write_arff
-from rusent.corpus import StopWordList, TokenizerConfig
+from rusent.corpus import StopWordList
 from rusent.errors import ConfigError, VectorizeError
 from rusent.vectorize import (
     FeatureMatrix,
@@ -183,7 +183,7 @@ def vectorized(draw, classes=st.lists(_names, min_size=1, max_size=3, unique=Tru
     rows = np.array(draw(st.lists(st.lists(_cells, min_size=len(terms), max_size=len(terms)),
                                   min_size=n, max_size=n)), dtype=np.float64).reshape(n, len(terms))
     labels = draw(st.lists(st.sampled_from(class_values), min_size=n, max_size=n))
-    space = VectorSpace(terms, "count", 1, None, TokenizerConfig(), StopWordList(),
+    space = VectorSpace(terms, "count", 1, None, StopWordList(),
                         "text", class_attr, class_values)
     return space, FeatureMatrix(rows, labels, class_values)
 
@@ -201,7 +201,7 @@ class TestToArffText:
         assert to_arff(space, matrix) == write_arff(oracle, sparse=True)
 
     def test_negative_zero_is_omitted_and_edge_values_round_trip(self):
-        space = VectorSpace(("a b", "?"), "count", 1, None, TokenizerConfig(), StopWordList(),
+        space = VectorSpace(("a b", "?"), "count", 1, None, StopWordList(),
                             "text", "class", ("neg", "pos x"))
         rows = [[-0.0, 5e-324], [-1e308, 0.0]]
         text = to_arff(space, FeatureMatrix(rows, ["pos x", "neg"], space.class_values))
@@ -277,7 +277,7 @@ MUTATIONS = {
 
 
 SMALL = (
-    VectorSpace(("achi", "gari", "kharab"), "count", 1, None, TokenizerConfig(), StopWordList(),
+    VectorSpace(("achi", "gari", "kharab"), "count", 1, None, StopWordList(),
                 "text", "class", ("neg", "pos")),
     FeatureMatrix([[1.0, 2.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]], ["pos", "neg", "pos"],
                   ("neg", "pos")),
