@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import ModelError
 from .base import Model, TreeConfig, fmt_floats, require_binary
-from .tree import grow_tree, read_tree, tree_lines, tree_predict_batch
+from .tree import Columns, grow_tree, read_tree, tree_lines, tree_predict_batch
 
 ALPHA_CAP = math.log(1e10) / 2.0
 
@@ -76,10 +76,11 @@ def train_adaboost(
     n = X.shape[0]
     if n == 0:
         raise ModelError("cannot boost an empty matrix")
+    columns = Columns.of(X)
     weights = np.full(n, 1.0 / n)
     stages = []
     for _ in range(rounds):
-        tree = grow_tree(X, y, weights, 2, weak.max_depth, weak.min_leaf)
+        tree = grow_tree(columns, y, weights, 2, weak.max_depth, weak.min_leaf)
         preds = tree_predict_batch(tree, X)
         miss = preds != y
         eps = float(weights[miss].sum())

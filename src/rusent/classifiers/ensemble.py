@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import ModelError
 from ..rng import SplitMix64, derive
 from .base import Model, TreeConfig
-from .tree import grow_tree, read_tree, tree_lines, tree_predict_batch
+from .tree import Columns, grow_tree, read_tree, tree_lines, tree_predict_batch
 
 
 class _VotingTreeEnsemble(Model):
@@ -83,19 +83,19 @@ def bootstrap_indices(rng: SplitMix64, n: int) -> np.ndarray:
 def _bootstrap_trees(matrix, m, base: TreeConfig, seed, subset_size):
     if m < 1:
         raise ModelError("ensemble size m must be >= 1")
-    X = matrix.rows
     y = matrix.label_indices()
-    n = X.shape[0]
+    n = y.size
     if n == 0:
         raise ModelError("cannot train an ensemble on an empty matrix")
     n_classes = len(matrix.class_values)
+    columns = Columns.of(matrix.rows)
     trees = []
     for i in range(m):
         rng = SplitMix64(derive(seed, i))
         indices = bootstrap_indices(rng, n)
         trees.append(
             grow_tree(
-                X[indices], y[indices], np.ones(n), n_classes,
+                columns.take(indices), y[indices], np.ones(n), n_classes,
                 base.max_depth, base.min_leaf,
                 rng=rng, subset_size=subset_size,
             )

@@ -27,26 +27,36 @@ Gain ties break toward the feature that comes first in the candidate
 list (the lowest index: the list is range(d) or a sorted subset), then the
 lowest threshold; leaf majorities break toward the lowest class index.
 
-Split search and model bytes. With non-dyadic weights (AdaBoost) a gain's
+Split search and model bytes. The search reads each feature's non-zero
+entries only (see Columns). With non-dyadic weights (AdaBoost) a gain's
 last bits depend on the order of every addition, so the search fixes that
 order; the model bytes stay fixed only while it holds:
 
-* each feature's rows are ordered by a stable sort of its values (ties
-  keep row order);
-* each class's left-side weight at a boundary is a sequential prefix sum
-  (cumsum) of that class's weights in this order, never a pairwise sum;
+* a feature's sorted order is its negative values, then its zeros (0.0
+  and -0.0) in row order, then its positive values, equal values in row
+  order: the order a stable sort of the whole column gives;
+* its candidate boundaries lie between neighbouring distinct non-zero
+  values in that order and at the two edges of its zeros, each leaving
+  min_leaf rows on both sides;
+* where every weight is 1.0 (dtree, bagging, random forest), class
+  weights are counts, exact in any order: the zeros' counts are the
+  node's class counts less the feature's non-zero counts;
+* otherwise (AdaBoost) each class's left weight at a boundary is the
+  sequential fold, one addition after another as cumsum makes it, of that
+  class's weights in sorted order: through the negatives, on over the
+  class's zero rows in row order, then through the positives. A row of
+  another class adds 0.0, which changes no bit of a sum of weights, so
+  the folds skip such rows or pad with 0.0;
 * the node's class totals are summed in row order (np.add.at), and every
   candidate's gain comes from the same elementwise formula on its
   (candidates, classes) rows of left weights;
 * the first maximum wins: in candidate-list order, then lowest threshold.
 
-Features are scored a block at a time, so one argsort, one cumsum per
-class and one gain evaluation cover many features instead of a dozen
-small numpy calls per feature. A block of an n-row node has
-_BLOCK_ENTRIES // n features (at least one), so each scratch array holds
-about _BLOCK_ENTRIES values: scratch memory stays fixed as the vocabulary
-grows, and the search never copies the whole node matrix. Features
-constant within the node are dropped from their block before sorting.
+A tree takes its root's entries once, and a split filters its node's
+entries by the side each row goes to, which keeps their order: below the
+root nothing is sorted and no dense matrix is copied. Scratch memory
+grows with the non-zero entries, except for the fold over the zeros,
+whose matrix holds at most _FOLD_ENTRIES values at a time.
 
 A Tree holds arrays over its nodes in preorder, the model file's order:
 `feature` and `threshold` (-1 and 0.0 at a leaf), `right`, a split's
@@ -66,9 +76,9 @@ from .base import Model, TreeConfig, fmt_floats
 
 _GAIN_EPS = 1e-12
 
-# Scratch entries per block of features: each of the block's (features x
-# rows) arrays holds at most this many values, whatever the node's width.
-_BLOCK_ENTRIES = 1 << 16
+# Values per matrix of the weighted fold over a class's zero rows (one
+# column per feature): the fold takes as many features at a time as fit.
+_FOLD_ENTRIES = 1 << 18
 
 
 class Tree:
@@ -119,56 +129,198 @@ def _threshold(a: float, b: float) -> float:
     return mid if a <= mid < b else a
 
 
-def _best_split(X, y, w, n_classes, min_leaf, features):
-    """Best (gain, feature, threshold) over the candidate features, or None.
+def _ranges(starts, ends):
+    """The indices of the ranges [start, end), concatenated in order."""
+    lens = ends - starts
+    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
 
-    Features are scored a block at a time, in `features` order; see the
-    module docstring for the evaluation order that keeps results fixed."""
-    n = X.shape[0]
+
+class Columns:
+    """A matrix's non-zero entries, column after column: `rows`, `cols` and
+    `values` are ordered by column, then value, with ties in row order.
+    Every cell equal to 0.0 (-0.0 too) is a zero. `shape` is the matrix's."""
+
+    __slots__ = ("rows", "cols", "values", "shape")
+
+    def __init__(self, rows, cols, values, shape):
+        self.rows, self.cols, self.values, self.shape = rows, cols, values, shape
+
+    @classmethod
+    def of(cls, X: np.ndarray) -> "Columns":
+        rows, cols = np.nonzero(X)  # in row order, which the stable lexsort keeps for ties
+        values = X[rows, cols]
+        order = np.lexsort((values, cols))
+        return cls(rows[order], cols[order], values[order], X.shape)
+
+    def take(self, indices: np.ndarray) -> "Columns":
+        """The Columns of X[indices] (rows drawn with repeats, as a bootstrap
+        draws them), made without X."""
+        counts = np.bincount(indices, minlength=self.shape[0])
+        at = np.argsort(indices, kind="stable")  # the positions of row 0, then row 1, ...
+        copies = counts[self.rows]
+        start = (np.cumsum(counts) - counts)[self.rows]
+        rows = at[_ranges(start, start + copies)]
+        src = np.repeat(np.arange(self.rows.size), copies)
+        # copies of one column and value go in their new row order; no two
+        # of them share a new row, so the sort key is unique
+        new_value = (self.cols[1:] != self.cols[:-1]) | (self.values[1:] != self.values[:-1])
+        tie = np.concatenate(([0], np.cumsum(new_value)))
+        order = np.argsort(tie[src] * indices.size + rows)
+        src = src[order]
+        return Columns(rows[order], self.cols[src], self.values[src], (indices.size, self.shape[1]))
+
+
+def _restrict(entries, features):
+    """The entries of the given features: each one's run, in `features` order."""
+    rows, cols, values = entries
+    features = np.asarray(features, dtype=cols.dtype)
+    idx = _ranges(np.searchsorted(cols, features), np.searchsorted(cols, features, side="right"))
+    return rows[idx], cols[idx], values[idx]
+
+
+def _folds(out, start, values, first, lens):
+    """Set out[first[k]:first[k] + lens[k]] to the running sums of that
+    slice of `values`, folded left to right from start[k] with one rounding
+    per addition, as cumsum folds. Slices whose lengths share a power of
+    two share one zero-padded cumsum: adding 0.0 to a sum of weights
+    changes no bit."""
+    group = np.frexp(lens)[1]
+    for g in np.unique(group[lens > 0]):
+        ks = np.flatnonzero(group == g)
+        idx = _ranges(first[ks], first[ks] + lens[ks])
+        row = np.repeat(np.arange(ks.size), lens[ks])
+        col = idx - np.repeat(first[ks] - 1, lens[ks])
+        M = np.zeros((ks.size, int(lens[ks].max()) + 1))
+        M[:, 0] = start[ks]
+        M[row, col] = values[idx]
+        np.cumsum(M, axis=1, out=M)
+        out[idx] = M[row, col]
+
+
+def _zero_run_folds(end, w_c, dense, at, feature):
+    """Continue end[k], for each feature k where dense[k], over one class's
+    weights w_c (its rows of the node, in row order) of the rows that are
+    zero in feature k. The class's entries in those features, at w_c index
+    `at` in feature `feature` (ascending), are masked to 0.0 in that
+    feature's column. A sum along the rows of a C-ordered matrix adds one
+    row after another, so each column's sum is one fold: numpy sums
+    pairwise only along the contiguous axis, which is why M has a spare
+    last column (a one-column matrix would be contiguous down its rows)."""
+    d = dense.nonzero()[0]
+    slot = (np.cumsum(dense) - 1)[feature]
+    step = max(1, _FOLD_ENTRIES // (w_c.size + 1))
+    for lo in range(0, d.size, step):
+        ks = d[lo:lo + step]
+        i, j = np.searchsorted(slot, (lo, lo + ks.size))
+        M = np.empty((w_c.size + 1, ks.size + 1))
+        M[0] = 0.0
+        M[0, :-1] = end[ks]
+        M[1:] = w_c[:, None]
+        M[1 + at[i:j], slot[i:j] - lo] = 0.0
+        end[ks] = np.add.reduce(M, axis=0)[:-1]
+
+
+def _node_split(rows, entries, y, w, total_cw, min_leaf, unit):
+    """Best (gain, feature, threshold) for the node holding `rows` (root row
+    indices, ascending), or None. `entries` are the node's non-zero entries
+    of its candidate features: one run per feature, in candidate order,
+    each ordered by value with ties in row order. `unit` says every weight
+    is 1.0. See the module docstring for the order of every addition."""
+    er, ec, ev = entries
+    if ev.size == 0:
+        return None
+    m, n_classes = rows.size, total_cw.size
+    edges = np.concatenate(([True], ec[1:] != ec[:-1], [True])).nonzero()[0]
+    first, lens = edges[:-1], edges[1:] - edges[:-1]
+    n_runs = first.size
+    run = np.repeat(np.arange(n_runs), lens)
+    kneg = np.bincount(run[ev < 0.0], minlength=n_runs)
+    has_zeros = lens < m
+    # tokens: each feature's negative entries, its zeros as one token of
+    # value 0.0 (when it has any), then its positive entries
+    t_lens = lens + has_zeros
+    t_first = np.cumsum(t_lens) - t_lens
+    zrun = has_zeros.nonzero()[0]
+    t_zero = (t_first + kneg)[zrun]
+    is_entry = np.ones(ev.size + zrun.size, dtype=bool)
+    is_entry[t_zero] = False
+    t_entry = is_entry.nonzero()[0]
+    t_value = np.zeros(is_entry.size)
+    t_value[t_entry] = ev
+    t_run = np.repeat(np.arange(n_runs), t_lens)
+    # class counts through each token, from the start of its feature's
+    # tokens: exact in any order
+    ye = y[er]
+    run_counts = np.bincount(run * n_classes + ye, minlength=n_runs * n_classes)
+    run_counts = run_counts.reshape(n_runs, n_classes)
+    counts = np.zeros((is_entry.size + 1, n_classes), dtype=np.intp)
+    counts[t_entry + 1, ye] = 1
+    counts[t_zero + 1] = np.bincount(y[rows], minlength=n_classes) - run_counts[zrun]
+    np.cumsum(counts, axis=0, out=counts)
+    # a boundary follows token t when token t + 1 is of the same feature
+    # and holds another value; it must leave min_leaf rows on each side
+    b = ((t_run[1:] == t_run[:-1]) & (t_value[1:] != t_value[:-1])).nonzero()[0]
+    run_b = t_run[b]
+    left_counts = counts[b + 1] - counts[t_first[run_b]]
+    left_rows = left_counts.sum(axis=1)
+    valid = (left_rows >= min_leaf) & (left_rows <= m - min_leaf)
+    b, run_b, left_counts = b[valid], run_b[valid], left_counts[valid]
+    if b.size == 0:
+        return None
+    if unit:
+        left_cw = left_counts.astype(np.float64)
+    else:
+        # class c's weight left of each token: its weights folded in the
+        # feature's sorted order, 0.0 for rows of other classes
+        left_cw = np.empty((b.size, n_classes))
+        fold, t_fold = np.empty(ev.size), np.empty(is_entry.size)
+        y_rows = y[rows]
+        node_index = np.empty(y.size, dtype=np.intp)
+        node_index[rows] = np.arange(m)
+        e_index = node_index[er]  # each entry's index among the node's rows
+        for c in range(n_classes):
+            entry_c = ye == c
+            wc = np.where(entry_c, w[er], 0.0)
+            end = np.zeros(n_runs)  # each feature's fold through its negatives, then its zeros
+            if kneg.any():
+                _folds(fold, end, wc, first, kneg)
+                end[kneg > 0] = fold[(first + kneg - 1)[kneg > 0]]
+            row_c = y_rows == c
+            w_c = w[rows[row_c]]
+            # a feature with no entry of class c is zero in all its rows
+            dense = has_zeros & (run_counts[:, c] > 0)
+            if w_c.size:
+                end[has_zeros & ~dense] = np.cumsum(w_c)[-1]
+            if dense.any():
+                masked = entry_c & dense[run]
+                rank = np.cumsum(row_c) - 1  # a node row's index among the class's rows
+                _zero_run_folds(end, w_c, dense, rank[e_index[masked]], run[masked])
+            _folds(fold, end, wc, first + kneg, lens - kneg)
+            t_fold[t_entry] = fold
+            t_fold[t_zero] = end[zrun]
+            left_cw[:, c] = t_fold[b]
+    sides = np.concatenate((left_cw, total_cw - left_cw))
+    side_w = sides.sum(axis=1)
+    side_h = _entropy_rows(sides)
+    k = b.size
+    gains = entropy(total_cw) - (side_w[:k] * side_h[:k] + side_w[k:] * side_h[k:]) / total_cw.sum()
+    i = int(np.argmax(gains))  # first max: earliest feature, then lowest threshold
+    t = b[i]
+    return float(gains[i]), int(ec[first[run_b[i]]]), _threshold(float(t_value[t]), float(t_value[t + 1]))
+
+
+def _best_split(X, y, w, n_classes, min_leaf, features):
+    """Best (gain, feature, threshold) over the candidate features at a node
+    holding every row of X, or None: one step of grow_tree's search."""
     total_cw = np.zeros(n_classes)
     np.add.at(total_cw, y, w)
-    total_w = total_cw.sum()
-    parent_h = entropy(total_cw)
-    class_w = [np.where(y == c, w, 0.0) for c in range(n_classes)]
-    # boundary i lies between sorted rows i and i + 1; it leaves i + 1 rows
-    # on the left, so both sides keep min_leaf rows for lo <= i < hi
-    lo, hi = min_leaf - 1, n - min_leaf
-    feats = np.asarray(features, dtype=np.intp)
-    step = max(1, _BLOCK_ENTRIES // n)
-    best = None
-    for start in range(0, feats.size, step):
-        block = feats[start:start + step]
-        cols = X.T[block]  # (features, rows), each column contiguous
-        varying = cols.min(axis=1) != cols.max(axis=1)
-        block, cols = block[varying], cols[varying]
-        if block.size == 0:
-            continue
-        order = np.argsort(cols, axis=1, kind="stable")
-        # sorted values do not depend on how ties are ordered, so a plain
-        # sort finds the boundaries faster than a gather through `order`
-        xs = np.sort(cols, axis=1)
-        fi, bi = np.nonzero(xs[:, lo + 1:hi + 1] != xs[:, lo:hi])  # feature-major
-        if fi.size == 0:
-            continue
-        bi += lo
-        left_cw = np.empty((fi.size, n_classes))
-        for c in range(n_classes):
-            left_cw[:, c] = class_w[c][order].cumsum(axis=1)[fi, bi]
-        right_cw = total_cw - left_cw
-        left_w = left_cw.sum(axis=1)
-        right_w = right_cw.sum(axis=1)
-        gains = parent_h - (left_w * _entropy_rows(left_cw) + right_w * _entropy_rows(right_cw)) / total_w
-        i = int(np.argmax(gains))  # first max: earliest feature, then lowest threshold
-        gain = float(gains[i])
-        if best is None or gain > best[0]:
-            f, rows = fi[i], order[fi[i]]
-            a, b = float(cols[f, rows[bi[i]]]), float(cols[f, rows[bi[i] + 1]])
-            best = (gain, int(block[f]), _threshold(a, b))
-    return best
+    c = Columns.of(X)
+    entries = _restrict((c.rows, c.cols, c.values), list(features))
+    return _node_split(np.arange(X.shape[0]), entries, y, w, total_cw, min_leaf, bool((w == 1.0).all()))
 
 
 def grow_tree(
-    X: np.ndarray,
+    columns: Columns,
     y: np.ndarray,
     weights: np.ndarray,
     n_classes: int,
@@ -177,40 +329,55 @@ def grow_tree(
     rng=None,
     subset_size: int | None = None,
 ) -> Tree:
-    """Grow a tree in preorder: a node is split (and draws its feature
-    subset) before its left subtree, which is grown before its right one.
+    """Grow a tree on the training matrix's Columns, in preorder: a node is
+    split (and draws its feature subset) before its left subtree, which is
+    grown before its right one.
 
-    An explicit stack replaces recursion, so depth is not bounded by the
-    interpreter's recursion limit. A split hands each child a copy of its
-    rows and drops the node's own, so the pending right subtrees on the
-    stack hold disjoint rows: at most one copy of X in all, whatever the
-    depth."""
+    A node holds its rows (ascending indices into the matrix) and their
+    non-zero entries, in the Columns order. A split sends each row to one
+    side by its value in the split feature (a row with no entry there
+    holds 0.0) and filters the node's entries by their row's side, which
+    keeps their order. An explicit stack replaces recursion, so depth is
+    not bounded by the interpreter's recursion limit. A split hands each
+    child its own rows and entries and drops the node's, so the pending
+    right subtrees on the stack hold disjoint rows: at most one copy of
+    the entries in all, whatever the depth. Weights that are all 1.0 let
+    the search count classes; see the module docstring."""
+    n, d = columns.shape
+    unit = bool((weights == 1.0).all())
+    goes_left = np.empty(n, dtype=bool)
     no_distribution = np.zeros(n_classes)
     nodes = []
-    stack = [(X, y, weights, 0)]
+    stack = [(np.arange(n), (columns.rows, columns.cols, columns.values), 0)]
     while stack:
-        Xn, yn, wn, depth = stack.pop()
+        rows, entries, depth = stack.pop()
         cw = np.zeros(n_classes)
-        np.add.at(cw, yn, wn)
-        n = Xn.shape[0]
+        np.add.at(cw, y[rows], weights[rows])
         can_split = (
-            n >= 2 * min_leaf
+            rows.size >= 2 * min_leaf
             and (max_depth is None or depth < max_depth)
             and np.count_nonzero(cw) > 1
         )
         if can_split:
-            d = Xn.shape[1]
+            candidates = entries
             if subset_size is not None and subset_size < d:
-                features = rng.sample_indices(d, subset_size)
-            else:
-                features = range(d)
-            best = _best_split(Xn, yn, wn, n_classes, min_leaf, features)
+                candidates = _restrict(entries, rng.sample_indices(d, subset_size))
+            best = _node_split(rows, candidates, y, weights, cw, min_leaf, unit)
             if best is not None and best[0] > _GAIN_EPS:
                 _, feature, threshold = best
                 nodes.append((feature, threshold, -1, no_distribution))
-                mask = Xn[:, feature] <= threshold
-                stack.append((Xn[~mask], yn[~mask], wn[~mask], depth + 1))
-                stack.append((Xn[mask], yn[mask], wn[mask], depth + 1))
+                er, ec, ev = entries
+                lo, hi = np.searchsorted(ec, (feature, feature + 1))
+                goes_left[rows] = 0.0 <= threshold
+                goes_left[er[lo:hi]] = ev[lo:hi] <= threshold
+                left = goes_left[rows]
+                if max_depth is not None and depth + 1 >= max_depth:
+                    # the children are leaves, which read no entries
+                    stack += [(rows[~left], None, depth + 1), (rows[left], None, depth + 1)]
+                    continue
+                keep = goes_left[er]
+                stack.append((rows[~left], (er[~keep], ec[~keep], ev[~keep]), depth + 1))
+                stack.append((rows[left], (er[keep], ec[keep], ev[keep]), depth + 1))
                 continue
         total = cw.sum()
         distribution = cw / total if total > 0.0 else np.full(n_classes, 1.0 / n_classes)
@@ -297,7 +464,7 @@ def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1) -> Deci
         raise ModelError("cannot train a tree on an empty matrix")
     y = matrix.label_indices()
     tree = grow_tree(
-        matrix.rows, y, np.ones(len(y)), len(matrix.class_values),
+        Columns.of(matrix.rows), y, np.ones(len(y)), len(matrix.class_values),
         config.max_depth, config.min_leaf,
     )
     return DecisionTreeModel(matrix.class_values, matrix.width, tree, config)

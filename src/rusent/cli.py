@@ -235,11 +235,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    make_dirs(args.out_dir)
     train = _read_arff(args.train)
     test = _read_arff(args.test)
 
-    vectorize_config = None
+    space = vectorize_config = None
     if any(a.kind == "string" for a in train.attributes):
         # raw text corpus: one shared vectorization for every algorithm
         stops = _stopwords(args.stopwords)
@@ -248,6 +247,17 @@ def cmd_compare(args) -> int:
         train_matrix = transform(space, train)
         test_matrix = transform(space, test)
         _warn_zero_rows(space, test, test_matrix)
+        vectorize_config = {
+            "weighting": args.weighting, "stopwords": args.stopwords,
+            "min_term_freq": args.min_term_freq,
+        }
+    else:
+        train_matrix = matrix_from_dataset(train)
+        test_matrix = matrix_from_dataset(test)
+
+    # made only once both inputs are read, so that bad input leaves no directory
+    make_dirs(args.out_dir)
+    if space is not None:
         atomic_write_text(os.path.join(args.out_dir, "train_vectorized.arff"),
                           to_arff(space, train_matrix))
         atomic_write_text(os.path.join(args.out_dir, "test_vectorized.arff"),
@@ -256,13 +266,6 @@ def cmd_compare(args) -> int:
             os.path.join(args.out_dir, "vocabulary.txt"),
             "\n".join(space.vocabulary) + "\n",
         )
-        vectorize_config = {
-            "weighting": args.weighting, "stopwords": args.stopwords,
-            "min_term_freq": args.min_term_freq,
-        }
-    else:
-        train_matrix = matrix_from_dataset(train)
-        test_matrix = matrix_from_dataset(test)
 
     models = []
     failures = []

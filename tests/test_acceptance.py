@@ -35,7 +35,7 @@ from rusent.classifiers import (
 )
 from rusent.classifiers.mlp import init_mlp, train_mlp
 from rusent.classifiers.svm import svm_objective
-from rusent.classifiers.tree import entropy, grow_tree, tree_predict_batch
+from rusent.classifiers.tree import Columns, entropy, grow_tree, tree_predict_batch
 from rusent.cli import main
 from rusent.corpus import SplitSpec, split
 from rusent.evaluation import ConfusionMatrix, metrics_from_matrix
@@ -132,7 +132,7 @@ def test_criterion_4_entropy_and_gain():
         X = np.array([[float(rng.next_below(5)) for _ in range(4)] for _ in range(40)])
         y = np.array([rng.next_below(2) for _ in range(40)], dtype=np.intp)
         w = np.ones(40)
-        tree = grow_tree(X, y, w, 2, None, 1)
+        tree = grow_tree(Columns.of(X), y, w, 2, None, 1)
         splits = list(walk_splits(tree, X, y, w, 2))
         assert splits  # the noisy data forces at least one split
         for _, gain in splits:

@@ -121,7 +121,7 @@ class TestTermNamedLikeTheClass:
                      "--out-dir", str(out_dir), "--algorithms", "mnb"])
         assert code == 2
         assert "--stopwords" in capsys.readouterr().err
-        assert [f for _, _, files in os.walk(out_dir) for f in files] == []
+        assert not out_dir.exists()
 
     def test_a_stopwords_file_lets_the_term_go(self, tmp_path, capsys):
         train = tmp_path / "raw.arff"
@@ -401,6 +401,19 @@ class TestCompare:
         assert "svm failed" in captured.err
         assert (out_dir / "models" / "mnb.model").exists()
         assert not (out_dir / "models" / "svm.model").exists()
+
+
+    @pytest.mark.parametrize("missing", ["train", "test"])
+    def test_unreadable_input_exits_2_and_makes_no_directory(
+            self, arff_paths, tmp_path, capsys, missing):
+        paths = {"train": str(arff_paths[0]), "test": str(arff_paths[1])}
+        paths[missing] = str(tmp_path / "nope.arff")
+        out_dir = tmp_path / "cmpdir"
+        code = main(["compare", "--train", paths["train"], "--test", paths["test"],
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "nope.arff" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestGenCorpus:

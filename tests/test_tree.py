@@ -1,6 +1,5 @@
 import hashlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rusent.classifiers import train_adaboost, train_bagging, train_dtree, train_rforest
-from rusent.classifiers import tree
 from rusent.classifiers.base import MAGIC, BodyReader, TreeConfig, loads_model
 from rusent.classifiers.tree import (
-    _best_split, _entropy_rows, entropy, grow_tree, read_tree, tree_lines, tree_predict_batch,
+    Columns, _best_split, _entropy_rows, entropy, grow_tree, read_tree, tree_lines,
+    tree_predict_batch,
 )
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
@@ -159,7 +158,7 @@ class TestGrowth:
         m = make_matrix([[0.0], [0.0], [0.0], [1.0]],
                         ["neg", "neg", "pos", "pos"], ("neg", "pos"))
         w = np.array([1.0, 1.0, 5.0, 1.0])
-        grown = grow_tree(m.rows, m.label_indices(), w, 2, None, 1)
+        grown = grow_tree(Columns.of(m.rows), m.label_indices(), w, 2, None, 1)
         assert tree_predict_batch(grown, np.array([[0.0]])).tolist() == [1]
 
 
@@ -210,7 +209,7 @@ class TestProperties:
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
         w = np.ones(len(y))
-        tree = grow_tree(rows, y, w, 2, None, 1)
+        tree = grow_tree(Columns.of(rows), y, w, 2, None, 1)
         for _, gain in walk_splits(tree, rows, y, w, 2):
             assert gain > 0.0
 
@@ -234,7 +233,7 @@ class TestProperties:
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
         w = np.ones(len(y))
-        tree = grow_tree(rows, y, w, 2, max_depth, min_leaf)
+        tree = grow_tree(Columns.of(rows), y, w, 2, max_depth, min_leaf)
         for depth, X, ys in walk_leaves(tree, rows, y):
             stopped = (
                 len(set(ys.tolist())) == 1
@@ -252,8 +251,8 @@ class TestProperties:
     def test_uniform_weight_scaling_changes_nothing(self, docs, scale):
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
-        a = grow_tree(rows, y, np.ones(len(y)), 2, None, 1)
-        b = grow_tree(rows, y, np.full(len(y), scale), 2, None, 1)
+        a = grow_tree(Columns.of(rows), y, np.ones(len(y)), 2, None, 1)
+        b = grow_tree(Columns.of(rows), y, np.full(len(y), scale), 2, None, 1)
 
         def shape(t, i=0):
             if is_leaf(t, i):
@@ -265,8 +264,9 @@ class TestProperties:
 
 
 def reference_best_split(X, y, w, n_classes, min_leaf, features):
-    """The split search one feature at a time: the oracle that the blocked
-    search in tree.py must match bit for bit."""
+    """The split search one feature at a time, over every row of each column:
+    the oracle that the search over non-zero entries in tree.py must match
+    bit for bit."""
     n = X.shape[0]
     total_cw = np.zeros(n_classes)
     np.add.at(total_cw, y, w)
@@ -310,14 +310,23 @@ def split_bits(best):
 
 @st.composite
 def split_problems(draw):
-    """(X, y, w, n_classes, min_leaf, features, block budget) for _best_split."""
+    """(X, y, w, n_classes, min_leaf, features) for _best_split."""
     n = draw(st.integers(1, 24))
     n_classes = draw(st.sampled_from([2, 3]))
-    # negative, repeated and non-dyadic values, and constant columns,
-    # which the search drops from their block
-    value = st.integers(-3, 4).map(lambda v: v / 3.0)
+    # negative, repeated and non-dyadic values, and -0.0, which sorts
+    # among the zeros
+    value = st.sampled_from([0.0, -0.0] + [v / 3.0 for v in (1, -1, 2, -2, 3, -3, 4)])
+    mostly_zero = st.sampled_from([0.0, 0.0, 0.0, 0.0, -0.0, 1.0, 4 / 3, -2 / 3])
+    negative_only = st.sampled_from([0.0, 0.0, -0.0, -1 / 3, -1.0])
+    positive_only = st.sampled_from([0.0, 0.0, -0.0, 1 / 3, 1.0])
     base = draw(st.lists(
-        st.one_of(st.lists(value, min_size=n, max_size=n), value.map(lambda v: [v] * n)),
+        st.one_of(
+            *(st.lists(v, min_size=n, max_size=n)
+              for v in (value, mostly_zero, negative_only, positive_only)),
+            # constant columns, all-zero ones among them
+            value.map(lambda v: [v] * n),
+            st.just([0.0] * n),
+        ),
         min_size=1, max_size=5,
     ))
     # columns drawn from the base columns with repeats: duplicate columns
@@ -325,6 +334,9 @@ def split_problems(draw):
     picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=9))
     X = np.array([base[j] for j in picks]).T.reshape(n, len(picks))
     y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # a bootstrap sample: rows repeated, others left out
+        rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        X, y = X[rows], y[rows]
     if draw(st.booleans()):
         w = np.ones(n)
     else:  # AdaBoost-like: positive, non-dyadic, normalized to sum 1
@@ -336,26 +348,35 @@ def split_problems(draw):
         features = range(d)
     else:  # a random-forest subset: distinct and sorted
         features = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
-    # budgets of under one, one, two and three features per block, or the default
-    budget = draw(st.sampled_from([1, n, 2 * n, 3 * n + 1, tree._BLOCK_ENTRIES]))
-    return X, y, w, n_classes, min_leaf, features, budget
+    return X, y, w, n_classes, min_leaf, features
 
 
 class TestBlockedSplitSearch:
     @given(split_problems())
-    # copies of one separating column (1, 3, 5) in blocks of one feature
-    # each, under non-dyadic weights: the first copy must win the tie
+    # copies of one separating column (1, 3, 5) under non-dyadic weights:
+    # the first copy must win the tie
     @example((
         np.column_stack([[1.0, 0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0, 2.0]] * 3),
-        np.array([0, 0, 1, 1, 1]), np.array([0.1, 0.3, 0.2, 0.15, 0.25]), 2, 1, range(6), 5,
+        np.array([0, 0, 1, 1, 1]), np.array([0.1, 0.3, 0.2, 0.15, 0.25]), 2, 1, range(6),
     ))
     @settings(max_examples=300)
     def test_matches_the_per_feature_loop_bit_for_bit(self, problem):
-        X, y, w, n_classes, min_leaf, features, budget = problem
-        expected = reference_best_split(X, y, w, n_classes, min_leaf, features)
-        with mock.patch.object(tree, "_BLOCK_ENTRIES", budget):
-            got = _best_split(X, y, w, n_classes, min_leaf, features)
-        assert split_bits(got) == split_bits(expected)
+        expected = reference_best_split(*problem)
+        assert split_bits(_best_split(*problem)) == split_bits(expected)
+
+
+class TestColumns:
+    @given(split_problems(), st.data())
+    @settings(max_examples=100)
+    def test_take_gives_the_columns_of_the_drawn_rows(self, problem, data):
+        X = problem[0]
+        row = st.integers(0, X.shape[0] - 1)
+        indices = np.array(data.draw(st.lists(row, max_size=2 * X.shape[0])), dtype=np.intp)
+        taken, expected = Columns.of(X).take(indices), Columns.of(X[indices])
+        assert taken.shape == expected.shape
+        for got, want in zip((taken.rows, taken.cols, taken.values),
+                             (expected.rows, expected.cols, expected.values)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def wide_count_matrix(rows=600, width=2000, terms=30, seed=2024):
@@ -376,8 +397,10 @@ def wide_count_matrix(rows=600, width=2000, terms=30, seed=2024):
     return make_matrix(X, labels)
 
 
-# Taken from the per-feature split search, before it was replaced by the
-# blocked one. At 600 rows a node's 2000 features span many blocks.
+# Taken from the per-feature split search, before the blocked search and
+# then the search over non-zero entries replaced it. At 600 rows AdaBoost's
+# fold over the zeros of 2000 features takes more than one _FOLD_ENTRIES
+# matrix.
 WIDE_MODEL_HASHES = {
     "dtree": "7aec1a981ced041ddce6222f61c61bfc5794fec484b143dedcb08d6eda293a9f",
     "bagging": "9da901b26a77ec34de3e51d43031e50df65312a932299d2b948b105231050ff1",
@@ -406,13 +429,42 @@ def test_tree_model_bytes_on_a_wide_matrix(wide_matrix, name):
     assert hashlib.sha256(text.encode()).hexdigest() == WIDE_MODEL_HASHES[name]
 
 
+def mixed_sign_matrix(matrix):
+    """The wide count matrix with every third column negated (its zeros
+    become -0.0 and sort above its values) and every seventh shifted down
+    by one (its zeros become -1.0 and its ones 0.0, so the zero run sits
+    between negative and positive values)."""
+    X = matrix.rows.copy()
+    cols = np.arange(X.shape[1])
+    X[:, cols % 3 == 2] *= -1.0
+    X[:, cols % 7 == 5] -= 1.0
+    return make_matrix(X, matrix.labels)
+
+
+# Taken from the search over every row of each column, before it was
+# replaced by the search over each column's non-zero entries.
+MIXED_SIGN_MODEL_HASHES = {
+    "dtree": "155072f2066f1749ce2a12909a2f85d0bce7b72b5558d7703e52d315a43c10fa",
+    "bagging": "9a3fec55c36975dcebb77c6135780e5008f41e358b04be014e99a11b6389e28a",
+    "rforest": "f8215667f80a0605c1dc0aed56b5deaa473989e7995dc28bc5be28da122b4c5a",
+    "adaboost-depth1": "32833eb95672171391ba56e5fb20eb6decb98d2296147757e996568ce886c937",
+    "adaboost-depth2": "f3087d90f00726200c4c40f943e2afa1a0bf55911ca03fe9eef9ce3bf16ecc29",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_TRAINERS))
+def test_tree_model_bytes_on_a_mixed_sign_matrix(wide_matrix, name):
+    text = WIDE_TRAINERS[name](mixed_sign_matrix(wide_matrix)).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == MIXED_SIGN_MODEL_HASHES[name]
+
+
 def test_a_1100_deep_tree_grows_without_recursion():
     # on x = 0..2199 with labels i(i+1)/2 mod 2 (0,1,1,0,0,1,1,0,...) every
     # split peels off one pair of rows, so the unrestricted tree is a chain
     n = 2200
     X = np.arange(n, dtype=float)[:, None]
     y = np.array([(i * (i + 1) // 2) % 2 for i in range(n)])
-    tree = grow_tree(X, y, np.ones(n), 2, None, 1)
+    tree = grow_tree(Columns.of(X), y, np.ones(n), 2, None, 1)
     leaves = list(walk_leaves(tree, X, y))
     assert len(leaves) == 1101
     assert max(depth for depth, _, _ in leaves) == 1100
