@@ -19,10 +19,12 @@ Conventions fixed by this module:
 * Input must be valid UTF-8; decoding failures are parse errors.
 
 rusent.vectorize.read_matrix reads the sparse vectorized files that
-rusent.vectorize.to_arff writes without building a Dataset. It sends the
-header through parse_arff, accepts only quote-, whitespace- and
-comment-free `{index value,...}` rows, and hands every other input to
-parse_arff, so this module's rules and errors hold for all input.
+rusent.vectorize.to_arff writes without building a Dataset. It reads the
+plain `@attribute <name> numeric` lines after the relation line itself,
+sends the rest of the header through parse_arff, accepts only quote-,
+whitespace- and comment-free `{index value,...}` rows, and hands every
+other input to parse_arff, so this module's rules and errors hold for
+all input.
 
 A Dataset is immutable once built and safe to share across threads.
 """
@@ -423,12 +425,11 @@ def _format_value(decl: AttributeDecl, value) -> str:
     return _quote(value)
 
 
-def write_arff(dataset: Dataset, sparse: bool = False) -> str:
-    """Serialize a Dataset to canonical ARFF text.
+def write_arff(dataset: Dataset) -> str:
+    """Serialize a Dataset to canonical ARFF text, with dense data rows.
 
     parse_arff(write_arff(d)) reproduces d exactly; the output is
-    byte-stable. With sparse=True, data rows use the `{index value}` form
-    and omit numeric zeros and first-declared nominal values.
+    byte-stable.
     """
     lines = [f"@relation {_quote(dataset.relation_name)}"]
     for decl in dataset.attributes:
@@ -439,22 +440,12 @@ def write_arff(dataset: Dataset, sparse: bool = False) -> str:
         lines.append(f"@attribute {_quote(decl.name)} {spec}")
     lines.append("@data")
     for row in dataset.instances:
-        if sparse:
-            entries = []
-            for idx, (decl, value) in enumerate(zip(dataset.attributes, row)):
-                if decl.kind == NUMERIC and value == 0.0:
-                    continue
-                if decl.kind == NOMINAL and value == decl.values[0]:
-                    continue
-                entries.append(f"{idx} {_format_value(decl, value)}")
-            lines.append("{" + ",".join(entries) + "}")
-        else:
-            lines.append(
-                ",".join(
-                    _format_value(decl, value)
-                    for decl, value in zip(dataset.attributes, row)
-                )
+        lines.append(
+            ",".join(
+                _format_value(decl, value)
+                for decl, value in zip(dataset.attributes, row)
             )
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,20 @@ r = sqrt(6 / (fan_in + fan_out)), drawn from one splitmix64 stream layer
 by layer in row-major element order (biases start at zero and consume no
 draws). Each epoch then draws one shuffle of the instance order from the
 same stream, and batches are consecutive slices of that order.
+
+Training step: a step of 16 rows is a few dozen numpy calls on arrays of
+a few hundred values, so the time per call sets the speed, and the step
+makes as few calls as it can without changing a float operation. All
+weights and biases are views into one flat parameter buffer laid out
+layer by layer, each layer's weight matrix row-major and then its biases;
+the gradients are views into a second buffer of the same layout, written
+in place by `_Kernel.run`. The update is then `grads *= learning_rate;
+params -= grads`, for each element still p - lr * g. Activations and
+deltas live in buffers allocated once per batch length (full batches and
+a short last one), and each batch's rows are gathered into the input
+buffer (not the whole shuffled matrix once per epoch, which would hold a
+second copy of it). The trained model's weights and biases are per-layer
+copies.
 """
 
 from __future__ import annotations
@@ -22,22 +36,92 @@ from .base import Model, fmt_floats
 ACTIVATIONS = ("logistic", "tanh")
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "logistic":
-        return 1.0 / (1.0 + np.exp(-z))
-    return np.tanh(z)
+def _layers(buf: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views into a flat buffer that holds, for
+    each layer in turn, its weight matrix row-major and then its biases."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(buf[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(buf[at:at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
-def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    # derivative expressed through the activation value itself
-    if kind == "logistic":
-        return a * (1.0 - a)
-    return 1.0 - a * a
+def _forward(acts, col, weights, biases, activation) -> None:
+    """Fill acts[1:] in place from the input rows in acts[0]; the last is
+    the softmax output. `col` is an (n,) scratch column.
+
+    Each call does the float operation of the textbook expression:
+    act(a @ W + b) with logistic 1 / (1 + exp(-z)) or tanh(z), and softmax
+    exp(z - max) / sum, its max and sum taken along each row."""
+    last = len(weights) - 1
+    for li, (W, b) in enumerate(zip(weights, biases)):
+        z = acts[li + 1]
+        np.matmul(acts[li], W, out=z)
+        z += b
+        if li == last:
+            # the ufunc reductions into a 1-d column: np.max and keepdims
+            # add a few microseconds a call
+            np.maximum.reduce(z, axis=1, out=col)
+            z -= col[:, None]
+            np.exp(z, out=z)
+            np.add.reduce(z, axis=1, out=col)
+            z /= col[:, None]
+        elif activation == "logistic":
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
+        else:
+            np.tanh(z, out=z)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = np.exp(z - z.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+class _Kernel:
+    """Forward and backward passes over batches of a fixed number of rows,
+    in preallocated buffers. Training and MlpModel.gradients share it."""
+
+    def __init__(self, weights, biases, grads_w, grads_b, activation, inputs):
+        rows = inputs.shape[0]
+        widths = [W.shape[1] for W in weights]
+        self.weights, self.biases = weights, biases
+        self.grads_w, self.grads_b = grads_w, grads_b
+        self.activation = activation
+        self.acts = [inputs] + [np.empty((rows, k)) for k in widths]
+        self.deltas = [np.empty((rows, k)) for k in widths]
+        self.derivs = [np.empty((rows, k)) for k in widths[:-1]]
+        self.col = np.empty(rows)
+        self.rows = rows
+
+    def run(self, onehot: np.ndarray) -> None:
+        """Write into grads_w and grads_b the gradients of the mean
+        cross-entropy of the rows in acts[0], whose one-hot targets are
+        `onehot`; the softmax output is left in acts[-1]."""
+        acts, deltas, derivs = self.acts, self.deltas, self.derivs
+        weights, activation = self.weights, self.activation
+        _forward(acts, self.col, weights, self.biases, activation)
+        delta = deltas[-1]
+        # probs - onehot is probs less 1.0 at each row's target, and probs
+        # itself elsewhere (x - 0.0 == x)
+        np.subtract(acts[-1], onehot, out=delta)
+        delta /= self.rows
+        for li in range(len(weights) - 1, -1, -1):
+            np.matmul(acts[li].T, delta, out=self.grads_w[li])
+            np.add.reduce(delta, axis=0, out=self.grads_b[li])
+            if li > 0:
+                # delta @ W.T times the activation's derivative, expressed
+                # through the activation value a: a * (1 - a) or 1 - a * a
+                a, d, back = acts[li], derivs[li - 1], deltas[li - 1]
+                np.matmul(delta, weights[li].T, out=back)
+                if activation == "logistic":
+                    np.subtract(1.0, a, out=d)
+                    d *= a
+                else:
+                    np.multiply(a, a, out=d)
+                    np.subtract(1.0, d, out=d)
+                back *= d
+                delta = back
 
 
 class MlpModel(Model):
@@ -72,13 +156,8 @@ class MlpModel(Model):
 
     def forward(self, X: np.ndarray) -> list[np.ndarray]:
         """Activations per layer; the last entry is the softmax output."""
-        acts = [X]
-        for li, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ W + b
-            if li == len(self.weights) - 1:
-                acts.append(_softmax(z))
-            else:
-                acts.append(_activate(z, self.activation))
+        acts = [X] + [np.empty((X.shape[0], W.shape[1])) for W in self.weights]
+        _forward(acts, np.empty(X.shape[0]), self.weights, self.biases, self.activation)
         return acts
 
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
@@ -87,29 +166,17 @@ class MlpModel(Model):
         return float(-np.log(np.maximum(picked, 1e-300)).mean())
 
     def gradients(self, X: np.ndarray, y: np.ndarray):
-        """Mean cross-entropy gradients, as (loss, dW list, db list)."""
-        probs, grads_w, grads_b = self._backprop(X, y)
-        picked = probs[np.arange(X.shape[0]), y]
+        """Mean cross-entropy gradients, as (loss, dW list, db list), from
+        the kernel that training steps run."""
+        X = np.asarray(X, dtype=np.float64)
+        sizes = [X.shape[1]] + [W.shape[1] for W in self.weights]
+        count = sum(W.size + b.size for W, b in zip(self.weights, self.biases))
+        grads_w, grads_b = _layers(np.empty(count), sizes)
+        kernel = _Kernel(self.weights, self.biases, grads_w, grads_b, self.activation, X)
+        kernel.run(np.eye(sizes[-1])[y])
+        picked = kernel.acts[-1][np.arange(X.shape[0]), y]
         loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
         return loss, grads_w, grads_b
-
-    def _backprop(self, X: np.ndarray, y: np.ndarray):
-        """The gradients without the loss, as (softmax output, dW list,
-        db list); training steps call this and skip the loss."""
-        acts = self.forward(X)
-        n = X.shape[0]
-        probs = acts[-1]
-        delta = probs.copy()
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        for li in range(len(self.weights) - 1, -1, -1):
-            grads_w[li] = acts[li].T @ delta
-            grads_b[li] = delta.sum(axis=0)
-            if li > 0:
-                delta = (delta @ self.weights[li].T) * _activate_grad(acts[li], self.activation)
-        return probs, grads_w, grads_b
 
     # -- prediction --------------------------------------------------------
 
@@ -190,15 +257,31 @@ def train_mlp(matrix, hidden: list[int] | None = None, activation: str = "logist
     n = X.shape[0]
     if n == 0:
         raise ModelError("cannot train on an empty matrix")
-    weights, biases = model.weights, model.biases
+    sizes = [matrix.width] + list(hidden) + [len(matrix.class_values)]
+    params = np.concatenate([p.ravel() for layer in zip(model.weights, model.biases)
+                             for p in layer])
+    grads = np.empty_like(params)
+    weights, biases = _layers(params, sizes)
+    grads_w, grads_b = _layers(grads, sizes)
+    # one kernel per batch length: full batches, and a short last one
+    kernels = {rows: _Kernel(weights, biases, grads_w, grads_b, activation,
+                             np.empty((rows, matrix.width)))
+               for rows in {min(batch_size, n), (n - 1) % batch_size + 1}}
+    steps = [(start, kernels[min(batch_size, n - start)]) for start in range(0, n, batch_size)]
+    eye = np.eye(sizes[-1])
     for _ in range(epochs):
         order = list(range(n))
         rng.shuffle(order)
         order = np.array(order, dtype=np.intp)
-        for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            _, grads_w, grads_b = model._backprop(X[batch], y[batch])
-            for li in range(len(weights)):
-                weights[li] -= learning_rate * grads_w[li]
-                biases[li] -= learning_rate * grads_b[li]
+        onehot = eye[y[order]]
+        for start, kernel in steps:
+            stop = start + batch_size
+            # the indices are a permutation of range(n), so "clip" clips
+            # none; unlike "raise" it writes to `out` without a buffer
+            X.take(order[start:stop], axis=0, out=kernel.acts[0], mode="clip")
+            kernel.run(onehot[start:stop])
+            grads *= learning_rate
+            params -= grads
+    model.weights = [W.copy() for W in weights]
+    model.biases = [b.copy() for b in biases]
     return model

@@ -13,10 +13,13 @@ ratio is always >= 1).
 
 Vectorized ARFF goes straight between text and a FeatureMatrix, without
 a Dataset of per-cell values. to_arff returns the sparse ARFF text of a
-matrix, byte for byte what write_arff(..., sparse=True) writes for that
-relation. read_matrix reads such text back: a strict subset (a numeric
-header with the nominal class last, parsed by parse_arff, then quote-
-and whitespace-free `{index value,...}` rows with ascending indices and
+matrix: write_arff's header for that relation, then one `{index value,...}`
+row per instance that omits numeric zeros and first-declared nominal
+values (write_sparse_arff in the tests writes the same text from a
+Dataset). read_matrix reads such text back: a strict subset (a numeric
+header with the nominal class last, its plain numeric attribute lines
+matched by regex and the rest parsed by parse_arff, then quote- and
+whitespace-free `{index value,...}` rows with ascending indices and
 finite values) is read with a few array operations; any other input, and
 any input that fails a check, goes through parse_arff and
 matrix_from_dataset, so results and errors are always theirs.
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arff import NUMERIC, STRING, Dataset, _quote, parse_arff
+from .arff import NUMERIC, STRING, AttributeDecl, Dataset, _quote, parse_arff
 from .corpus import StopWordList, lowercase, remove_stopwords, tokenize
 from .errors import ArffError, ConfigError, VectorizeError
 
@@ -188,7 +191,7 @@ def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> str:
     vocabulary term, then the nominal class, and one `{index value,...}`
     row per instance.
 
-    The text is write_arff(..., sparse=True) of that relation, byte for
+    The text is the tests' write_sparse_arff of that relation, byte for
     byte, written straight from the matrix: a row lists its non-zero
     cells (np.nonzero drops -0.0, as `value == 0.0` does) with repr()
     values, then a class entry unless the label is the first class
@@ -246,6 +249,11 @@ def matrix_from_dataset(data: Dataset) -> FeatureMatrix:
 # whitespace inside an index or a value.
 _SPARSE_ROWS = re.compile(r"(?:\{(?:[0-9]+ [^\s,'{}]+(?:,[0-9]+ [^\s,'{}]+)*)?\}\n)*")
 _DATA_LINE = "\n@data\n"
+# The run of `@attribute <name> numeric` lines that to_arff writes after the
+# relation line, read without parse_arff: a name with no whitespace and no
+# quote is a field that _parse_attribute reads back unchanged.
+_PLAIN_NUMERICS = re.compile(r"(?:@attribute [^\s']+ numeric\n)*")
+_PLAIN_NUMERIC_NAME = re.compile(r"@attribute ([^\s']+) numeric\n")
 
 
 def read_matrix(source: str | bytes) -> FeatureMatrix:
@@ -268,12 +276,15 @@ def _read_sparse(source: str | bytes) -> FeatureMatrix | None:
 
     The subset: UTF-8 whose header, up to a line that is exactly `@data`,
     parse_arff accepts with numeric attributes and then one nominal class
-    attribute; after it only `{i v,...}` rows, each ended by "\\n", with
-    no quotes, no whitespace and no blank or comment lines; indices
-    ascending within a row and at most the class index, so that the class
-    entry, if any, comes last; class values declared and not `?`; every
-    other value finite under float(), the conversion _convert applies to
-    the same text. parse_arff gives such rows the same values.
+    attribute (the run of plain numeric attribute lines right after a
+    first line `@relation ...` is read by regex and parse_arff reads the
+    rest, so the names of both parts are checked for duplicates here);
+    after it only `{i v,...}` rows, each ended by "\\n", with no quotes, no
+    whitespace and no blank or comment lines; indices ascending within a
+    row and at most the class index, so that the class entry, if any,
+    comes last; class values declared and not `?`; every other value
+    finite under float(), the conversion _convert applies to the same
+    text. parse_arff gives such rows the same values.
     """
     if isinstance(source, bytes):
         try:
@@ -284,16 +295,22 @@ def _read_sparse(source: str | bytes) -> FeatureMatrix | None:
     if at < 0:
         return None
     at += len(_DATA_LINE)
+    start = end = 0
+    if source.startswith("@relation "):
+        start = source.find("\n") + 1
+        end = _PLAIN_NUMERICS.match(source, start, at).end()
     try:
-        header = parse_arff(source[:at])
+        header = parse_arff(source[:start] + source[end:at])
     except ArffError:
         return None
-    attributes = header.attributes
+    attributes = [AttributeDecl(name, NUMERIC)
+                  for name in _PLAIN_NUMERIC_NAME.findall(source, start, end)]
+    attributes += header.attributes
     width = len(attributes) - 1
     # no instances: the `@data` line found is the declaration, not a row
-    if header.instances or header.class_index != width or any(
-        a.kind != NUMERIC for a in attributes[:width]
-    ):
+    if header.instances or header.class_index != len(header.attributes) - 1 or any(
+        a.kind != NUMERIC for a in header.attributes[:-1]
+    ) or len({a.name for a in attributes}) != len(attributes):
         return None
     body = source[at:]
     if not _SPARSE_ROWS.fullmatch(body):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rusent.arff import parse_arff
+from rusent.arff import NOMINAL, NUMERIC, Dataset, _format_value, parse_arff, write_arff
 from rusent.vectorize import FeatureMatrix, matrix_from_dataset
 
 # Every run draws the same examples: a property either holds on them or
@@ -56,3 +56,21 @@ def separable_1d():
     """One feature that perfectly separates the classes."""
     rows = [[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]]
     return make_matrix(rows, ["neg"] * 3 + ["pos"] * 3, ("neg", "pos"))
+
+
+def write_sparse_arff(dataset):
+    """write_arff's text with each data row in the sparse `{index value,...}`
+    form, which omits numeric zeros and first-declared nominal values: the
+    oracle for to_arff's text."""
+    header = write_arff(Dataset(dataset.relation_name, dataset.attributes, (),
+                                dataset.class_index))
+    lines = [header[:-1]]
+    for row in dataset.instances:
+        entries = [
+            f"{idx} {_format_value(decl, value)}"
+            for idx, (decl, value) in enumerate(zip(dataset.attributes, row))
+            if not (decl.kind == NUMERIC and value == 0.0
+                    or decl.kind == NOMINAL and value == decl.values[0])
+        ]
+        lines.append("{" + ",".join(entries) + "}")
+    return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from rusent.cli import main
 from rusent.errors import ArffError, CorpusError
 from rusent.vectorize import read_matrix
 
-from conftest import full_read, make_matrix, read_outcome
+from conftest import full_read, make_matrix, read_outcome, write_sparse_arff
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -191,7 +191,7 @@ class TestWrite:
 
     def test_sparse_writing_round_trips(self):
         d = parse_arff(MINIMAL)
-        assert parse_arff(write_arff(d, sparse=True)) == d
+        assert parse_arff(write_sparse_arff(d)) == d
 
     def test_newlines_survive_quoting(self):
         d = Dataset("nl", (AttributeDecl("t", "string"),), (("line one\nline two\n",),))
@@ -316,7 +316,7 @@ class TestProperties:
     @given(datasets())
     @settings(max_examples=60, deadline=None)
     def test_sparse_round_trip_any_valid_dataset(self, d):
-        assert parse_arff(write_arff(d, sparse=True)) == d
+        assert parse_arff(write_sparse_arff(d)) == d
 
     @given(st.text(max_size=300))
     @settings(max_examples=300, deadline=None)

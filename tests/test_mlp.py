@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from rusent.classifiers import train_mlp
-from rusent.classifiers.mlp import init_mlp
+from rusent.classifiers.mlp import _init_mlp, init_mlp
 from rusent.errors import ModelError
+from rusent.rng import SplitMix64
 
 from conftest import make_matrix, predicted
 
@@ -48,6 +49,29 @@ class TestGradients:
         for a, b in zip(gw + gb, fw + fb):
             denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
             assert np.max(np.abs(a - b) / denom) < 1e-4
+
+    @pytest.mark.parametrize("activation", ["logistic", "tanh"])
+    def test_one_full_batch_epoch_steps_by_the_gradients(self, activation):
+        # training and gradients() share one kernel: after one epoch of one
+        # batch every parameter is init - lr * g, bit for bit, where g comes
+        # from gradients() on the rows in the epoch's shuffled order
+        m = make_matrix(
+            [[0.3, -1.2, 0.0], [2.0, 0.5, 1.0], [-0.7, 0.1, 0.0], [0.0, 0.0, 3.0],
+             [1.5, -0.2, 0.4], [0.2, 0.9, -1.1], [-2.0, 0.0, 0.6]],
+            ["neg", "pos", "neu", "neg", "pos", "neu", "pos"],
+            ("neg", "neu", "pos"),
+        )
+        n, lr, seed = 7, 0.3, 11
+        rng = SplitMix64(seed)
+        start = _init_mlp(rng, m, [4, 3], activation, lr, 1, n, seed)
+        order = list(range(n))
+        rng.shuffle(order)
+        _, gw, gb = start.gradients(m.rows[order], m.label_indices()[order])
+        trained = train_mlp(m, hidden=[4, 3], activation=activation, learning_rate=lr,
+                            epochs=1, batch_size=n, seed=seed)
+        for p, p0, g in zip(trained.weights + trained.biases,
+                            start.weights + start.biases, gw + gb):
+            assert p.tobytes() == (p0 - lr * g).tobytes()
 
     def test_gradient_loss_matches_loss(self):
         model = init_mlp(XOR, hidden=[4], seed=0)

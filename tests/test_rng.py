@@ -245,12 +245,24 @@ class TestBlockDraws:
 
 # Model bytes of the two trainers that draw per epoch, on the 600 x 2000
 # sparse count matrix of test_tree.py. Taken from the scalar draw loops,
-# before the block draws replaced them.
+# before the block draws replaced them; the mlp-3-class and mlp-one-batch
+# entries from the per-layer MLP trainer, before the flat-buffer step
+# replaced it.
 WIDE_MODEL_HASHES = {
     "svm": "af2d53c6c7d39dbc40627fef36b4e2d1d00ca8ee3bd0811322f3ff404afa2fa0",
     "mlp-logistic": "7e746895dd71935cfd21c911e93db945063c968cefd325992bffa830a16062a2",
     "mlp-tanh": "4eec2d9ae36783db4b9b117f26dc062030d2718d6151d0772260ef203ccf76f3",
+    "mlp-3-class": "95f1987e7815cb19c7c24934fb383b4fca84538d552272fbf19e35dd9eddd623",
+    "mlp-one-batch": "9137ae38bc2eaea619679ee1077af012edd84304375f04aae9459598fa18e381",
 }
+
+
+def three_classes(m):
+    """The wide matrix with every third row moved to a third class, so that
+    the softmax reduces over more than two columns."""
+    labels = ["neu" if i % 3 == 2 else label for i, label in enumerate(m.labels)]
+    return make_matrix(m.rows, labels, ("neg", "neu", "pos"))
+
 
 WIDE_TRAINERS = {
     "svm": lambda m: train_svm(m, lam=1e-3, epochs=3, seed=5),
@@ -258,6 +270,11 @@ WIDE_TRAINERS = {
     # two hidden layers, and batches of 7 that leave a short last one
     "mlp-tanh": lambda m: train_mlp(m, hidden=[6, 4], activation="tanh", learning_rate=0.05,
                                     epochs=2, batch_size=7, seed=9),
+    "mlp-3-class": lambda m: train_mlp(three_classes(m), hidden=[5], epochs=2, batch_size=16,
+                                       seed=7),
+    # a batch larger than the matrix: one step per epoch over all 600 rows
+    "mlp-one-batch": lambda m: train_mlp(m, hidden=[4], learning_rate=0.5, epochs=3,
+                                         batch_size=1000, seed=3),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rusent.arff import AttributeDecl, Dataset, parse_arff, write_arff
+from rusent.arff import AttributeDecl, Dataset, parse_arff
 from rusent.corpus import StopWordList
 from rusent.errors import ConfigError, VectorizeError
 from rusent.vectorize import (
@@ -19,7 +19,7 @@ from rusent.vectorize import (
     transform,
 )
 
-from conftest import full_read, read_outcome
+from conftest import full_read, read_outcome, write_sparse_arff
 from test_arff import line_mutants
 
 
@@ -198,7 +198,7 @@ class TestToArffText:
         instances = tuple(tuple(float(v) for v in row) + (label,)
                           for row, label in zip(matrix.rows, matrix.labels))
         oracle = Dataset("vectorized", attributes, instances, space.width)
-        assert to_arff(space, matrix) == write_arff(oracle, sparse=True)
+        assert to_arff(space, matrix) == write_sparse_arff(oracle)
 
     def test_negative_zero_is_omitted_and_edge_values_round_trip(self):
         space = VectorSpace(("a b", "?"), "count", 1, None, StopWordList(),
@@ -239,6 +239,30 @@ def _insert_data_line(text, pick, line):
     return "\n".join(lines[:at] + [line] + lines[at:])
 
 
+def _edit_header(text, edit):
+    """text with its lines before `@data` replaced by edit(lines): the
+    relation line, the term lines, then the class line."""
+    lines = text.split("\n")
+    at = lines.index("@data")
+    return "\n".join(edit(lines[:at]) + lines[at:])
+
+
+def _repeat_attribute(header, k):
+    """header with one of its attribute lines written twice."""
+    i = 1 + k % (len(header) - 1)
+    return header[:i + 1] + header[i:]
+
+
+def _term_named_like_the_class(header):
+    """header with a first term named like the class attribute, when that
+    name is unquoted: read_matrix reads the term by regex and the class
+    through parse_arff, so only its own name check sees the clash."""
+    name = header[-1][len("@attribute "):].split(" ", 1)[0]
+    if name.startswith("'"):
+        return header
+    return header[:1] + [f"@attribute {name} numeric"] + header[1:]
+
+
 MUTATIONS = {
     "none": lambda t, k: t,
     "nan": lambda t, k: _set_value(t, k, "nan"),
@@ -271,6 +295,14 @@ MUTATIONS = {
     "string feature": lambda t, k: t.replace(" numeric\n", " string\n", 1),
     "class after class": lambda t, k: t.replace("@data\n", "@attribute zz numeric\n@data\n", 1),
     "upper data": lambda t, k: t.replace("\n@data\n", "\n@DATA\n", 1),
+    "repeated attribute": lambda t, k: _edit_header(t, lambda h: _repeat_attribute(h, k)),
+    "term named like the class": lambda t, k: _edit_header(t, _term_named_like_the_class),
+    "relation after the terms": lambda t, k: _edit_header(
+        t, lambda h: ["% note"] + h[1:-1] + h[:1] + h[-1:]),
+    "tab in a name": lambda t, k: t.replace(" numeric\n", "\tx numeric\n", 1),
+    # the name reads back without the empty quoted part: a duplicate
+    "quoted twin": lambda t, k: _edit_header(
+        t, lambda h: h[:2] + [h[1].replace(" numeric", "'' numeric")] + h[2:]),
     "no final newline": lambda t, k: t[:-1],
     "truncated": lambda t, k: t[: len(t) - 1 - k % 7],
 }
