@@ -76,7 +76,7 @@ def train_adaboost(
     n = X.shape[0]
     if n == 0:
         raise ModelError("cannot boost an empty matrix")
-    columns = Columns.of(X)
+    columns = Columns.of(matrix)
     weights = np.full(n, 1.0 / n)
     stages = []
     for _ in range(rounds):

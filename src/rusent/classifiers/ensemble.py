@@ -88,7 +88,7 @@ def _bootstrap_trees(matrix, m, base: TreeConfig, seed, subset_size):
     if n == 0:
         raise ModelError("cannot train an ensemble on an empty matrix")
     n_classes = len(matrix.class_values)
-    columns = Columns.of(matrix.rows)
+    columns = Columns.of(matrix)
     trees = []
     for i in range(m):
         rng = SplitMix64(derive(seed, i))

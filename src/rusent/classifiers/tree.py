@@ -28,9 +28,10 @@ list (the lowest index: the list is range(d) or a sorted subset), then the
 lowest threshold; leaf majorities break toward the lowest class index.
 
 Split search and model bytes. The search reads each feature's non-zero
-entries only (see Columns). With non-dyadic weights (AdaBoost) a gain's
-last bits depend on the order of every addition, so the search fixes that
-order; the model bytes stay fixed only while it holds:
+entries only: the matrix's `nonzeros`, sorted by column (see Columns).
+With non-dyadic weights (AdaBoost) a gain's last bits depend on the order
+of every addition, so the search fixes that order; the model bytes stay
+fixed only while it holds:
 
 * a feature's sorted order is its negative values, then its zeros (0.0
   and -0.0) in row order, then its positive values, equal values in row
@@ -136,9 +137,9 @@ def _ranges(starts, ends):
 
 
 class Columns:
-    """A matrix's non-zero entries, column after column: `rows`, `cols` and
+    """A FeatureMatrix's `nonzeros`, column after column: `rows`, `cols` and
     `values` are ordered by column, then value, with ties in row order.
-    Every cell equal to 0.0 (-0.0 too) is a zero. `shape` is the matrix's."""
+    `shape` is the matrix's."""
 
     __slots__ = ("rows", "cols", "values", "shape")
 
@@ -146,15 +147,14 @@ class Columns:
         self.rows, self.cols, self.values, self.shape = rows, cols, values, shape
 
     @classmethod
-    def of(cls, X: np.ndarray) -> "Columns":
-        rows, cols = np.nonzero(X)  # in row order, which the stable lexsort keeps for ties
-        values = X[rows, cols]
+    def of(cls, matrix) -> "Columns":
+        rows, cols, values = matrix.nonzeros  # row order: the stable lexsort keeps it for ties
         order = np.lexsort((values, cols))
-        return cls(rows[order], cols[order], values[order], X.shape)
+        return cls(rows[order], cols[order], values[order], matrix.rows.shape)
 
     def take(self, indices: np.ndarray) -> "Columns":
-        """The Columns of X[indices] (rows drawn with repeats, as a bootstrap
-        draws them), made without X."""
+        """The Columns of the matrix's rows[indices] (drawn with repeats, as a
+        bootstrap draws them), made without the matrix."""
         counts = np.bincount(indices, minlength=self.shape[0])
         at = np.argsort(indices, kind="stable")  # the positions of row 0, then row 1, ...
         copies = counts[self.rows]
@@ -309,16 +309,6 @@ def _node_split(rows, entries, y, w, total_cw, min_leaf, unit):
     return float(gains[i]), int(ec[first[run_b[i]]]), _threshold(float(t_value[t]), float(t_value[t + 1]))
 
 
-def _best_split(X, y, w, n_classes, min_leaf, features):
-    """Best (gain, feature, threshold) over the candidate features at a node
-    holding every row of X, or None: one step of grow_tree's search."""
-    total_cw = np.zeros(n_classes)
-    np.add.at(total_cw, y, w)
-    c = Columns.of(X)
-    entries = _restrict((c.rows, c.cols, c.values), list(features))
-    return _node_split(np.arange(X.shape[0]), entries, y, w, total_cw, min_leaf, bool((w == 1.0).all()))
-
-
 def grow_tree(
     columns: Columns,
     y: np.ndarray,
@@ -464,7 +454,7 @@ def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1) -> Deci
         raise ModelError("cannot train a tree on an empty matrix")
     y = matrix.label_indices()
     tree = grow_tree(
-        Columns.of(matrix.rows), y, np.ones(len(y)), len(matrix.class_values),
+        Columns.of(matrix), y, np.ones(len(y)), len(matrix.class_values),
         config.max_depth, config.min_leaf,
     )
     return DecisionTreeModel(matrix.class_values, matrix.width, tree, config)

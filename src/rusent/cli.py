@@ -42,7 +42,7 @@ from .classifiers import (
     train_svm,
 )
 from .corpus import StopWordList
-from .errors import ArffError, RusentError
+from .errors import ArffError, ConfigError, RusentError
 from .evaluation import compare as compare_models
 from .evaluation import evaluate, render_json, render_table
 from .util import atomic_write_text, make_dirs
@@ -109,6 +109,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_vectorize(args) -> int:
+    if args.test and not args.out_test:
+        raise ConfigError("--out-test is required when --test is given")
     train = _read_arff(args.train)
     stops = _stopwords(args.stopwords)
     space = fit(train, weighting=args.weighting, stopwords=stops,
@@ -121,8 +123,6 @@ def cmd_vectorize(args) -> int:
     outputs = {"out_train": args.out_train, "vocab_out": vocab_out}
 
     if args.test:
-        if not args.out_test:
-            raise RusentError("--out-test is required when --test is given")
         test = _read_arff(args.test)
         test_matrix = transform(space, test)
         _warn_zero_rows(space, test, test_matrix)
@@ -161,10 +161,20 @@ def _warn_zero_rows(space, test, test_matrix) -> None:
 
 
 def _hidden_layers(text: str) -> list[int]:
+    return [int(t) for t in text.split(",") if t.strip()]
+
+
+def _hidden_flag(text: str) -> str:
+    """The --hidden text, unchanged (the manifest records it), once it names
+    one or more layer widths of at least 1."""
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        widths = _hidden_layers(text)
     except ValueError:
-        raise RusentError(f"--hidden expects comma-separated integers, got {text!r}") from None
+        widths = []
+    if not widths or min(widths) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated layer widths of at least 1, got {text!r}")
+    return text
 
 
 def _trainer_for(algorithm: str, args, seed: int):
@@ -333,7 +343,7 @@ _HYPER_FLAGS = {
                          help="AdaBoost weak-tree depth (default 1 = stumps)"),
     "--svm-lambda": dict(type=float, default=1e-3, help="SVM regularization (default 1e-3)"),
     "--svm-epochs": dict(type=int, default=100, help="SVM training epochs (default 100)"),
-    "--hidden": dict(default="32,32",
+    "--hidden": dict(type=_hidden_flag, default="32,32",
                      help="MLP hidden layer widths, comma separated (default 32,32)"),
     "--activation": dict(choices=("logistic", "tanh"), default="logistic",
                          help="MLP hidden activation (default logistic)"),

@@ -16,13 +16,14 @@ a Dataset of per-cell values. to_arff returns the sparse ARFF text of a
 matrix: write_arff's header for that relation, then one `{index value,...}`
 row per instance that omits numeric zeros and first-declared nominal
 values (write_sparse_arff in the tests writes the same text from a
-Dataset). read_matrix reads such text back: a strict subset (a numeric
-header with the nominal class last, its plain numeric attribute lines
-matched by regex and the rest parsed by parse_arff, then quote- and
-whitespace-free `{index value,...}` rows with ascending indices and
-finite values) is read with a few array operations; any other input, and
-any input that fails a check, goes through parse_arff and
-matrix_from_dataset, so results and errors are always theirs.
+Dataset), from the non-zero entries that a FeatureMatrix owns and the tree
+learners read. read_matrix reads such text back: a strict subset (a
+numeric header with the nominal class last, its plain numeric attribute
+lines matched by regex and the rest parsed by parse_arff, then quote- and
+whitespace-free `{index value,...}` rows with ascending indices and finite
+values) is read with a few array operations; any other input, and any
+input that fails a check, goes through parse_arff and matrix_from_dataset,
+so results and errors are always theirs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +66,9 @@ class VectorSpace:
 
 @dataclass
 class FeatureMatrix:
-    """Dense numeric feature rows with a parallel label list."""
+    """Dense numeric feature rows with a parallel label list; the matrix
+    owns its non-zero entries (`nonzeros`). `rows` is never written after
+    construction, so the entries, found once, stay those of `rows`."""
 
     rows: np.ndarray  # (n, width) float64
     labels: list[str]
@@ -80,6 +84,13 @@ class FeatureMatrix:
     @property
     def width(self) -> int:
         return self.rows.shape[1]
+
+    @cached_property
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the non-zero cells in row-major order, from
+        one np.nonzero: 0.0 and -0.0 are both zeros."""
+        rows, cols = np.nonzero(self.rows)
+        return rows, cols, self.rows[rows, cols]
 
     def label_indices(self) -> np.ndarray:
         lookup = {v: i for i, v in enumerate(self.class_values)}
@@ -192,18 +203,17 @@ def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> str:
     row per instance.
 
     The text is the tests' write_sparse_arff of that relation, byte for
-    byte, written straight from the matrix: a row lists its non-zero
-    cells (np.nonzero drops -0.0, as `value == 0.0` does) with repr()
-    values, then a class entry unless the label is the first class
-    value.
+    byte, written straight from the matrix: a row lists its cells in
+    matrix.nonzeros with repr() values, then a class entry unless the
+    label is the first class value.
     """
     classes = space.class_values
     lines = ["@relation vectorized"]
     lines += [f"@attribute {_quote(term)} numeric" for term in space.vocabulary]
     lines.append(f"@attribute {_quote(space.class_attr)} {{{','.join(map(_quote, classes))}}}")
     lines.append("@data")
-    rows, cols = np.nonzero(matrix.rows)
-    entries = [f"{j} {v!r}" for j, v in zip(cols.tolist(), matrix.rows[rows, cols].tolist())]
+    rows, cols, values = matrix.nonzeros
+    entries = [f"{j} {v!r}" for j, v in zip(cols.tolist(), values.tolist())]
     ends = np.cumsum(np.bincount(rows, minlength=len(matrix.labels))).tolist()
     start = 0
     for end, label in zip(ends, matrix.labels):

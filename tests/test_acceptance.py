@@ -132,7 +132,8 @@ def test_criterion_4_entropy_and_gain():
         X = np.array([[float(rng.next_below(5)) for _ in range(4)] for _ in range(40)])
         y = np.array([rng.next_below(2) for _ in range(40)], dtype=np.intp)
         w = np.ones(40)
-        tree = grow_tree(Columns.of(X), y, w, 2, None, 1)
+        labels = [("neg", "pos")[c] for c in y]
+        tree = grow_tree(Columns.of(make_matrix(X, labels)), y, w, 2, None, 1)
         splits = list(walk_splits(tree, X, y, w, 2))
         assert splits  # the noisy data forces at least one split
         for _, gain in splits:

@@ -81,11 +81,15 @@ class TestVectorize:
 
     def test_test_without_out_test_fails(self, arff_paths, tmp_path, capsys):
         train, test = arff_paths
+        out = tmp_path / "out"
+        out.mkdir()
         code = main([
             "vectorize", "--train", str(train), "--test", str(test),
-            "--out-train", str(tmp_path / "tr.arff"),
+            "--out-train", str(out / "tr.arff"),
         ])
-        assert code == 2
+        assert code == 1
+        assert "--out-test" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_rerun_is_byte_identical(self, arff_paths, tmp_path):
         train, _ = arff_paths
@@ -247,6 +251,16 @@ class TestTrainEvaluate:
         assert name in captured.err and "diverge" not in captured.err
         assert "trained" not in captured.out
         assert not model.exists()
+
+    def test_malformed_hidden_exits_1_and_writes_no_model(self, arff_paths, tmp_path, capsys):
+        vtr, _ = self.vectorized(arff_paths, tmp_path)
+        model = tmp_path / "m.model"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--train", str(vtr), "--algorithm", "mlp", "--hidden", "3,0",
+                  "--model-out", str(model)])
+        assert exc.value.code == 1
+        assert "--hidden" in capsys.readouterr().err
+        assert not model.exists() and not (tmp_path / "m.model.manifest.json").exists()
 
     def test_same_seed_models_byte_identical(self, arff_paths, tmp_path):
         vtr, _ = self.vectorized(arff_paths, tmp_path)
@@ -413,6 +427,15 @@ class TestCompare:
                      "--out-dir", str(out_dir)])
         assert code == 2
         assert "nope.arff" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_malformed_hidden_exits_1_and_makes_no_directory(self, arff_paths, tmp_path, capsys):
+        out_dir = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--train", str(arff_paths[0]), "--test", str(arff_paths[1]),
+                  "--out-dir", str(out_dir), "--hidden", "x"])
+        assert exc.value.code == 1
+        assert "--hidden" in capsys.readouterr().err
         assert not out_dir.exists()
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from rusent.classifiers import train_adaboost, train_bagging, train_dtree, train_rforest
 from rusent.classifiers.base import MAGIC, BodyReader, TreeConfig, loads_model
 from rusent.classifiers.tree import (
-    Columns, _best_split, _entropy_rows, entropy, grow_tree, read_tree, tree_lines,
-    tree_predict_batch,
+    Columns, _entropy_rows, _node_split, _restrict, entropy, grow_tree, read_tree,
+    tree_lines, tree_predict_batch,
 )
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
@@ -158,7 +158,7 @@ class TestGrowth:
         m = make_matrix([[0.0], [0.0], [0.0], [1.0]],
                         ["neg", "neg", "pos", "pos"], ("neg", "pos"))
         w = np.array([1.0, 1.0, 5.0, 1.0])
-        grown = grow_tree(Columns.of(m.rows), m.label_indices(), w, 2, None, 1)
+        grown = grow_tree(Columns.of(m), m.label_indices(), w, 2, None, 1)
         assert tree_predict_batch(grown, np.array([[0.0]])).tolist() == [1]
 
 
@@ -177,7 +177,7 @@ class TestThresholdEdges:
     @pytest.mark.parametrize("a, b", EDGE_PAIRS)
     def test_threshold_lies_in_a_to_b(self, a, b):
         X = np.array([[a], [b]])
-        _, feature, threshold = _best_split(X, np.array([0, 1]), np.ones(2), 2, 1, range(1))
+        _, feature, threshold = best_split(X, np.array([0, 1]), np.ones(2), 2, 1, range(1))
         assert feature == 0
         assert math.isfinite(threshold)
         assert a <= threshold < b
@@ -209,7 +209,7 @@ class TestProperties:
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
         w = np.ones(len(y))
-        tree = grow_tree(Columns.of(rows), y, w, 2, None, 1)
+        tree = grow_tree(columns_of(rows), y, w, 2, None, 1)
         for _, gain in walk_splits(tree, rows, y, w, 2):
             assert gain > 0.0
 
@@ -233,7 +233,7 @@ class TestProperties:
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
         w = np.ones(len(y))
-        tree = grow_tree(Columns.of(rows), y, w, 2, max_depth, min_leaf)
+        tree = grow_tree(columns_of(rows), y, w, 2, max_depth, min_leaf)
         for depth, X, ys in walk_leaves(tree, rows, y):
             stopped = (
                 len(set(ys.tolist())) == 1
@@ -251,8 +251,8 @@ class TestProperties:
     def test_uniform_weight_scaling_changes_nothing(self, docs, scale):
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
-        a = grow_tree(Columns.of(rows), y, np.ones(len(y)), 2, None, 1)
-        b = grow_tree(Columns.of(rows), y, np.full(len(y), scale), 2, None, 1)
+        a = grow_tree(columns_of(rows), y, np.ones(len(y)), 2, None, 1)
+        b = grow_tree(columns_of(rows), y, np.full(len(y), scale), 2, None, 1)
 
         def shape(t, i=0):
             if is_leaf(t, i):
@@ -261,6 +261,21 @@ class TestProperties:
                     shape(t, i + 1), shape(t, t.right[i]))
 
         assert shape(a) == shape(b)
+
+
+def columns_of(X):
+    """The Columns of a matrix with rows X (labels play no part in them)."""
+    return Columns.of(make_matrix(X, ["neg"] * len(X)))
+
+
+def best_split(X, y, w, n_classes, min_leaf, features):
+    """Best (gain, feature, threshold) over the candidate features at a node
+    holding every row of X, or None: one step of grow_tree's search."""
+    total_cw = np.zeros(n_classes)
+    np.add.at(total_cw, y, w)
+    c = columns_of(X)
+    entries = _restrict((c.rows, c.cols, c.values), list(features))
+    return _node_split(np.arange(X.shape[0]), entries, y, w, total_cw, min_leaf, bool((w == 1.0).all()))
 
 
 def reference_best_split(X, y, w, n_classes, min_leaf, features):
@@ -310,7 +325,7 @@ def split_bits(best):
 
 @st.composite
 def split_problems(draw):
-    """(X, y, w, n_classes, min_leaf, features) for _best_split."""
+    """(X, y, w, n_classes, min_leaf, features) for best_split."""
     n = draw(st.integers(1, 24))
     n_classes = draw(st.sampled_from([2, 3]))
     # negative, repeated and non-dyadic values, and -0.0, which sorts
@@ -362,21 +377,33 @@ class TestBlockedSplitSearch:
     @settings(max_examples=300)
     def test_matches_the_per_feature_loop_bit_for_bit(self, problem):
         expected = reference_best_split(*problem)
-        assert split_bits(_best_split(*problem)) == split_bits(expected)
+        assert split_bits(best_split(*problem)) == split_bits(expected)
+
+
+def assert_same_columns(got, want):
+    assert got.shape == want.shape
+    for a, b in zip((got.rows, got.cols, got.values), (want.rows, want.cols, want.values)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestColumns:
+    @given(split_problems())
+    @settings(max_examples=100)
+    def test_of_a_matrix_equals_the_sorted_dense_scan(self, problem):
+        X = problem[0]
+        rows, cols = np.nonzero(X)
+        values = X[rows, cols]
+        order = np.lexsort((values, cols))
+        expected = Columns(rows[order], cols[order], values[order], X.shape)
+        assert_same_columns(columns_of(X), expected)
+
     @given(split_problems(), st.data())
     @settings(max_examples=100)
     def test_take_gives_the_columns_of_the_drawn_rows(self, problem, data):
         X = problem[0]
         row = st.integers(0, X.shape[0] - 1)
         indices = np.array(data.draw(st.lists(row, max_size=2 * X.shape[0])), dtype=np.intp)
-        taken, expected = Columns.of(X).take(indices), Columns.of(X[indices])
-        assert taken.shape == expected.shape
-        for got, want in zip((taken.rows, taken.cols, taken.values),
-                             (expected.rows, expected.cols, expected.values)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert_same_columns(columns_of(X).take(indices), columns_of(X[indices]))
 
 
 def wide_count_matrix(rows=600, width=2000, terms=30, seed=2024):
@@ -464,7 +491,7 @@ def test_a_1100_deep_tree_grows_without_recursion():
     n = 2200
     X = np.arange(n, dtype=float)[:, None]
     y = np.array([(i * (i + 1) // 2) % 2 for i in range(n)])
-    tree = grow_tree(Columns.of(X), y, np.ones(n), 2, None, 1)
+    tree = grow_tree(columns_of(X), y, np.ones(n), 2, None, 1)
     leaves = list(walk_leaves(tree, X, y))
     assert len(leaves) == 1101
     assert max(depth for depth, _, _ in leaves) == 1100

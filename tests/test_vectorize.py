@@ -209,6 +209,26 @@ class TestToArffText:
         assert "@attribute 'a b' numeric\n@attribute '?' numeric\n" in text
 
 
+class TestNonzeros:
+    @given(vectorized())
+    @settings(max_examples=200)
+    def test_is_the_np_nonzero_triple(self, case):
+        matrix = case[1]
+        rows, cols = np.nonzero(matrix.rows)
+        for got, want in zip(matrix.nonzeros, (rows, cols, matrix.rows[rows, cols])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_drops_both_zeros_and_keeps_negative_values(self):
+        matrix = FeatureMatrix([[0.0, -0.0, -2.5], [3.0, -0.0, 0.0], [-0.0, 0.0, 0.0]],
+                               ["neg", "pos", "neg"], ("neg", "pos"))
+        rows, cols, values = matrix.nonzeros
+        assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, 1], [2, 0], [-2.5, 3.0])
+
+    def test_a_second_access_returns_the_same_object(self):
+        matrix = FeatureMatrix([[1.0, 0.0]], ["pos"], ("neg", "pos"))
+        assert matrix.nonzeros is matrix.nonzeros
+
+
 def _entries(text):
     """(line number, entries) of every non-empty data row."""
     lines = text.split("\n")
