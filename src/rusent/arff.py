@@ -32,7 +32,6 @@ A Dataset is immutable once built and safe to share across threads.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 
@@ -47,15 +46,6 @@ MISSING = None
 
 _QUOTE_TRIGGERS = set(" \t,{}%'\"\\\n\r")
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", "\\": "\\", "'": "'"}
-
-
-def _getter(indices):
-    """row -> tuple of row[i] for i in indices, one index or more
-    (itemgetter returns a bare value for a single index)."""
-    if len(indices) > 1:
-        return operator.itemgetter(*indices)
-    (i,) = indices
-    return lambda row: (row[i],)
 
 
 @dataclass(frozen=True)
@@ -88,6 +78,11 @@ class Dataset:
     numeric attributes, strings for nominal/string, None for missing.
     `class_index` points at the class attribute (always nominal); it is
     None for relations with no nominal attribute.
+
+    Building one checks every row in order and raises ValueError at the
+    first bad cell: a row whose length is not the attribute count, a
+    numeric value that is not a finite float, or an undeclared nominal
+    value. Missing values pass in any column.
     """
 
     relation_name: str
@@ -100,30 +95,8 @@ class Dataset:
             decl = self.attributes[self.class_index]
             if decl.kind != NOMINAL:
                 raise ValueError("class_index must refer to a nominal attribute")
-        if not self._valid_in_bulk():
-            for row in self.instances:
-                self._check_row(row)
-
-    def _valid_in_bulk(self) -> bool:
-        """True if every row has one value per attribute, every numeric
-        value is a finite float and every nominal value is declared,
-        checked one kind of column at a time. On False every row goes
-        through _check_row, which raises on the first bad cell, and which
-        also accepts two kinds of row that this check refuses: a row with
-        a missing value, and one whose finite values sum past the float
-        range (a sum of floats is finite only if every term is)."""
-        if set(map(len, self.instances)) - {len(self.attributes)}:
-            return False
-        numeric = [i for i, a in enumerate(self.attributes) if a.kind == NUMERIC]
-        if numeric:
-            for values in map(_getter(numeric), self.instances):
-                if not (set(map(type, values)) <= {float} and math.isfinite(sum(values))):
-                    return False
-        return all(
-            all(map(a.values.__contains__, map(operator.itemgetter(i), self.instances)))
-            for i, a in enumerate(self.attributes)
-            if a.kind == NOMINAL
-        )
+        for row in self.instances:
+            self._check_row(row)
 
     def _check_row(self, row):
         if len(row) != len(self.attributes):

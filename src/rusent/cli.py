@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -108,31 +109,49 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _vectorize_config(args) -> dict:
+    return {"weighting": args.weighting, "stopwords": args.stopwords,
+            "min_term_freq": args.min_term_freq}
+
+
+def _vectorize(args, train, test):
+    """Fit a vector space on the raw-text train Dataset; return it with the
+    train matrix and the test matrix (None without a test Dataset)."""
+    space = fit(train, weighting=args.weighting, stopwords=_stopwords(args.stopwords),
+                min_term_freq=args.min_term_freq)
+    train_matrix = transform(space, train)
+    test_matrix = None
+    if test is not None:
+        test_matrix = transform(space, test)
+        _warn_zero_rows(space, test, test_matrix)
+    return space, train_matrix, test_matrix
+
+
+def _write_vectorized(space, vocab_out, *outputs):
+    """Write each (path, matrix) of outputs as vectorized ARFF, then the
+    vocabulary, one term per line."""
+    for path, matrix in outputs:
+        atomic_write_text(path, to_arff(space, matrix))
+    atomic_write_text(vocab_out, "\n".join(space.vocabulary) + "\n")
+
+
 def cmd_vectorize(args) -> int:
     if args.test and not args.out_test:
         raise ConfigError("--out-test is required when --test is given")
+    # every input is read and transformed before any file is written
     train = _read_arff(args.train)
-    stops = _stopwords(args.stopwords)
-    space = fit(train, weighting=args.weighting, stopwords=stops,
-                min_term_freq=args.min_term_freq)
+    test = _read_arff(args.test) if args.test else None
+    space, train_matrix, test_matrix = _vectorize(args, train, test)
     vocab_out = args.vocab_out or os.path.splitext(args.out_train)[0] + ".vocab.txt"
-
-    train_matrix = transform(space, train)
-    atomic_write_text(args.out_train, to_arff(space, train_matrix))
-    atomic_write_text(vocab_out, "\n".join(space.vocabulary) + "\n")
     outputs = {"out_train": args.out_train, "vocab_out": vocab_out}
-
-    if args.test:
-        test = _read_arff(args.test)
-        test_matrix = transform(space, test)
-        _warn_zero_rows(space, test, test_matrix)
-        atomic_write_text(args.out_test, to_arff(space, test_matrix))
+    written = [(args.out_train, train_matrix)]
+    if test is not None:
         outputs["out_test"] = args.out_test
+        written.append((args.out_test, test_matrix))
+    _write_vectorized(space, vocab_out, *written)
 
     _write_manifest(args.out_train + ".manifest.json", "vectorize", {
-        "train": args.train, "test": args.test, "weighting": args.weighting,
-        "stopwords": args.stopwords, "min_term_freq": args.min_term_freq,
-        **outputs,
+        "train": args.train, "test": args.test, **_vectorize_config(args), **outputs,
     })
     print(f"vocabulary size {space.width}; wrote {', '.join(outputs.values())}")
     return 0
@@ -164,17 +183,31 @@ def _hidden_layers(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _hidden_flag(text: str) -> str:
-    """The --hidden text, unchanged (the manifest records it), once it names
-    one or more layer widths of at least 1."""
-    try:
-        widths = _hidden_layers(text)
-    except ValueError:
-        widths = []
-    if not widths or min(widths) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated layer widths of at least 1, got {text!r}")
-    return text
+def _flag_type(convert, expected: str, valid):
+    """An argparse type: convert(text), if that raises no ValueError and
+    valid() holds for the result; else a usage error (exit 1), which
+    argparse prefixes with the flag's name."""
+    def flag_value(text: str):
+        try:
+            value = convert(text)
+            ok = valid(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return flag_value
+
+
+# Each range here needs no data; a bound that does (k up to the number of
+# training rows, features per split up to the width) is the trainer's.
+_COUNT = _flag_type(int, "an integer of at least 1", lambda v: v >= 1)
+_DEPTH = _flag_type(int, "an integer of at least 0", lambda v: v >= 0)
+_POSITIVE = _flag_type(float, "a finite number above 0", lambda v: 0.0 < v < math.inf)
+_FINITE = _flag_type(float, "a finite number", math.isfinite)
+# the text itself, which the manifest records
+_HIDDEN = _flag_type(str, "comma-separated layer widths of at least 1",
+                     lambda text: min(_hidden_layers(text), default=0) >= 1)
 
 
 def _trainer_for(algorithm: str, args, seed: int):
@@ -248,19 +281,10 @@ def cmd_compare(args) -> int:
     train = _read_arff(args.train)
     test = _read_arff(args.test)
 
-    space = vectorize_config = None
+    space = None
     if any(a.kind == "string" for a in train.attributes):
         # raw text corpus: one shared vectorization for every algorithm
-        stops = _stopwords(args.stopwords)
-        space = fit(train, weighting=args.weighting, stopwords=stops,
-                    min_term_freq=args.min_term_freq)
-        train_matrix = transform(space, train)
-        test_matrix = transform(space, test)
-        _warn_zero_rows(space, test, test_matrix)
-        vectorize_config = {
-            "weighting": args.weighting, "stopwords": args.stopwords,
-            "min_term_freq": args.min_term_freq,
-        }
+        space, train_matrix, test_matrix = _vectorize(args, train, test)
     else:
         train_matrix = matrix_from_dataset(train)
         test_matrix = matrix_from_dataset(test)
@@ -268,14 +292,9 @@ def cmd_compare(args) -> int:
     # made only once both inputs are read, so that bad input leaves no directory
     make_dirs(args.out_dir)
     if space is not None:
-        atomic_write_text(os.path.join(args.out_dir, "train_vectorized.arff"),
-                          to_arff(space, train_matrix))
-        atomic_write_text(os.path.join(args.out_dir, "test_vectorized.arff"),
-                          to_arff(space, test_matrix))
-        atomic_write_text(
-            os.path.join(args.out_dir, "vocabulary.txt"),
-            "\n".join(space.vocabulary) + "\n",
-        )
+        _write_vectorized(space, os.path.join(args.out_dir, "vocabulary.txt"),
+                          (os.path.join(args.out_dir, "train_vectorized.arff"), train_matrix),
+                          (os.path.join(args.out_dir, "test_vectorized.arff"), test_matrix))
 
     models = []
     failures = []
@@ -300,7 +319,8 @@ def cmd_compare(args) -> int:
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), "compare", {
         "train": args.train, "test": args.test, "algorithms": list(args.algorithms),
         "seed": args.seed, "positive_class": args.positive_class,
-        "out_dir": args.out_dir, "vectorize": vectorize_config,
+        "out_dir": args.out_dir,
+        "vectorize": None if space is None else _vectorize_config(args),
         **_hyper_config(args),
     })
     if failures:
@@ -327,29 +347,29 @@ def cmd_gen_corpus(args) -> int:
 # The hyperparameter flags of train and compare, in the order the help lists
 # them; each manifest records every one of them under its dest name.
 _HYPER_FLAGS = {
-    "--alpha": dict(type=float, default=1.0, help="MNB smoothing (default 1.0)"),
-    "--k": dict(type=int, default=1, help="k-NN neighbor count (default 1)"),
+    "--alpha": dict(type=_POSITIVE, default=1.0, help="MNB smoothing (default 1.0)"),
+    "--k": dict(type=_COUNT, default=1, help="k-NN neighbor count (default 1)"),
     "--distance": dict(choices=("euclidean", "manhattan", "minkowski"),
                        default="euclidean", help="k-NN distance (default euclidean)"),
-    "--minkowski-p": dict(type=float, default=3.0, help="minkowski exponent (default 3)"),
-    "--max-depth": dict(type=int, default=None, help="tree depth limit (default unlimited)"),
-    "--min-leaf": dict(type=int, default=1,
+    "--minkowski-p": dict(type=_FINITE, default=3.0, help="minkowski exponent (default 3)"),
+    "--max-depth": dict(type=_DEPTH, default=None, help="tree depth limit (default unlimited)"),
+    "--min-leaf": dict(type=_COUNT, default=1,
                        help="minimum instances per tree leaf (default 1)"),
-    "--trees": dict(type=int, default=10, help="bagging/forest ensemble size (default 10)"),
-    "--features-per-split": dict(type=int, default=None,
+    "--trees": dict(type=_COUNT, default=10, help="bagging/forest ensemble size (default 10)"),
+    "--features-per-split": dict(type=_COUNT, default=None,
                                  help="forest feature subset size (default ceil(sqrt(d)))"),
-    "--rounds": dict(type=int, default=10, help="AdaBoost rounds (default 10)"),
-    "--weak-depth": dict(type=int, default=1,
+    "--rounds": dict(type=_COUNT, default=10, help="AdaBoost rounds (default 10)"),
+    "--weak-depth": dict(type=_DEPTH, default=1,
                          help="AdaBoost weak-tree depth (default 1 = stumps)"),
-    "--svm-lambda": dict(type=float, default=1e-3, help="SVM regularization (default 1e-3)"),
-    "--svm-epochs": dict(type=int, default=100, help="SVM training epochs (default 100)"),
-    "--hidden": dict(type=_hidden_flag, default="32,32",
+    "--svm-lambda": dict(type=_POSITIVE, default=1e-3, help="SVM regularization (default 1e-3)"),
+    "--svm-epochs": dict(type=_COUNT, default=100, help="SVM training epochs (default 100)"),
+    "--hidden": dict(type=_HIDDEN, default="32,32",
                      help="MLP hidden layer widths, comma separated (default 32,32)"),
     "--activation": dict(choices=("logistic", "tanh"), default="logistic",
                          help="MLP hidden activation (default logistic)"),
-    "--learning-rate": dict(type=float, default=0.1, help="MLP learning rate (default 0.1)"),
-    "--mlp-epochs": dict(type=int, default=200, help="MLP training epochs (default 200)"),
-    "--batch-size": dict(type=int, default=16, help="MLP mini-batch size (default 16)"),
+    "--learning-rate": dict(type=_POSITIVE, default=0.1, help="MLP learning rate (default 0.1)"),
+    "--mlp-epochs": dict(type=_DEPTH, default=200, help="MLP training epochs (default 200)"),
+    "--batch-size": dict(type=_COUNT, default=16, help="MLP mini-batch size (default 16)"),
 }
 
 
@@ -427,6 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "distance", None) == "minkowski" and args.minkowski_p <= 0:
+        parser.error(f"argument --minkowski-p: expected a number above 0 under"
+                     f" --distance minkowski, got {args.minkowski_p!r}")
     try:
         return args.func(args)
     except RusentError as exc:

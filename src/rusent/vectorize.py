@@ -228,8 +228,8 @@ def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> str:
 def matrix_from_dataset(data: Dataset) -> FeatureMatrix:
     """Read back a vectorized (all-numeric plus class) Dataset.
 
-    This is how the training and evaluation commands consume ARFF files.
-    Missing values are rejected here: no classifier in this toolkit
+    `compare` reads its already-vectorized inputs this way, and read_matrix
+    falls back to it for any text outside its fast subset. Missing values are rejected here: no classifier in this toolkit
     accepts them.
     """
     if data.class_index is None:

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rusent.arff import parse_arff
+from rusent.classifiers import ALGORITHMS
 from rusent.cli import main
 from rusent.synth import generate_corpus
 
@@ -89,6 +95,23 @@ class TestVectorize:
         ])
         assert code == 1
         assert "--out-test" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("bad_test", ["missing", "other classes"])
+    def test_a_bad_test_input_exits_2_and_writes_nothing(
+            self, arff_paths, tmp_path, capsys, bad_test):
+        train, _ = arff_paths
+        test = tmp_path / "test-input.arff"
+        if bad_test == "other classes":
+            test.write_text("@relation r\n@attribute text string\n"
+                            "@attribute class {bad,good}\n@data\n'gari achi',good\n",
+                            encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["vectorize", "--train", str(train), "--test", str(test),
+                     "--out-train", str(out / "tr.arff"), "--out-test", str(out / "te.arff")])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_rerun_is_byte_identical(self, arff_paths, tmp_path):
@@ -233,24 +256,25 @@ class TestTrainEvaluate:
         assert "non-finite" in capsys.readouterr().err
         assert not model.exists()
 
-    @pytest.mark.parametrize("algorithm, flag, value, name", [
-        ("mnb", "--alpha", "nan", "alpha"),
-        ("mnb", "--alpha", "inf", "alpha"),
-        ("svm", "--svm-lambda", "inf", "lambda"),
-        ("mlp", "--learning-rate", "nan", "learning rate"),
-        ("knn", "--minkowski-p", "nan", "exponent p"),
+    @pytest.mark.parametrize("algorithm, flag, value", [
+        ("mnb", "--alpha", "nan"),
+        ("mnb", "--alpha", "inf"),
+        ("svm", "--svm-lambda", "inf"),
+        ("mlp", "--learning-rate", "nan"),
+        ("knn", "--minkowski-p", "nan"),
     ])
     def test_non_finite_hyperparameter_exits_2_before_training(
-            self, arff_paths, tmp_path, capsys, algorithm, flag, value, name):
+            self, arff_paths, tmp_path, capsys, algorithm, flag, value):
+        # a usage error: argparse refuses the value before any input is read
         vtr, _ = self.vectorized(arff_paths, tmp_path)
         model = tmp_path / "m.model"
-        code = main(["train", "--train", str(vtr), "--algorithm", algorithm,
-                     flag, value, "--model-out", str(model)])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--train", str(vtr), "--algorithm", algorithm,
+                  flag, value, "--model-out", str(model)])
+        assert exc.value.code == 1
         captured = capsys.readouterr()
-        assert name in captured.err and "diverge" not in captured.err
-        assert "trained" not in captured.out
-        assert not model.exists()
+        assert f"argument {flag}:" in captured.err and "trained" not in captured.out
+        assert not model.exists() and not (tmp_path / "m.model.manifest.json").exists()
 
     def test_malformed_hidden_exits_1_and_writes_no_model(self, arff_paths, tmp_path, capsys):
         vtr, _ = self.vectorized(arff_paths, tmp_path)
@@ -477,6 +501,123 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("rusent ")
+
+
+TINY_VECTORIZED = (
+    "@relation r\n@attribute a numeric\n@attribute b numeric\n@attribute c numeric\n"
+    "@attribute class {neg,pos}\n@data\n"
+    "1,0,2,neg\n0,1,0,pos\n2,0,1,neg\n0,2,0,pos\n1,1,3,neg\n0,3,1,pos\n"
+)
+NOT_A_NUMBER = st.sampled_from(["nan", "inf", "-inf", "1e999", "x", ""])
+
+
+def _count(high):
+    """At least 1: valid draws up to high, invalid ones below 1 or not integers."""
+    return (st.integers(1, high).map(str),
+            st.integers(-10**6, 0).map(str) | st.just("1.5") | NOT_A_NUMBER)
+
+
+def _depth(high):
+    """At least 0."""
+    return (st.integers(0, high).map(str),
+            st.integers(-10**6, -1).map(str) | st.just("0.5") | NOT_A_NUMBER)
+
+
+def _positive(low, high):
+    """Finite and above 0."""
+    return st.floats(low, high).map(repr), st.floats(max_value=0.0).map(repr) | NOT_A_NUMBER
+
+
+# flag -> (valid texts, invalid texts). Valid counts stay at or below the
+# tiny ARFF's 3 features and 6 rows (k and features per split are bounded
+# by them) and small enough to train fast.
+HYPER_FLAG_VALUES = {
+    "--alpha": _positive(0.01, 10.0),
+    "--k": _count(3),
+    # p > 0 only under --distance minkowski, which the test draws separately
+    "--minkowski-p": ((st.floats(0.5, 5.0) | st.floats(-5.0, 0.0)).map(repr), NOT_A_NUMBER),
+    "--max-depth": _depth(3),
+    "--min-leaf": _count(3),
+    "--trees": _count(3),
+    "--features-per-split": _count(3),
+    "--rounds": _count(3),
+    "--weak-depth": _depth(2),
+    "--svm-lambda": _positive(0.01, 1.0),
+    "--svm-epochs": _count(3),
+    "--hidden": (st.sampled_from(["1", "2,3", "4"]),
+                 st.sampled_from(["0", "2,0", "-1", "x", "", ",", "1.5"])),
+    "--learning-rate": _positive(0.01, 1.0),
+    "--mlp-epochs": _depth(3),
+    "--batch-size": _count(3),
+}
+OTHER_FLAGS = sorted(set(HYPER_FLAG_VALUES) - {"--minkowski-p"})
+
+
+def _run_on_tiny_arff(command, algorithms, flags):
+    """Run train (with the first algorithm) or compare on a tiny vectorized
+    ARFF in a new directory; return (exit code, stderr, the files left in
+    that directory besides the ARFF)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        arff = os.path.join(tmp, "tiny.arff")
+        with open(arff, "w", encoding="utf-8") as fh:
+            fh.write(TINY_VECTORIZED)
+        out = os.path.join(tmp, "out")
+        if command == "train":
+            argv = ["train", "--train", arff, "--algorithm", algorithms[0], "--model-out", out]
+        else:
+            argv = ["compare", "--train", arff, "--test", arff, "--out-dir", out,
+                    "--algorithms", *algorithms]
+        # flag=value, so that argparse takes a text such as -1e-05 as the value
+        argv += [f"{flag}={text}" for flag, text in flags]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, stderr.getvalue(), sorted(set(os.listdir(tmp)) - {"tiny.arff"})
+
+
+def _valid_flags(flags):
+    """Up to three of flags, each with a valid text."""
+    return st.lists(st.sampled_from(flags), max_size=3, unique=True).flatmap(
+        lambda drawn: st.tuples(*(HYPER_FLAG_VALUES[f][0].map(lambda t, f=f: (f, t))
+                                  for f in drawn)))
+
+
+COMMANDS = st.sampled_from(["train", "compare"])
+SOME_ALGORITHMS = st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3, unique=True)
+
+
+class TestHyperparameterFlags:
+    """A hyperparameter flag out of its data-free range exits 1 before any
+    input is read, naming the flag; small in-range values train and exit 0."""
+
+    @pytest.mark.parametrize("flag", sorted(HYPER_FLAG_VALUES))
+    @given(data=st.data(), command=COMMANDS, algorithms=SOME_ALGORITHMS)
+    @settings(max_examples=25)
+    def test_out_of_range_exits_1_and_writes_nothing(self, flag, data, command, algorithms):
+        others = _valid_flags(sorted(set(HYPER_FLAG_VALUES) - {flag}))
+        bad = (flag, data.draw(HYPER_FLAG_VALUES[flag][1], label="bad"))
+        flags = [*data.draw(others, label="others"), bad]
+        code, err, left = _run_on_tiny_arff(command, algorithms, data.draw(st.permutations(flags)))
+        assert code == 1, err
+        assert f"argument {flag}:" in err
+        assert left == []
+
+    @given(valid=_valid_flags(OTHER_FLAGS),
+           p=HYPER_FLAG_VALUES["--minkowski-p"][0],
+           distance=st.sampled_from(["euclidean", "manhattan", "minkowski"]),
+           command=COMMANDS, algorithms=SOME_ALGORITHMS)
+    @settings(max_examples=150)
+    def test_in_range_values_exit_0(self, valid, p, distance, command, algorithms):
+        flags = [*valid, ("--minkowski-p", p), ("--distance", distance)]
+        code, err, left = _run_on_tiny_arff(command, algorithms, flags)
+        if distance == "minkowski" and float(p) <= 0:  # a finite p, but minkowski needs p > 0
+            assert code == 1, err
+            assert "argument --minkowski-p:" in err and left == []
+        else:
+            assert code == 0, err
 
 
 def evaluate_tree_model(tmp_path, model_text, report):
