@@ -4,7 +4,9 @@ Member i derives its own splitmix64 stream from (seed, i), so training
 members in any order (or in parallel) yields the identical ensemble.
 Each member's stream is consumed in a documented order: first the n
 bootstrap index draws, then (random forest only) the per-node feature
-subset draws in preorder.
+subset draws in preorder. A bootstrap sample is a count per training row,
+the times it was drawn; every member grows on the one Columns of the
+training matrix, weighted by its counts.
 
 Prediction is a majority vote over member class predictions, ties broken
 toward the lowest class index; scores are vote fractions.
@@ -92,11 +94,10 @@ def _bootstrap_trees(matrix, m, base: TreeConfig, seed, subset_size):
     trees = []
     for i in range(m):
         rng = SplitMix64(derive(seed, i))
-        indices = bootstrap_indices(rng, n)
+        counts = np.bincount(bootstrap_indices(rng, n), minlength=n)
         trees.append(
             grow_tree(
-                columns.take(indices), y[indices], np.ones(n), n_classes,
-                base.max_depth, base.min_leaf,
+                columns, y, counts, n_classes, base.max_depth, base.min_leaf,
                 rng=rng, subset_size=subset_size,
             )
         )

@@ -1,10 +1,13 @@
 """k-nearest-neighbor classifier.
 
-Training just stores the feature matrix. Prediction ranks training
-instances by distance (euclidean, manhattan, or minkowski with a
-configurable exponent), breaking distance ties toward the lowest training
-index, then takes the majority label of the k nearest, breaking vote ties
-toward the lowest class index. Scores are vote fractions.
+Training keeps the feature matrix's rows, which are read-only, without a
+copy. Prediction ranks training instances by distance (euclidean,
+manhattan, or minkowski with a configurable exponent p), breaking distance
+ties toward the lowest training index, then takes the majority label of
+the k nearest, breaking vote ties toward the lowest class index. Scores
+are vote fractions. Minkowski ranks by sum |r - x|^p, the distance's p-th
+power: it has the distance's order (p > 0), while the root can overflow
+for a small p even where the sum is finite (a sum of 3 at p = 0.001).
 
 The neighbours are always those of the exhaustive scan: `_distances` over
 the training rows, then a stable argsort. Manhattan and minkowski run that
@@ -68,7 +71,7 @@ def _distances(rows: np.ndarray, x: np.ndarray, metric: str, p: float) -> np.nda
         return np.sqrt((diff * diff).sum(axis=1))
     if metric == "manhattan":
         return diff.sum(axis=1)
-    return (diff**p).sum(axis=1) ** (1.0 / p)
+    return (diff**p).sum(axis=1)
 
 
 class KnnModel(Model):
@@ -157,4 +160,4 @@ class KnnModel(Model):
 
 def train_knn(matrix, k: int = 1, distance: str = "euclidean", p: float = 3.0) -> KnnModel:
     return KnnModel(matrix.class_values, matrix.width, k, distance, p,
-                    matrix.rows.copy(), matrix.label_indices())
+                    matrix.rows, matrix.label_indices())

@@ -12,9 +12,10 @@ distinct sorted feature values (the lower value where the midpoint is not
 below the upper one). Growth stops at purity, max_depth, min_leaf, or
 when no candidate split has positive gain.
 
-Instance weights make this the weak learner for boosting: class
-proportions inside the entropy use weight mass, while min_leaf keeps
-counting raw instances.
+Each row's weight is an integer instance count (one for dtree, the
+row's draws in a bootstrap sample for bagging and the random forest), or
+a float (AdaBoost's weights, folded; each row is one instance). min_leaf
+counts instances.
 
 Random-forest support: when `subset_size` is given and smaller than the
 feature count, each node draws that many distinct features from the
@@ -38,11 +39,11 @@ fixed only while it holds:
   order: the order a stable sort of the whole column gives;
 * its candidate boundaries lie between neighbouring distinct non-zero
   values in that order and at the two edges of its zeros, each leaving
-  min_leaf rows on both sides;
-* where every weight is 1.0 (dtree, bagging, random forest), class
-  weights are counts, exact in any order: the zeros' counts are the
-  node's class counts less the feature's non-zero counts;
-* otherwise (AdaBoost) each class's left weight at a boundary is the
+  min_leaf instances on both sides;
+* under counts (dtree, bagging, random forest), class weights are sums of
+  counts, exact in any order: the zeros' counts are the node's class
+  counts less the feature's non-zero counts;
+* under float weights each class's left weight at a boundary is the
   sequential fold, one addition after another as cumsum makes it, of that
   class's weights in sorted order: through the negatives, on over the
   class's zero rows in row order, then through the positives. A row of
@@ -139,7 +140,8 @@ def _ranges(starts, ends):
 class Columns:
     """A FeatureMatrix's `nonzeros`, column after column: `rows`, `cols` and
     `values` are ordered by column, then value, with ties in row order.
-    `shape` is the matrix's."""
+    `shape` is the matrix's. A tree learner makes one and grows every tree
+    on it, whatever the tree's weights."""
 
     __slots__ = ("rows", "cols", "values", "shape")
 
@@ -151,23 +153,6 @@ class Columns:
         rows, cols, values = matrix.nonzeros  # row order: the stable lexsort keeps it for ties
         order = np.lexsort((values, cols))
         return cls(rows[order], cols[order], values[order], matrix.rows.shape)
-
-    def take(self, indices: np.ndarray) -> "Columns":
-        """The Columns of the matrix's rows[indices] (drawn with repeats, as a
-        bootstrap draws them), made without the matrix."""
-        counts = np.bincount(indices, minlength=self.shape[0])
-        at = np.argsort(indices, kind="stable")  # the positions of row 0, then row 1, ...
-        copies = counts[self.rows]
-        start = (np.cumsum(counts) - counts)[self.rows]
-        rows = at[_ranges(start, start + copies)]
-        src = np.repeat(np.arange(self.rows.size), copies)
-        # copies of one column and value go in their new row order; no two
-        # of them share a new row, so the sort key is unique
-        new_value = (self.cols[1:] != self.cols[:-1]) | (self.values[1:] != self.values[:-1])
-        tie = np.concatenate(([0], np.cumsum(new_value)))
-        order = np.argsort(tie[src] * indices.size + rows)
-        src = src[order]
-        return Columns(rows[order], self.cols[src], self.values[src], (indices.size, self.shape[1]))
 
 
 def _restrict(entries, features):
@@ -220,12 +205,13 @@ def _zero_run_folds(end, w_c, dense, at, feature):
         end[ks] = np.add.reduce(M, axis=0)[:-1]
 
 
-def _node_split(rows, entries, y, w, total_cw, min_leaf, unit):
+def _node_split(rows, entries, y, w, counts, total_cw, min_leaf):
     """Best (gain, feature, threshold) for the node holding `rows` (root row
     indices, ascending), or None. `entries` are the node's non-zero entries
     of its candidate features: one run per feature, in candidate order,
-    each ordered by value with ties in row order. `unit` says every weight
-    is 1.0. See the module docstring for the order of every addition."""
+    each ordered by value with ties in row order. `counts` are the rows'
+    instance counts, which integer weights `w` are. See the module
+    docstring for the order of every addition."""
     er, ec, ev = entries
     if ev.size == 0:
         return None
@@ -249,27 +235,26 @@ def _node_split(rows, entries, y, w, total_cw, min_leaf, unit):
     t_value[t_entry] = ev
     t_run = np.repeat(np.arange(n_runs), t_lens)
     # class counts through each token, from the start of its feature's
-    # tokens: exact in any order
-    ye = y[er]
-    run_counts = np.bincount(run * n_classes + ye, minlength=n_runs * n_classes)
+    # tokens: sums of whole numbers, exact in any order
+    ye, ce = y[er], counts[er]
+    run_counts = np.bincount(run * n_classes + ye, weights=ce, minlength=n_runs * n_classes)
     run_counts = run_counts.reshape(n_runs, n_classes)
-    counts = np.zeros((is_entry.size + 1, n_classes), dtype=np.intp)
-    counts[t_entry + 1, ye] = 1
-    counts[t_zero + 1] = np.bincount(y[rows], minlength=n_classes) - run_counts[zrun]
-    np.cumsum(counts, axis=0, out=counts)
+    class_counts = np.zeros((is_entry.size + 1, n_classes))
+    class_counts[t_entry + 1, ye] = ce
+    node_counts = np.bincount(y[rows], weights=counts[rows], minlength=n_classes)
+    class_counts[t_zero + 1] = node_counts - run_counts[zrun]
+    np.cumsum(class_counts, axis=0, out=class_counts)
     # a boundary follows token t when token t + 1 is of the same feature
-    # and holds another value; it must leave min_leaf rows on each side
+    # and holds another value; it must leave min_leaf instances on each side
     b = ((t_run[1:] == t_run[:-1]) & (t_value[1:] != t_value[:-1])).nonzero()[0]
     run_b = t_run[b]
-    left_counts = counts[b + 1] - counts[t_first[run_b]]
-    left_rows = left_counts.sum(axis=1)
-    valid = (left_rows >= min_leaf) & (left_rows <= m - min_leaf)
-    b, run_b, left_counts = b[valid], run_b[valid], left_counts[valid]
+    left_counts = class_counts[b + 1] - class_counts[t_first[run_b]]
+    left_size = left_counts.sum(axis=1)
+    valid = (left_size >= min_leaf) & (left_size <= node_counts.sum() - min_leaf)
+    b, run_b, left_cw = b[valid], run_b[valid], left_counts[valid]
     if b.size == 0:
         return None
-    if unit:
-        left_cw = left_counts.astype(np.float64)
-    else:
+    if w.dtype.kind != "i":
         # class c's weight left of each token: its weights folded in the
         # feature's sorted order, 0.0 for rows of other classes
         left_cw = np.empty((b.size, n_classes))
@@ -323,6 +308,10 @@ def grow_tree(
     split (and draws its feature subset) before its left subtree, which is
     grown before its right one.
 
+    `weights` holds one value per matrix row: integer instance counts, or
+    float weights (see the module docstring). A row counted 0 times is in
+    no node.
+
     A node holds its rows (ascending indices into the matrix) and their
     non-zero entries, in the Columns order. A split sends each row to one
     side by its value in the split feature (a row with no entry there
@@ -331,20 +320,21 @@ def grow_tree(
     not bounded by the interpreter's recursion limit. A split hands each
     child its own rows and entries and drops the node's, so the pending
     right subtrees on the stack hold disjoint rows: at most one copy of
-    the entries in all, whatever the depth. Weights that are all 1.0 let
-    the search count classes; see the module docstring."""
+    the entries in all, whatever the depth."""
     n, d = columns.shape
-    unit = bool((weights == 1.0).all())
+    counts = weights if weights.dtype.kind == "i" else np.ones(n, dtype=np.intp)
+    drawn = counts[columns.rows] > 0
+    entries = columns.rows[drawn], columns.cols[drawn], columns.values[drawn]
     goes_left = np.empty(n, dtype=bool)
     no_distribution = np.zeros(n_classes)
     nodes = []
-    stack = [(np.arange(n), (columns.rows, columns.cols, columns.values), 0)]
+    stack = [(np.flatnonzero(counts), entries, 0)]
     while stack:
         rows, entries, depth = stack.pop()
         cw = np.zeros(n_classes)
         np.add.at(cw, y[rows], weights[rows])
         can_split = (
-            rows.size >= 2 * min_leaf
+            counts[rows].sum() >= 2 * min_leaf
             and (max_depth is None or depth < max_depth)
             and np.count_nonzero(cw) > 1
         )
@@ -352,7 +342,7 @@ def grow_tree(
             candidates = entries
             if subset_size is not None and subset_size < d:
                 candidates = _restrict(entries, rng.sample_indices(d, subset_size))
-            best = _node_split(rows, candidates, y, weights, cw, min_leaf, unit)
+            best = _node_split(rows, candidates, y, weights, counts, cw, min_leaf)
             if best is not None and best[0] > _GAIN_EPS:
                 _, feature, threshold = best
                 nodes.append((feature, threshold, -1, no_distribution))
@@ -448,13 +438,13 @@ class DecisionTreeModel(Model):
 
 
 def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1) -> DecisionTreeModel:
-    """Grow a tree on a FeatureMatrix, every instance weighing 1."""
+    """Grow a tree on a FeatureMatrix, every instance counted once."""
     config = TreeConfig(max_depth, min_leaf)
     if matrix.rows.shape[0] == 0:
         raise ModelError("cannot train a tree on an empty matrix")
     y = matrix.label_indices()
     tree = grow_tree(
-        Columns.of(matrix), y, np.ones(len(y)), len(matrix.class_values),
+        Columns.of(matrix), y, np.ones(len(y), dtype=np.intp), len(matrix.class_values),
         config.max_depth, config.min_leaf,
     )
     return DecisionTreeModel(matrix.class_values, matrix.width, tree, config)

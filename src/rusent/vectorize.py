@@ -67,15 +67,17 @@ class VectorSpace:
 @dataclass
 class FeatureMatrix:
     """Dense numeric feature rows with a parallel label list; the matrix
-    owns its non-zero entries (`nonzeros`). `rows` is never written after
-    construction, so the entries, found once, stay those of `rows`."""
+    owns its non-zero entries (`nonzeros`). `rows` is a read-only view of
+    the array it is given (no copy is made), so the entries, found once,
+    stay those of `rows`, and a model may keep `rows` without copying."""
 
     rows: np.ndarray  # (n, width) float64
     labels: list[str]
     class_values: tuple[str, ...]
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64)
+        self.rows = np.asarray(self.rows, dtype=np.float64).view()
+        self.rows.flags.writeable = False
         if self.rows.ndim != 2:
             raise VectorizeError("feature rows must form a 2-D matrix")
         if len(self.labels) != self.rows.shape[0]:

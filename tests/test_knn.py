@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,26 @@ class TestValidation:
         m = make_matrix([[0.0]], ["neg"], ("neg", "pos"))
         with pytest.raises(ModelError):
             train_knn(m, distance="cosine")
+
+    def test_a_small_minkowski_p_ranks_without_overflow(self):
+        # every sum of three powers |diff|^0.001 is about 3, whose root
+        # (its 1000th power) overflows to inf for every training row
+        rows = [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0],
+                [0.0, 0.0, 10.0], [10.0, 10.0, 0.0], [0.0, 10.0, 10.0]]
+        labels = ["neg", "pos", "neg", "pos", "pos", "neg"]
+        model = train_knn(make_matrix(rows, labels, ("neg", "pos")), distance="minkowski", p=0.001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predicted(model, np.array(rows) + 0.1) == labels
+
+    def test_training_keeps_the_matrix_rows_without_a_copy(self):
+        X = np.array([[0.0, 1.0], [2.0, 0.0]])
+        m = make_matrix(X, ["neg", "pos"], ("neg", "pos"))
+        assert np.shares_memory(train_knn(m).rows, m.rows)
+        with pytest.raises(ValueError):
+            m.rows[0, 0] = 5.0
+        X[0, 0] = 5.0  # the caller's array stays writable
+        assert np.shares_memory(X, m.rows)
 
     def test_nonpositive_minkowski_p_rejected(self):
         m = make_matrix([[0.0]], ["neg"], ("neg", "pos"))

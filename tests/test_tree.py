@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rusent.classifiers import train_adaboost, train_bagging, train_dtree, train_rforest
 from rusent.classifiers.base import MAGIC, BodyReader, TreeConfig, loads_model
 from rusent.classifiers.tree import (
-    Columns, _entropy_rows, _node_split, _restrict, entropy, grow_tree, read_tree,
+    Columns, Tree, _entropy_rows, _node_split, _restrict, entropy, grow_tree, read_tree,
     tree_lines, tree_predict_batch,
 )
 from rusent.errors import ModelError
@@ -270,12 +270,15 @@ def columns_of(X):
 
 def best_split(X, y, w, n_classes, min_leaf, features):
     """Best (gain, feature, threshold) over the candidate features at a node
-    holding every row of X, or None: one step of grow_tree's search."""
+    holding every row of X, or None: one step of grow_tree's search. Weights
+    that are all 1.0 go in as integer ones, the counted search."""
     total_cw = np.zeros(n_classes)
     np.add.at(total_cw, y, w)
     c = columns_of(X)
     entries = _restrict((c.rows, c.cols, c.values), list(features))
-    return _node_split(np.arange(X.shape[0]), entries, y, w, total_cw, min_leaf, bool((w == 1.0).all()))
+    ones = np.ones(X.shape[0], dtype=np.intp)
+    w = ones if (w == 1.0).all() else w
+    return _node_split(np.arange(X.shape[0]), entries, y, w, ones, total_cw, min_leaf)
 
 
 def reference_best_split(X, y, w, n_classes, min_leaf, features):
@@ -398,12 +401,27 @@ class TestColumns:
         assert_same_columns(columns_of(X), expected)
 
     @given(split_problems(), st.data())
-    @settings(max_examples=100)
-    def test_take_gives_the_columns_of_the_drawn_rows(self, problem, data):
-        X = problem[0]
-        row = st.integers(0, X.shape[0] - 1)
-        indices = np.array(data.draw(st.lists(row, max_size=2 * X.shape[0])), dtype=np.intp)
-        assert_same_columns(columns_of(X).take(indices), columns_of(X[indices]))
+    @settings(max_examples=150, deadline=None)
+    def test_counts_grow_the_tree_of_the_drawn_rows(self, problem, data):
+        # a bootstrap sample as a count per row grows, bit for bit, the tree
+        # of the sample's rows copied out, and draws the same feature subsets
+        X, y, _, n_classes, _, _ = problem
+        n, d = X.shape
+        row = st.integers(0, n - 1)
+        indices = np.array(data.draw(st.lists(row, min_size=1, max_size=2 * n)), dtype=np.intp)
+        max_depth = data.draw(st.sampled_from([None, 2]))
+        min_leaf = data.draw(st.sampled_from([1, 2]))
+        subset_size = data.draw(st.sampled_from([None, 1, max(1, d - 1)]))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        rngs = SplitMix64(seed), SplitMix64(seed)
+        counted = grow_tree(columns_of(X), y, np.bincount(indices, minlength=n), n_classes,
+                            max_depth, min_leaf, rng=rngs[0], subset_size=subset_size)
+        copied = grow_tree(columns_of(X[indices]), y[indices], np.ones(indices.size, dtype=np.intp),
+                           n_classes, max_depth, min_leaf, rng=rngs[1], subset_size=subset_size)
+        for name in Tree.__slots__:
+            a, b = getattr(counted, name), getattr(copied, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert rngs[0].next_uint64() == rngs[1].next_uint64()
 
 
 def wide_count_matrix(rows=600, width=2000, terms=30, seed=2024):
