@@ -213,7 +213,9 @@ def _first_max(scores: np.ndarray) -> np.ndarray:
 def loads_model(text: str) -> Model:
     # split where dumps joined, at "\n" only: str.splitlines would also
     # break inside a class value at U+2028, U+0085 or \x1c-\x1e
-    lines = text.removesuffix("\n").split("\n")
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()  # the "" after it, dropped with no copy of the text
     if lines[0] != MAGIC:
         raise ModelError("not a rusent model file or unknown format version")
     try:

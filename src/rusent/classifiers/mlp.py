@@ -10,19 +10,20 @@ by layer in row-major element order (biases start at zero and consume no
 draws). Each epoch then draws one shuffle of the instance order from the
 same stream, and batches are consecutive slices of that order.
 
+Parameters: one flat float64 buffer, `params`, holds every weight and bias
+in the model file's body order: each layer's weight matrix row-major, then
+its biases. `weights` and `biases` are views into it. Initialization draws
+into them, training steps the buffer in place and loading fills it, so
+`loss` reads the live weights even mid-training.
+
 Training step: a step of 16 rows is a few dozen numpy calls on arrays of
 a few hundred values, so the time per call sets the speed, and the step
-makes as few calls as it can without changing a float operation. All
-weights and biases are views into one flat parameter buffer laid out
-layer by layer, each layer's weight matrix row-major and then its biases;
-the gradients are views into a second buffer of the same layout, written
-in place by `_Kernel.run`. The update is then `grads *= learning_rate;
-params -= grads`, for each element still p - lr * g. Activations and
-deltas live in buffers allocated once per batch length (full batches and
-a short last one), and each batch's rows are gathered into the input
-buffer (not the whole shuffled matrix once per epoch, which would hold a
-second copy of it). The trained model's weights and biases are per-layer
-copies.
+makes as few calls as it can without changing a float operation. The
+gradients are views into a second buffer of the same layout, written in
+place by `_Kernel.run`; the update `grads *= learning_rate; params -=
+grads` is still p - lr * g per element. Activations and deltas live in
+buffers allocated once per batch length, and each batch's rows are
+gathered into the input buffer rather than the whole matrix shuffled.
 """
 
 from __future__ import annotations
@@ -125,12 +126,15 @@ class _Kernel:
 
 
 class MlpModel(Model):
+    """`params` holds every weight and bias in one flat buffer, laid out over
+    the layer widths `sizes` = [feature_width, *hidden, classes]."""
+
     variant = "mlp"
 
-    def __init__(self, class_values, feature_width, weights, biases, activation,
+    def __init__(self, class_values, feature_width, hidden, params, activation,
                  learning_rate, epochs, batch_size, seed):
         super().__init__(class_values, feature_width)
-        if len(weights) < 2:
+        if len(hidden) < 1:
             raise ModelError("at least one hidden layer is required")
         if activation not in ACTIVATIONS:
             raise ModelError(f"activation must be one of {ACTIVATIONS}")
@@ -140,23 +144,20 @@ class MlpModel(Model):
             raise ModelError("epochs must be >= 0")
         if batch_size < 1:
             raise ModelError("batch_size must be >= 1")
-        self.weights = [np.asarray(W, dtype=np.float64) for W in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.sizes = [self.feature_width, *map(int, hidden), len(self.class_values)]
+        self.params = np.ascontiguousarray(params, dtype=np.float64)
+        self.weights, self.biases = _layers(self.params, self.sizes)
         self.activation = activation
         self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
 
-    @property
-    def hidden_layers(self) -> list[int]:
-        return [W.shape[1] for W in self.weights[:-1]]
-
     # -- forward / backward ----------------------------------------------
 
     def forward(self, X: np.ndarray) -> list[np.ndarray]:
         """Activations per layer; the last entry is the softmax output."""
-        acts = [X] + [np.empty((X.shape[0], W.shape[1])) for W in self.weights]
+        acts = [X] + [np.empty((X.shape[0], k)) for k in self.sizes[1:]]
         _forward(acts, np.empty(X.shape[0]), self.weights, self.biases, self.activation)
         return acts
 
@@ -169,11 +170,9 @@ class MlpModel(Model):
         """Mean cross-entropy gradients, as (loss, dW list, db list), from
         the kernel that training steps run."""
         X = np.asarray(X, dtype=np.float64)
-        sizes = [X.shape[1]] + [W.shape[1] for W in self.weights]
-        count = sum(W.size + b.size for W, b in zip(self.weights, self.biases))
-        grads_w, grads_b = _layers(np.empty(count), sizes)
+        grads_w, grads_b = _layers(np.empty_like(self.params), self.sizes)
         kernel = _Kernel(self.weights, self.biases, grads_w, grads_b, self.activation, X)
-        kernel.run(np.eye(sizes[-1])[y])
+        kernel.run(np.eye(self.sizes[-1])[y])
         picked = kernel.acts[-1][np.arange(X.shape[0]), y]
         loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
         return loss, grads_w, grads_b
@@ -187,7 +186,7 @@ class MlpModel(Model):
 
     def _body_lines(self):
         lines = [
-            f"hidden {' '.join(str(h) for h in self.hidden_layers)}",
+            f"hidden {' '.join(str(h) for h in self.sizes[1:-1])}",
             f"activation {self.activation}",
             f"learning_rate {fmt_floats(self.learning_rate)}",
             f"epochs {self.epochs}",
@@ -209,13 +208,12 @@ class MlpModel(Model):
         batch_size = reader.integer("batch_size", lo=None)
         seed = reader.integer("seed", lo=None)
         sizes = [reader.feature_width] + hidden + [len(reader.class_values)]
-        weights, biases = [], []
+        rows = []  # in file order, which is the order of `params`
         for li, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-            rows = [reader.reals(f"w {li}", fan_out) for _ in range(fan_in)]
-            weights.append(np.array(rows).reshape(fan_in, fan_out))
-            biases.append(reader.reals(f"b {li}", fan_out))
-        return cls(reader.class_values, reader.feature_width, weights, biases, activation,
-                   learning_rate, epochs, batch_size, seed)
+            rows.extend(reader.reals(f"w {li}", fan_out) for _ in range(fan_in))
+            rows.append(reader.reals(f"b {li}", fan_out))
+        return cls(reader.class_values, reader.feature_width, hidden, np.concatenate(rows),
+                   activation, learning_rate, epochs, batch_size, seed)
 
 
 def init_mlp(matrix, hidden: list[int], activation: str = "logistic",
@@ -232,16 +230,17 @@ def _init_mlp(rng: SplitMix64, matrix, hidden, activation, learning_rate, epochs
     if any(h < 1 for h in hidden):
         raise ModelError("hidden layer widths must be >= 1")
     sizes = [matrix.width] + list(hidden) + [len(matrix.class_values)]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
+    params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
+    model = MlpModel(matrix.class_values, matrix.width, hidden, params, activation,
+                     learning_rate, epochs, batch_size, seed)
+    for W in model.weights:
+        fan_in, fan_out = W.shape
         r = np.sqrt(6.0 / (fan_in + fan_out))
         lo, hi = -r, r
         # rng.uniform(lo, hi) per element, in row-major draw order
-        u = rng.block(fan_in * fan_out).reshape(fan_in, fan_out)
-        weights.append(lo + (hi - lo) * ((u >> np.uint64(11)) * 2.0**-53))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(matrix.class_values, matrix.width, weights, biases,
-                    activation, learning_rate, epochs, batch_size, seed)
+        u = rng.block(W.size).reshape(W.shape)
+        W[...] = lo + (hi - lo) * ((u >> np.uint64(11)) * 2.0**-53)
+    return model
 
 
 def train_mlp(matrix, hidden: list[int] | None = None, activation: str = "logistic",
@@ -257,18 +256,14 @@ def train_mlp(matrix, hidden: list[int] | None = None, activation: str = "logist
     n = X.shape[0]
     if n == 0:
         raise ModelError("cannot train on an empty matrix")
-    sizes = [matrix.width] + list(hidden) + [len(matrix.class_values)]
-    params = np.concatenate([p.ravel() for layer in zip(model.weights, model.biases)
-                             for p in layer])
-    grads = np.empty_like(params)
-    weights, biases = _layers(params, sizes)
-    grads_w, grads_b = _layers(grads, sizes)
+    grads = np.empty_like(model.params)
+    grads_w, grads_b = _layers(grads, model.sizes)
     # one kernel per batch length: full batches, and a short last one
-    kernels = {rows: _Kernel(weights, biases, grads_w, grads_b, activation,
+    kernels = {rows: _Kernel(model.weights, model.biases, grads_w, grads_b, activation,
                              np.empty((rows, matrix.width)))
                for rows in {min(batch_size, n), (n - 1) % batch_size + 1}}
     steps = [(start, kernels[min(batch_size, n - start)]) for start in range(0, n, batch_size)]
-    eye = np.eye(sizes[-1])
+    eye = np.eye(model.sizes[-1])
     for _ in range(epochs):
         order = list(range(n))
         rng.shuffle(order)
@@ -281,7 +276,5 @@ def train_mlp(matrix, hidden: list[int] | None = None, activation: str = "logist
             X.take(order[start:stop], axis=0, out=kernel.acts[0], mode="clip")
             kernel.run(onehot[start:stop])
             grads *= learning_rate
-            params -= grads
-    model.weights = [W.copy() for W in weights]
-    model.biases = [b.copy() for b in biases]
+            model.params -= grads
     return model

@@ -384,7 +384,7 @@ def _add_vectorize_flags(p: argparse.ArgumentParser) -> None:
                    help="feature weighting (default count)")
     p.add_argument("--stopwords", default="default",
                    help="'default', 'none', or a stop-word file path")
-    p.add_argument("--min-term-freq", type=int, default=1,
+    p.add_argument("--min-term-freq", type=_COUNT, default=1,
                    help="drop terms occurring fewer times in training (default 1)")
 
 
@@ -450,6 +450,9 @@ def main(argv=None) -> int:
     if getattr(args, "distance", None) == "minkowski" and args.minkowski_p <= 0:
         parser.error(f"argument --minkowski-p: expected a number above 0 under"
                      f" --distance minkowski, got {args.minkowski_p!r}")
+    named = getattr(args, "algorithms", [])
+    if len(set(named)) < len(named):
+        parser.error(f"argument --algorithms: {max(named, key=named.count)} is repeated")
     try:
         return args.func(args)
     except RusentError as exc:

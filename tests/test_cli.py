@@ -114,6 +114,27 @@ class TestVectorize:
         assert "error" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("command", ["vectorize", "compare"])
+    @pytest.mark.parametrize("freq", ["0", "-2", "1.5", "x"])
+    def test_min_term_freq_out_of_range_exits_1_before_reading(
+            self, tmp_path, capsys, command, freq):
+        # the inputs do not exist: the flag is refused while parsing, before
+        # a read could fail with exit 2
+        missing = str(tmp_path / "missing.arff")
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "vectorize":
+            argv = ["vectorize", "--train", missing, "--out-train", str(out / "x.arff")]
+        else:
+            argv = ["compare", "--train", missing, "--test", missing,
+                    "--out-dir", str(out / "cmp")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--min-term-freq={freq}"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --min-term-freq:" in err and "cannot read" not in err
+        assert os.listdir(out) == []
+
     def test_rerun_is_byte_identical(self, arff_paths, tmp_path):
         train, _ = arff_paths
         a, b = tmp_path / "a.arff", tmp_path / "b.arff"
@@ -461,6 +482,17 @@ class TestCompare:
         assert exc.value.code == 1
         assert "--hidden" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_a_repeated_algorithm_exits_1_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.arff")
+        out_dir = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--train", missing, "--test", missing, "--out-dir", str(out_dir),
+                  "--algorithms", "mnb", "knn", "mnb"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --algorithms: mnb is repeated" in err
+        assert "cannot read" not in err and not out_dir.exists()
 
 
 class TestGenCorpus:

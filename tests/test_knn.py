@@ -272,3 +272,26 @@ def test_model_file_with_k_below_one_is_rejected():
     text = train_knn(m, k=1).dumps()
     with pytest.raises(ModelError):
         loads_model(text.replace("\nk 1\n", "\nk 0\n"))
+
+
+def test_loading_holds_about_one_copy_of_the_rows():
+    # the rows are read into one preallocated matrix, and the text is split
+    # without first copying it whole: the loader's peak stays below twice
+    # the rows' bytes (stacking a list of row arrays and copying the text
+    # take it past 2.5 times)
+    import tracemalloc
+
+    from rusent.classifiers.base import loads_model
+
+    rng = np.random.default_rng(5)
+    rows = np.where(rng.random((300, 400)) < 0.01, rng.integers(1, 9, (300, 400)), 0.0)
+    labels = ["pos" if i % 3 else "neg" for i in range(300)]
+    text = train_knn(make_matrix(rows, labels), k=3).dumps()
+    tracemalloc.start()
+    try:
+        model = loads_model(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.rows.tobytes() == rows.tobytes()
+    assert peak < 2 * rows.nbytes, (peak, rows.nbytes)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rusent.classifiers import train_mlp
+from rusent.classifiers.base import loads_model
 from rusent.classifiers.mlp import _init_mlp, init_mlp
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
@@ -117,6 +118,52 @@ class TestTraining:
         r1 = np.sqrt(6.0 / (5 + 2))
         assert np.all(np.abs(model.weights[0]) <= r0)
         assert np.all(np.abs(model.weights[1]) <= r1)
+
+
+THREE_CLASSES = make_matrix(
+    [[0.3, -1.2, 0.0], [2.0, 0.5, 1.0], [-0.7, 0.1, 0.0], [0.0, 0.0, 3.0],
+     [1.5, -0.2, 0.4], [0.2, 0.9, -1.1]],
+    ["neg", "pos", "neu", "neg", "pos", "neu"],
+    ("neg", "neu", "pos"),
+)
+
+
+class TestParameterBuffer:
+    """The model's weights and biases are views into its one flat buffer,
+    laid out in the model file's body order."""
+
+    def trained(self):
+        return train_mlp(THREE_CLASSES, hidden=[4, 3], epochs=3, batch_size=4, seed=2)
+
+    def test_weights_and_biases_are_views_into_params(self):
+        model = self.trained()
+        assert model.sizes == [3, 4, 3, 3]
+        assert model.params.dtype == np.float64 and model.params.ndim == 1
+        for p in model.weights + model.biases:
+            assert np.shares_memory(p, model.params)
+
+    def test_params_are_the_body_rows_in_file_order(self):
+        model = self.trained()
+        rows = [line.split(" ")[2:] for line in model.dumps().splitlines()
+                if line.startswith(("w ", "b "))]
+        body = np.array([float(v) for row in rows for v in row])
+        assert model.params.tobytes() == body.tobytes()
+
+    def test_a_loaded_model_has_the_same_buffer(self):
+        model = self.trained()
+        clone = loads_model(model.dumps())
+        assert clone.sizes == model.sizes
+        assert clone.params.tobytes() == model.params.tobytes()
+        for p in clone.weights + clone.biases:
+            assert np.shares_memory(p, clone.params)
+
+    def test_loss_reads_the_live_parameters(self):
+        model = init_mlp(THREE_CLASSES, hidden=[4], seed=1)
+        X, y = THREE_CLASSES.rows, THREE_CLASSES.label_indices()
+        before = model.loss(X, y)
+        model.params *= 0.0  # every score equal: the loss is ln(3)
+        assert model.loss(X, y) != before
+        assert model.loss(X, y) == pytest.approx(np.log(3.0), abs=1e-12)
 
 
 class TestValidation:
