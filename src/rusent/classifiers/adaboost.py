@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import ModelError
 from .base import Model, TreeConfig, fmt_floats, require_binary
-from .tree import Columns, grow_tree, read_tree, tree_lines, tree_predict_batch
+from .tree import grow_tree, read_tree, tree_lines, tree_predict_batch
 
 ALPHA_CAP = math.log(1e10) / 2.0
 
@@ -71,16 +71,14 @@ def train_adaboost(
     require_binary(matrix.class_values)
     if rounds < 1:
         raise ModelError("rounds must be >= 1")
-    X = matrix.rows
-    y = matrix.label_indices()
+    X, y = matrix.rows, matrix.y
     n = X.shape[0]
     if n == 0:
         raise ModelError("cannot boost an empty matrix")
-    columns = Columns.of(matrix)
     weights = np.full(n, 1.0 / n)
     stages = []
     for _ in range(rounds):
-        tree = grow_tree(columns, y, weights, 2, weak.max_depth, weak.min_leaf)
+        tree = grow_tree(matrix, y, weights, 2, weak.max_depth, weak.min_leaf)
         preds = tree_predict_batch(tree, X)
         miss = preds != y
         eps = float(weights[miss].sum())

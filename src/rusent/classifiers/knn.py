@@ -162,4 +162,4 @@ class KnnModel(Model):
 
 def train_knn(matrix, k: int = 1, distance: str = "euclidean", p: float = 3.0) -> KnnModel:
     return KnnModel(matrix.class_values, matrix.width, k, distance, p,
-                    matrix.rows, matrix.label_indices())
+                    matrix.rows, matrix.y)

@@ -37,6 +37,11 @@ from .base import Model, fmt_floats
 ACTIVATIONS = ("logistic", "tanh")
 
 
+def _layout_size(sizes) -> int:
+    """The number of values in a buffer laid out over the layer widths."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
 def _layers(buf: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer (weights, biases) views into a flat buffer that holds, for
     each layer in turn, its weight matrix row-major and then its biases."""
@@ -146,6 +151,10 @@ class MlpModel(Model):
             raise ModelError("batch_size must be >= 1")
         self.sizes = [self.feature_width, *map(int, hidden), len(self.class_values)]
         self.params = np.ascontiguousarray(params, dtype=np.float64)
+        size = _layout_size(self.sizes)
+        if self.params.shape != (size,):
+            raise ModelError(f"params must be {size} values for layer widths {self.sizes},"
+                             f" not shape {self.params.shape}")
         self.weights, self.biases = _layers(self.params, self.sizes)
         self.activation = activation
         self.learning_rate = float(learning_rate)
@@ -230,7 +239,7 @@ def _init_mlp(rng: SplitMix64, matrix, hidden, activation, learning_rate, epochs
     if any(h < 1 for h in hidden):
         raise ModelError("hidden layer widths must be >= 1")
     sizes = [matrix.width] + list(hidden) + [len(matrix.class_values)]
-    params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
+    params = np.zeros(_layout_size(sizes))
     model = MlpModel(matrix.class_values, matrix.width, hidden, params, activation,
                      learning_rate, epochs, batch_size, seed)
     for W in model.weights:
@@ -252,7 +261,7 @@ def train_mlp(matrix, hidden: list[int] | None = None, activation: str = "logist
     model = _init_mlp(rng, matrix, list(hidden), activation, learning_rate,
                       epochs, batch_size, seed)
     X = matrix.rows
-    y = matrix.label_indices()
+    y = matrix.y
     n = X.shape[0]
     if n == 0:
         raise ModelError("cannot train on an empty matrix")

@@ -69,7 +69,7 @@ def train_mnb(matrix, alpha: float = 1.0) -> MultinomialNBModel:
         raise ModelError(f"smoothing alpha must be positive and finite, not {alpha!r}")
     if np.any(matrix.rows < 0):
         raise ModelError("multinomial NB requires non-negative feature values")
-    y = matrix.label_indices()
+    y = matrix.y
     n_classes = len(matrix.class_values)
     n = len(y)
     class_counts = np.bincount(y, minlength=n_classes)

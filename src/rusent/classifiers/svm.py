@@ -74,7 +74,7 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
         raise ModelError("cannot train on an empty matrix")
     # per-instance row views and signs, made once; x.dot(w) is the same
     # ddot as x @ w, with less call overhead per step
-    signs = np.where(matrix.label_indices() == 1, 1.0, -1.0).tolist()
+    signs = np.where(matrix.y == 1, 1.0, -1.0).tolist()
     rows = list(X)
     w = np.zeros(matrix.width)
     b = 0.0

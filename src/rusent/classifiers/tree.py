@@ -29,7 +29,7 @@ list (the lowest index: the list is range(d) or a sorted subset), then the
 lowest threshold; leaf majorities break toward the lowest class index.
 
 Split search and model bytes. The search reads each feature's non-zero
-entries only: the matrix's `nonzeros`, sorted by column (see Columns).
+entries only: the matrix's `columns`, its non-zero cells ordered by column.
 With non-dyadic weights (AdaBoost) a gain's last bits depend on the order
 of every addition, so the search fixes that order; the model bytes stay
 fixed only while it holds:
@@ -135,24 +135,6 @@ def _ranges(starts, ends):
     """The indices of the ranges [start, end), concatenated in order."""
     lens = ends - starts
     return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-
-
-class Columns:
-    """A FeatureMatrix's `nonzeros`, column after column: `rows`, `cols` and
-    `values` are ordered by column, then value, with ties in row order.
-    `shape` is the matrix's. A tree learner makes one and grows every tree
-    on it, whatever the tree's weights."""
-
-    __slots__ = ("rows", "cols", "values", "shape")
-
-    def __init__(self, rows, cols, values, shape):
-        self.rows, self.cols, self.values, self.shape = rows, cols, values, shape
-
-    @classmethod
-    def of(cls, matrix) -> "Columns":
-        rows, cols, values = matrix.nonzeros  # row order: the stable lexsort keeps it for ties
-        order = np.lexsort((values, cols))
-        return cls(rows[order], cols[order], values[order], matrix.rows.shape)
 
 
 def _restrict(entries, features):
@@ -295,7 +277,7 @@ def _node_split(rows, entries, y, w, counts, total_cw, min_leaf):
 
 
 def grow_tree(
-    columns: Columns,
+    matrix,
     y: np.ndarray,
     weights: np.ndarray,
     n_classes: int,
@@ -304,7 +286,7 @@ def grow_tree(
     rng=None,
     subset_size: int | None = None,
 ) -> Tree:
-    """Grow a tree on the training matrix's Columns, in preorder: a node is
+    """Grow a tree on a FeatureMatrix's `columns`, in preorder: a node is
     split (and draws its feature subset) before its left subtree, which is
     grown before its right one.
 
@@ -313,7 +295,7 @@ def grow_tree(
     no node.
 
     A node holds its rows (ascending indices into the matrix) and their
-    non-zero entries, in the Columns order. A split sends each row to one
+    non-zero entries, in the `columns` order. A split sends each row to one
     side by its value in the split feature (a row with no entry there
     holds 0.0) and filters the node's entries by their row's side, which
     keeps their order. An explicit stack replaces recursion, so depth is
@@ -321,10 +303,11 @@ def grow_tree(
     child its own rows and entries and drops the node's, so the pending
     right subtrees on the stack hold disjoint rows: at most one copy of
     the entries in all, whatever the depth."""
-    n, d = columns.shape
+    n, d = matrix.rows.shape
     counts = weights if weights.dtype.kind == "i" else np.ones(n, dtype=np.intp)
-    drawn = counts[columns.rows] > 0
-    entries = columns.rows[drawn], columns.cols[drawn], columns.values[drawn]
+    er, ec, ev = matrix.columns
+    drawn = counts[er] > 0
+    entries = er[drawn], ec[drawn], ev[drawn]
     goes_left = np.empty(n, dtype=bool)
     no_distribution = np.zeros(n_classes)
     nodes = []
@@ -442,9 +425,8 @@ def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1) -> Deci
     config = TreeConfig(max_depth, min_leaf)
     if matrix.rows.shape[0] == 0:
         raise ModelError("cannot train a tree on an empty matrix")
-    y = matrix.label_indices()
     tree = grow_tree(
-        Columns.of(matrix), y, np.ones(len(y), dtype=np.intp), len(matrix.class_values),
+        matrix, matrix.y, np.ones(len(matrix.y), dtype=np.intp), len(matrix.class_values),
         config.max_depth, config.min_leaf,
     )
     return DecisionTreeModel(matrix.class_values, matrix.width, tree, config)

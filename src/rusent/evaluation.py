@@ -15,7 +15,9 @@ descending accuracy, then by name.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EvalError
 from .vectorize import FeatureMatrix
@@ -130,20 +132,10 @@ def evaluate(model, test: FeatureMatrix, positive_class: str | None = None) -> E
         positive_class = "pos" if "pos" in test.class_values else test.class_values[0]
     if positive_class not in test.class_values:
         raise EvalError(f"positive class {positive_class!r} is not declared")
-    tp = fp = fn = tn = 0
-    predictions = model.predict_indices(test.rows)
-    for index, actual in zip(predictions, test.labels):
-        predicted = model.class_values[index]
-        if actual == positive_class:
-            if predicted == positive_class:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted == positive_class:
-                fp += 1
-            else:
-                tn += 1
+    is_positive = np.array([c == positive_class for c in model.class_values])
+    predicted = is_positive[model.predict_indices(test.rows)]
+    actual = test.y == test.class_values.index(positive_class)
+    tn, fp, fn, tp = np.bincount(2 * actual + predicted, minlength=4).tolist()
     matrix = ConfusionMatrix(tp, fp, fn, tn, positive_class)
     return metrics_from_matrix(matrix, model.variant)
 

@@ -1,8 +1,10 @@
 """Deterministic pseudo-random numbers via splitmix64.
 
 Every stochastic component in the toolkit (bootstrap draws, feature
-subsets, epoch shuffles, weight initialization) pulls from this generator
-so that a fixed seed yields byte-identical models on any platform.
+subsets, epoch shuffles, weight initialization) pulls from this generator,
+so a fixed seed yields the same draws on any platform. The models made
+from them are byte-identical per BLAS kernel: MLP training sums its
+matrix products in the order of the kernel OpenBLAS picks for the CPU.
 
 Draw-order contract: each training routine documents the exact sequence of
 calls it makes, and ensemble members use `derive(seed, index)` so members

@@ -16,8 +16,7 @@ a Dataset of per-cell values. to_arff returns the sparse ARFF text of a
 matrix: write_arff's header for that relation, then one `{index value,...}`
 row per instance that omits numeric zeros and first-declared nominal
 values (write_sparse_arff in the tests writes the same text from a
-Dataset), from the non-zero entries that a FeatureMatrix owns and the tree
-learners read. read_matrix reads such text back: a strict subset (a
+Dataset). read_matrix reads such text back: a strict subset (a
 numeric header with the nominal class last, its plain numeric attribute
 lines matched by regex and the rest parsed by parse_arff, then quote- and
 whitespace-free `{index value,...}` rows with ascending indices and finite
@@ -66,14 +65,17 @@ class VectorSpace:
 
 @dataclass
 class FeatureMatrix:
-    """Dense numeric feature rows with a parallel label list; the matrix
-    owns its non-zero entries (`nonzeros`). `rows` is a read-only view of
-    the array it is given (no copy is made), so the entries, found once,
-    stay those of `rows`, and a model may keep `rows` without copying."""
+    """Dense numeric feature rows with a parallel label list, and what the
+    learners read of them, derived once: `y`, each label's index among
+    `class_values`, and `columns`, the non-zero entries column after
+    column. `rows` is a read-only view of the array it is given (no copy
+    is made) and `y` is read-only, so `columns` stays that of `rows`, and
+    a model may keep either without copying."""
 
     rows: np.ndarray  # (n, width) float64
     labels: list[str]
     class_values: tuple[str, ...]
+    y: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) intp
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64).view()
@@ -82,24 +84,26 @@ class FeatureMatrix:
             raise VectorizeError("feature rows must form a 2-D matrix")
         if len(self.labels) != self.rows.shape[0]:
             raise VectorizeError("labels and rows must have equal length")
+        lookup = {v: i for i, v in enumerate(self.class_values)}
+        try:
+            self.y = np.array([lookup[l] for l in self.labels], dtype=np.intp)
+        except KeyError as exc:
+            raise VectorizeError(f"label {exc.args[0]!r} not among class values") from None
+        self.y.flags.writeable = False
 
     @property
     def width(self) -> int:
         return self.rows.shape[1]
 
     @cached_property
-    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the non-zero cells in row-major order, from
-        one np.nonzero: 0.0 and -0.0 are both zeros."""
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the non-zero cells (0.0 and -0.0 are both
+        zeros), ordered by column, then value, with ties in row order. A tree
+        learner grows every tree on them, whatever the tree's weights."""
         rows, cols = np.nonzero(self.rows)
-        return rows, cols, self.rows[rows, cols]
-
-    def label_indices(self) -> np.ndarray:
-        lookup = {v: i for i, v in enumerate(self.class_values)}
-        try:
-            return np.array([lookup[l] for l in self.labels], dtype=np.intp)
-        except KeyError as exc:
-            raise VectorizeError(f"label {exc.args[0]!r} not among class values") from None
+        values = self.rows[rows, cols]
+        order = np.lexsort((values, cols))  # stable: ties keep np.nonzero's row order
+        return rows[order], cols[order], values[order]
 
 
 def _schema(data: Dataset) -> tuple[int, int]:
@@ -205,16 +209,17 @@ def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> str:
     row per instance.
 
     The text is the tests' write_sparse_arff of that relation, byte for
-    byte, written straight from the matrix: a row lists its cells in
-    matrix.nonzeros with repr() values, then a class entry unless the
-    label is the first class value.
+    byte, written straight from the matrix: a row lists its non-zero cells
+    (np.nonzero's) with repr() values, then a class entry unless the label
+    is the first class value.
     """
     classes = space.class_values
     lines = ["@relation vectorized"]
     lines += [f"@attribute {_quote(term)} numeric" for term in space.vocabulary]
     lines.append(f"@attribute {_quote(space.class_attr)} {{{','.join(map(_quote, classes))}}}")
     lines.append("@data")
-    rows, cols, values = matrix.nonzeros
+    rows, cols = np.nonzero(matrix.rows)
+    values = matrix.rows[rows, cols]
     entries = [f"{j} {v!r}" for j, v in zip(cols.tolist(), values.tolist())]
     ends = np.cumsum(np.bincount(rows, minlength=len(matrix.labels))).tolist()
     start = 0

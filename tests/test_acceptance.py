@@ -35,7 +35,7 @@ from rusent.classifiers import (
 )
 from rusent.classifiers.mlp import init_mlp, train_mlp
 from rusent.classifiers.svm import svm_objective
-from rusent.classifiers.tree import Columns, entropy, grow_tree, tree_predict_batch
+from rusent.classifiers.tree import entropy, grow_tree, tree_predict_batch
 from rusent.cli import main
 from rusent.corpus import SplitSpec, split
 from rusent.evaluation import ConfusionMatrix, metrics_from_matrix
@@ -133,7 +133,7 @@ def test_criterion_4_entropy_and_gain():
         y = np.array([rng.next_below(2) for _ in range(40)], dtype=np.intp)
         w = np.ones(40)
         labels = [("neg", "pos")[c] for c in y]
-        tree = grow_tree(Columns.of(make_matrix(X, labels)), y, w, 2, None, 1)
+        tree = grow_tree(make_matrix(X, labels), y, w, 2, None, 1)
         splits = list(walk_splits(tree, X, y, w, 2))
         assert splits  # the noisy data forces at least one split
         for _, gain in splits:
@@ -172,7 +172,7 @@ def test_criterion_6_adaboost_identity_and_stump():
     with criterion(6):
         m = make_matrix(NONSEP_ROWS, NONSEP_LABELS, ("neg", "pos"))
         model = train_adaboost(m, rounds=3)
-        y = m.label_indices()
+        y = m.y
         weights = np.full(len(y), 1.0 / len(y))
         for alpha, root in model.stages:
             miss = tree_predict_batch(root, m.rows) != y
@@ -193,7 +193,7 @@ def test_criterion_7_mlp_gradients_and_xor():
             ("neg", "pos"),
         )
         net = init_mlp(probe, hidden=[3], seed=4)
-        X, y = probe.rows, probe.label_indices()
+        X, y = probe.rows, probe.y
         _, gw, gb = net.gradients(X, y)
         fw, fb = finite_difference_grads(net, X, y, step=1e-5)
         worst = 0.0
@@ -221,7 +221,7 @@ def test_criterion_8_svm_blob_and_objective():
         lam = 0.05
         model = train_svm(m, lam=lam, epochs=1000, seed=0)
         assert predicted(model, m.rows) == m.labels
-        signs = np.where(m.label_indices() == 1, 1.0, -1.0)
+        signs = np.where(m.y == 1, 1.0, -1.0)
         achieved = svm_objective(model.weights, model.bias, m.rows, signs, lam)
         best = np.inf
         for w0 in np.linspace(-2, 2, 41):

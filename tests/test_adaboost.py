@@ -43,7 +43,7 @@ class TestBoostingLoop:
         each round's learner has weighted error exactly 0.5 afterwards."""
         m = nonsep_matrix()
         model = train_adaboost(m, rounds=5)
-        y = m.label_indices()
+        y = m.y
         n = len(y)
         weights = np.full(n, 1.0 / n)
         assert len(model.stages) >= 2

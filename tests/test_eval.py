@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,55 @@ class TestEvaluate:
         bad = make_matrix([[1.0, 2.0]], ["pos"], ("neg", "pos"))
         with pytest.raises(EvalError):
             evaluate(model, bad)
+
+
+class _FixedPredictions:
+    """A model stand-in that predicts the given class indices."""
+
+    variant = "fixed"
+    feature_width = 1
+
+    def __init__(self, class_values, indices):
+        self.class_values = class_values
+        self.indices = np.array(indices, dtype=np.intp)
+
+    def predict_indices(self, X):
+        return self.indices
+
+
+def per_row_tally(model, test, positive_class):
+    """The confusion counts by comparing class strings row by row."""
+    tp = fp = fn = tn = 0
+    for index, actual in zip(model.predict_indices(test.rows), test.labels):
+        predicted = model.class_values[index]
+        if actual == positive_class:
+            if predicted == positive_class:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if predicted == positive_class:
+                fp += 1
+            else:
+                tn += 1
+    return tp, fp, fn, tn
+
+
+class TestTally:
+    @given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(["neg", "pos"])),
+                    min_size=1, max_size=30),
+           st.sampled_from([None, "neg", "pos"]))
+    @settings(max_examples=150)
+    def test_equals_the_per_row_string_rule_across_class_orders(self, rows, positive_class):
+        # the model declares (neg, pos), the test matrix (pos, neg)
+        indices, labels = zip(*rows)
+        model = _FixedPredictions(("neg", "pos"), indices)
+        test = make_matrix(np.zeros((len(rows), 1)), labels, ("pos", "neg"))
+        r = evaluate(model, test, positive_class)
+        m = r.matrix
+        assert m.positive_class == (positive_class or "pos")
+        assert (m.tp, m.fp, m.fn, m.tn) == per_row_tally(model, test, m.positive_class)
+        assert all(type(v) is int for v in (m.tp, m.fp, m.fn, m.tn))
 
 
 class TestCompare:

@@ -3,7 +3,7 @@ import pytest
 
 from rusent.classifiers import train_mlp
 from rusent.classifiers.base import loads_model
-from rusent.classifiers.mlp import _init_mlp, init_mlp
+from rusent.classifiers.mlp import MlpModel, _init_mlp, init_mlp
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
@@ -44,7 +44,7 @@ class TestGradients:
             ("neg", "pos"),
         )
         model = init_mlp(m, hidden=[3], activation=activation, seed=4)
-        X, y = m.rows, m.label_indices()
+        X, y = m.rows, m.y
         _, gw, gb = model.gradients(X, y)
         fw, fb = finite_difference_grads(model, X, y)
         for a, b in zip(gw + gb, fw + fb):
@@ -67,7 +67,7 @@ class TestGradients:
         start = _init_mlp(rng, m, [4, 3], activation, lr, 1, n, seed)
         order = list(range(n))
         rng.shuffle(order)
-        _, gw, gb = start.gradients(m.rows[order], m.label_indices()[order])
+        _, gw, gb = start.gradients(m.rows[order], m.y[order])
         trained = train_mlp(m, hidden=[4, 3], activation=activation, learning_rate=lr,
                             epochs=1, batch_size=n, seed=seed)
         for p, p0, g in zip(trained.weights + trained.biases,
@@ -76,7 +76,7 @@ class TestGradients:
 
     def test_gradient_loss_matches_loss(self):
         model = init_mlp(XOR, hidden=[4], seed=0)
-        X, y = XOR.rows, XOR.label_indices()
+        X, y = XOR.rows, XOR.y
         loss, _, _ = model.gradients(X, y)
         assert loss == pytest.approx(model.loss(X, y), abs=1e-12)
 
@@ -106,7 +106,7 @@ class TestTraining:
         assert a.dumps() == b.dumps()
 
     def test_training_reduces_loss(self):
-        X, y = XOR.rows, XOR.label_indices()
+        X, y = XOR.rows, XOR.y
         start = init_mlp(XOR, hidden=[8], seed=2).loss(X, y)
         end = train_mlp(XOR, hidden=[8], learning_rate=0.5, epochs=500,
                         batch_size=4, seed=2).loss(X, y)
@@ -159,7 +159,7 @@ class TestParameterBuffer:
 
     def test_loss_reads_the_live_parameters(self):
         model = init_mlp(THREE_CLASSES, hidden=[4], seed=1)
-        X, y = THREE_CLASSES.rows, THREE_CLASSES.label_indices()
+        X, y = THREE_CLASSES.rows, THREE_CLASSES.y
         before = model.loss(X, y)
         model.params *= 0.0  # every score equal: the loss is ln(3)
         assert model.loss(X, y) != before
@@ -187,3 +187,9 @@ class TestValidation:
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ModelError):
             init_mlp(XOR, hidden=[3], batch_size=0)
+
+    @pytest.mark.parametrize("length", [5, 16, 18])
+    def test_a_buffer_of_the_wrong_length_is_rejected(self, length):
+        # 2 features, hidden [3], 2 classes: (2 + 1) * 3 + (3 + 1) * 2 = 17 values
+        with pytest.raises(ModelError, match="params must be 17 values"):
+            MlpModel(("neg", "pos"), 2, [3], np.zeros(length), "logistic", 0.1, 1, 1, 0)

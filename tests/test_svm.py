@@ -38,7 +38,7 @@ class TestTraining:
 
     def test_objective_decreases_with_more_epochs(self):
         m = blob_matrix(seed=5)
-        signs = np.where(m.label_indices() == 1, 1.0, -1.0)
+        signs = np.where(m.y == 1, 1.0, -1.0)
         short = train_svm(m, lam=1e-2, epochs=2, seed=1)
         long = train_svm(m, lam=1e-2, epochs=200, seed=1)
         f = lambda mod: svm_objective(mod.weights, mod.bias, m.rows, signs, 1e-2)
@@ -60,7 +60,7 @@ class TestTraining:
 class TestObjective:
     def test_zero_model_objective_is_one(self):
         m = blob_matrix()
-        signs = np.where(m.label_indices() == 1, 1.0, -1.0)
+        signs = np.where(m.y == 1, 1.0, -1.0)
         assert svm_objective(np.zeros(2), 0.0, m.rows, signs, 1e-3) == pytest.approx(1.0)
 
     def test_hand_value(self):
@@ -72,7 +72,7 @@ class TestObjective:
 
     def test_final_objective_near_grid_search_optimum(self):
         m = blob_matrix(seed=9)
-        signs = np.where(m.label_indices() == 1, 1.0, -1.0)
+        signs = np.where(m.y == 1, 1.0, -1.0)
         lam = 0.05
         model = train_svm(m, lam=lam, epochs=1000, seed=0)
         got = svm_objective(model.weights, model.bias, m.rows, signs, lam)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rusent.classifiers import train_adaboost, train_bagging, train_dtree, train_rforest
 from rusent.classifiers.base import MAGIC, BodyReader, TreeConfig, loads_model
 from rusent.classifiers.tree import (
-    Columns, Tree, _entropy_rows, _node_split, _restrict, entropy, grow_tree, read_tree,
+    Tree, _entropy_rows, _node_split, _restrict, entropy, grow_tree, read_tree,
     tree_lines, tree_predict_batch,
 )
 from rusent.errors import ModelError
@@ -158,7 +158,7 @@ class TestGrowth:
         m = make_matrix([[0.0], [0.0], [0.0], [1.0]],
                         ["neg", "neg", "pos", "pos"], ("neg", "pos"))
         w = np.array([1.0, 1.0, 5.0, 1.0])
-        grown = grow_tree(Columns.of(m), m.label_indices(), w, 2, None, 1)
+        grown = grow_tree(m, m.y, w, 2, None, 1)
         assert tree_predict_batch(grown, np.array([[0.0]])).tolist() == [1]
 
 
@@ -209,7 +209,7 @@ class TestProperties:
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
         w = np.ones(len(y))
-        tree = grow_tree(columns_of(rows), y, w, 2, None, 1)
+        tree = grow_tree(matrix_of(rows), y, w, 2, None, 1)
         for _, gain in walk_splits(tree, rows, y, w, 2):
             assert gain > 0.0
 
@@ -233,7 +233,7 @@ class TestProperties:
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
         w = np.ones(len(y))
-        tree = grow_tree(columns_of(rows), y, w, 2, max_depth, min_leaf)
+        tree = grow_tree(matrix_of(rows), y, w, 2, max_depth, min_leaf)
         for depth, X, ys in walk_leaves(tree, rows, y):
             stopped = (
                 len(set(ys.tolist())) == 1
@@ -251,8 +251,8 @@ class TestProperties:
     def test_uniform_weight_scaling_changes_nothing(self, docs, scale):
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
-        a = grow_tree(columns_of(rows), y, np.ones(len(y)), 2, None, 1)
-        b = grow_tree(columns_of(rows), y, np.full(len(y), scale), 2, None, 1)
+        a = grow_tree(matrix_of(rows), y, np.ones(len(y)), 2, None, 1)
+        b = grow_tree(matrix_of(rows), y, np.full(len(y), scale), 2, None, 1)
 
         def shape(t, i=0):
             if is_leaf(t, i):
@@ -263,9 +263,10 @@ class TestProperties:
         assert shape(a) == shape(b)
 
 
-def columns_of(X):
-    """The Columns of a matrix with rows X (labels play no part in them)."""
-    return Columns.of(make_matrix(X, ["neg"] * len(X)))
+def matrix_of(X):
+    """A matrix with rows X; its labels play no part in grow_tree, which
+    takes y."""
+    return make_matrix(X, ["neg"] * len(X))
 
 
 def best_split(X, y, w, n_classes, min_leaf, features):
@@ -274,8 +275,7 @@ def best_split(X, y, w, n_classes, min_leaf, features):
     that are all 1.0 go in as integer ones, the counted search."""
     total_cw = np.zeros(n_classes)
     np.add.at(total_cw, y, w)
-    c = columns_of(X)
-    entries = _restrict((c.rows, c.cols, c.values), list(features))
+    entries = _restrict(matrix_of(X).columns, list(features))
     ones = np.ones(X.shape[0], dtype=np.intp)
     w = ones if (w == 1.0).all() else w
     return _node_split(np.arange(X.shape[0]), entries, y, w, ones, total_cw, min_leaf)
@@ -383,12 +383,6 @@ class TestBlockedSplitSearch:
         assert split_bits(best_split(*problem)) == split_bits(expected)
 
 
-def assert_same_columns(got, want):
-    assert got.shape == want.shape
-    for a, b in zip((got.rows, got.cols, got.values), (want.rows, want.cols, want.values)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 class TestColumns:
     @given(split_problems())
     @settings(max_examples=100)
@@ -397,8 +391,9 @@ class TestColumns:
         rows, cols = np.nonzero(X)
         values = X[rows, cols]
         order = np.lexsort((values, cols))
-        expected = Columns(rows[order], cols[order], values[order], X.shape)
-        assert_same_columns(columns_of(X), expected)
+        expected = rows[order], cols[order], values[order]
+        for got, want in zip(matrix_of(X).columns, expected, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @given(split_problems(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -414,9 +409,9 @@ class TestColumns:
         subset_size = data.draw(st.sampled_from([None, 1, max(1, d - 1)]))
         seed = data.draw(st.integers(0, 2**64 - 1))
         rngs = SplitMix64(seed), SplitMix64(seed)
-        counted = grow_tree(columns_of(X), y, np.bincount(indices, minlength=n), n_classes,
+        counted = grow_tree(matrix_of(X), y, np.bincount(indices, minlength=n), n_classes,
                             max_depth, min_leaf, rng=rngs[0], subset_size=subset_size)
-        copied = grow_tree(columns_of(X[indices]), y[indices], np.ones(indices.size, dtype=np.intp),
+        copied = grow_tree(matrix_of(X[indices]), y[indices], np.ones(indices.size, dtype=np.intp),
                            n_classes, max_depth, min_leaf, rng=rngs[1], subset_size=subset_size)
         for name in Tree.__slots__:
             a, b = getattr(counted, name), getattr(copied, name)
@@ -509,7 +504,7 @@ def test_a_1100_deep_tree_grows_without_recursion():
     n = 2200
     X = np.arange(n, dtype=float)[:, None]
     y = np.array([(i * (i + 1) // 2) % 2 for i in range(n)])
-    tree = grow_tree(columns_of(X), y, np.ones(n), 2, None, 1)
+    tree = grow_tree(matrix_of(X), y, np.ones(n), 2, None, 1)
     leaves = list(walk_leaves(tree, X, y))
     assert len(leaves) == 1101
     assert max(depth for depth, _, _ in leaves) == 1100

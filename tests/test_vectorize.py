@@ -209,24 +209,40 @@ class TestToArffText:
         assert "@attribute 'a b' numeric\n@attribute '?' numeric\n" in text
 
 
+class TestFeatureMatrix:
+    def test_y_indexes_each_label_among_the_class_values(self):
+        matrix = FeatureMatrix(np.zeros((3, 1)), ["pos", "neg", "pos"], ("neg", "pos"))
+        assert matrix.y.dtype == np.intp and matrix.y.tolist() == [1, 0, 1]
+        assert not matrix.y.flags.writeable
+
+    def test_an_undeclared_label_is_rejected_at_construction(self):
+        with pytest.raises(VectorizeError, match="'typo' not among class values"):
+            FeatureMatrix(np.zeros((2, 1)), ["neg", "typo"], ("neg", "pos"))
+
+
 class TestNonzeros:
     @given(vectorized())
     @settings(max_examples=200)
     def test_is_the_np_nonzero_triple(self, case):
+        # in column order: by column, then value, ties in np.nonzero's row order
         matrix = case[1]
         rows, cols = np.nonzero(matrix.rows)
-        for got, want in zip(matrix.nonzeros, (rows, cols, matrix.rows[rows, cols])):
+        values = matrix.rows[rows, cols]
+        order = np.lexsort((values, cols))
+        for got, want in zip(matrix.columns, (rows[order], cols[order], values[order]),
+                             strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_drops_both_zeros_and_keeps_negative_values(self):
-        matrix = FeatureMatrix([[0.0, -0.0, -2.5], [3.0, -0.0, 0.0], [-0.0, 0.0, 0.0]],
+        matrix = FeatureMatrix([[0.0, -0.0, -2.5], [3.0, -0.0, 0.0], [-0.0, 0.0, -2.5]],
                                ["neg", "pos", "neg"], ("neg", "pos"))
-        rows, cols, values = matrix.nonzeros
-        assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, 1], [2, 0], [-2.5, 3.0])
+        rows, cols, values = matrix.columns
+        assert (rows.tolist(), cols.tolist(), values.tolist()) == (
+            [1, 0, 2], [0, 2, 2], [3.0, -2.5, -2.5])
 
     def test_a_second_access_returns_the_same_object(self):
         matrix = FeatureMatrix([[1.0, 0.0]], ["pos"], ("neg", "pos"))
-        assert matrix.nonzeros is matrix.nonzeros
+        assert matrix.columns is matrix.columns
 
 
 def _entries(text):
