@@ -35,9 +35,12 @@ class AdaBoostModel(Model):
 
     def __init__(self, class_values, feature_width, stages, weak: TreeConfig, rounds: int):
         super().__init__(class_values, feature_width)
+        require_binary(self.class_values)
         self.stages = list(stages)  # (alpha, tree) pairs
         self.weak = weak
         self.rounds = int(rounds)
+        if self.rounds < 1 or len(self.stages) > self.rounds:
+            raise ModelError(f"rounds {self.rounds} is below 1 or its {len(self.stages)} stages")
 
     def scores(self, X) -> np.ndarray:
         X = self.check_matrix(X)
@@ -55,10 +58,9 @@ class AdaBoostModel(Model):
 
     @classmethod
     def _from_body(cls, reader):
-        require_binary(reader.class_values)
-        rounds = reader.integer("rounds", lo=1)
+        rounds = reader.integer("rounds")
         weak = reader.tree_config("weak_")
-        n_stages = reader.integer("stages", hi=rounds)
+        n_stages = reader.count("stages")
         stages = [(reader.real(f"stage {i}"), read_tree(reader)) for i in range(n_stages)]
         return cls(reader.class_values, reader.feature_width, stages, weak, rounds)
 
@@ -68,27 +70,24 @@ def train_adaboost(
     rounds: int = 10,
     weak: TreeConfig = TreeConfig(max_depth=1),
 ) -> AdaBoostModel:
-    require_binary(matrix.class_values)
-    if rounds < 1:
-        raise ModelError("rounds must be >= 1")
+    model = AdaBoostModel(matrix.class_values, matrix.width, [], weak, rounds)
     X, y = matrix.rows, matrix.y
     n = X.shape[0]
     if n == 0:
         raise ModelError("cannot boost an empty matrix")
     weights = np.full(n, 1.0 / n)
-    stages = []
     for _ in range(rounds):
-        tree = grow_tree(matrix, y, weights, 2, weak.max_depth, weak.min_leaf)
+        tree = grow_tree(matrix, weights, weak)
         preds = tree_predict_batch(tree, X)
         miss = preds != y
         eps = float(weights[miss].sum())
         if eps <= 0.0:
-            stages.append((ALPHA_CAP, tree))
+            model.stages.append((ALPHA_CAP, tree))
             break
         if eps >= 0.5:
             break
         alpha = 0.5 * math.log((1.0 - eps) / eps)
-        stages.append((alpha, tree))
+        model.stages.append((alpha, tree))
         weights = weights * np.where(miss, math.exp(alpha), math.exp(-alpha))
         weights /= weights.sum()
-    return AdaBoostModel(matrix.class_values, matrix.width, stages, weak, rounds)
+    return model

@@ -31,11 +31,12 @@ shortest string that round-trips to the same double, so model files are
 byte-stable and loading loses no precision; fmt_floats refuses non-finite
 ones. A class line has no escape, so dumps refuses a class value that
 holds a line feed or a carriage return. loads_model reads the file
-through one BodyReader and raises ModelError (exit 2) on any other line
-or value count, trailing lines, repeated classes, non-finite floats, and
-values that training would refuse or prediction could not use, such as a
-split feature at or past feature_width or a leaf class at or past the
-class count.
+through one BodyReader, which refuses any other line or value count,
+trailing lines, non-finite floats, and a split feature or leaf class out
+of range. Every other value goes to the variant's constructor, which
+checks what a model holds, trained or loaded alike: hyperparameter
+ranges, parameter shapes, distinct classes. loads_model reports what
+either refuses as a corrupt model file (ModelError, exit 2).
 """
 
 from __future__ import annotations
@@ -92,8 +93,6 @@ class BodyReader:
         classes = []
         while self.at("class"):
             classes.append(self.rest("class"))
-        if not classes or len(set(classes)) < len(classes):
-            raise ValueError("the model must declare one or more distinct classes")
         self.class_values = tuple(classes)
 
     def at(self, key: str) -> bool:
@@ -113,15 +112,17 @@ class BodyReader:
             raise ValueError(f"line {self.pos}: {key!r} needs {count} values, not {len(words)}")
         return words
 
-    def integers(self, key: str, count=None, lo=0, hi=None) -> list[int]:
-        """Ints in [lo, hi]; None leaves that side unbounded."""
-        values = [int(w) for w in self.values(key, count)]
-        if any((lo is not None and v < lo) or (hi is not None and v > hi) for v in values):
-            raise ValueError(f"line {self.pos}: {key!r} must lie in [{lo}, {hi}]")
-        return values
+    def integers(self, key: str, count=None) -> list[int]:
+        return [int(w) for w in self.values(key, count)]
 
-    def integer(self, key: str, lo=0, hi=None) -> int:
-        return self.integers(key, 1, lo, hi)[0]
+    def integer(self, key: str) -> int:
+        return self.integers(key, 1)[0]
+
+    def count(self, key: str) -> int:
+        """The number of items whose lines follow, which cannot be negative."""
+        if (value := self.integer(key)) < 0:
+            raise ValueError(f"line {self.pos}: {key!r} is a count, not {value}")
+        return value
 
     def reals(self, key: str, count: int) -> np.ndarray:
         values = np.array(self.values(key, count), dtype=np.float64)
@@ -129,16 +130,13 @@ class BodyReader:
             raise ValueError(f"line {self.pos}: {key!r} holds a non-finite value")
         return values
 
-    def real(self, key: str, positive: bool = False) -> float:
-        value = float(self.reals(key, 1)[0])
-        if positive and value <= 0.0:
-            raise ValueError(f"line {self.pos}: {key!r} must be positive")
-        return value
+    def real(self, key: str) -> float:
+        return float(self.reals(key, 1)[0])
 
     def tree_config(self, prefix: str = "") -> TreeConfig:
         """Inverse of TreeConfig.lines."""
-        depth = self.integer(prefix + "max_depth", lo=None)  # TreeConfig checks both
-        min_leaf = self.integer(prefix + "min_leaf", lo=None)
+        depth = self.integer(prefix + "max_depth")
+        min_leaf = self.integer(prefix + "min_leaf")
         return TreeConfig(None if depth == -1 else depth, min_leaf)
 
     def end(self) -> None:
@@ -154,6 +152,18 @@ class Model:
     def __init__(self, class_values, feature_width: int):
         self.class_values = tuple(class_values)
         self.feature_width = int(feature_width)
+        if self.feature_width < 0:
+            raise ModelError(f"feature_width must be >= 0, not {self.feature_width}")
+        if not self.class_values or len(set(self.class_values)) < len(self.class_values):
+            raise ModelError("the model must declare one or more distinct classes")
+
+    @staticmethod
+    def shaped(name: str, values, *shape: int) -> np.ndarray:
+        """values as a C-ordered float64 array; ModelError unless of `shape`."""
+        array = np.asarray(values, dtype=np.float64, order="C")
+        if array.shape != shape:
+            raise ModelError(f"{name} must have shape {shape}, not {array.shape}")
+        return array
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -225,7 +235,7 @@ def loads_model(text: str) -> Model:
             raise ModelError(f"unknown model variant {reader.variant!r}")
         model = cls._from_body(reader)
         reader.end()
-    except ValueError as exc:
+    except (ValueError, ModelError) as exc:
         raise ModelError(f"corrupt model file: {exc}") from None
     return model
 

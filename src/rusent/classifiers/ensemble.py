@@ -26,6 +26,8 @@ class _VotingTreeEnsemble(Model):
     def __init__(self, class_values, feature_width, trees, base: TreeConfig, seed: int):
         super().__init__(class_values, feature_width)
         self.trees = list(trees)
+        if not self.trees:
+            raise ModelError("an ensemble needs at least one tree")
         self.base = base
         self.seed = int(seed)
 
@@ -46,12 +48,13 @@ class _VotingTreeEnsemble(Model):
 
     @classmethod
     def _from_body(cls, reader, *extra):
-        m = reader.integer("m", lo=1)
-        seed = reader.integer("seed", lo=None)
+        m = reader.count("m")
+        seed = reader.integer("seed")
         base = reader.tree_config("base_")
         trees = []
         for i in range(m):
-            reader.integer("member", lo=i, hi=i)
+            if reader.rest("member") != str(i):
+                raise ValueError(f"line {reader.pos}: expected 'member {i}'")
             trees.append(read_tree(reader))
         return cls(reader.class_values, reader.feature_width, trees, base, seed, *extra)
 
@@ -65,15 +68,21 @@ class RandomForestModel(_VotingTreeEnsemble):
 
     def __init__(self, class_values, feature_width, trees, base, seed, features_per_split):
         super().__init__(class_values, feature_width, trees, base, seed)
-        self.features_per_split = int(features_per_split)
+        self.features_per_split = check_features_per_split(features_per_split, self.feature_width)
 
     def _body_lines(self):
         return [f"features_per_split {self.features_per_split}"] + super()._body_lines()
 
     @classmethod
     def _from_body(cls, reader):
-        fps = reader.integer("features_per_split", lo=1, hi=reader.feature_width)
-        return super()._from_body(reader, fps)
+        return super()._from_body(reader, reader.integer("features_per_split"))
+
+
+def check_features_per_split(features_per_split: int, width: int) -> int:
+    """The random forest's subset size, which must lie in [1, width]."""
+    if not 1 <= features_per_split <= width:
+        raise ModelError(f"features_per_split must be in [1, {width}], not {features_per_split}")
+    return int(features_per_split)
 
 
 def bootstrap_indices(rng: SplitMix64, n: int) -> np.ndarray:
@@ -83,22 +92,14 @@ def bootstrap_indices(rng: SplitMix64, n: int) -> np.ndarray:
 
 
 def _bootstrap_trees(matrix, m, base: TreeConfig, seed, subset_size):
-    if m < 1:
-        raise ModelError("ensemble size m must be >= 1")
     n = matrix.y.size
     if n == 0:
         raise ModelError("cannot train an ensemble on an empty matrix")
-    n_classes = len(matrix.class_values)
     trees = []
     for i in range(m):
         rng = SplitMix64(derive(seed, i))
         counts = np.bincount(bootstrap_indices(rng, n), minlength=n)
-        trees.append(
-            grow_tree(
-                matrix, matrix.y, counts, n_classes, base.max_depth, base.min_leaf,
-                rng=rng, subset_size=subset_size,
-            )
-        )
+        trees.append(grow_tree(matrix, counts, base, rng=rng, subset_size=subset_size))
     return trees
 
 
@@ -117,9 +118,6 @@ def train_rforest(
     d = matrix.width
     if features_per_split is None:
         features_per_split = int(np.ceil(np.sqrt(d)))  # ceil(sqrt(d)) default
-    if not 1 <= features_per_split <= d:
-        raise ModelError(f"features_per_split must be in [1, {d}]")
+    check_features_per_split(features_per_split, d)  # before any tree grows
     trees = _bootstrap_trees(matrix, m, base, seed, subset_size=features_per_split)
-    return RandomForestModel(
-        matrix.class_values, matrix.width, trees, base, seed, features_per_split
-    )
+    return RandomForestModel(matrix.class_values, d, trees, base, seed, features_per_split)

@@ -89,8 +89,11 @@ class KnnModel(Model):
         self.k = int(k)
         self.metric = metric
         self.p = float(p)
-        self.rows = np.ascontiguousarray(rows, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.intp)
+        labels = np.asarray(labels)  # of dtype object if an int overflows intp
+        if labels.ndim != 1 or ((labels < 0) | (labels >= len(self.class_values))).any():
+            raise ModelError(f"labels must be class indices below {len(self.class_values)}")
+        self.labels = labels.astype(np.intp, copy=False)
+        self.rows = self.shaped("rows", rows, len(labels), self.feature_width)
 
     def _candidates(self, X: np.ndarray):
         """Yield (x, training indices that can be among x's neighbours, in
@@ -150,10 +153,10 @@ class KnnModel(Model):
 
     @classmethod
     def _from_body(cls, reader):
-        k = reader.integer("k", lo=None)
+        k = reader.integer("k")
         metric = reader.rest("distance")
         p = reader.real("p")
-        labels = reader.integers("labels", hi=len(reader.class_values) - 1)
+        labels = reader.integers("labels")
         rows = np.empty((len(labels), reader.feature_width))
         for row in rows:  # into place: no list of row arrays to stack
             row[:] = reader.reals("row", reader.feature_width)

@@ -37,11 +37,6 @@ from .base import Model, fmt_floats
 ACTIVATIONS = ("logistic", "tanh")
 
 
-def _layout_size(sizes) -> int:
-    """The number of values in a buffer laid out over the layer widths."""
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-
-
 def _layers(buf: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer (weights, biases) views into a flat buffer that holds, for
     each layer in turn, its weight matrix row-major and then its biases."""
@@ -131,16 +126,16 @@ class _Kernel:
 
 
 class MlpModel(Model):
-    """`params` holds every weight and bias in one flat buffer, laid out over
-    the layer widths `sizes` = [feature_width, *hidden, classes]."""
+    """`params` (zeros if None) holds every weight and bias in one flat buffer,
+    laid out over the layer widths `sizes` = [feature_width, *hidden, classes]."""
 
     variant = "mlp"
 
     def __init__(self, class_values, feature_width, hidden, params, activation,
                  learning_rate, epochs, batch_size, seed):
         super().__init__(class_values, feature_width)
-        if len(hidden) < 1:
-            raise ModelError("at least one hidden layer is required")
+        if len(hidden) < 1 or min(hidden) < 1:
+            raise ModelError(f"hidden layer widths must be one or more values >= 1, not {hidden}")
         if activation not in ACTIVATIONS:
             raise ModelError(f"activation must be one of {ACTIVATIONS}")
         if not 0.0 < learning_rate < np.inf:
@@ -150,8 +145,9 @@ class MlpModel(Model):
         if batch_size < 1:
             raise ModelError("batch_size must be >= 1")
         self.sizes = [self.feature_width, *map(int, hidden), len(self.class_values)]
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.sizes, self.sizes[1:]))
+        params = np.zeros(size) if params is None else params
         self.params = np.ascontiguousarray(params, dtype=np.float64)
-        size = _layout_size(self.sizes)
         if self.params.shape != (size,):
             raise ModelError(f"params must be {size} values for layer widths {self.sizes},"
                              f" not shape {self.params.shape}")
@@ -210,12 +206,12 @@ class MlpModel(Model):
 
     @classmethod
     def _from_body(cls, reader):
-        hidden = reader.integers("hidden", lo=1)
+        hidden = reader.integers("hidden")
         activation = reader.rest("activation")
         learning_rate = reader.real("learning_rate")
-        epochs = reader.integer("epochs", lo=None)
-        batch_size = reader.integer("batch_size", lo=None)
-        seed = reader.integer("seed", lo=None)
+        epochs = reader.integer("epochs")
+        batch_size = reader.integer("batch_size")
+        seed = reader.integer("seed")
         sizes = [reader.feature_width] + hidden + [len(reader.class_values)]
         rows = []  # in file order, which is the order of `params`
         for li, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
@@ -236,11 +232,7 @@ def init_mlp(matrix, hidden: list[int], activation: str = "logistic",
 def _init_mlp(rng: SplitMix64, matrix, hidden, activation, learning_rate, epochs,
               batch_size, seed) -> MlpModel:
     """init_mlp, drawing the weights from `rng`; the caller may draw on."""
-    if any(h < 1 for h in hidden):
-        raise ModelError("hidden layer widths must be >= 1")
-    sizes = [matrix.width] + list(hidden) + [len(matrix.class_values)]
-    params = np.zeros(_layout_size(sizes))
-    model = MlpModel(matrix.class_values, matrix.width, hidden, params, activation,
+    model = MlpModel(matrix.class_values, matrix.width, hidden, None, activation,
                      learning_rate, epochs, batch_size, seed)
     for W in model.weights:
         fan_in, fan_out = W.shape

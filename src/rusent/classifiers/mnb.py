@@ -31,9 +31,13 @@ class MultinomialNBModel(Model):
 
     def __init__(self, class_values, feature_width, alpha, log_prior, log_likelihood):
         super().__init__(class_values, feature_width)
+        if not 0.0 < alpha < np.inf:
+            raise ModelError(f"smoothing alpha must be positive and finite, not {alpha!r}")
         self.alpha = float(alpha)
-        self.log_prior = np.asarray(log_prior, dtype=np.float64)
-        self.log_likelihood = np.asarray(log_likelihood, dtype=np.float64)  # (C, d)
+        n_classes = len(self.class_values)
+        self.log_prior = self.shaped("log_prior", log_prior, n_classes)
+        self.log_likelihood = self.shaped("log_likelihood", log_likelihood,
+                                          n_classes, self.feature_width)
 
     def log_posteriors(self, X) -> np.ndarray:
         """log P(c) + sum_i x_i log P(w_i | c) of every row of a matrix,
@@ -58,30 +62,26 @@ class MultinomialNBModel(Model):
     @classmethod
     def _from_body(cls, reader):
         n_classes = len(reader.class_values)
-        alpha = reader.real("alpha", positive=True)
+        alpha = reader.real("alpha")
         log_prior = reader.reals("log_prior", n_classes)
         rows = [reader.reals(f"log_likelihood {c}", reader.feature_width) for c in range(n_classes)]
         return cls(reader.class_values, reader.feature_width, alpha, log_prior, np.array(rows))
 
 
 def train_mnb(matrix, alpha: float = 1.0) -> MultinomialNBModel:
-    if not 0.0 < alpha < np.inf:
-        raise ModelError(f"smoothing alpha must be positive and finite, not {alpha!r}")
+    n_classes = len(matrix.class_values)
+    model = MultinomialNBModel(matrix.class_values, matrix.width, alpha,
+                               np.zeros(n_classes), np.zeros((n_classes, matrix.width)))
     if np.any(matrix.rows < 0):
         raise ModelError("multinomial NB requires non-negative feature values")
     y = matrix.y
-    n_classes = len(matrix.class_values)
-    n = len(y)
     class_counts = np.bincount(y, minlength=n_classes)
     if np.any(class_counts == 0):
         missing = matrix.class_values[int(np.argmin(class_counts))]
         raise ModelError(f"class {missing!r} has no training instances")
-    word_counts = np.zeros((n_classes, matrix.width))
+    np.log(class_counts / len(y), out=model.log_prior)
+    smoothed = model.log_likelihood  # each class's word counts plus alpha, then their logs
     for c in range(n_classes):
-        word_counts[c] = matrix.rows[y == c].sum(axis=0)
-    log_prior = np.log(class_counts / n)
-    smoothed = word_counts + alpha
-    log_likelihood = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
-    return MultinomialNBModel(
-        matrix.class_values, matrix.width, alpha, log_prior, log_likelihood
-    )
+        smoothed[c] = matrix.rows[y == c].sum(axis=0) + model.alpha
+    np.log(smoothed / smoothed.sum(axis=1, keepdims=True), out=smoothed)
+    return model

@@ -25,7 +25,12 @@ class LinearSvmModel(Model):
 
     def __init__(self, class_values, feature_width, weights, bias, lam, epochs, seed):
         super().__init__(class_values, feature_width)
-        self.weights = np.asarray(weights, dtype=np.float64)
+        require_binary(self.class_values)
+        if not 0.0 < lam < np.inf:
+            raise ModelError(f"regularization lambda must be positive and finite, not {lam!r}")
+        if epochs < 1:
+            raise ModelError("epochs must be >= 1")
+        self.weights = self.shaped("weights", weights, self.feature_width)
         self.bias = float(bias)
         self.lam = float(lam)
         self.epochs = int(epochs)
@@ -46,10 +51,9 @@ class LinearSvmModel(Model):
 
     @classmethod
     def _from_body(cls, reader):
-        require_binary(reader.class_values)
-        lam = reader.real("lambda", positive=True)
-        epochs = reader.integer("epochs", lo=1)
-        seed = reader.integer("seed", lo=None)
+        lam = reader.real("lambda")
+        epochs = reader.integer("epochs")
+        seed = reader.integer("seed")
         bias = reader.real("bias")
         weights = reader.reals("weights", reader.feature_width)
         return cls(reader.class_values, reader.feature_width, weights, bias, lam, epochs, seed)
@@ -63,11 +67,8 @@ def svm_objective(weights: np.ndarray, bias: float, X: np.ndarray, signs: np.nda
 
 
 def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> LinearSvmModel:
-    require_binary(matrix.class_values)
-    if not 0.0 < lam < np.inf:
-        raise ModelError(f"regularization lambda must be positive and finite, not {lam!r}")
-    if epochs < 1:
-        raise ModelError("epochs must be >= 1")
+    model = LinearSvmModel(matrix.class_values, matrix.width, np.zeros(matrix.width), 0.0,
+                           lam, epochs, seed)
     X = matrix.rows
     n = X.shape[0]
     if n == 0:
@@ -76,8 +77,7 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
     # ddot as x @ w, with less call overhead per step
     signs = np.where(matrix.y == 1, 1.0, -1.0).tolist()
     rows = list(X)
-    w = np.zeros(matrix.width)
-    b = 0.0
+    w, b = model.weights, 0.0
     rng = SplitMix64(seed)
     t = 0
     for _ in range(epochs):
@@ -93,4 +93,5 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
                 step = eta * sign
                 w += step * x
                 b += step
-    return LinearSvmModel(matrix.class_values, matrix.width, w, b, lam, epochs, seed)
+    model.bias = b
+    return model

@@ -276,19 +276,12 @@ def _node_split(rows, entries, y, w, counts, total_cw, min_leaf):
     return float(gains[i]), int(ec[first[run_b[i]]]), _threshold(float(t_value[t]), float(t_value[t + 1]))
 
 
-def grow_tree(
-    matrix,
-    y: np.ndarray,
-    weights: np.ndarray,
-    n_classes: int,
-    max_depth: int | None,
-    min_leaf: int,
-    rng=None,
-    subset_size: int | None = None,
-) -> Tree:
-    """Grow a tree on a FeatureMatrix's `columns`, in preorder: a node is
-    split (and draws its feature subset) before its left subtree, which is
-    grown before its right one.
+def grow_tree(matrix, weights: np.ndarray, config: TreeConfig, rng=None,
+              subset_size: int | None = None) -> Tree:
+    """Grow a tree on a FeatureMatrix's `columns` and labels `y`, within
+    config, in preorder: a node is split (and draws its feature subset of
+    subset_size from rng) before its left subtree, which is grown before
+    its right one.
 
     `weights` holds one value per matrix row: integer instance counts, or
     float weights (see the module docstring). A row counted 0 times is in
@@ -304,6 +297,8 @@ def grow_tree(
     right subtrees on the stack hold disjoint rows: at most one copy of
     the entries in all, whatever the depth."""
     n, d = matrix.rows.shape
+    y, n_classes = matrix.y, len(matrix.class_values)
+    max_depth, min_leaf = config.max_depth, config.min_leaf
     counts = weights if weights.dtype.kind == "i" else np.ones(n, dtype=np.intp)
     er, ec, ev = matrix.columns
     drawn = counts[er] > 0
@@ -425,8 +420,5 @@ def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1) -> Deci
     config = TreeConfig(max_depth, min_leaf)
     if matrix.rows.shape[0] == 0:
         raise ModelError("cannot train a tree on an empty matrix")
-    tree = grow_tree(
-        matrix, matrix.y, np.ones(len(matrix.y), dtype=np.intp), len(matrix.class_values),
-        config.max_depth, config.min_leaf,
-    )
+    tree = grow_tree(matrix, np.ones(len(matrix.y), dtype=np.intp), config)
     return DecisionTreeModel(matrix.class_values, matrix.width, tree, config)

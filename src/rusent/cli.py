@@ -45,7 +45,7 @@ from .classifiers import (
 from .corpus import StopWordList
 from .errors import ArffError, ConfigError, RusentError
 from .evaluation import compare as compare_models
-from .evaluation import evaluate, render_json, render_table
+from .evaluation import check_test, evaluate, render_json, render_table
 from .util import atomic_write_text, make_dirs
 from .vectorize import fit, matrix_from_dataset, read_matrix, to_arff, transform
 
@@ -289,7 +289,8 @@ def cmd_compare(args) -> int:
         train_matrix = matrix_from_dataset(train)
         test_matrix = matrix_from_dataset(test)
 
-    # made only once both inputs are read, so that bad input leaves no directory
+    # made only once both inputs are read and checked, so that bad input leaves no directory
+    check_test(test_matrix, train_matrix.width, args.positive_class)
     make_dirs(args.out_dir)
     if space is not None:
         _write_vectorized(space, os.path.join(args.out_dir, "vocabulary.txt"),

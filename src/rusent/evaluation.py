@@ -111,6 +111,19 @@ def metrics_from_matrix(matrix: ConfusionMatrix, model_name: str) -> EvalReport:
     )
 
 
+def check_test(test: FeatureMatrix, feature_width: int, positive_class: str | None = None) -> str:
+    """The positive class to score models of feature_width on test: positive_class,
+    or else "pos" if declared, else the first class. EvalError if test does not fit."""
+    if test.width != feature_width:
+        raise EvalError(f"test width {test.width} does not match model width {feature_width}"
+                        " (was it vectorized under the same vocabulary?)")
+    if positive_class is None:
+        positive_class = "pos" if "pos" in test.class_values else test.class_values[0]
+    if positive_class not in test.class_values:
+        raise EvalError(f"positive class {positive_class!r} is not declared")
+    return positive_class
+
+
 def evaluate(model, test: FeatureMatrix, positive_class: str | None = None) -> EvalReport:
     """Predict every test instance and tally against positive_class.
 
@@ -119,19 +132,8 @@ def evaluate(model, test: FeatureMatrix, positive_class: str | None = None) -> E
     classifiers/knn.py). The same matrix always gives the same
     predictions; a batch of another shape may round a row's scores
     differently in the last bits (see classifiers/base.py).
-
-    positive_class defaults to "pos" when declared, otherwise the first
-    class value.
     """
-    if test.width != model.feature_width:
-        raise EvalError(
-            f"test width {test.width} does not match model width "
-            f"{model.feature_width} (was it vectorized under the same vocabulary?)"
-        )
-    if positive_class is None:
-        positive_class = "pos" if "pos" in test.class_values else test.class_values[0]
-    if positive_class not in test.class_values:
-        raise EvalError(f"positive class {positive_class!r} is not declared")
+    positive_class = check_test(test, model.feature_width, positive_class)
     is_positive = np.array([c == positive_class for c in model.class_values])
     predicted = is_positive[model.predict_indices(test.rows)]
     actual = test.y == test.class_values.index(positive_class)

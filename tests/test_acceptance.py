@@ -28,6 +28,7 @@ import pytest
 
 from rusent.arff import Dataset, load_text_directory, parse_arff, write_arff
 from rusent.classifiers import (
+    TreeConfig,
     train_adaboost,
     train_knn,
     train_mnb,
@@ -133,7 +134,7 @@ def test_criterion_4_entropy_and_gain():
         y = np.array([rng.next_below(2) for _ in range(40)], dtype=np.intp)
         w = np.ones(40)
         labels = [("neg", "pos")[c] for c in y]
-        tree = grow_tree(make_matrix(X, labels), y, w, 2, None, 1)
+        tree = grow_tree(make_matrix(X, labels), w, TreeConfig())
         splits = list(walk_splits(tree, X, y, w, 2))
         assert splits  # the noisy data forces at least one split
         for _, gain in splits:

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rusent.arff import parse_arff
-from rusent.classifiers import ALGORITHMS
+from rusent.classifiers import ALGORITHMS, train_dtree, train_mnb
 from rusent.cli import main
 from rusent.synth import generate_corpus
+
+from conftest import make_matrix
 
 
 @pytest.fixture
@@ -421,6 +423,13 @@ class TestUndecodableInput:
         assert not out.exists() and not (tmp_path / "vec.vocab.txt").exists()
 
 
+def write_numeric_arff(path, width):
+    """A vectorized ARFF of two rows over `width` numeric features."""
+    attributes = "".join(f"@attribute x{i} numeric\n" for i in range(width))
+    path.write_text(f"@relation r\n{attributes}@attribute class {{neg,pos}}\n@data\n"
+                    + "0," * width + "neg\n" + "1," * width + "pos\n", encoding="utf-8")
+
+
 class TestCompare:
     def test_full_run_on_raw_text(self, arff_paths, tmp_path, capsys):
         train, test = arff_paths
@@ -472,6 +481,24 @@ class TestCompare:
                      "--out-dir", str(out_dir)])
         assert code == 2
         assert "nope.arff" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("case", ["positive class", "test width"])
+    def test_a_test_set_that_does_not_fit_exits_2_and_makes_no_directory(
+            self, arff_paths, tmp_path, capsys, case):
+        # evaluate's own checks, made before any model is trained
+        train, test = arff_paths
+        flags = ["--positive-class", "typo"]
+        if case == "test width":
+            train, test = tmp_path / "train1.arff", tmp_path / "test2.arff"
+            write_numeric_arff(train, 1)
+            write_numeric_arff(test, 2)
+            flags = []
+        out_dir = tmp_path / "cmp"
+        code = main(["compare", "--train", str(train), "--test", str(test),
+                     "--out-dir", str(out_dir), *flags])
+        assert code == 2
+        assert ("'typo'" if flags else "test width 2") in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_malformed_hidden_exits_1_and_makes_no_directory(self, arff_paths, tmp_path, capsys):
@@ -682,6 +709,16 @@ class TestCorruptModel:
 
         text = chain_model_text(3).replace("split 0 ", "split 7 ", 1)
         assert evaluate_tree_model(tmp_path, text, tmp_path / "report.json") == 2
+        assert "corrupt model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("train, old, new", [
+        (train_mnb, "alpha 1.0", "alpha 0.0"),
+        (train_dtree, "min_leaf 1", "min_leaf 0"),
+    ], ids=["mnb", "dtree"])
+    def test_a_value_the_model_refuses_exits_2(self, tmp_path, capsys, train, old, new):
+        text = train(make_matrix([[0.0], [1.0]], ["neg", "pos"])).dumps()
+        assert old in text
+        assert evaluate_tree_model(tmp_path, text.replace(old, new), tmp_path / "r.json") == 2
         assert "corrupt model file" in capsys.readouterr().err
 
 

@@ -1,7 +1,24 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+import hypothesis.extra.numpy as hnp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rusent.classifiers import (
+    ACTIVATIONS,
+    DISTANCES,
+    AdaBoostModel,
+    BaggingModel,
+    DecisionTreeModel,
+    KnnModel,
+    LinearSvmModel,
+    MlpModel,
+    MultinomialNBModel,
+    RandomForestModel,
+    TreeConfig,
     train_adaboost,
     train_bagging,
     train_dtree,
@@ -12,6 +29,7 @@ from rusent.classifiers import (
     train_svm,
 )
 from rusent.classifiers.base import MAGIC, load_model, loads_model
+from rusent.classifiers.tree import Tree
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
@@ -121,6 +139,16 @@ class TestCorruptInput:
         ("knn", "distance euclidean\np 3.0", "distance minkowski\np 0.0"),
         ("mlp", "activation logistic", "activation relu"),
         ("svm", "epochs 5", "epochs 5 7"),
+        # values the constructor refuses
+        ("mnb", "alpha 1.0", "alpha 0.0"),
+        ("knn", "k 3", "k 0"),
+        ("knn", "labels 0 1 0", "labels 0 2 0"),
+        ("dtree", "min_leaf 1", "min_leaf 0"),
+        ("rforest", "features_per_split 2", "features_per_split 5"),
+        ("adaboost", "rounds 4", "rounds 3"),
+        ("svm", "lambda 0.001", "lambda 0.0"),
+        ("svm", "epochs 5", "epochs 0"),
+        ("mlp", "batch_size 16", "batch_size 0"),
     ])
     def test_bad_field_is_rejected(self, variant, old, new):
         # a stump is a single leaf, which names no feature
@@ -129,6 +157,13 @@ class TestCorruptInput:
         assert old in text and loads_model(text).dumps() == text
         with pytest.raises(ModelError):
             loads_model(text.replace(old, new, 1))
+
+    def test_a_negative_stage_count_is_rejected(self):
+        text = TRAINERS["adaboost"](training_matrix()).dumps()
+        head = text[:text.index("stages ")]
+        assert loads_model(head + "stages 0\nend\n").stages == []
+        with pytest.raises(ModelError):
+            loads_model(head + "stages -1\nend\n")
 
     def test_split_feature_past_the_width_is_rejected(self):
         text = TRAINERS["dtree"](training_matrix()).dumps()
@@ -204,3 +239,177 @@ def test_a_model_of_no_features_round_trips(variant):
     m = make_matrix(np.zeros((4, 0)), ["neg", "pos", "neg", "pos"])
     text = TRAINERS[variant](m).dumps()
     assert loads_model(text).dumps() == text
+
+
+# -- the constructor is the one check of what a model holds ---------------
+
+NEG_POS = ("neg", "pos")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+NOT_POSITIVE = st.sampled_from([0.0, -1.0, math.inf, math.nan])
+SEEDS = st.integers(-2**70, 2**70)
+
+
+def leaf(n_classes=2):
+    return Tree([(-1, 0.0, 0, [1.0] + [0.0] * (n_classes - 1))])
+
+
+def sometimes(draw, good, bad):
+    """A draw of `good`, or one time in eight a draw of `bad`, a value the
+    constructor must refuse (or dumps, for a class value with a line break)."""
+    return draw(bad if draw(st.integers(0, 7)) == 7 else good)
+
+
+def params(draw, shape):
+    """A float array of `shape`, or one time in eight of a shape one longer."""
+    longer = shape[:-1] + (shape[-1] + 1,)
+    return sometimes(draw, hnp.arrays(np.float64, shape, elements=FINITE),
+                     hnp.arrays(np.float64, longer, elements=FINITE))
+
+
+@st.composite
+def trees(draw, width, n_classes):
+    """A tree whose nodes read_tree accepts: split features below width and
+    leaf classes below n_classes, which only the reader checks."""
+    leaf_nodes = st.builds(lambda c, p: [(-1, 0.0, c, p)], st.integers(0, n_classes - 1),
+                           st.lists(FINITE, min_size=n_classes, max_size=n_classes))
+    nodes = leaf_nodes if width == 0 else st.recursive(
+        leaf_nodes,
+        lambda sub: st.builds(lambda f, t, left, right: [(f, t, -1, [0.0] * n_classes)]
+                              + left + right, st.integers(0, width - 1), FINITE, sub, sub),
+        max_leaves=4)
+    return Tree(draw(nodes))
+
+
+@st.composite
+def constructions(draw, variant):
+    """A call of the variant's constructor, as a function of no arguments,
+    with arguments of the right types, now and then one out of range."""
+    n_classes = 2 if variant in ("svm", "adaboost") else draw(st.integers(1, 3))
+    pool = st.sampled_from(["neg", "pos", "neu", "", "a b"])
+    classes = tuple(sometimes(
+        draw, st.lists(pool, min_size=n_classes, max_size=n_classes, unique=True),
+        st.sampled_from([["neg", "neg"], ["neg", "c\rd"], ["neg", "pos", "neu"], ["pos"]])))
+    n_classes = len(classes)
+    width = draw(st.sampled_from([0, 1, 3]))
+
+    def make(cls, *args):
+        return lambda: cls(classes, width, *args)
+
+    if variant == "mnb":
+        return make(MultinomialNBModel, sometimes(draw, POSITIVE, NOT_POSITIVE),
+                    params(draw, (n_classes,)), params(draw, (n_classes, width)))
+    if variant == "knn":
+        labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=3))
+        labels += sometimes(draw, st.just([]), st.sampled_from([[-1], [n_classes]]))
+        k = sometimes(draw, st.integers(1, len(labels)), st.sampled_from([0, len(labels) + 1]))
+        metric = sometimes(draw, st.sampled_from(DISTANCES), st.just("chebyshev"))
+        return make(KnnModel, k, metric, sometimes(draw, POSITIVE, NOT_POSITIVE),
+                    params(draw, (len(labels), width)), labels)
+    if variant == "svm":
+        return make(LinearSvmModel, params(draw, (width,)), draw(FINITE),
+                    sometimes(draw, POSITIVE, NOT_POSITIVE),
+                    sometimes(draw, st.integers(1, 3), st.sampled_from([0, -1])), draw(SEEDS))
+    if variant == "mlp":
+        hidden = sometimes(draw, st.lists(st.integers(1, 3), min_size=1, max_size=2),
+                           st.sampled_from([[], [0], [2, -1]]))
+        sizes = [width, *hidden, n_classes]
+        size = max(0, sum((a + 1) * b for a, b in zip(sizes, sizes[1:])))
+        return make(MlpModel, hidden, params(draw, (size,)),
+                    sometimes(draw, st.sampled_from(ACTIVATIONS), st.just("relu")),
+                    sometimes(draw, POSITIVE, NOT_POSITIVE),
+                    sometimes(draw, st.integers(0, 3), st.just(-1)),
+                    sometimes(draw, st.integers(1, 3), st.just(0)), draw(SEEDS))
+    # TreeConfig checks its arguments when made, so it is made in the call
+    config = (sometimes(draw, st.sampled_from([None, 0, 3]), st.just(-1)),
+              sometimes(draw, st.integers(1, 2), st.just(0)))
+    forest = draw(st.lists(trees(width, n_classes), min_size=1, max_size=3))
+    if variant == "dtree":
+        return lambda: DecisionTreeModel(classes, width, forest[0], TreeConfig(*config))
+    if variant == "adaboost":
+        stages = [(draw(FINITE), tree) for tree in forest]
+        rounds = sometimes(draw, st.integers(len(stages), 4),
+                           st.sampled_from([0, len(stages) - 1]))
+        return lambda: AdaBoostModel(classes, width, stages, TreeConfig(*config), rounds)
+    forest = sometimes(draw, st.just(forest), st.just([]))
+    seed = draw(SEEDS)
+    if variant == "bagging":
+        return lambda: BaggingModel(classes, width, forest, TreeConfig(*config), seed)
+    fps = sometimes(draw, st.integers(1, max(width, 1)), st.sampled_from([0, width + 1]))
+    return lambda: RandomForestModel(classes, width, forest, TreeConfig(*config), seed, fps)
+
+
+@pytest.mark.parametrize("variant", sorted(TRAINERS))
+@given(data=st.data())
+@settings(max_examples=150)
+def test_a_model_its_constructor_accepts_is_refused_by_dumps_or_reloads(variant, data):
+    """The constructor is the one check of a model's values: dumps refuses
+    what it cannot write, and loads_model reads back all else it writes."""
+    make = data.draw(constructions(variant))
+    try:
+        text = make().dumps()
+    except ModelError:
+        return
+    assert loads_model(text).dumps() == text
+
+
+BAD_MODELS = {
+    "mnb alpha 0": lambda: MultinomialNBModel(NEG_POS, 1, 0.0, np.zeros(2), np.zeros((2, 1))),
+    "mnb log_likelihood of another width": lambda: MultinomialNBModel(
+        NEG_POS, 1, 1.0, np.zeros(2), np.zeros((2, 2))),
+    "svm with 3 classes": lambda: LinearSvmModel(
+        ("neg", "neu", "pos"), 1, np.zeros(1), 0.0, 1e-3, 5, 0),
+    "svm lam 0": lambda: LinearSvmModel(NEG_POS, 1, np.zeros(1), 0.0, 0.0, 5, 0),
+    "svm epochs 0": lambda: LinearSvmModel(NEG_POS, 1, np.zeros(1), 0.0, 1e-3, 0, 0),
+    "svm weights of another width": lambda: LinearSvmModel(
+        NEG_POS, 1, np.zeros(2), 0.0, 1e-3, 5, 0),
+    "adaboost rounds 0": lambda: AdaBoostModel(NEG_POS, 1, [], TreeConfig(1), 0),
+    "adaboost more stages than rounds": lambda: AdaBoostModel(
+        NEG_POS, 1, [(1.0, leaf()), (1.0, leaf())], TreeConfig(1), 1),
+    "bagging with no trees": lambda: BaggingModel(NEG_POS, 1, [], TreeConfig(), 0),
+    "rforest with no trees": lambda: RandomForestModel(NEG_POS, 1, [], TreeConfig(), 0, 1),
+    "rforest features_per_split 0": lambda: RandomForestModel(
+        NEG_POS, 1, [leaf()], TreeConfig(), 0, 0),
+    "mlp hidden [0]": lambda: MlpModel(NEG_POS, 1, [0], np.zeros(2), "logistic", 0.1, 1, 1, 0),
+    "knn label 5 of 2 classes": lambda: KnnModel(
+        NEG_POS, 1, 1, "euclidean", 3.0, np.zeros((1, 1)), [5]),
+    "knn rows narrower than feature_width": lambda: KnnModel(
+        NEG_POS, 2, 1, "euclidean", 3.0, np.zeros((1, 1)), [0]),
+    "repeated class values": lambda: DecisionTreeModel(("neg", "neg"), 1, leaf(), TreeConfig()),
+    "negative feature_width": lambda: DecisionTreeModel(NEG_POS, -1, leaf(), TreeConfig()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODELS))
+def test_a_model_that_loads_model_would_refuse_is_refused_when_made(name):
+    with pytest.raises(ModelError):
+        BAD_MODELS[name]()
+
+
+def three_class_matrix():
+    m = training_matrix()
+    return make_matrix(m.rows, m.labels, ("neg", "pos", "neu"))
+
+
+@pytest.mark.parametrize("train", [
+    lambda m: train_mnb(m, alpha=0.0),
+    lambda m: train_knn(m, k=0),
+    lambda m: train_dtree(m, min_leaf=0),
+    lambda m: train_bagging(m, m=0),
+    lambda m: train_rforest(m, m=0),
+    lambda m: train_rforest(m, features_per_split=0),
+    lambda m: train_rforest(m, features_per_split=5),
+    lambda m: train_adaboost(m, rounds=0),
+    lambda m: train_svm(m, lam=0.0),
+    lambda m: train_svm(m, epochs=0),
+    lambda m: train_mlp(m, hidden=[0]),
+    lambda m: train_mlp(m, learning_rate=math.inf),
+    lambda m: train_svm(three_class_matrix()),
+    lambda m: train_adaboost(three_class_matrix()),
+])
+def test_a_bad_hyperparameter_fails_before_any_numpy_warning(train):
+    m = training_matrix()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError):
+            train(m)

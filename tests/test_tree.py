@@ -158,7 +158,7 @@ class TestGrowth:
         m = make_matrix([[0.0], [0.0], [0.0], [1.0]],
                         ["neg", "neg", "pos", "pos"], ("neg", "pos"))
         w = np.array([1.0, 1.0, 5.0, 1.0])
-        grown = grow_tree(m, m.y, w, 2, None, 1)
+        grown = grow_tree(m, w, TreeConfig())
         assert tree_predict_batch(grown, np.array([[0.0]])).tolist() == [1]
 
 
@@ -209,7 +209,7 @@ class TestProperties:
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
         w = np.ones(len(y))
-        tree = grow_tree(matrix_of(rows), y, w, 2, None, 1)
+        tree = grow_tree(matrix_of(rows, y), w, TreeConfig())
         for _, gain in walk_splits(tree, rows, y, w, 2):
             assert gain > 0.0
 
@@ -233,7 +233,7 @@ class TestProperties:
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
         w = np.ones(len(y))
-        tree = grow_tree(matrix_of(rows), y, w, 2, max_depth, min_leaf)
+        tree = grow_tree(matrix_of(rows, y), w, TreeConfig(max_depth, min_leaf))
         for depth, X, ys in walk_leaves(tree, rows, y):
             stopped = (
                 len(set(ys.tolist())) == 1
@@ -251,8 +251,8 @@ class TestProperties:
     def test_uniform_weight_scaling_changes_nothing(self, docs, scale):
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
-        a = grow_tree(matrix_of(rows), y, np.ones(len(y)), 2, None, 1)
-        b = grow_tree(matrix_of(rows), y, np.full(len(y), scale), 2, None, 1)
+        a = grow_tree(matrix_of(rows, y), np.ones(len(y)), TreeConfig())
+        b = grow_tree(matrix_of(rows, y), np.full(len(y), scale), TreeConfig())
 
         def shape(t, i=0):
             if is_leaf(t, i):
@@ -263,10 +263,12 @@ class TestProperties:
         assert shape(a) == shape(b)
 
 
-def matrix_of(X):
-    """A matrix with rows X; its labels play no part in grow_tree, which
-    takes y."""
-    return make_matrix(X, ["neg"] * len(X))
+def matrix_of(X, y=None, n_classes=2):
+    """A matrix with rows X over n_classes classes, whose labels are the
+    class indices y (all class 0 when None)."""
+    classes = tuple(f"c{c}" for c in range(n_classes))
+    y = np.zeros(len(X), dtype=int) if y is None else y
+    return make_matrix(X, [classes[c] for c in y], classes)
 
 
 def best_split(X, y, w, n_classes, min_leaf, features):
@@ -409,10 +411,12 @@ class TestColumns:
         subset_size = data.draw(st.sampled_from([None, 1, max(1, d - 1)]))
         seed = data.draw(st.integers(0, 2**64 - 1))
         rngs = SplitMix64(seed), SplitMix64(seed)
-        counted = grow_tree(matrix_of(X), y, np.bincount(indices, minlength=n), n_classes,
-                            max_depth, min_leaf, rng=rngs[0], subset_size=subset_size)
-        copied = grow_tree(matrix_of(X[indices]), y[indices], np.ones(indices.size, dtype=np.intp),
-                           n_classes, max_depth, min_leaf, rng=rngs[1], subset_size=subset_size)
+        config = TreeConfig(max_depth, min_leaf)
+        counted = grow_tree(matrix_of(X, y, n_classes), np.bincount(indices, minlength=n),
+                            config, rng=rngs[0], subset_size=subset_size)
+        copied = grow_tree(matrix_of(X[indices], y[indices], n_classes),
+                           np.ones(indices.size, dtype=np.intp), config,
+                           rng=rngs[1], subset_size=subset_size)
         for name in Tree.__slots__:
             a, b = getattr(counted, name), getattr(copied, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -504,7 +508,7 @@ def test_a_1100_deep_tree_grows_without_recursion():
     n = 2200
     X = np.arange(n, dtype=float)[:, None]
     y = np.array([(i * (i + 1) // 2) % 2 for i in range(n)])
-    tree = grow_tree(matrix_of(X), y, np.ones(n), 2, None, 1)
+    tree = grow_tree(matrix_of(X, y), np.ones(n), TreeConfig())
     leaves = list(walk_leaves(tree, X, y))
     assert len(leaves) == 1101
     assert max(depth for depth, _, _ in leaves) == 1100
