@@ -36,6 +36,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ArffError, CorpusError
+from .util import read_text
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -450,14 +451,7 @@ def load_text_directory(root: str | os.PathLike) -> Dataset:
             path = os.path.join(class_dir, fname)
             if not os.path.isfile(path):
                 continue
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise CorpusError(f"cannot read {path!r}: {exc}") from None
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"{path!r} is not valid UTF-8: {exc}") from None
-            instances.append((text, name))
+            instances.append((read_text(path, CorpusError), name))
     if not instances:
         raise CorpusError(f"no documents found under {root!r}")
 

@@ -41,12 +41,12 @@ either refuses as a corrupt model file (ModelError, exit 2).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ModelError
+from ..util import atomic_write_text, read_text
 
 MAGIC = "rusent-model v1"
 
@@ -133,6 +133,18 @@ class BodyReader:
     def real(self, key: str) -> float:
         return float(self.reals(key, 1)[0])
 
+    def matrix(self, key: str, count: int, width: int) -> np.ndarray:
+        """`count` lines of `width` values as one matrix. Each value takes at
+        least two characters of its line, so the lines' length bounds the
+        matrix before it is made, whatever the header says."""
+        if 2 * count * width > sum(map(len, self.lines[self.pos:self.pos + count])):
+            raise ValueError(f"line {self.pos + 1}: expected {count} {key!r} lines"
+                             f" of {width} values")
+        matrix = np.empty((count, width))
+        for row in matrix:  # into place: no list of row arrays to stack
+            row[:] = self.reals(key, width)
+        return matrix
+
     def tree_config(self, prefix: str = "") -> TreeConfig:
         """Inverse of TreeConfig.lines."""
         depth = self.integer(prefix + "max_depth")
@@ -204,8 +216,6 @@ class Model:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        from ..util import atomic_write_text
-
         atomic_write_text(path, self.dumps())
 
 
@@ -241,14 +251,7 @@ def loads_model(text: str) -> Model:
 
 
 def load_model(path) -> Model:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ModelError(f"cannot read model file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ModelError(f"model file {os.fspath(path)!r} is not valid UTF-8: {exc}") from None
-    return loads_model(text)
+    return loads_model(read_text(path, ModelError))
 
 
 def require_binary(class_values) -> None:

@@ -157,9 +157,7 @@ class KnnModel(Model):
         metric = reader.rest("distance")
         p = reader.real("p")
         labels = reader.integers("labels")
-        rows = np.empty((len(labels), reader.feature_width))
-        for row in rows:  # into place: no list of row arrays to stack
-            row[:] = reader.reals("row", reader.feature_width)
+        rows = reader.matrix("row", len(labels), reader.feature_width)
         return cls(reader.class_values, reader.feature_width, k, metric, p, rows, labels)
 
 

@@ -46,7 +46,7 @@ from .corpus import StopWordList
 from .errors import ArffError, ConfigError, RusentError
 from .evaluation import compare as compare_models
 from .evaluation import check_test, evaluate, render_json, render_table
-from .util import atomic_write_text, make_dirs
+from .util import atomic_write_text, make_dirs, read_bytes
 from .vectorize import fit, matrix_from_dataset, read_matrix, to_arff, transform
 
 MANIFEST_SCHEMA = "rusent-manifest/1"
@@ -58,18 +58,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _read_bytes(path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ArffError(f"cannot read {path!r}: {exc}") from None
-
-
-def _read_arff(path):
-    return parse_arff(_read_bytes(path))
 
 
 def _write_manifest(path, command, config):
@@ -139,8 +127,8 @@ def cmd_vectorize(args) -> int:
     if args.test and not args.out_test:
         raise ConfigError("--out-test is required when --test is given")
     # every input is read and transformed before any file is written
-    train = _read_arff(args.train)
-    test = _read_arff(args.test) if args.test else None
+    train = parse_arff(read_bytes(args.train, ArffError))
+    test = parse_arff(read_bytes(args.test, ArffError)) if args.test else None
     space, train_matrix, test_matrix = _vectorize(args, train, test)
     vocab_out = args.vocab_out or os.path.splitext(args.out_train)[0] + ".vocab.txt"
     outputs = {"out_train": args.out_train, "vocab_out": vocab_out}
@@ -210,33 +198,29 @@ _HIDDEN = _flag_type(str, "comma-separated layer widths of at least 1",
                      lambda text: min(_hidden_layers(text), default=0) >= 1)
 
 
-def _trainer_for(algorithm: str, args, seed: int):
+def _train(algorithm: str, args, matrix):
     tree_cfg = TreeConfig(args.max_depth, args.min_leaf)
     if algorithm == "mnb":
-        return lambda m: train_mnb(m, alpha=args.alpha)
+        return train_mnb(matrix, alpha=args.alpha)
     if algorithm == "knn":
-        return lambda m: train_knn(m, k=args.k, distance=args.distance, p=args.minkowski_p)
+        return train_knn(matrix, k=args.k, distance=args.distance, p=args.minkowski_p)
     if algorithm == "dtree":
-        return lambda m: train_dtree(m, max_depth=args.max_depth, min_leaf=args.min_leaf)
+        return train_dtree(matrix, max_depth=args.max_depth, min_leaf=args.min_leaf)
     if algorithm == "bagging":
-        return lambda m: train_bagging(m, m=args.trees, base=tree_cfg, seed=seed)
+        return train_bagging(matrix, m=args.trees, base=tree_cfg, seed=args.seed)
     if algorithm == "rforest":
-        return lambda m: train_rforest(
-            m, m=args.trees, features_per_split=args.features_per_split,
-            base=tree_cfg, seed=seed,
-        )
+        return train_rforest(matrix, m=args.trees, features_per_split=args.features_per_split,
+                             base=tree_cfg, seed=args.seed)
     if algorithm == "adaboost":
-        return lambda m: train_adaboost(
-            m, rounds=args.rounds,
-            weak=TreeConfig(args.weak_depth, args.min_leaf),
-        )
+        return train_adaboost(matrix, rounds=args.rounds,
+                              weak=TreeConfig(args.weak_depth, args.min_leaf))
     if algorithm == "svm":
-        return lambda m: train_svm(m, lam=args.svm_lambda, epochs=args.svm_epochs, seed=seed)
+        return train_svm(matrix, lam=args.svm_lambda, epochs=args.svm_epochs, seed=args.seed)
     if algorithm == "mlp":
-        return lambda m: train_mlp(
-            m, hidden=_hidden_layers(args.hidden), activation=args.activation,
+        return train_mlp(
+            matrix, hidden=_hidden_layers(args.hidden), activation=args.activation,
             learning_rate=args.learning_rate, epochs=args.mlp_epochs,
-            batch_size=args.batch_size, seed=seed,
+            batch_size=args.batch_size, seed=args.seed,
         )
     raise RusentError(f"unknown algorithm {algorithm!r}")
 
@@ -247,10 +231,9 @@ def _hyper_config(args) -> dict:
 
 
 def cmd_train(args) -> int:
-    matrix = read_matrix(_read_bytes(args.train))
-    trainer = _trainer_for(args.algorithm, args, args.seed)
+    matrix = read_matrix(read_bytes(args.train, ArffError))
     started = time.perf_counter()
-    model = trainer(matrix)
+    model = _train(args.algorithm, args, matrix)
     elapsed = time.perf_counter() - started
     model.save(args.model_out)
     _write_manifest(args.model_out + ".manifest.json", "train", {
@@ -265,7 +248,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    matrix = read_matrix(_read_bytes(args.test))
+    matrix = read_matrix(read_bytes(args.test, ArffError))
     report = evaluate(model, matrix, args.positive_class)
     print(render_table([report]), end="")
     if args.report_out:
@@ -278,8 +261,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    train = _read_arff(args.train)
-    test = _read_arff(args.test)
+    train = parse_arff(read_bytes(args.train, ArffError))
+    test = parse_arff(read_bytes(args.test, ArffError))
 
     space = None
     if any(a.kind == "string" for a in train.attributes):
@@ -303,7 +286,7 @@ def cmd_compare(args) -> int:
     make_dirs(models_dir)
     for algorithm in args.algorithms:
         try:
-            model = _trainer_for(algorithm, args, args.seed)(train_matrix)
+            model = _train(algorithm, args, train_matrix)
             model.save(os.path.join(models_dir, f"{algorithm}.model"))
             models.append(model)
         except RusentError as exc:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .arff import Dataset
 from .errors import ConfigError, CorpusError
 from .rng import SplitMix64
+from .util import read_text
 
 DEFAULT_DELIMITERS = frozenset(" \t\r\n.,;:'\"()?!")
 _SPLITTER = re.compile("[" + "".join(re.escape(ch) for ch in sorted(DEFAULT_DELIMITERS)) + "]+")
@@ -42,17 +43,11 @@ class StopWordList:
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "StopWordList":
         words = set()
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    word = line.split("#", 1)[0].strip()
-                    if word:
-                        words.add(word.lower())
-        except OSError as exc:
-            raise CorpusError(f"cannot read stop-word file: {exc}") from None
-        except UnicodeDecodeError as exc:
-            path = os.fspath(path)
-            raise CorpusError(f"stop-word file {path!r} is not valid UTF-8: {exc}") from None
+        # split at "\n" only: str.splitlines would also break at \x0b, \x1c or U+2028
+        for line in read_text(path, CorpusError).split("\n"):
+            word = line.split("#", 1)[0].strip()
+            if word:
+                words.add(word.lower())
         return cls(frozenset(words))
 
     @classmethod

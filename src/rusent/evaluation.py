@@ -114,6 +114,8 @@ def metrics_from_matrix(matrix: ConfusionMatrix, model_name: str) -> EvalReport:
 def check_test(test: FeatureMatrix, feature_width: int, positive_class: str | None = None) -> str:
     """The positive class to score models of feature_width on test: positive_class,
     or else "pos" if declared, else the first class. EvalError if test does not fit."""
+    if not len(test.rows):
+        raise EvalError("cannot evaluate on an empty test set")
     if test.width != feature_width:
         raise EvalError(f"test width {test.width} does not match model width {feature_width}"
                         " (was it vectorized under the same vocabulary?)")

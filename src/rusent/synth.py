@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import os
 
-from .errors import ConfigError, RusentError
+from .errors import ConfigError
 from .rng import SplitMix64
-from .util import make_dirs
+from .util import atomic_write_text, make_dirs
 
 POSITIVE_WORDS = (
     "acha", "achi", "zabardast", "behtreen", "umda", "shandar",
@@ -60,10 +60,6 @@ def generate_corpus(root: str | os.PathLike, per_class: int = 1000, seed: int = 
         make_dirs(class_dir)
         for i in range(per_class):
             path = os.path.join(class_dir, f"{label}_{i:05d}.txt")
-            try:
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(generate_review(rng, label) + "\n")
-            except OSError as exc:
-                raise RusentError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+            atomic_write_text(path, generate_review(rng, label) + "\n")
         counts[label] = per_class
     return counts

@@ -53,10 +53,6 @@ class VectorSpace:
     text_attr: str
     class_attr: str
     class_values: tuple[str, ...]
-    _index: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.vocabulary)})
 
     @property
     def width(self) -> int:
@@ -184,6 +180,7 @@ def transform(space: VectorSpace, data: Dataset) -> FeatureMatrix:
         or data.attributes[ci].values != space.class_values
     ):
         raise VectorizeError("dataset schema does not match the fitted space")
+    index = {term: i for i, term in enumerate(space.vocabulary)}
     rows = np.zeros((len(data.instances), space.width), dtype=np.float64)
     labels = []
     for j, row in enumerate(data.instances):
@@ -192,7 +189,7 @@ def transform(space: VectorSpace, data: Dataset) -> FeatureMatrix:
             raise VectorizeError("cannot vectorize instances with missing values")
         labels.append(label)
         for token in _processed_tokens(text, space.stopwords):
-            i = space._index.get(token)
+            i = index.get(token)
             if i is not None:
                 rows[j, i] += 1.0
     if space.weighting == "binary":

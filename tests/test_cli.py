@@ -1,7 +1,11 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import shlex
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rusent.arff import parse_arff
-from rusent.classifiers import ALGORITHMS, train_dtree, train_mnb
+from rusent.classifiers import ALGORITHMS, train_dtree, train_knn, train_mnb
 from rusent.cli import main
 from rusent.synth import generate_corpus
 
@@ -423,6 +427,33 @@ class TestUndecodableInput:
         assert not out.exists() and not (tmp_path / "vec.vocab.txt").exists()
 
 
+class TestUnreadableInput:
+    """An input that cannot be read exits 2 with one message, which names
+    the path and the reason."""
+
+    @pytest.mark.parametrize("kind", ["arff", "model", "stop-word file", "corpus document"])
+    def test_exits_2_naming_the_path(self, arff_paths, tmp_path, capsys, monkeypatch, kind):
+        missing = tmp_path / "nope"
+        reason = "No such file or directory"
+        if kind == "arff":
+            argv = ["vectorize", "--train", str(missing), "--out-train", str(tmp_path / "v")]
+        elif kind == "model":
+            argv = ["evaluate", "--model", str(missing), "--test", str(arff_paths[1])]
+        elif kind == "stop-word file":
+            argv = ["vectorize", "--train", str(arff_paths[0]), "--out-train",
+                    str(tmp_path / "v"), "--stopwords", str(missing)]
+        else:
+            # a directory among a class's documents, taken for a file
+            missing, reason = tmp_path / "corpus" / "pos" / "sub", "Is a directory"
+            missing.mkdir(parents=True)
+            monkeypatch.setattr(os.path, "isfile", lambda path: True)
+            argv = ["convert", str(tmp_path / "corpus"), str(tmp_path / "c.arff")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot read {str(missing)!r}: {reason}\n"
+        assert not (tmp_path / "v").exists() and not (tmp_path / "c.arff").exists()
+
+
 def write_numeric_arff(path, width):
     """A vectorized ARFF of two rows over `width` numeric features."""
     attributes = "".join(f"@attribute x{i} numeric\n" for i in range(width))
@@ -483,9 +514,13 @@ class TestCompare:
         assert "nope.arff" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("case", ["positive class", "test width"])
+    @pytest.mark.parametrize("case, message", [
+        ("positive class", "'typo'"),
+        ("test width", "test width 2"),
+        ("empty test set", "cannot evaluate on an empty test set"),
+    ], ids=["positive class", "test width", "empty test set"])
     def test_a_test_set_that_does_not_fit_exits_2_and_makes_no_directory(
-            self, arff_paths, tmp_path, capsys, case):
+            self, arff_paths, tmp_path, capsys, case, message):
         # evaluate's own checks, made before any model is trained
         train, test = arff_paths
         flags = ["--positive-class", "typo"]
@@ -494,11 +529,17 @@ class TestCompare:
             write_numeric_arff(train, 1)
             write_numeric_arff(test, 2)
             flags = []
+        if case == "empty test set":
+            train, test = tmp_path / "train1.arff", tmp_path / "empty.arff"
+            write_numeric_arff(train, 1)
+            test.write_text(train.read_text(encoding="utf-8").split("@data\n")[0] + "@data\n",
+                            encoding="utf-8")
+            flags = ["--algorithms", "mnb", "dtree"]
         out_dir = tmp_path / "cmp"
         code = main(["compare", "--train", str(train), "--test", str(test),
                      "--out-dir", str(out_dir), *flags])
         assert code == 2
-        assert ("'typo'" if flags else "test width 2") in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_malformed_hidden_exits_1_and_makes_no_directory(self, arff_paths, tmp_path, capsys):
@@ -714,7 +755,8 @@ class TestCorruptModel:
     @pytest.mark.parametrize("train, old, new", [
         (train_mnb, "alpha 1.0", "alpha 0.0"),
         (train_dtree, "min_leaf 1", "min_leaf 0"),
-    ], ids=["mnb", "dtree"])
+        (train_knn, "feature_width 1", "feature_width 1000000000000"),
+    ], ids=["mnb", "dtree", "knn feature_width"])
     def test_a_value_the_model_refuses_exits_2(self, tmp_path, capsys, train, old, new):
         text = train(make_matrix([[0.0], [1.0]], ["neg", "pos"])).dumps()
         assert old in text
@@ -738,3 +780,42 @@ class TestHugeFeatureValues:
         assert code == 0, capsys.readouterr().err
         assert "training accuracy 100.00%" in capsys.readouterr().out
         assert main(["evaluate", "--model", str(model), "--test", str(train)]) == 0
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def quick_start_steps():
+    """The README quick start's steps in order: ("rusent", argv) for each
+    command, joined over its line continuations, and ("python", source)
+    for each `python - <<'EOF'` block."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = iter(block.replace("\\\n", " ").split("\n"))
+    for line in lines:
+        if not line.strip() or line.startswith("#"):
+            continue
+        if line == "python - <<'EOF'":
+            body = itertools.takewhile(lambda text: text != "EOF", lines)
+            yield "python", "".join(f"{text}\n" for text in body)
+        else:
+            argv = shlex.split(line)
+            assert argv[0] == "rusent", line
+            yield "rusent", argv[1:]
+
+
+class TestQuickStart:
+    def test_every_step_runs_as_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+        steps = list(quick_start_steps())
+        assert [kind for kind, _ in steps].count("python") == 1
+        for kind, step in steps:
+            if kind == "python":
+                done = subprocess.run([sys.executable, "-"], input=step, text=True, env=env,
+                                      capture_output=True)
+                assert done.returncode == 0, done.stderr
+            else:
+                assert main(step) == 0, (step, capsys.readouterr().err)
+        assert (tmp_path / "results" / "report.json").exists()

@@ -75,6 +75,12 @@ class TestStopwords:
         stops = StopWordList.from_file(f)
         assert stops.words == frozenset({"ka", "hai"})
 
+    def test_file_lines_break_at_line_feeds_only(self, tmp_path):
+        # as read in text mode: "\r\n" ends a line, "\x0b" and U+2028 do not
+        f = tmp_path / "stops.txt"
+        f.write_bytes("ka\x0bhai\r\nse\u2028ko\n".encode("utf-8"))
+        assert StopWordList.from_file(f).words == frozenset({"ka\x0bhai", "se\u2028ko"})
+
     def test_bundled_default_loads(self):
         stops = StopWordList.default()
         assert "ka" in stops.words

@@ -100,6 +100,13 @@ def test_class_value_with_a_unicode_line_break_round_trips(separator, tmp_path):
     assert clone.predict_indices(m.rows).tolist() == model.predict_indices(m.rows).tolist()
 
 
+def test_a_model_file_with_crlf_line_ends_loads(tmp_path):
+    model = TRAINERS["dtree"](training_matrix())
+    path = tmp_path / "dtree.model"
+    path.write_bytes(model.dumps().replace("\n", "\r\n").encode())
+    assert load_model(path).dumps() == model.dumps()
+
+
 class TestCorruptInput:
     def good_text(self):
         return TRAINERS["mnb"](training_matrix()).dumps()
@@ -143,6 +150,8 @@ class TestCorruptInput:
         ("mnb", "alpha 1.0", "alpha 0.0"),
         ("knn", "k 3", "k 0"),
         ("knn", "labels 0 1 0", "labels 0 2 0"),
+        # rows of 4 values: a header's width alone must not size the matrix
+        ("knn", "feature_width 4", "feature_width 1000000000000"),
         ("dtree", "min_leaf 1", "min_leaf 0"),
         ("rforest", "features_per_split 2", "features_per_split 5"),
         ("adaboost", "rounds 4", "rounds 3"),
@@ -164,6 +173,17 @@ class TestCorruptInput:
         assert loads_model(head + "stages 0\nend\n").stages == []
         with pytest.raises(ModelError):
             loads_model(head + "stages -1\nend\n")
+
+    def test_knn_rows_too_few_for_their_matrix_are_rejected_before_it_is_made(self):
+        # 10^5 labels and a first row of 10^5 values, 600 KB of text: the
+        # matrix they declare would take 74.5 GiB
+        n = 100_000
+        text = TRAINERS["knn"](training_matrix()).dumps()
+        head, rows = text.split("\nlabels ")[0], text.split("\nrow ", 1)[1]
+        wide = (f"{head}\nlabels {' '.join(['0'] * n)}\nrow {' '.join(['0.0'] * n)}\nrow {rows}"
+                .replace("feature_width 4", f"feature_width {n}"))
+        with pytest.raises(ModelError, match=f"expected {n} 'row' lines of {n} values"):
+            loads_model(wide)
 
     def test_split_feature_past_the_width_is_rejected(self):
         text = TRAINERS["dtree"](training_matrix()).dumps()
