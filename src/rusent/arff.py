@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ArffError, CorpusError
-from .util import read_text
+from .util import list_dir, read_text
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -124,15 +124,17 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _scan_fields(line: str, lineno: int, sep: str | None) -> list[tuple[str, bool, int, int]]:
-    """Split `line` on `sep` (or runs of whitespace when sep is None),
+def _scan_fields(line: str, lineno: int, sep: str | None, i: int = 0,
+                 n: int | None = None) -> list[tuple[str, bool, int, int]]:
+    """Split line[i:n] on `sep` (or runs of whitespace when sep is None),
     honoring single quotes with '' as the escaped quote. Quotes may open
     anywhere inside a field, so quoted text can contain the separator.
 
-    Returns (text, was_quoted, 1-based column, end index) tuples.
+    Returns (text, was_quoted, 1-based column, end index) tuples; columns
+    and indices count from the start of `line`.
     """
     fields = []
-    i, n = 0, len(line)
+    n = len(line) if n is None else n
     while True:
         while i < n and line[i] in " \t":
             i += 1
@@ -180,26 +182,34 @@ def _scan_fields(line: str, lineno: int, sep: str | None) -> list[tuple[str, boo
     return fields
 
 
-def _parse_attribute(rest: str, lineno: int) -> AttributeDecl:
-    rest = rest.strip()
-    if not rest:
+def _stripped(line: str, i: int, n: int) -> tuple[int, int]:
+    """The bounds of line[i:n].strip() in line."""
+    text = line[i:n]
+    i += len(text) - len(text.lstrip())
+    return i, i + len(text.strip())
+
+
+def _parse_attribute(line: str, i: int, n: int, lineno: int) -> AttributeDecl:
+    """The declaration in line[i:n], the text after `@attribute`."""
+    i, n = _stripped(line, i, n)
+    if i == n:
         raise ArffError("@attribute needs a name and a type", lineno)
-    name_fields = _scan_fields(rest, lineno, sep=None)
+    name_fields = _scan_fields(line, lineno, None, i, n)
     if not name_fields:
         raise ArffError("@attribute needs a name and a type", lineno)
     name, quoted, col, end = name_fields[0]
     if not name:
         raise ArffError("empty attribute name", lineno, col)
     # everything after the name token is the type specification
-    spec = rest[end:].strip()
+    i, n = _stripped(line, end, n)
+    spec = line[i:n]
     if not spec:
         raise ArffError(f"attribute {name!r} has no type", lineno)
     if spec.startswith("{"):
         if not spec.endswith("}"):
             raise ArffError("nominal specification missing closing '}'", lineno)
-        inner = spec[1:-1]
         values = []
-        for text, was_quoted, vcol, _ in _scan_fields(inner, lineno, sep=","):
+        for text, was_quoted, vcol, _ in _scan_fields(line, lineno, ",", i + 1, n - 1):
             if not text and not was_quoted:
                 raise ArffError("empty nominal value", lineno, vcol)
             values.append(text)
@@ -249,15 +259,16 @@ def _sparse_defaults(attributes) -> list:
     ]
 
 
-def _parse_sparse_row(body: str, attributes, defaults: list, lineno: int) -> tuple:
+def _parse_sparse_row(line: str, i: int, n: int, attributes, defaults: list,
+                      lineno: int) -> tuple:
+    """The row whose entries line[i:n] holds, between its braces."""
     row = defaults.copy()
     seen = set()
-    entries = _scan_fields(body, lineno, sep=",")
+    entries = _scan_fields(line, lineno, ",", i, n)
     if len(entries) == 1 and entries[0][0] == "" and not entries[0][1]:
         entries = []  # "{}" row: all defaults
     for text, was_quoted, col, end in entries:
-        raw = body[col - 1:end]
-        parts = _scan_fields(raw, lineno, sep=None)
+        parts = _scan_fields(line, lineno, None, col - 1, end)
         if len(parts) != 2:
             raise ArffError(f"sparse entry {text!r} is not 'index value'", lineno, col)
         (idx_text, idx_quoted, _, _), (val_text, val_quoted, _, _) = parts
@@ -311,15 +322,18 @@ def parse_arff(source: str | bytes) -> Dataset:
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
+        # line is raw[start:stop]; error columns count from the start of raw
+        start = len(raw) - len(raw.lstrip())
+        stop = start + len(line)
         if not in_data and line.startswith("@"):
             word = line.split(None, 1)[0].lower()
-            rest = line[len(word):]
+            after = start + len(word)
             if word == "@relation":
                 if relation is not None:
                     raise ArffError("duplicate @relation", lineno)
                 if attributes or in_data:
                     raise ArffError("@relation must come first", lineno)
-                fields = _scan_fields(rest.strip(), lineno, sep=None)
+                fields = _scan_fields(raw, lineno, None, *_stripped(raw, after, stop))
                 if not fields:
                     raise ArffError("@relation needs a name", lineno)
                 relation = fields[0][0]
@@ -327,7 +341,7 @@ def parse_arff(source: str | bytes) -> Dataset:
             if word == "@attribute":
                 if relation is None:
                     raise ArffError("@attribute before @relation", lineno)
-                decl = _parse_attribute(rest, lineno)
+                decl = _parse_attribute(raw, after, stop, lineno)
                 if decl.name in names:
                     raise ArffError(f"duplicate attribute name {decl.name!r}", lineno)
                 names.add(decl.name)
@@ -347,9 +361,10 @@ def parse_arff(source: str | bytes) -> Dataset:
         if line.startswith("{"):
             if not line.endswith("}"):
                 raise ArffError("sparse row missing closing '}'", lineno)
-            instances.append(_parse_sparse_row(line[1:-1], attributes, defaults, lineno))
+            instances.append(
+                _parse_sparse_row(raw, start + 1, stop - 1, attributes, defaults, lineno))
         else:
-            fields = _scan_fields(line, lineno, sep=",")
+            fields = _scan_fields(raw, lineno, ",", start, stop)
             if len(fields) != len(attributes):
                 raise ArffError(
                     f"row has {len(fields)} values, expected {len(attributes)}",
@@ -436,22 +451,15 @@ def load_text_directory(root: str | os.PathLike) -> Dataset:
     contribute their class value.
     """
     root = os.fspath(root)
-    try:
-        entries = sorted(os.listdir(root))
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus directory {root!r}: {exc}") from None
-    class_names = [e for e in entries if os.path.isdir(os.path.join(root, e))]
+    class_names = list_dir(root, CorpusError)[0]
     if not class_names:
         raise CorpusError(f"no class subdirectories under {root!r}")
 
     instances = []
     for name in class_names:
         class_dir = os.path.join(root, name)
-        for fname in sorted(os.listdir(class_dir)):
-            path = os.path.join(class_dir, fname)
-            if not os.path.isfile(path):
-                continue
-            instances.append((read_text(path, CorpusError), name))
+        for fname in list_dir(class_dir, CorpusError)[1]:
+            instances.append((read_text(os.path.join(class_dir, fname), CorpusError), name))
     if not instances:
         raise CorpusError(f"no documents found under {root!r}")
 

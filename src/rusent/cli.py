@@ -43,10 +43,10 @@ from .classifiers import (
     train_svm,
 )
 from .corpus import StopWordList
-from .errors import ArffError, ConfigError, RusentError
+from .errors import ConfigError, ModelError, RusentError
 from .evaluation import compare as compare_models
 from .evaluation import check_test, evaluate, render_json, render_table
-from .util import atomic_write_text, make_dirs, read_bytes
+from .util import atomic_write_text, make_dirs, parse_file
 from .vectorize import fit, matrix_from_dataset, read_matrix, to_arff, transform
 
 MANIFEST_SCHEMA = "rusent-manifest/1"
@@ -127,8 +127,8 @@ def cmd_vectorize(args) -> int:
     if args.test and not args.out_test:
         raise ConfigError("--out-test is required when --test is given")
     # every input is read and transformed before any file is written
-    train = parse_arff(read_bytes(args.train, ArffError))
-    test = parse_arff(read_bytes(args.test, ArffError)) if args.test else None
+    train = parse_file(args.train, parse_arff)
+    test = parse_file(args.test, parse_arff) if args.test else None
     space, train_matrix, test_matrix = _vectorize(args, train, test)
     vocab_out = args.vocab_out or os.path.splitext(args.out_train)[0] + ".vocab.txt"
     outputs = {"out_train": args.out_train, "vocab_out": vocab_out}
@@ -230,8 +230,15 @@ def _hyper_config(args) -> dict:
     return {dest: getattr(args, dest) for dest in dests}
 
 
+def _check_train(matrix) -> None:
+    """ModelError for an empty training set, which no algorithm can learn."""
+    if not len(matrix.rows):
+        raise ModelError("cannot train on an empty training set")
+
+
 def cmd_train(args) -> int:
-    matrix = read_matrix(read_bytes(args.train, ArffError))
+    matrix = parse_file(args.train, read_matrix)
+    _check_train(matrix)
     started = time.perf_counter()
     model = _train(args.algorithm, args, matrix)
     elapsed = time.perf_counter() - started
@@ -248,7 +255,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    matrix = read_matrix(read_bytes(args.test, ArffError))
+    matrix = parse_file(args.test, read_matrix)
     report = evaluate(model, matrix, args.positive_class)
     print(render_table([report]), end="")
     if args.report_out:
@@ -261,8 +268,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    train = parse_arff(read_bytes(args.train, ArffError))
-    test = parse_arff(read_bytes(args.test, ArffError))
+    train = parse_file(args.train, parse_arff)
+    test = parse_file(args.test, parse_arff)
 
     space = None
     if any(a.kind == "string" for a in train.attributes):
@@ -273,6 +280,7 @@ def cmd_compare(args) -> int:
         test_matrix = matrix_from_dataset(test)
 
     # made only once both inputs are read and checked, so that bad input leaves no directory
+    _check_train(train_matrix)
     check_test(test_matrix, train_matrix.width, args.positive_class)
     make_dirs(args.out_dir)
     if space is not None:

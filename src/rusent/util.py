@@ -1,16 +1,15 @@
-"""File I/O: the one module that opens files, and so decides how a file
-is read or written and what each failure says. A reader raises the
-caller's RusentError subclass with `cannot read '<path>': <strerror>` or
-`'<path>' is not valid UTF-8: ...`; a writer raises RusentError with
-`cannot write '<path>': <strerror>`. All of them exit 2.
+"""The one module that reaches the file system: it lists, reads and
+writes, makes files as open() does, and words each failure. A reader
+raises the caller's RusentError subclass with `cannot read '<path>':
+<strerror>` or `'<path>' is not valid UTF-8: ...`; a writer raises
+RusentError with `cannot write '<path>': <strerror>`. All of them exit 2.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 
-from .errors import RusentError
+from .errors import ArffError, RusentError
 
 
 def read_bytes(path, error: type[RusentError]) -> bytes:
@@ -34,28 +33,47 @@ def _read(path, error, mode, **options):
         raise error(f"{os.fspath(path)!r} is not valid UTF-8: {exc}") from None
 
 
+def parse_file(path, parse):
+    """parse(the bytes of the ARFF file at `path`). A RusentError from parse
+    is raised again with `'<path>': ` before its message."""
+    source = read_bytes(path, ArffError)
+    try:
+        return parse(source)
+    except RusentError as exc:
+        exc.args = (f"{os.fspath(path)!r}: {exc}",)
+        raise
+
+
+def list_dir(path, error: type[RusentError]) -> tuple[list[str], list[str]]:
+    """The sorted names of the subdirectories and of the files of the
+    directory at `path`. Only an entry that is not a file is asked if it is
+    a directory, so that a file costs one stat."""
+    try:
+        names = sorted(os.listdir(path))
+    except OSError as exc:
+        raise error(f"cannot read {os.fspath(path)!r}: {exc.strerror or exc}") from None
+    files = [name for name in names if os.path.isfile(os.path.join(path, name))]
+    others = sorted(set(names).difference(files))
+    return [name for name in others if os.path.isdir(os.path.join(path, name))], files
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write a file via temp + rename so readers never see partial output.
 
-    The file gets the mode open() would give it, 0o666 less the umask.
-    An OSError, such as a missing directory or a directory at `path`,
-    becomes a RusentError (exit 2) that names the path; no temporary file
-    is left behind."""
+    The file gets the mode open() would give it: the kernel narrows 0o666
+    by the umask or by the directory's default ACL. An OSError, such as a
+    missing directory or a directory at `path`, becomes a RusentError
+    (exit 2) that names the path; no temporary file is left behind."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
+    tmp = os.path.join(os.path.dirname(path), ".tmp-" + os.urandom(8).hex())
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                # mkstemp makes the file 0o600; the umask is read by setting it
-                umask = os.umask(0o022)
-                os.umask(umask)
-                os.fchmod(fd, 0o666 & ~umask)
+            with fh:
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.unlink(tmp)
             raise
     except OSError as exc:
         raise RusentError(f"cannot write {path!r}: {exc.strerror or exc}") from None

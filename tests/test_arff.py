@@ -97,6 +97,17 @@ class TestParse:
             parse_arff(MINIMAL + "1,pos,extra\n")
         assert exc.value.line == 6
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("@relation r\n@attribute a numeric\n@data\n   x\n", 4, 4),
+        # the entry `1 x` starts at column 6
+        ("@relation r\n@attribute a numeric\n@attribute b numeric\n@data\n{0 1,1 x}\n", 5, 6),
+        ("@relation r\n@attribute a {p,  q'\n@data\n", 2, 19),
+    ], ids=["indented row", "sparse entry", "attribute spec"])
+    def test_error_columns_count_from_the_start_of_the_line(self, text, line, column):
+        with pytest.raises(ArffError) as exc:
+            parse_arff(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
     def test_undeclared_nominal_value(self):
         with pytest.raises(ArffError, match="not declared"):
             parse_arff(MINIMAL.replace("1,pos", "1,meh"))

@@ -68,10 +68,11 @@ class TestConvert:
         assert manifest["command"] == "convert"
         assert "wrote 40 instances" in capsys.readouterr().out
 
-    def test_missing_directory_exits_2(self, tmp_path, capsys):
-        code = main(["convert", str(tmp_path / "nope"), str(tmp_path / "o.arff")])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+    def test_missing_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["convert", "nope", "o.arff"]) == 2
+        assert capsys.readouterr().err == "error: cannot read 'nope': No such file or directory\n"
+        assert os.listdir(tmp_path) == []
 
 
 class TestVectorize:
@@ -283,6 +284,17 @@ class TestTrainEvaluate:
         assert "non-finite" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_an_empty_training_set_exits_2_with_one_message(self, tmp_path, capsys, algorithm):
+        train, model = tmp_path / "empty.arff", tmp_path / "m.model"
+        write_numeric_arff(train, 1)
+        train.write_text(train.read_text(encoding="utf-8").split("@data\n")[0] + "@data\n",
+                         encoding="utf-8")
+        assert main(["train", "--train", str(train), "--algorithm", algorithm,
+                     "--model-out", str(model)]) == 2
+        assert capsys.readouterr().err == "error: cannot train on an empty training set\n"
+        assert not model.exists()
+
     @pytest.mark.parametrize("algorithm, flag, value", [
         ("mnb", "--alpha", "nan"),
         ("mnb", "--alpha", "inf"),
@@ -431,7 +443,8 @@ class TestUnreadableInput:
     """An input that cannot be read exits 2 with one message, which names
     the path and the reason."""
 
-    @pytest.mark.parametrize("kind", ["arff", "model", "stop-word file", "corpus document"])
+    @pytest.mark.parametrize("kind", ["arff", "model", "stop-word file", "corpus document",
+                                      "class directory"])
     def test_exits_2_naming_the_path(self, arff_paths, tmp_path, capsys, monkeypatch, kind):
         missing = tmp_path / "nope"
         reason = "No such file or directory"
@@ -442,16 +455,58 @@ class TestUnreadableInput:
         elif kind == "stop-word file":
             argv = ["vectorize", "--train", str(arff_paths[0]), "--out-train",
                     str(tmp_path / "v"), "--stopwords", str(missing)]
-        else:
+        elif kind == "corpus document":
             # a directory among a class's documents, taken for a file
             missing, reason = tmp_path / "corpus" / "pos" / "sub", "Is a directory"
             missing.mkdir(parents=True)
-            monkeypatch.setattr(os.path, "isfile", lambda path: True)
+            isfile = os.path.isfile
+            monkeypatch.setattr(os.path, "isfile", lambda path: path == str(missing) or isfile(path))
+            argv = ["convert", str(tmp_path / "corpus"), str(tmp_path / "c.arff")]
+        else:
+            # root may list any directory whatever its mode, so the refusal is patched in
+            missing, reason, listdir = tmp_path / "corpus" / "neg", "Permission denied", os.listdir
+
+            def refusing_listdir(path):
+                if os.fspath(path) == str(missing):
+                    raise PermissionError(13, reason, path)
+                return listdir(path)
+
+            monkeypatch.setattr(os, "listdir", refusing_listdir)
             argv = ["convert", str(tmp_path / "corpus"), str(tmp_path / "c.arff")]
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: cannot read {str(missing)!r}: {reason}\n"
         assert not (tmp_path / "v").exists() and not (tmp_path / "c.arff").exists()
+
+
+class TestMalformedArffNamesItsFile:
+    """An ARFF that fails to parse exits 2 with a message that begins with
+    its path, so that of two inputs the bad one is known."""
+
+    @pytest.mark.parametrize("bad, reason", [
+        (b"'engine sust',typo\n",
+         "line 6, column 15: value 'typo' not declared for nominal attribute 'class'"),
+        (b"'engine \xff',neg\n", "input is not valid UTF-8: "),
+    ], ids=["undeclared class", "not utf-8"])
+    def test_compare(self, tmp_path, capsys, bad, reason):
+        header = (b"@relation r\n@attribute text string\n@attribute class {neg,pos}\n@data\n"
+                  b"'gari achi',pos\n")
+        good, bad_path = tmp_path / "good.arff", tmp_path / "bad.arff"
+        good.write_bytes(header)
+        bad_path.write_bytes(header + bad)
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--train", str(good), "--test", str(bad_path),
+                     "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {str(bad_path)!r}: {reason}") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_train_on_raw_text(self, arff_paths, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        assert main(["train", "--train", str(arff_paths[0]), "--algorithm", "mnb",
+                     "--model-out", str(model)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {str(arff_paths[0])!r}: ")
+        assert not model.exists()
 
 
 def write_numeric_arff(path, width):
@@ -540,6 +595,18 @@ class TestCompare:
                      "--out-dir", str(out_dir), *flags])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_an_empty_training_set_exits_2_with_one_message_and_makes_no_directory(
+            self, tmp_path, capsys):
+        train, test = tmp_path / "empty.arff", tmp_path / "test1.arff"
+        write_numeric_arff(test, 1)
+        train.write_text(test.read_text(encoding="utf-8").split("@data\n")[0] + "@data\n",
+                         encoding="utf-8")
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--train", str(train), "--test", str(test),
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "error: cannot train on an empty training set\n"
         assert not out_dir.exists()
 
     def test_malformed_hidden_exits_1_and_makes_no_directory(self, arff_paths, tmp_path, capsys):

@@ -1,12 +1,15 @@
 import ast
+import errno
 import os
 import pathlib
+import struct
 
 import pytest
 
 import rusent
+from rusent.arff import parse_arff
 from rusent.errors import ArffError, CorpusError, ModelError, RusentError
-from rusent.util import atomic_write_text, read_bytes, read_text
+from rusent.util import atomic_write_text, parse_file, read_bytes, read_text
 
 
 class TestReaders:
@@ -38,17 +41,52 @@ class TestReaders:
         assert read_text(path, CorpusError) == "a\nb\nc\x0bd\n"
 
 
+class TestParseFile:
+    def test_a_parse_error_keeps_its_class_and_gains_the_path(self, tmp_path):
+        path = tmp_path / "bad.arff"
+        path.write_bytes(b"@relation r\n@bogus\n")
+        with pytest.raises(ArffError) as exc:
+            parse_file(path, parse_arff)
+        assert str(exc.value) == f"{str(path)!r}: line 2: unknown declaration '@bogus'"
+        assert exc.value.line == 2
+
+
+def _modes(directory, umask):
+    """The modes of a file that open() makes in directory and of one that
+    atomic_write_text makes there, under umask."""
+    old = os.umask(umask)
+    try:
+        with open(directory / "by-open.txt", "w", encoding="utf-8"):
+            pass
+        atomic_write_text(directory / "out.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert (directory / "out.txt").read_bytes() == b"x\n"
+    return [(directory / name).stat().st_mode & 0o777 for name in ("by-open.txt", "out.txt")]
+
+
+def _acl_entry(tag, perm):
+    # struct posix_acl_xattr_entry: tag, permissions, and an id that the
+    # owner, group and other entries leave undefined
+    return struct.pack("<HHI", tag, perm, 0xFFFFFFFF)
+
+
 class TestAtomicWrite:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
     def test_the_file_gets_the_mode_open_would_give(self, tmp_path, umask, mode):
-        path = tmp_path / "out.txt"
-        old = os.umask(umask)
+        assert _modes(tmp_path, umask) == [mode, mode]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_under_a_default_acl_the_file_gets_the_mode_open_would_give(self, tmp_path, umask):
+        # version 2; user::rwx, group::rwx, other::r-x, which replace the umask
+        acl = struct.pack("<I", 2) + _acl_entry(0x01, 7) + _acl_entry(0x04, 7) + _acl_entry(0x20, 5)
         try:
-            atomic_write_text(path, "x\n")
-        finally:
-            os.umask(old)
-        assert path.stat().st_mode & 0o777 == mode
-        assert path.read_bytes() == b"x\n"
+            os.setxattr(tmp_path, "system.posix_acl_default", acl)
+        except OSError as exc:
+            if exc.errno in (errno.ENOTSUP, errno.EOPNOTSUPP):
+                pytest.skip(f"the file system refuses a default ACL: {exc.strerror}")
+            raise
+        assert _modes(tmp_path, umask) == [0o664, 0o664]
 
     def test_an_unwritable_path_names_it_and_leaves_no_temporary_file(self, tmp_path):
         path = tmp_path / "nodir" / "out.txt"
@@ -58,14 +96,29 @@ class TestAtomicWrite:
         assert list(tmp_path.rglob(".tmp-*")) == []
 
 
+_FS_MODULES = {"os", "os.path", "tempfile", "shutil"}
+_FS_NAMES = {"open", "fdopen", "mkstemp", "listdir", "scandir", "walk", "makedirs", "mkdir",
+             "replace", "rename", "unlink", "remove", "rmdir", "umask", "chmod", "fchmod",
+             "isdir", "isfile", "exists"}
+
+
 def _file_calls(tree):
-    """The names of the calls of open, os.fdopen or tempfile.mkstemp in tree."""
+    """The calls in tree that reach the file system: open, fdopen or mkstemp,
+    whatever owns it, and each of _FS_NAMES called on (or imported from) one
+    of _FS_MODULES. For those the owning module is matched, so str.replace
+    is not one of them."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("open", "fdopen", "mkstemp"):
-                yield f"line {node.lineno}: {name}"
+            if name in ("open", "fdopen", "mkstemp") or (
+                    isinstance(func, ast.Attribute) and name in _FS_NAMES
+                    and ast.unparse(func.value) in _FS_MODULES):
+                yield f"line {node.lineno}: {ast.unparse(func)}"
+        elif isinstance(node, ast.ImportFrom) and node.module in _FS_MODULES:
+            for alias in node.names:
+                if alias.name in _FS_NAMES:
+                    yield f"line {node.lineno}: from {node.module} import {alias.name}"
 
 
 def test_only_util_opens_files():
