@@ -50,11 +50,12 @@ class AdaBoostModel(Model):
         return np.stack([-margin, margin], axis=1)
 
     def _body_lines(self):
-        lines = [f"rounds {self.rounds}"] + self.weak.lines("weak_") + [f"stages {len(self.stages)}"]
+        yield f"rounds {self.rounds}"
+        yield from self.weak.lines("weak_")
+        yield f"stages {len(self.stages)}"
         for i, (alpha, tree) in enumerate(self.stages):
-            lines.append(f"stage {i} {fmt_floats(alpha)}")
-            lines.extend(tree_lines(tree))
-        return lines
+            yield f"stage {i} {fmt_floats(alpha)}"
+            yield from tree_lines(tree)
 
     @classmethod
     def _from_body(cls, reader):

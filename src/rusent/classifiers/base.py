@@ -29,24 +29,35 @@ and its values, separated by single spaces; each line has a fixed place
 and an exact number of values. Floats are written with repr(), the
 shortest string that round-trips to the same double, so model files are
 byte-stable and loading loses no precision; fmt_floats refuses non-finite
-ones. A class line has no escape, so dumps refuses a class value that
-holds a line feed or a carriage return. loads_model reads the file
-through one BodyReader, which refuses any other line or value count,
-trailing lines, non-finite floats, and a split feature or leaf class out
-of range. Every other value goes to the variant's constructor, which
+ones, and writes a zero as "0.0" without a repr, as most cells of a kNN
+model's rows are zeros. A class line has no escape, so a model refuses
+to write a class value that holds a line feed or a carriage return.
+
+save streams: it writes the file's lines one at a time, as the model
+makes them, to a temporary file that replaces the target only once it is
+whole, so the whole text is never held. load_model reads the file one
+line at a time (a pipe, which has no size, whole) into one BodyReader.
+It bounds a matrix by what is left of the file before making it, casts
+only the cells that are not "0.0", and refuses any other line or value
+count, trailing lines, non-finite floats, and a split feature or leaf
+class out of range. Every other value goes to the variant's constructor, which
 checks what a model holds, trained or loaded alike: hyperparameter
-ranges, parameter shapes, distinct classes. loads_model reports what
-either refuses as a corrupt model file (ModelError, exit 2).
+ranges, parameter shapes, distinct classes. load_model reports what
+either refuses as a corrupt model file (ModelError, exit 2). dumps and
+loads_model do the same for a model file held as a string.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ..errors import ModelError
-from ..util import atomic_write_text, read_text
+from ..util import atomic_write_lines, read_lines
 
 MAGIC = "rusent-model v1"
 
@@ -54,11 +65,37 @@ _REGISTRY: dict[str, type] = {}
 
 
 def fmt_floats(values) -> str:
-    """repr() of a float or of each float of an array; ModelError if one is not finite."""
+    """repr() of a float or of each float of an array; ModelError if one is
+    not finite. Where most of them are zeros, each 0.0 is written as "0.0"
+    and only the others go through repr(); -0.0 is one of the others."""
     arr = np.asarray(values, dtype=np.float64).ravel()
-    if not np.isfinite(arr).all():
+    _check_finite(arr)
+    return _words(arr)
+
+
+def fmt_rows(matrix) -> Iterator[str]:
+    """fmt_floats of each row of a 2-D array, made as they are read, with
+    the whole array checked once."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    _check_finite(matrix)
+    return map(_words, matrix)
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    # NaN propagates through min and max, so both are finite only where
+    # every value is, and no array of flags is made
+    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise ModelError("cannot write a non-finite model parameter (did training diverge?)")
-    return " ".join(map(repr, arr.tolist()))
+
+
+def _words(arr: np.ndarray) -> str:
+    if 2 * np.count_nonzero(arr) >= arr.size:
+        return " ".join(map(repr, arr.tolist()))
+    words = ["0.0"] * arr.size
+    cells = np.flatnonzero((arr != 0) | np.signbit(arr))
+    for i, value in zip(cells.tolist(), arr[cells].tolist()):
+        words[i] = repr(value)
+    return " ".join(words)
 
 
 @dataclass(frozen=True)
@@ -81,13 +118,21 @@ class TreeConfig:
 
 
 class BodyReader:
-    """Cursor over the lines of a model file; it reads the header when made.
+    """Cursor over the lines of a model file, read one at a time; it reads
+    the header when made. `lines` are the file's lines without their line
+    ends, the magic line first, as a list or as an iterator; `size` bounds
+    their characters, line ends included, and is worked out for a list.
     Each read names the key the next line must have and the number of
     values it must hold, and raises ValueError otherwise."""
 
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.pos = 1  # after the magic line
+    def __init__(self, lines, size: int | None = None):
+        if size is None:
+            size = sum(map(len, lines)) + len(lines)
+        self._lines = iter(lines)
+        self._line = next(self._lines, None)  # line `pos`, the next to read; None past the last
+        self.pos = 0
+        self.left = size  # at least the characters of line `pos` and of every line after it
+        self._advance()  # past the magic line
         self.variant = self.rest("variant")
         self.feature_width = self.integer("feature_width")
         classes = []
@@ -95,14 +140,20 @@ class BodyReader:
             classes.append(self.rest("class"))
         self.class_values = tuple(classes)
 
+    def _advance(self) -> None:
+        self.left -= len(self._line) + 1
+        self._line = next(self._lines, None)
+        self.pos += 1
+
     def at(self, key: str) -> bool:
-        return self.pos < len(self.lines) and self.lines[self.pos].startswith(key + " ")
+        return self._line is not None and self._line.startswith(key + " ")
 
     def rest(self, key: str) -> str:
         if not self.at(key):
             raise ValueError(f"line {self.pos + 1}: expected {key!r}")
-        self.pos += 1
-        return self.lines[self.pos - 1][len(key) + 1:]
+        line = self._line
+        self._advance()
+        return line[len(key) + 1:]
 
     def values(self, key: str, count: int | None = None) -> list[str]:
         """Exactly `count` values, or any number if count is None."""
@@ -135,14 +186,19 @@ class BodyReader:
 
     def matrix(self, key: str, count: int, width: int) -> np.ndarray:
         """`count` lines of `width` values as one matrix. Each value takes at
-        least two characters of its line, so the lines' length bounds the
-        matrix before it is made, whatever the header says."""
-        if 2 * count * width > sum(map(len, self.lines[self.pos:self.pos + count])):
+        least two characters of its line, so what is left of the file bounds
+        the matrix before it is made, whatever the header says. Rows are
+        read into place, and only the words that are not "0.0" are cast."""
+        if 2 * count * width > self.left:
             raise ValueError(f"line {self.pos + 1}: expected {count} {key!r} lines"
                              f" of {width} values")
-        matrix = np.empty((count, width))
-        for row in matrix:  # into place: no list of row arrays to stack
-            row[:] = self.reals(key, width)
+        matrix = np.zeros((count, width))
+        for row in matrix:
+            words = self.values(key, width)
+            cells = [i for i, word in enumerate(words) if word != "0.0"]
+            row[cells] = [float(words[i]) for i in cells]
+            if not np.isfinite(row).all():
+                raise ValueError(f"line {self.pos}: {key!r} holds a non-finite value")
         return matrix
 
     def tree_config(self, prefix: str = "") -> TreeConfig:
@@ -152,7 +208,7 @@ class BodyReader:
         return TreeConfig(None if depth == -1 else depth, min_leaf)
 
     def end(self) -> None:
-        if self.lines[self.pos:] != ["end"]:
+        if self._line != "end" or next(self._lines, None) is not None:
             raise ValueError(f"line {self.pos + 1}: expected 'end' as the last line")
 
 
@@ -202,21 +258,24 @@ class Model:
 
     # -- persistence -----------------------------------------------------
 
-    def _body_lines(self) -> list[str]:
+    def _body_lines(self) -> Iterator[str]:
         raise NotImplementedError
 
-    def dumps(self) -> str:
+    def _lines(self) -> Iterator[str]:
+        """The model file's lines, without their line ends, made as they are
+        read; ModelError for a class value it cannot write."""
         if any("\n" in v or "\r" in v for v in self.class_values):
             # load_model reads in text mode, which also breaks lines at "\r"
             raise ModelError("cannot write a class value that holds a line break")
-        lines = [MAGIC, f"variant {self.variant}", f"feature_width {self.feature_width}"]
-        lines.extend(f"class {v}" for v in self.class_values)
-        lines.extend(self._body_lines())
-        lines.append("end")
-        return "\n".join(lines) + "\n"
+        header = [MAGIC, f"variant {self.variant}", f"feature_width {self.feature_width}"]
+        header.extend(f"class {v}" for v in self.class_values)
+        return chain(header, self._body_lines(), ["end"])
+
+    def dumps(self) -> str:
+        return "\n".join(self._lines()) + "\n"
 
     def save(self, path) -> None:
-        atomic_write_text(path, self.dumps())
+        atomic_write_lines(path, self._lines())
 
 
 def _first_max(scores: np.ndarray) -> np.ndarray:
@@ -236,22 +295,38 @@ def loads_model(text: str) -> Model:
     lines = text.split("\n")
     if text.endswith("\n"):
         lines.pop()  # the "" after it, dropped with no copy of the text
-    if lines[0] != MAGIC:
+    return _load(lines, len(text))
+
+
+class _Unreadable(ModelError):
+    """A model file that cannot be read: reported as it is, not as corrupt."""
+
+
+def load_model(path) -> Model:
+    # a file's lines break at "\n", "\r\n" and "\r" (text mode), but not
+    # at the other line breaks of str.splitlines
+    with read_lines(path, _Unreadable) as (size, lines):
+        return _load(lines, size)
+
+
+def _load(lines, size: int) -> Model:
+    """The model in `lines`, an iterable of the file's lines without their
+    line ends, which hold at most `size` characters with them."""
+    lines = iter(lines)
+    if next(lines, None) != MAGIC:
         raise ModelError("not a rusent model file or unknown format version")
     try:
-        reader = BodyReader(lines)
+        reader = BodyReader(chain([MAGIC], lines), size)
         cls = _REGISTRY.get(reader.variant)
         if cls is None:
             raise ModelError(f"unknown model variant {reader.variant!r}")
         model = cls._from_body(reader)
         reader.end()
+    except _Unreadable:
+        raise
     except (ValueError, ModelError) as exc:
         raise ModelError(f"corrupt model file: {exc}") from None
     return model
-
-
-def load_model(path) -> Model:
-    return loads_model(read_text(path, ModelError))
 
 
 def require_binary(class_values) -> None:

@@ -39,12 +39,13 @@ class _VotingTreeEnsemble(Model):
             votes[rows, tree_predict_batch(tree, X)] += 1.0
         return votes / len(self.trees)
 
-    def _body_lines(self) -> list[str]:
-        lines = [f"m {len(self.trees)}", f"seed {self.seed}"] + self.base.lines("base_")
+    def _body_lines(self):
+        yield f"m {len(self.trees)}"
+        yield f"seed {self.seed}"
+        yield from self.base.lines("base_")
         for i, tree in enumerate(self.trees):
-            lines.append(f"member {i}")
-            lines.extend(tree_lines(tree))
-        return lines
+            yield f"member {i}"
+            yield from tree_lines(tree)
 
     @classmethod
     def _from_body(cls, reader, *extra):
@@ -71,7 +72,8 @@ class RandomForestModel(_VotingTreeEnsemble):
         self.features_per_split = check_features_per_split(features_per_split, self.feature_width)
 
     def _body_lines(self):
-        return [f"features_per_split {self.features_per_split}"] + super()._body_lines()
+        yield f"features_per_split {self.features_per_split}"
+        yield from super()._body_lines()
 
     @classmethod
     def _from_body(cls, reader):

@@ -54,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import Model, fmt_floats
+from .base import Model, fmt_floats, fmt_rows
 
 DISTANCES = ("euclidean", "manhattan", "minkowski")
 
@@ -141,15 +141,13 @@ class KnnModel(Model):
                  for nearest in self._neighbours(self.check_matrix(X))]
         return np.array(votes, dtype=np.float64).reshape(-1, n_classes) / self.k
 
-    def _body_lines(self) -> list[str]:
-        lines = [
-            f"k {self.k}",
-            f"distance {self.metric}",
-            f"p {fmt_floats(self.p)}",
-            f"labels {' '.join(str(int(l)) for l in self.labels)}",
-        ]
-        lines.extend(f"row {fmt_floats(row)}" for row in self.rows)
-        return lines
+    def _body_lines(self):
+        yield f"k {self.k}"
+        yield f"distance {self.metric}"
+        yield f"p {fmt_floats(self.p)}"
+        yield f"labels {' '.join(str(int(l)) for l in self.labels)}"
+        for words in fmt_rows(self.rows):
+            yield f"row {words}"
 
     @classmethod
     def _from_body(cls, reader):

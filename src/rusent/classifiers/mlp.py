@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..rng import SplitMix64
-from .base import Model, fmt_floats
+from .base import Model, fmt_floats, fmt_rows
 
 ACTIVATIONS = ("logistic", "tanh")
 
@@ -190,19 +190,16 @@ class MlpModel(Model):
     # -- persistence -------------------------------------------------------
 
     def _body_lines(self):
-        lines = [
-            f"hidden {' '.join(str(h) for h in self.sizes[1:-1])}",
-            f"activation {self.activation}",
-            f"learning_rate {fmt_floats(self.learning_rate)}",
-            f"epochs {self.epochs}",
-            f"batch_size {self.batch_size}",
-            f"seed {self.seed}",
-        ]
+        yield f"hidden {' '.join(str(h) for h in self.sizes[1:-1])}"
+        yield f"activation {self.activation}"
+        yield f"learning_rate {fmt_floats(self.learning_rate)}"
+        yield f"epochs {self.epochs}"
+        yield f"batch_size {self.batch_size}"
+        yield f"seed {self.seed}"
         for li, (W, b) in enumerate(zip(self.weights, self.biases)):
-            for row in W:
-                lines.append(f"w {li} {fmt_floats(row)}")
-            lines.append(f"b {li} {fmt_floats(b)}")
-        return lines
+            for words in fmt_rows(W):
+                yield f"w {li} {words}"
+            yield f"b {li} {fmt_floats(b)}"
 
     @classmethod
     def _from_body(cls, reader):

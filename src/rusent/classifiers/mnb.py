@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import Model, fmt_floats
+from .base import Model, fmt_floats, fmt_rows
 
 
 class MultinomialNBModel(Model):
@@ -53,11 +53,11 @@ class MultinomialNBModel(Model):
         # argmax in log space; ties go to the lowest class index
         return np.argmax(self.log_posteriors(X), axis=1)
 
-    def _body_lines(self) -> list[str]:
-        lines = [f"alpha {fmt_floats(self.alpha)}", f"log_prior {fmt_floats(self.log_prior)}"]
-        for c, row in enumerate(self.log_likelihood):
-            lines.append(f"log_likelihood {c} {fmt_floats(row)}")
-        return lines
+    def _body_lines(self):
+        yield f"alpha {fmt_floats(self.alpha)}"
+        yield f"log_prior {fmt_floats(self.log_prior)}"
+        for c, words in enumerate(fmt_rows(self.log_likelihood)):
+            yield f"log_likelihood {c} {words}"
 
     @classmethod
     def _from_body(cls, reader):
@@ -82,6 +82,10 @@ def train_mnb(matrix, alpha: float = 1.0) -> MultinomialNBModel:
     np.log(class_counts / len(y), out=model.log_prior)
     smoothed = model.log_likelihood  # each class's word counts plus alpha, then their logs
     for c in range(n_classes):
-        smoothed[c] = matrix.rows[y == c].sum(axis=0) + model.alpha
+        # the sum of the class's rows over axis 0, with no copy of them; it
+        # keeps the bits of summing a copy wherever the width is 2 or more
+        # (with one column, each likelihood is log(x / x) = 0 anyway)
+        np.add.reduce(matrix.rows, axis=0, where=(y == c)[:, None], out=smoothed[c])
+    smoothed += model.alpha
     np.log(smoothed / smoothed.sum(axis=1, keepdims=True), out=smoothed)
     return model

@@ -41,13 +41,11 @@ class LinearSvmModel(Model):
         return np.stack([-v, v], axis=1)
 
     def _body_lines(self):
-        return [
-            f"lambda {fmt_floats(self.lam)}",
-            f"epochs {self.epochs}",
-            f"seed {self.seed}",
-            f"bias {fmt_floats(self.bias)}",
-            f"weights {fmt_floats(self.weights)}",
-        ]
+        yield f"lambda {fmt_floats(self.lam)}"
+        yield f"epochs {self.epochs}"
+        yield f"seed {self.seed}"
+        yield f"bias {fmt_floats(self.bias)}"
+        yield f"weights {fmt_floats(self.weights)}"
 
     @classmethod
     def _from_body(cls, reader):

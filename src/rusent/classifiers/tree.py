@@ -406,8 +406,9 @@ class DecisionTreeModel(Model):
         X = self.check_matrix(X)
         return self.tree.distribution[tree_leaves(self.tree, X)]
 
-    def _body_lines(self) -> list[str]:
-        return self.config.lines() + tree_lines(self.tree)
+    def _body_lines(self):
+        yield from self.config.lines()
+        yield from tree_lines(self.tree)
 
     @classmethod
     def _from_body(cls, reader):

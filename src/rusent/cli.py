@@ -46,7 +46,7 @@ from .corpus import StopWordList
 from .errors import ConfigError, ModelError, RusentError
 from .evaluation import compare as compare_models
 from .evaluation import check_test, evaluate, render_json, render_table
-from .util import atomic_write_text, make_dirs, parse_file
+from .util import atomic_write_text, make_dirs, named, parse_file
 from .vectorize import fit, matrix_from_dataset, read_matrix, to_arff, transform
 
 MANIFEST_SCHEMA = "rusent-manifest/1"
@@ -225,6 +225,10 @@ def _train(algorithm: str, args, matrix):
     raise RusentError(f"unknown algorithm {algorithm!r}")
 
 
+#: the learners that read a FeatureMatrix's `columns`
+_TREE_LEARNERS = frozenset({"dtree", "bagging", "rforest", "adaboost"})
+
+
 def _hyper_config(args) -> dict:
     dests = (flag[2:].replace("-", "_") for flag in _HYPER_FLAGS)
     return {dest: getattr(args, dest) for dest in dests}
@@ -276,8 +280,10 @@ def cmd_compare(args) -> int:
         # raw text corpus: one shared vectorization for every algorithm
         space, train_matrix, test_matrix = _vectorize(args, train, test)
     else:
-        train_matrix = matrix_from_dataset(train)
-        test_matrix = matrix_from_dataset(test)
+        with named(args.train):
+            train_matrix = matrix_from_dataset(train)
+        with named(args.test):
+            test_matrix = matrix_from_dataset(test)
 
     # made only once both inputs are read and checked, so that bad input leaves no directory
     _check_train(train_matrix)
@@ -292,7 +298,7 @@ def cmd_compare(args) -> int:
     failures = []
     models_dir = os.path.join(args.out_dir, "models")
     make_dirs(models_dir)
-    for algorithm in args.algorithms:
+    for i, algorithm in enumerate(args.algorithms):
         try:
             model = _train(algorithm, args, train_matrix)
             model.save(os.path.join(models_dir, f"{algorithm}.model"))
@@ -300,6 +306,10 @@ def cmd_compare(args) -> int:
         except RusentError as exc:
             failures.append(algorithm)
             print(f"error: {algorithm} failed: {exc}", file=sys.stderr)
+        if _TREE_LEARNERS.isdisjoint(args.algorithms[i + 1:]):
+            # no later learner reads the non-zeros in column order, so they
+            # are not held through SVM and MLP training (made or not)
+            vars(train_matrix).pop("columns", None)
 
     if models:
         reports = compare_models(models, test_matrix, args.positive_class)

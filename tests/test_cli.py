@@ -508,6 +508,20 @@ class TestMalformedArffNamesItsFile:
         assert capsys.readouterr().err.startswith(f"error: {str(arff_paths[0])!r}: ")
         assert not model.exists()
 
+    def test_compare_names_the_input_it_cannot_use_as_features(self, arff_paths, tmp_path,
+                                                               capsys):
+        # a numeric train ARFF parses, and so does a raw-text test ARFF, but
+        # the test set has no numeric features to match the train set's
+        two = tmp_path / "two.arff"
+        write_numeric_arff(two, 2)
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--train", str(two), "--test", str(arff_paths[1]),
+                     "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {str(arff_paths[1])!r}: attribute 'text' is not numeric;"
+                       " vectorize the dataset first\n")
+        assert not out_dir.exists()
+
 
 def write_numeric_arff(path, width):
     """A vectorized ARFF of two rows over `width` numeric features."""
@@ -608,6 +622,27 @@ class TestCompare:
                      "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err == "error: cannot train on an empty training set\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("algorithms, held", [
+        (["dtree", "svm", "adaboost", "mlp"], [True, False]),
+        (["dtree", "adaboost", "svm", "mlp"], [False, False]),
+        (["svm", "rforest", "mlp"], [False, False]),
+    ], ids=["a tree learner follows", "trees first", "svm first"])
+    def test_the_column_order_is_released_after_the_last_tree_learner(
+            self, arff_paths, tmp_path, monkeypatch, algorithms, held):
+        # `columns` of the train matrix is read by the tree learners only
+        import rusent.cli as cli
+
+        seen = []
+        for name in ("svm", "mlp"):
+            def spy(matrix, *args, _train=getattr(cli, f"train_{name}"), **kwargs):
+                seen.append("columns" in vars(matrix))
+                return _train(matrix, *args, **kwargs)
+            monkeypatch.setattr(cli, f"train_{name}", spy)
+        assert main(["compare", "--train", str(arff_paths[0]), "--test", str(arff_paths[1]),
+                     "--out-dir", str(tmp_path / "cmp"), "--mlp-epochs", "2",
+                     "--algorithms", *algorithms]) == 0
+        assert seen == held
 
     def test_malformed_hidden_exits_1_and_makes_no_directory(self, arff_paths, tmp_path, capsys):
         out_dir = tmp_path / "cmp"
@@ -829,6 +864,21 @@ class TestCorruptModel:
         assert old in text
         assert evaluate_tree_model(tmp_path, text.replace(old, new), tmp_path / "r.json") == 2
         assert "corrupt model file" in capsys.readouterr().err
+
+
+    def test_a_stray_byte_mid_file_exits_2_as_not_utf8(self, tmp_path, capsys):
+        # a 1200-deep chain, 60 KB of text: the byte is many lines and read
+        # blocks past the start
+        from test_tree import chain_model_text
+
+        data = chain_model_text(1200).encode()
+        cut = data.index(b"leaf 1 ", len(data) * 2 // 3)
+        model, test = tmp_path / "tree.model", tmp_path / "test.arff"
+        model.write_bytes(data[:cut] + b"\xff" + data[cut + 1:])
+        write_numeric_arff(test, 1)
+        assert main(["evaluate", "--model", str(model), "--test", str(test)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {str(model)!r} is not valid UTF-8: ") and err.count("\n") == 1
 
 
 class TestHugeFeatureValues:

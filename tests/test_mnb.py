@@ -74,6 +74,20 @@ class TestEdgeCases:
         assert all(0.0 <= s <= 1.0 for s in scores)
 
 
+@pytest.mark.parametrize("n, width", [(900, 1), (300, 2), (37, 5), (3, 1000), (800, 1919)])
+def test_counts_are_each_classs_axis_0_sum_bit_for_bit(n, width):
+    # the counts are summed row by row, without a copy of each class's
+    # rows; the model keeps the bits of numpy's sum over those rows
+    rng = np.random.default_rng(width)
+    rows = np.where(rng.random((n, width)) < 0.3, rng.random((n, width)) * 7.0, 0.0)
+    labels = ["pos" if i % 3 else "neg" for i in range(n)]
+    m = make_matrix(rows, labels, ("neg", "pos"))
+    model = train_mnb(m, alpha=0.5)
+    smoothed = np.stack([rows[m.y == c].sum(axis=0) for c in range(2)]) + 0.5
+    expected = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
+    assert model.log_likelihood.tobytes() == expected.tobytes()
+
+
 class TestLogSpaceEquivalence:
     @given(
         st.lists(

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from rusent.classifiers import (
     train_rforest,
     train_svm,
 )
-from rusent.classifiers.base import MAGIC, load_model, loads_model
+from rusent.classifiers.base import MAGIC, fmt_floats, fmt_rows, load_model, loads_model
 from rusent.classifiers.tree import Tree
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
@@ -84,6 +85,12 @@ class TestRoundTrip:
         model.save(path)
         assert load_model(path).dumps() == model.dumps()
 
+    def test_save_writes_exactly_dumps(self, variant, tmp_path):
+        model = TRAINERS[variant](training_matrix())
+        path = tmp_path / f"{variant}.model"
+        model.save(path)
+        assert path.read_bytes() == model.dumps().encode("utf-8")
+
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\x1c", "\x1e"])
 def test_class_value_with_a_unicode_line_break_round_trips(separator, tmp_path):
@@ -105,6 +112,162 @@ def test_a_model_file_with_crlf_line_ends_loads(tmp_path):
     path = tmp_path / "dtree.model"
     path.write_bytes(model.dumps().replace("\n", "\r\n").encode())
     assert load_model(path).dumps() == model.dumps()
+
+
+def sparse_knn(n, width, seed=0, density=0.01):
+    """A kNN model of n rows over `width` features, about `density` of its
+    cells non-zero, as in a bag-of-words matrix."""
+    rng = np.random.default_rng(seed)
+    rows = np.where(rng.random((n, width)) < density, rng.random((n, width)) * 3.0, 0.0)
+    return KnnModel(("neg", "pos"), width, 1, "euclidean", 3.0, rows, np.arange(n) % 2)
+
+
+@pytest.mark.parametrize("zeros", [0.0, 0.5, 0.99, 1.0])
+def test_fmt_floats_and_fmt_rows_write_repr_of_every_cell(zeros):
+    rng = np.random.default_rng(int(zeros * 100))
+    matrix = np.where(rng.random((20, 60)) < zeros, 0.0, rng.standard_normal((20, 60)))
+    matrix[::3, ::7] = -0.0
+    expected = [" ".join(map(repr, row.tolist())) for row in matrix]
+    assert [fmt_floats(row) for row in matrix] == expected
+    assert list(fmt_rows(matrix)) == expected
+    assert fmt_floats(matrix) == " ".join(expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 17, -1])
+def test_fmt_floats_and_fmt_rows_refuse_a_non_finite_cell(bad, at):
+    matrix = np.zeros((3, 10))
+    matrix.flat[at] = bad
+    with pytest.raises(ModelError, match="non-finite"):
+        fmt_floats(matrix)
+    with pytest.raises(ModelError, match="non-finite"):
+        fmt_rows(matrix)
+    assert fmt_floats(np.zeros((0, 3))) == "" and list(fmt_rows(np.zeros((2, 0)))) == ["", ""]
+
+
+class TestStreamedFile:
+    """save writes a model file a line at a time and load_model reads it a
+    line at a time: the same bytes as dumps and loads_model, without the
+    whole text in memory."""
+
+    def test_a_row_that_cannot_be_written_leaves_the_earlier_file(self, tmp_path):
+        path = tmp_path / "knn.model"
+        sparse_knn(30, 50).save(path)
+        before = path.read_bytes()
+        rows = sparse_knn(30, 50, seed=1).rows
+        rows[-1, 7] = np.nan  # the last line made, after the file is begun
+        bad = KnnModel(("neg", "pos"), 50, 1, "euclidean", 3.0, rows, np.arange(30) % 2)
+        with pytest.raises(ModelError, match="non-finite"):
+            bad.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["knn.model"]
+
+    def test_zeros_and_the_smallest_subnormal_keep_their_bits(self, tmp_path):
+        # mostly zeros, so the cells go through the sparse writer and reader
+        cells = [0.0] * 12 + [-0.0, 5e-324, -5e-324, 1.0]
+        rows = np.array([cells, cells[::-1], [0.0] * 16])
+        model = KnnModel(("neg", "pos"), 16, 1, "euclidean", 3.0, rows, [0, 1, 0])
+        path = tmp_path / "knn.model"
+        model.save(path)
+        text = path.read_text(encoding="utf-8")
+        assert "\nrow " + " ".join(["0.0"] * 12 + ["-0.0", "5e-324", "-5e-324", "1.0"]) in text
+        for clone in (load_model(path), loads_model(text)):
+            assert clone.rows.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_a_knn_file_with_other_line_ends_loads(self, tmp_path, end):
+        model = sparse_knn(40, 300, density=0.05)
+        path = tmp_path / "knn.model"
+        path.write_bytes(model.dumps().replace("\n", end).encode())
+        assert load_model(path).dumps() == model.dumps()
+
+    def test_a_stray_byte_mid_file_is_not_valid_utf8(self, tmp_path):
+        # far past the first block the reader decodes, and named at its
+        # place in the file
+        data = sparse_knn(60, 400).dumps().encode()
+        cut = data.index(b"0.0 ", len(data) * 3 // 5)
+        path = tmp_path / "knn.model"
+        path.write_bytes(data[:cut] + b"\xff" + data[cut + 1:])
+        with pytest.raises(ModelError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{str(path)!r} is not valid UTF-8: ")
+        assert f"in position {cut}:" in str(exc.value)
+
+    def test_a_knn_model_loads_from_a_pipe(self, tmp_path):
+        # a pipe has no size, so it is read whole to bound the matrix
+        import threading
+
+        model = sparse_knn(40, 300, density=0.05)
+        fifo = tmp_path / "knn.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(model.dumps())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            assert load_model(fifo).dumps() == model.dumps()
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_rows_too_few_for_their_matrix_are_rejected_before_it_is_made(self, tmp_path):
+        # as TestCorruptInput's case, from a file: the matrix would take 74.5 GiB
+        n = 100_000
+        text = TRAINERS["knn"](training_matrix()).dumps()
+        head, rows = text.split("\nlabels ")[0], text.split("\nrow ", 1)[1]
+        path = tmp_path / "knn.model"
+        path.write_text(f"{head}\nlabels {' '.join(['0'] * n)}\nrow {' '.join(['0.0'] * n)}"
+                        f"\nrow {rows}".replace("feature_width 4", f"feature_width {n}"),
+                        encoding="utf-8")
+        with pytest.raises(ModelError, match=f"expected {n} 'row' lines of {n} values"):
+            load_model(path)
+
+    def test_the_rows_are_bounded_by_the_bytes_left_after_the_labels(self, tmp_path):
+        # 10^5 labels take 200 KB, which would hold 10^5 rows of one value;
+        # the 24 rows after them do not
+        n = 100_000
+        text = TRAINERS["knn"](training_matrix()).dumps()
+        head, rows = text.split("\nlabels ")[0], text.split("\nrow ", 1)[1]
+        path = tmp_path / "knn.model"
+        path.write_text(f"{head}\nlabels {' '.join(['0'] * n)}\nrow {rows}"
+                        .replace("feature_width 4", "feature_width 1"), encoding="utf-8")
+        with pytest.raises(ModelError, match=f"expected {n} 'row' lines of 1 values"):
+            load_model(path)
+
+    def test_saving_a_wide_knn_model_holds_about_one_line(self, tmp_path):
+        # 800 x 1919, a Zipf-width training set: 6.4 MB of text, which
+        # dumps holds twice over
+        import tracemalloc
+
+        model = sparse_knn(800, 1919)
+        path = tmp_path / "knn.model"
+        tracemalloc.start()
+        try:
+            model.save(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 6_000_000
+        assert peak < size / 20, (peak, size)
+
+    def test_loading_a_file_holds_about_the_rows_alone(self, tmp_path):
+        import tracemalloc
+
+        model = sparse_knn(300, 400)
+        path = tmp_path / "knn.model"
+        model.save(path)
+        tracemalloc.start()
+        try:
+            clone = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clone.rows.tobytes() == model.rows.tobytes()
+        assert peak < 1.1 * model.rows.nbytes, (peak, model.rows.nbytes)
 
 
 class TestCorruptInput:

@@ -3,13 +3,16 @@ import errno
 import os
 import pathlib
 import struct
+from contextlib import nullcontext
 
 import pytest
 
 import rusent
 from rusent.arff import parse_arff
 from rusent.errors import ArffError, CorpusError, ModelError, RusentError
-from rusent.util import atomic_write_text, parse_file, read_bytes, read_text
+import rusent.util
+from rusent.util import (atomic_write_lines, atomic_write_text, parse_file, read_bytes,
+                         read_lines, read_text)
 
 
 class TestReaders:
@@ -39,6 +42,58 @@ class TestReaders:
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"a\r\nb\rc\x0bd\n")
         assert read_text(path, CorpusError) == "a\nb\nc\x0bd\n"
+
+
+def read_all_lines(path, error):
+    with read_lines(path, error) as (size, lines):
+        return size, list(lines)
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("error", [ModelError, CorpusError])
+    def test_a_missing_file_or_a_directory_is_worded_as_read_text_words_it(self, tmp_path,
+                                                                         error):
+        for path in (tmp_path / "nope.model", tmp_path):
+            with pytest.raises(error) as streamed:
+                read_all_lines(path, error)
+            with pytest.raises(error) as whole:
+                read_text(path, error)
+            assert str(streamed.value) == str(whole.value)
+
+    def test_a_byte_that_is_not_utf8_past_the_first_block(self, tmp_path):
+        # worded as read_text words it, with the byte's place in the file
+        path = tmp_path / "bad.model"
+        path.write_bytes(b"0.0\n" * 10_000 + b"\xff\n")
+        with pytest.raises(ModelError) as streamed:
+            read_all_lines(path, ModelError)
+        with pytest.raises(ModelError) as whole:
+            read_text(path, ModelError)
+        assert str(streamed.value) == str(whole.value)
+        assert "in position 40000" in str(streamed.value)
+
+    def test_lines_break_as_read_text_breaks_them(self, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes("a\r\nb\rc\x0bd\u2028\n\ne".encode())
+        assert read_all_lines(path, CorpusError) == (14, ["a", "b", "c\x0bd\u2028", "", "e"])
+        assert read_text(path, CorpusError).split("\n") == ["a", "b", "c\x0bd\u2028", "", "e"]
+
+    @pytest.mark.parametrize("stop", ["at the first line", "by an exception"])
+    def test_the_file_is_closed_when_the_block_ends(self, tmp_path, monkeypatch, stop):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(rusent.util, "open", recording_open, raising=False)
+        path = tmp_path / "two.txt"
+        path.write_text("one\ntwo\n", encoding="utf-8")
+        with pytest.raises(ZeroDivisionError) if stop == "by an exception" else nullcontext():
+            with read_lines(path, ModelError) as (_, lines):
+                assert next(lines) == "one"
+                if stop == "by an exception":
+                    1 / 0
+        assert len(opened) == 1 and opened[0].closed
 
 
 class TestParseFile:
@@ -87,6 +142,24 @@ class TestAtomicWrite:
                 pytest.skip(f"the file system refuses a default ACL: {exc.strerror}")
             raise
         assert _modes(tmp_path, umask) == [0o664, 0o664]
+
+    def test_lines_are_written_each_with_a_line_feed(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_lines(path, iter(["a", "", "b\r"]))
+        assert path.read_bytes() == b"a\n\nb\r\n"
+
+    def test_lines_that_fail_leave_the_earlier_file_and_no_temporary_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, "before\n")
+
+        def failing():
+            yield "x" * 100_000
+            raise ModelError("cannot write a non-finite model parameter")
+
+        with pytest.raises(ModelError):
+            atomic_write_lines(path, failing())
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_bytes() == b"before\n"
 
     def test_an_unwritable_path_names_it_and_leaves_no_temporary_file(self, tmp_path):
         path = tmp_path / "nodir" / "out.txt"
