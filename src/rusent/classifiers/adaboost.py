@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from ..errors import ModelError
+from ..sparse import RowBlocks
 from .base import Model, TreeConfig, fmt_floats, require_binary
 from .tree import grow_tree, read_tree, tree_lines, tree_predict_batch
 
@@ -72,14 +73,18 @@ def train_adaboost(
     weak: TreeConfig = TreeConfig(max_depth=1),
 ) -> AdaBoostModel:
     model = AdaBoostModel(matrix.class_values, matrix.width, [], weak, rounds)
-    X, y = matrix.rows, matrix.y
-    n = X.shape[0]
+    y = matrix.y
+    n = matrix.n_rows
     if n == 0:
         raise ModelError("cannot boost an empty matrix")
+    # the training predictions read dense blocks of rows in index order
+    blocks = RowBlocks(matrix)
+    preds = np.empty(n, dtype=np.intp)
     weights = np.full(n, 1.0 / n)
     for _ in range(rounds):
         tree = grow_tree(matrix, weights, weak)
-        preds = tree_predict_batch(tree, X)
+        for start, stop in blocks(range(n)):
+            preds[start:stop] = tree_predict_batch(tree, blocks.out[:stop - start])
         miss = preds != y
         eps = float(weights[miss].sum())
         if eps <= 0.0:

@@ -13,7 +13,10 @@ Batch scores and their bits. Where a variant takes a matrix product
 (MNB, SVM, MLP), numpy and the BLAS choose the routine by the matrix's
 shape, so a row's scores can differ in the last bits between batches of
 different shapes, a one-row matrix among them; the same matrix always
-gives the same bits.
+gives the same bits. A FeatureMatrix is held sparse, so evaluation
+scores the dense rows of the whole test matrix, made once by its
+dense(), at the shape the scores have always had. kNN's screen may be a
+sparse product, whose bits reach no prediction (see knn.py).
 
 Persistence is a versioned key-value text format:
 
@@ -37,8 +40,9 @@ save streams: it writes the file's lines one at a time, as the model
 makes them, to a temporary file that replaces the target only once it is
 whole, so the whole text is never held. load_model reads the file one
 line at a time (a pipe, which has no size, whole) into one BodyReader.
-It bounds a matrix by what is left of the file before making it, casts
-only the cells that are not "0.0", and refuses any other line or value
+It bounds a matrix by what is left of the file before reading its rows,
+reads them straight into CSR (rusent.sparse), casting only the cells
+that are not "0.0", and refuses any other line or value
 count, trailing lines, non-finite floats, and a split feature or leaf
 class out of range. Every other value goes to the variant's constructor, which
 checks what a model holds, trained or loaded alike: hyperparameter
@@ -57,6 +61,7 @@ from itertools import chain
 import numpy as np
 
 from ..errors import ModelError
+from ..sparse import Csr, is_stored, row_starts
 from ..util import atomic_write_lines, read_lines
 
 MAGIC = "rusent-model v1"
@@ -81,6 +86,18 @@ def fmt_rows(matrix) -> Iterator[str]:
     return map(_words, matrix)
 
 
+def fmt_csr(matrix: Csr) -> Iterator[str]:
+    """fmt_rows of the dense rows of a Csr, each made from its stored cells
+    as it is read: "0.0" for every other cell."""
+    _check_finite(matrix.data)
+    indptr = matrix.indptr.tolist()
+    for lo, hi in zip(indptr, indptr[1:]):
+        words = ["0.0"] * matrix.width
+        for i, value in zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()):
+            words[i] = repr(value)
+        yield " ".join(words)
+
+
 def _check_finite(arr: np.ndarray) -> None:
     # NaN propagates through min and max, so both are finite only where
     # every value is, and no array of flags is made
@@ -92,7 +109,7 @@ def _words(arr: np.ndarray) -> str:
     if 2 * np.count_nonzero(arr) >= arr.size:
         return " ".join(map(repr, arr.tolist()))
     words = ["0.0"] * arr.size
-    cells = np.flatnonzero((arr != 0) | np.signbit(arr))
+    cells = np.flatnonzero(is_stored(arr))
     for i, value in zip(cells.tolist(), arr[cells].tolist()):
         words[i] = repr(value)
     return " ".join(words)
@@ -184,22 +201,30 @@ class BodyReader:
     def real(self, key: str) -> float:
         return float(self.reals(key, 1)[0])
 
-    def matrix(self, key: str, count: int, width: int) -> np.ndarray:
-        """`count` lines of `width` values as one matrix. Each value takes at
-        least two characters of its line, so what is left of the file bounds
-        the matrix before it is made, whatever the header says. Rows are
-        read into place, and only the words that are not "0.0" are cast."""
+    def matrix(self, key: str, count: int, width: int) -> Csr:
+        """`count` lines of `width` values as one CSR matrix. Each value takes
+        at least two characters of its line, so what is left of the file
+        bounds the matrix before a line is read, whatever the header says.
+        Only the words that are not "0.0" are cast, and those that are not
+        +0.0 stored."""
         if 2 * count * width > self.left:
             raise ValueError(f"line {self.pos + 1}: expected {count} {key!r} lines"
                              f" of {width} values")
-        matrix = np.zeros((count, width))
-        for row in matrix:
+        counts, indices, data = [], [], []
+        for _ in range(count):
             words = self.values(key, width)
             cells = [i for i, word in enumerate(words) if word != "0.0"]
-            row[cells] = [float(words[i]) for i in cells]
-            if not np.isfinite(row).all():
+            values = [float(words[i]) for i in cells]
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"line {self.pos}: {key!r} holds a non-finite value")
-        return matrix
+            counts.append(len(cells))
+            indices += cells
+            data += values
+        data = np.array(data, dtype=np.float64)
+        stored = is_stored(data)  # a word such as "0" or "0e5" is +0.0 too
+        rows = np.repeat(np.arange(count), counts)[stored]
+        return Csr(row_starts(rows, count), np.array(indices, dtype=np.intp)[stored],
+                   data[stored], width)
 
     def tree_config(self, prefix: str = "") -> TreeConfig:
         """Inverse of TreeConfig.lines."""

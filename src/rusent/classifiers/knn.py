@@ -1,7 +1,10 @@
 """k-nearest-neighbor classifier.
 
-Training keeps the feature matrix's rows, which are read-only, without a
-copy. Prediction ranks training instances by distance (euclidean,
+Training keeps the feature matrix's CSR rows (rusent.sparse), which are
+read-only, without a copy; a loaded model reads its rows straight into
+CSR, casting only the cells that are not "0.0", and save writes "0.0" for
+each cell it does not store, so a model file has the bytes of its dense
+rows. Prediction ranks training instances by distance (euclidean,
 manhattan, or minkowski with a configurable exponent p), breaking distance
 ties toward the lowest training index, then takes the majority label of
 the k nearest, breaking vote ties toward the lowest class index. Scores
@@ -16,16 +19,24 @@ training rows, so the exact scan runs on a few candidates only:
 
 * For a block of test rows at a time, approximate the squared distances
   as a_i = (|x|^2 + |r_i|^2) - 2 r_i.x, with the dot products of the whole
-  block taken as one matrix product. A block has _BLOCK_ENTRIES // n_train
-  test rows (at least one), a fixed budget that bounds the screen's
-  scratch memory whatever the training set's size.
+  block taken as one product, and |r_i|^2 summed over r_i's stored cells.
+  Training rows whose dense form fits DENSE_BUDGET (rusent.sparse) are
+  densified once, and the product is a matrix product with a block of
+  _BLOCK_ENTRIES // n_train test rows; any other training rows are read
+  sparse: each test row times their stored cells, summed along each
+  training row's run of cells, in blocks of
+  _BLOCK_ENTRIES // max(n_train, stored cells) test rows. A block has at
+  least one row; the fixed budget bounds the screen's scratch memory
+  whatever the training set's size.
 * Error bound. Let n be the width, u = 2^-53 the unit roundoff,
   gamma_m = m u / (1 - m u), and S_i = |x|^2 + |r_i|^2 exactly. The two
   norms and the dot product are inner products of length n, so in any
   summation order they are off by at most gamma_n |r_i|^2, gamma_n |x|^2
   and gamma_n sum_j |r_ij x_j| <= gamma_n S_i / 2; the final addition and
   subtraction add at most about 2u S_i. So |a_i - e_i| <= (2 gamma_n + 3u)
-  S_i to first order, where e_i = |r_i - x|^2 exactly. `_distances`
+  S_i to first order, where e_i = |r_i - x|^2 exactly. (Read sparse,
+  the sums leave out terms that are exactly zero, so they have fewer than
+  n terms: the bound holds as it is.) `_distances`
   computes s_i from n rounded squares of rounded differences, summed in
   some order: |s_i - e_i| <= gamma_(n+2) e_i <= 2 gamma_(n+2) S_i, as
   e_i <= 2 S_i. Hence |s_i - a_i| <= (4n + 7) u S_i to first order. The
@@ -42,11 +53,13 @@ training rows, so the exact scan runs on a few candidates only:
   only if s_i <= tau (1 + 5u). The candidates are the rows with
   a_i - B_i <= tau (1 + 8u): a superset of the k neighbours and of every
   row tied with the k-th one.
-* The exact distances of the candidates, in training-index order, then
-  go through the same stable argsort, so the result equals the
-  exhaustive scan's, ties included. If any norm or bound of a test row is
-  not finite (squares overflow past about 1e154), that row scans every
-  training row.
+* The exact distances of the candidates, on their dense rows in
+  training-index order, then go through the same stable argsort, so the
+  result equals the exhaustive scan's, ties included: a row's distance
+  is the same bits whatever rows it is computed with. If any norm or
+  bound of a test row is not finite (squares overflow past about 1e154),
+  that row scans every training row, as manhattan and minkowski do (read
+  sparse, a dense block of rows at a time).
 """
 
 from __future__ import annotations
@@ -54,12 +67,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import Model, fmt_floats, fmt_rows
+from ..sparse import Csr, RowBlocks
+from .base import Model, fmt_csr, fmt_floats
 
 DISTANCES = ("euclidean", "manhattan", "minkowski")
 
-#: entries (test rows x training rows) per block of the euclidean screen,
-#: which bounds each of its scratch arrays to 128 KiB
+#: entries (test rows x training rows, or x stored cells when the training
+#: rows are read sparse) per block of the euclidean screen, which bounds
+#: each of its scratch arrays to 128 KiB
 _BLOCK_ENTRIES = 1 << 14
 _U = 2.0**-53
 _ETA = 2.0**-1074
@@ -93,26 +108,41 @@ class KnnModel(Model):
         if labels.ndim != 1 or ((labels < 0) | (labels >= len(self.class_values))).any():
             raise ModelError(f"labels must be class indices below {len(self.class_values)}")
         self.labels = labels.astype(np.intp, copy=False)
-        self.rows = self.shaped("rows", rows, len(labels), self.feature_width)
+        if rows.shape != (len(labels), self.feature_width):
+            raise ModelError(f"rows must have shape {(len(labels), self.feature_width)},"
+                             f" not {rows.shape}")
+        self.rows = rows  # a Csr
 
-    def _candidates(self, X: np.ndarray):
+    def _candidates(self, X: np.ndarray, dense):
         """Yield (x, training indices that can be among x's neighbours, in
-        ascending order, or None for all of them) for each row x of X."""
-        n_train = self.rows.shape[0]
+        ascending order, or None for all of them) for each row x of X.
+        `dense` is the training rows' dense matrix, or None to read them
+        sparse."""
+        csr = self.rows
         if self.metric != "euclidean":
             for x in X:
                 yield x, None
             return
         with np.errstate(over="ignore"):
-            row_sq = np.einsum("ij,ij->i", self.rows, self.rows)
+            row_sq = np.bincount(csr.row_of(), weights=csr.data * csr.data, minlength=csr.n_rows)
+        runs = np.flatnonzero(np.diff(csr.indptr))
         slack = 8.0 * (self.feature_width + 2)
-        step = max(1, _BLOCK_ENTRIES // n_train)
+        entries = csr.n_rows if dense is not None else max(csr.n_rows, csr.data.size)
+        step = max(1, _BLOCK_ENTRIES // entries)
         for start in range(0, X.shape[0], step):
             block = X[start:start + step]
             # overflow only makes a bound non-finite, which the scan handles
             with np.errstate(over="ignore", invalid="ignore"):
+                if dense is not None:
+                    gram = block @ dense.T
+                else:  # each test row times the stored cells, summed along each row's run
+                    products = block[:, csr.indices]
+                    products *= csr.data
+                    gram = np.zeros((block.shape[0], csr.n_rows))
+                    if runs.size:
+                        gram[:, runs] = np.add.reduceat(products, csr.indptr[runs], axis=1)
                 norms = np.einsum("ij,ij->i", block, block)[:, None] + row_sq
-                approx = norms - 2.0 * (block @ self.rows.T)
+                approx = norms - 2.0 * gram
                 bound = norms
                 bound *= _U
                 bound += _ETA
@@ -130,9 +160,21 @@ class KnnModel(Model):
     def _neighbours(self, X: np.ndarray):
         """Yield the k nearest training indices of each row of X, nearest
         first, equal distances in training-index order."""
-        for x, cand in self._candidates(X):
-            rows = self.rows if cand is None else self.rows[cand]
-            order = np.argsort(_distances(rows, x, self.metric, self.p), kind="stable")[: self.k]
+        csr, blocks = self.rows, None
+        # training rows whose dense form fits DENSE_BUDGET are densified
+        # once: their products and scans are small, and faster dense
+        dense = csr.dense() if csr.fits_dense() else None
+        for x, cand in self._candidates(X, dense):
+            if cand is not None:
+                rows = csr.dense(cand) if dense is None else dense[cand]
+                dist = _distances(rows, x, self.metric, self.p)
+            elif dense is not None:
+                dist = _distances(dense, x, self.metric, self.p)
+            else:  # every training row, a dense block at a time
+                blocks = blocks or RowBlocks(csr)
+                dist = np.concatenate([_distances(blocks.out[:stop - start], x, self.metric, self.p)
+                                       for start, stop in blocks(range(csr.n_rows))])
+            order = np.argsort(dist, kind="stable")[: self.k]
             yield order if cand is None else cand[order]
 
     def scores(self, X) -> np.ndarray:
@@ -146,7 +188,7 @@ class KnnModel(Model):
         yield f"distance {self.metric}"
         yield f"p {fmt_floats(self.p)}"
         yield f"labels {' '.join(str(int(l)) for l in self.labels)}"
-        for words in fmt_rows(self.rows):
+        for words in fmt_csr(self.rows):
             yield f"row {words}"
 
     @classmethod
@@ -160,5 +202,5 @@ class KnnModel(Model):
 
 
 def train_knn(matrix, k: int = 1, distance: str = "euclidean", p: float = 3.0) -> KnnModel:
-    return KnnModel(matrix.class_values, matrix.width, k, distance, p,
-                    matrix.rows, matrix.y)
+    rows = Csr(matrix.indptr, matrix.indices, matrix.data, matrix.width)  # no copy
+    return KnnModel(matrix.class_values, matrix.width, k, distance, p, rows, matrix.y)

@@ -23,7 +23,8 @@ gradients are views into a second buffer of the same layout, written in
 place by `_Kernel.run`; the update `grads *= learning_rate; params -=
 grads` is still p - lr * g per element. Activations and deltas live in
 buffers allocated once per batch length, and each batch's rows are
-gathered into the input buffer rather than the whole matrix shuffled.
+written into the input buffer (rusent.sparse.RowBlocks) rather than the
+whole matrix shuffled.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..rng import SplitMix64
+from ..sparse import RowBlocks
 from .base import Model, fmt_floats, fmt_rows
 
 ACTIVATIONS = ("logistic", "tanh")
@@ -249,30 +251,26 @@ def train_mlp(matrix, hidden: list[int] | None = None, activation: str = "logist
     rng = SplitMix64(seed)  # the weight draws, then one shuffle per epoch
     model = _init_mlp(rng, matrix, list(hidden), activation, learning_rate,
                       epochs, batch_size, seed)
-    X = matrix.rows
     y = matrix.y
-    n = X.shape[0]
+    n = matrix.n_rows
     if n == 0:
         raise ModelError("cannot train on an empty matrix")
     grads = np.empty_like(model.params)
     grads_w, grads_b = _layers(grads, model.sizes)
-    # one kernel per batch length: full batches, and a short last one
+    # each batch's rows are written into the input buffer, `blocks.out`;
+    # one kernel per batch length reads it: full batches, and a short last one
+    blocks = RowBlocks(matrix, min(batch_size, n))
     kernels = {rows: _Kernel(model.weights, model.biases, grads_w, grads_b, activation,
-                             np.empty((rows, matrix.width)))
+                             blocks.out[:rows])
                for rows in {min(batch_size, n), (n - 1) % batch_size + 1}}
-    steps = [(start, kernels[min(batch_size, n - start)]) for start in range(0, n, batch_size)]
     eye = np.eye(model.sizes[-1])
     for _ in range(epochs):
         order = list(range(n))
         rng.shuffle(order)
         order = np.array(order, dtype=np.intp)
         onehot = eye[y[order]]
-        for start, kernel in steps:
-            stop = start + batch_size
-            # the indices are a permutation of range(n), so "clip" clips
-            # none; unlike "raise" it writes to `out` without a buffer
-            X.take(order[start:stop], axis=0, out=kernel.acts[0], mode="clip")
-            kernel.run(onehot[start:stop])
+        for start, stop in blocks(order):
+            kernels[stop - start].run(onehot[start:stop])
             grads *= learning_rate
             model.params -= grads
     return model

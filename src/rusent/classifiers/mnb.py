@@ -72,7 +72,7 @@ def train_mnb(matrix, alpha: float = 1.0) -> MultinomialNBModel:
     n_classes = len(matrix.class_values)
     model = MultinomialNBModel(matrix.class_values, matrix.width, alpha,
                                np.zeros(n_classes), np.zeros((n_classes, matrix.width)))
-    if np.any(matrix.rows < 0):
+    if (matrix.data < 0).any():  # the stored cells; every other one is +0.0
         raise ModelError("multinomial NB requires non-negative feature values")
     y = matrix.y
     class_counts = np.bincount(y, minlength=n_classes)
@@ -81,11 +81,16 @@ def train_mnb(matrix, alpha: float = 1.0) -> MultinomialNBModel:
         raise ModelError(f"class {missing!r} has no training instances")
     np.log(class_counts / len(y), out=model.log_prior)
     smoothed = model.log_likelihood  # each class's word counts plus alpha, then their logs
+    cell_class = y[matrix.row_of()]
     for c in range(n_classes):
-        # the sum of the class's rows over axis 0, with no copy of them; it
-        # keeps the bits of summing a copy wherever the width is 2 or more
-        # (with one column, each likelihood is log(x / x) = 0 anyway)
-        np.add.reduce(matrix.rows, axis=0, where=(y == c)[:, None], out=smoothed[c])
+        # the stored cells of the class's rows added up column by column in
+        # row order, which are the bits of the sum of its dense rows over
+        # axis 0 wherever the width is 2 or more: a +0.0 cell added to a sum
+        # that cannot be -0.0 changes nothing (with one column, each
+        # likelihood is log(x / x) = 0 anyway)
+        of_c = cell_class == c
+        smoothed[c] = np.bincount(matrix.indices[of_c], weights=matrix.data[of_c],
+                                  minlength=matrix.width)
     smoothed += model.alpha
     np.log(smoothed / smoothed.sum(axis=1, keepdims=True), out=smoothed)
     return model

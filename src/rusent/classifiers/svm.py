@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..rng import SplitMix64
+from ..sparse import RowBlocks
 from .base import Model, fmt_floats, require_binary
 
 
@@ -67,29 +68,31 @@ def svm_objective(weights: np.ndarray, bias: float, X: np.ndarray, signs: np.nda
 def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> LinearSvmModel:
     model = LinearSvmModel(matrix.class_values, matrix.width, np.zeros(matrix.width), 0.0,
                            lam, epochs, seed)
-    X = matrix.rows
-    n = X.shape[0]
+    n = matrix.n_rows
     if n == 0:
         raise ModelError("cannot train on an empty matrix")
-    # per-instance row views and signs, made once; x.dot(w) is the same
-    # ddot as x @ w, with less call overhead per step
+    # each epoch's rows go through dense blocks of one buffer, whose row
+    # views and the signs are made once; x.dot(w) is the same ddot as
+    # x @ w, with less call overhead per step
+    blocks = RowBlocks(matrix)
+    rows = list(blocks.out)
     signs = np.where(matrix.y == 1, 1.0, -1.0).tolist()
-    rows = list(X)
     w, b = model.weights, 0.0
     rng = SplitMix64(seed)
     t = 0
     for _ in range(epochs):
         order = list(range(n))
         rng.shuffle(order)
-        for i in order:
-            x, sign = rows[i], signs[i]
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = sign * (x.dot(w) + b)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                step = eta * sign
-                w += step * x
-                b += step
+        for start, stop in blocks(order):
+            for x, i in zip(rows, order[start:stop]):
+                sign = signs[i]
+                t += 1
+                eta = 1.0 / (lam * t)
+                margin = sign * (x.dot(w) + b)
+                w *= 1.0 - eta * lam
+                if margin < 1.0:
+                    step = eta * sign
+                    w += step * x
+                    b += step
     model.bias = b
     return model

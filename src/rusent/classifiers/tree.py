@@ -74,13 +74,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
+from ..sparse import ranges
 from .base import Model, TreeConfig, fmt_floats
 
 _GAIN_EPS = 1e-12
 
 # Values per matrix of the weighted fold over a class's zero rows (one
 # column per feature): the fold takes as many features at a time as fit.
-_FOLD_ENTRIES = 1 << 18
+_FOLD_ENTRIES = 1 << 14
 
 
 class Tree:
@@ -131,17 +132,11 @@ def _threshold(a: float, b: float) -> float:
     return mid if a <= mid < b else a
 
 
-def _ranges(starts, ends):
-    """The indices of the ranges [start, end), concatenated in order."""
-    lens = ends - starts
-    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-
-
 def _restrict(entries, features):
     """The entries of the given features: each one's run, in `features` order."""
     rows, cols, values = entries
     features = np.asarray(features, dtype=cols.dtype)
-    idx = _ranges(np.searchsorted(cols, features), np.searchsorted(cols, features, side="right"))
+    idx = ranges(np.searchsorted(cols, features), np.searchsorted(cols, features, side="right"))
     return rows[idx], cols[idx], values[idx]
 
 
@@ -154,7 +149,7 @@ def _folds(out, start, values, first, lens):
     group = np.frexp(lens)[1]
     for g in np.unique(group[lens > 0]):
         ks = np.flatnonzero(group == g)
-        idx = _ranges(first[ks], first[ks] + lens[ks])
+        idx = ranges(first[ks], first[ks] + lens[ks])
         row = np.repeat(np.arange(ks.size), lens[ks])
         col = idx - np.repeat(first[ks] - 1, lens[ks])
         M = np.zeros((ks.size, int(lens[ks].max()) + 1))
@@ -296,7 +291,7 @@ def grow_tree(matrix, weights: np.ndarray, config: TreeConfig, rng=None,
     child its own rows and entries and drops the node's, so the pending
     right subtrees on the stack hold disjoint rows: at most one copy of
     the entries in all, whatever the depth."""
-    n, d = matrix.rows.shape
+    n, d = matrix.shape
     y, n_classes = matrix.y, len(matrix.class_values)
     max_depth, min_leaf = config.max_depth, config.min_leaf
     counts = weights if weights.dtype.kind == "i" else np.ones(n, dtype=np.intp)
@@ -419,7 +414,7 @@ class DecisionTreeModel(Model):
 def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1) -> DecisionTreeModel:
     """Grow a tree on a FeatureMatrix, every instance counted once."""
     config = TreeConfig(max_depth, min_leaf)
-    if matrix.rows.shape[0] == 0:
+    if matrix.n_rows == 0:
         raise ModelError("cannot train a tree on an empty matrix")
     tree = grow_tree(matrix, np.ones(len(matrix.y), dtype=np.intp), config)
     return DecisionTreeModel(matrix.class_values, matrix.width, tree, config)

@@ -147,10 +147,10 @@ def cmd_vectorize(args) -> int:
 
 def _warn_zero_rows(space, test, test_matrix) -> None:
     """Say on stderr how many test rows became all zeros, and why."""
-    empty = ~test_matrix.rows.any(axis=1)
+    empty = ~test_matrix.nonzero_rows()
     if space.weighting == "tfidf" and empty.any():
         # a term in every training document weighs ln(1) = 0 under tf-idf
-        idf_zero = empty & transform(replace(space, weighting="count"), test).rows.any(axis=1)
+        idf_zero = empty & transform(replace(space, weighting="count"), test).nonzero_rows()
         empty &= ~idf_zero
         if idf_zero.any():
             print(
@@ -236,7 +236,7 @@ def _hyper_config(args) -> dict:
 
 def _check_train(matrix) -> None:
     """ModelError for an empty training set, which no algorithm can learn."""
-    if not len(matrix.rows):
+    if matrix.n_rows == 0:
         raise ModelError("cannot train on an empty training set")
 
 

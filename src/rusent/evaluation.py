@@ -114,7 +114,7 @@ def metrics_from_matrix(matrix: ConfusionMatrix, model_name: str) -> EvalReport:
 def check_test(test: FeatureMatrix, feature_width: int, positive_class: str | None = None) -> str:
     """The positive class to score models of feature_width on test: positive_class,
     or else "pos" if declared, else the first class. EvalError if test does not fit."""
-    if not len(test.rows):
+    if test.n_rows == 0:
         raise EvalError("cannot evaluate on an empty test set")
     if test.width != feature_width:
         raise EvalError(f"test width {test.width} does not match model width {feature_width}"
@@ -126,18 +126,21 @@ def check_test(test: FeatureMatrix, feature_width: int, positive_class: str | No
     return positive_class
 
 
-def evaluate(model, test: FeatureMatrix, positive_class: str | None = None) -> EvalReport:
+def evaluate(model, test: FeatureMatrix, positive_class: str | None = None,
+             rows: np.ndarray | None = None) -> EvalReport:
     """Predict every test instance and tally against positive_class.
 
     The whole test matrix is scored in one `model.predict_indices` call
     (for k-NN, the neighbours of the exhaustive scan; see
-    classifiers/knn.py). The same matrix always gives the same
-    predictions; a batch of another shape may round a row's scores
-    differently in the last bits (see classifiers/base.py).
+    classifiers/knn.py), on its dense rows: `rows`, if the caller holds
+    them already, or else test.dense(), made here and freed on return.
+    The same matrix always gives the same predictions; a batch of another
+    shape may round a row's scores differently in the last bits (see
+    classifiers/base.py).
     """
     positive_class = check_test(test, model.feature_width, positive_class)
     is_positive = np.array([c == positive_class for c in model.class_values])
-    predicted = is_positive[model.predict_indices(test.rows)]
+    predicted = is_positive[model.predict_indices(test.dense() if rows is None else rows)]
     actual = test.y == test.class_values.index(positive_class)
     tn, fp, fn, tp = np.bincount(2 * actual + predicted, minlength=4).tolist()
     matrix = ConfusionMatrix(tp, fp, fn, tn, positive_class)
@@ -148,7 +151,8 @@ def compare(models, test: FeatureMatrix, positive_class: str | None = None) -> l
     """One report per model, best accuracy first (name breaks ties)."""
     if not models:
         raise EvalError("compare needs at least one model")
-    reports = [evaluate(m, test, positive_class) for m in models]
+    rows = test.dense()  # once for every model
+    reports = [evaluate(m, test, positive_class, rows) for m in models]
     return sorted(reports, key=lambda r: (-r.accuracy, r.model_name))
 
 

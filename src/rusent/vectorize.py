@@ -11,6 +11,12 @@ Weighting modes: binary (presence), count (raw term frequency), tfidf
 every vocabulary term occurs in at least one training document so the
 ratio is always >= 1).
 
+A FeatureMatrix holds its rows sparse, as CSR (rusent.sparse): a
+bag-of-words row has a few dozen terms of a vocabulary of thousands, and
+no whole dense matrix is made. transform counts each document's terms
+straight into its row, and matrix_from_dataset reads a Dataset's rows a
+dense block at a time.
+
 Vectorized ARFF goes straight between text and a FeatureMatrix, without
 a Dataset of per-cell values. to_arff returns the sparse ARFF text of a
 matrix: write_arff's header for that relation, then one `{index value,...}`
@@ -20,9 +26,9 @@ Dataset). read_matrix reads such text back: a strict subset (a
 numeric header with the nominal class last, its plain numeric attribute
 lines matched by regex and the rest parsed by parse_arff, then quote- and
 whitespace-free `{index value,...}` rows with ascending indices and finite
-values) is read with a few array operations; any other input, and any
-input that fails a check, goes through parse_arff and matrix_from_dataset,
-so results and errors are always theirs.
+values) is read with a few array operations, straight into CSR; any other
+input, and any input that fails a check, goes through parse_arff and
+matrix_from_dataset, so results and errors are always theirs.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import numpy as np
 from .arff import NUMERIC, STRING, AttributeDecl, Dataset, _quote, parse_arff
 from .corpus import StopWordList, lowercase, remove_stopwords, tokenize
 from .errors import ArffError, ConfigError, VectorizeError
+from .sparse import DENSE_BUDGET, Csr, is_stored, row_starts
 
 WEIGHTINGS = ("binary", "count", "tfidf")
 
@@ -59,26 +66,22 @@ class VectorSpace:
         return len(self.vocabulary)
 
 
-@dataclass
-class FeatureMatrix:
-    """Dense numeric feature rows with a parallel label list, and what the
-    learners read of them, derived once: `y`, each label's index among
-    `class_values`, and `columns`, the non-zero entries column after
-    column. `rows` is a read-only view of the array it is given (no copy
-    is made) and `y` is read-only, so `columns` stays that of `rows`, and
-    a model may keep either without copying."""
+@dataclass(eq=False)
+class FeatureMatrix(Csr):
+    """Numeric feature rows, held sparse (see rusent.sparse), with a
+    parallel label list, and what the learners read of them, derived
+    once: `y`, each label's index among `class_values`, and `columns`,
+    the non-zero entries column after column. The arrays are read-only
+    and no copy of those given is made, so `columns` stays that of the
+    rows, and a model may keep any of them without copying."""
 
-    rows: np.ndarray  # (n, width) float64
     labels: list[str]
     class_values: tuple[str, ...]
-    y: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) intp
+    y: np.ndarray = field(init=False, repr=False)  # (n,) intp
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64).view()
-        self.rows.flags.writeable = False
-        if self.rows.ndim != 2:
-            raise VectorizeError("feature rows must form a 2-D matrix")
-        if len(self.labels) != self.rows.shape[0]:
+        super().__post_init__()
+        if len(self.labels) != self.n_rows:
             raise VectorizeError("labels and rows must have equal length")
         lookup = {v: i for i, v in enumerate(self.class_values)}
         try:
@@ -88,17 +91,20 @@ class FeatureMatrix:
         self.y.flags.writeable = False
 
     @property
-    def width(self) -> int:
-        return self.rows.shape[1]
+    def rows(self) -> np.ndarray:
+        """The dense rows, made afresh at each access: for callers outside
+        the package, which reads dense values through dense() and
+        RowBlocks only."""
+        return self.dense()
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the non-zero cells (0.0 and -0.0 are both
         zeros), ordered by column, then value, with ties in row order. A tree
         learner grows every tree on them, whatever the tree's weights."""
-        rows, cols = np.nonzero(self.rows)
-        values = self.rows[rows, cols]
-        order = np.lexsort((values, cols))  # stable: ties keep np.nonzero's row order
+        nonzero = self.data != 0
+        rows, cols, values = self.row_of()[nonzero], self.indices[nonzero], self.data[nonzero]
+        order = np.lexsort((values, cols))  # stable: ties keep the row-major order
         return rows[order], cols[order], values[order]
 
 
@@ -181,23 +187,30 @@ def transform(space: VectorSpace, data: Dataset) -> FeatureMatrix:
     ):
         raise VectorizeError("dataset schema does not match the fitted space")
     index = {term: i for i, term in enumerate(space.vocabulary)}
-    rows = np.zeros((len(data.instances), space.width), dtype=np.float64)
+    width = space.width
+    cells: list[int] = []  # row * width + term index of each in-vocabulary token
     labels = []
     for j, row in enumerate(data.instances):
         text, label = row[ti], row[ci]
         if text is None or label is None:
             raise VectorizeError("cannot vectorize instances with missing values")
         labels.append(label)
-        for token in _processed_tokens(text, space.stopwords):
-            i = index.get(token)
-            if i is not None:
-                rows[j, i] += 1.0
+        terms = map(index.get, _processed_tokens(text, space.stopwords))
+        cells += [j * width + i for i in terms if i is not None]
+    # each distinct cell once, with its token count, in row-major order
+    cells, counts = np.unique(np.array(cells, dtype=np.int64), return_counts=True)
+    rows, indices = np.divmod(cells, width)
+    values = counts.astype(np.float64)
     if space.weighting == "binary":
-        rows = (rows > 0).astype(np.float64)
+        values[:] = 1.0
     elif space.weighting == "tfidf":
         idf = np.log(space.doc_count / np.array(space.doc_frequency, dtype=np.float64))
-        rows = rows * idf
-    return FeatureMatrix(rows, labels, space.class_values)
+        values *= idf[indices]
+        # a term in every training document weighs ln(1) = 0.0, a cell not stored
+        kept = values != 0
+        indices, values, rows = indices[kept], values[kept], rows[kept]
+    return FeatureMatrix(row_starts(rows, len(labels)), indices, values, width, labels,
+                         space.class_values)
 
 
 def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> str:
@@ -207,18 +220,18 @@ def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> str:
 
     The text is the tests' write_sparse_arff of that relation, byte for
     byte, written straight from the matrix: a row lists its non-zero cells
-    (np.nonzero's) with repr() values, then a class entry unless the label
-    is the first class value.
+    (its stored cells but -0.0, as np.nonzero counts them) with repr()
+    values, then a class entry unless the label is the first class value.
     """
     classes = space.class_values
     lines = ["@relation vectorized"]
     lines += [f"@attribute {_quote(term)} numeric" for term in space.vocabulary]
     lines.append(f"@attribute {_quote(space.class_attr)} {{{','.join(map(_quote, classes))}}}")
     lines.append("@data")
-    rows, cols = np.nonzero(matrix.rows)
-    values = matrix.rows[rows, cols]
+    nonzero = matrix.data != 0
+    cols, values = matrix.indices[nonzero], matrix.data[nonzero]
     entries = [f"{j} {v!r}" for j, v in zip(cols.tolist(), values.tolist())]
-    ends = np.cumsum(np.bincount(rows, minlength=len(matrix.labels))).tolist()
+    ends = np.cumsum(np.bincount(matrix.row_of()[nonzero], minlength=matrix.n_rows)).tolist()
     start = 0
     for end, label in zip(ends, matrix.labels):
         row = entries[start:end]
@@ -249,13 +262,21 @@ def matrix_from_dataset(data: Dataset) -> FeatureMatrix:
     if data.has_missing():
         raise VectorizeError("dataset contains missing values; classifiers reject these")
     n, width = len(data.instances), len(feature_idx)
-    # one pass over the cells, without an intermediate list of rows
-    rows = np.fromiter(
-        itertools.chain.from_iterable(row[:ci] + row[ci + 1:] for row in data.instances),
-        dtype=np.float64, count=n * width,
-    ).reshape(n, width)
+    step = max(1, DENSE_BUDGET // max(width, 1))
+
+    def blocks():
+        # a block of rows at a time, each read in one pass over its cells
+        for start in range(0, n, step):
+            chunk = data.instances[start:start + step]
+            yield np.fromiter(
+                itertools.chain.from_iterable(row[:ci] + row[ci + 1:] for row in chunk),
+                dtype=np.float64, count=len(chunk) * width,
+            ).reshape(len(chunk), width)
+
+    csr = Csr.from_blocks(blocks(), width)
     labels = [row[ci] for row in data.instances]
-    return FeatureMatrix(rows, labels, data.attributes[ci].values)
+    return FeatureMatrix(csr.indptr, csr.indices, csr.data, width, labels,
+                         data.attributes[ci].values)
 
 
 # The data section read_matrix takes without building a Dataset: rows of
@@ -358,6 +379,6 @@ def _read_sparse(source: str | bytes) -> FeatureMatrix | None:
         return None
     if not np.isfinite(values).all():
         return None
-    rows = np.zeros((len(lines), width), dtype=np.float64)
-    rows[row_of[numeric], index[numeric]] = values
-    return FeatureMatrix(rows, labels, classes)
+    stored = is_stored(values)  # a value read as +0.0 is no stored cell
+    return FeatureMatrix(row_starts(row_of[numeric][stored], len(lines)), index[numeric][stored],
+                         values[stored], width, labels, classes)

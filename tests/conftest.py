@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from rusent.arff import NOMINAL, NUMERIC, Dataset, _format_value, parse_arff, write_arff
+from rusent.sparse import Csr
 from rusent.vectorize import FeatureMatrix, matrix_from_dataset
 
 # Every run draws the same examples: a property either holds on them or
@@ -13,8 +14,17 @@ settings.register_profile("deterministic", derandomize=True, database=None, dead
 settings.load_profile("deterministic")
 
 
+def dense_csr(rows):
+    """The Csr of a 2-D array of rows."""
+    rows = np.asarray(rows, dtype=float)
+    return Csr.from_blocks([rows], rows.shape[1])
+
+
 def make_matrix(rows, labels, class_values=("neg", "pos")):
-    return FeatureMatrix(np.asarray(rows, dtype=float), list(labels), tuple(class_values))
+    """The FeatureMatrix of a 2-D array of rows."""
+    csr = dense_csr(rows)
+    return FeatureMatrix(csr.indptr, csr.indices, csr.data, csr.width, list(labels),
+                         tuple(class_values))
 
 
 def predicted(model, rows):
@@ -29,13 +39,14 @@ def full_read(source):
 
 
 def read_outcome(read, source):
-    """What a reader makes of source: the matrix bits, labels and class
-    values, or the exception type and message."""
+    """What a reader makes of source: the matrix bits, its stored cells,
+    labels and class values, or the exception type and message."""
     try:
         m = read(source)
     except Exception as exc:
         return type(exc), str(exc)
-    return m.rows.shape, m.rows.tobytes(), m.labels, m.class_values
+    return (m.rows.shape, m.rows.tobytes(), m.indptr.tolist(), m.indices.tolist(), m.labels,
+            m.class_values)
 
 
 @pytest.fixture

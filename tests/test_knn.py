@@ -1,5 +1,4 @@
 import itertools
-import math
 import warnings
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rusent import sparse
 from rusent.classifiers import DISTANCES, train_knn
 from rusent.classifiers.knn import _distances
 from rusent.errors import ModelError
@@ -15,25 +15,22 @@ from rusent.rng import SplitMix64
 from conftest import make_matrix, predicted
 
 
-def _power(base, exponent):
-    """base ** exponent, inf where that overflows (as IEEE arithmetic gives)."""
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
-
-
 def brute_force_predict(rows, labels, class_values, x, k, metric, p):
-    """Pure-python reference: exhaustive distances, stable sort, majority."""
+    """Reference: each training row's distance computed by numpy on that row
+    alone (minkowski as the sum of the p-th powers, which the model ranks
+    by), then a stable sort and a majority vote in Python."""
+    x = np.asarray(x, dtype=np.float64)
     scored = []
-    for i, row in enumerate(rows):
-        if metric == "euclidean":
-            d = sum(_power(a - b, 2) for a, b in zip(row, x)) ** 0.5
-        elif metric == "manhattan":
-            d = sum(abs(a - b) for a, b in zip(row, x))
-        else:
-            d = sum(_power(abs(a - b), p) for a, b in zip(row, x)) ** (1.0 / p)
-        scored.append((d, i))
+    with np.errstate(over="ignore"):
+        for i, row in enumerate(rows):
+            diff = np.abs(np.asarray(row, dtype=np.float64) - x)
+            if metric == "euclidean":
+                d = float(np.sqrt((diff * diff).sum()))
+            elif metric == "manhattan":
+                d = float(diff.sum())
+            else:
+                d = float((diff**p).sum())
+            scored.append((d, i))
     scored.sort()  # ties fall back to the index, i.e. lowest training index
     votes = [0] * len(class_values)
     for _, i in scored[:k]:
@@ -115,13 +112,16 @@ class TestValidation:
             assert predicted(model, np.array(rows) + 0.1) == labels
 
     def test_training_keeps_the_matrix_rows_without_a_copy(self):
+        # the model holds the matrix's CSR arrays, which are read-only
         X = np.array([[0.0, 1.0], [2.0, 0.0]])
         m = make_matrix(X, ["neg", "pos"], ("neg", "pos"))
-        assert np.shares_memory(train_knn(m).rows, m.rows)
+        csr = train_knn(m).rows
+        for name in ("indptr", "indices", "data"):
+            assert np.shares_memory(getattr(csr, name), getattr(m, name))
         with pytest.raises(ValueError):
-            m.rows[0, 0] = 5.0
-        X[0, 0] = 5.0  # the caller's array stays writable
-        assert np.shares_memory(X, m.rows)
+            m.data[0] = 5.0
+        X[0, 0] = 5.0  # the caller's array stays writable, and is not kept
+        assert m.rows.tolist() == [[0.0, 1.0], [2.0, 0.0]]
 
     def test_nonpositive_minkowski_p_rejected(self):
         m = make_matrix([[0.0]], ["neg"], ("neg", "pos"))
@@ -152,31 +152,30 @@ class TestAgainstBruteForce:
                     expected = brute_force_predict(
                         rows, labels, class_values, q, k, metric, p
                     )
-                    assert predicted(model, [q]) == [expected]
+                    for got in on_both_paths(lambda: predicted(model, [q])):
+                        assert got == [expected]
 
 
 CLASSES3 = ("neg", "neu", "pos")
-# dyadic weights: with them every distance the oracle and the model
-# compute is exact (or overflows), so exact ties are the same ties in both
-DYADIC_IDF = (0.5, 0.75, 1.0, 1.25)
 
 
 @st.composite
 def knn_problems(draw):
-    """(rows, labels, queries): small count rows, optionally tf-idf-like
-    fractional weights, duplicated rows, an all-zero query, and a scale of
-    1 or 2**510 (about 3e153, where sums of squares overflow)."""
-    width = draw(st.integers(1, 6))
-    counts = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    """(rows, labels, queries): rows of up to 40 columns, most cells zero
+    and the others counts times inexact tf-idf-like weights; duplicated
+    rows, which force exact distance ties; queries that repeat a training
+    row, and an all-zero query; and a scale of 1 or 2**510 (about 3e153,
+    where sums of squares overflow)."""
+    width = draw(st.integers(1, 40))
+    idf = draw(st.lists(st.floats(0.1, 4.0), min_size=width, max_size=width))
+    counts = st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=width, max_size=width)
     rows = draw(st.lists(counts, min_size=5, max_size=14))
-    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
-    if draw(st.booleans()):
-        idf = draw(st.lists(st.sampled_from(DYADIC_IDF), min_size=width, max_size=width))
-    else:
-        idf = [1.0] * width
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1),
+                                            min_size=1, max_size=4))]
     scale = draw(st.sampled_from([1.0, 2.0**510]))
     labels = draw(st.lists(st.sampled_from(CLASSES3), min_size=len(rows), max_size=len(rows)))
-    queries = draw(st.lists(counts, min_size=1, max_size=6)) + [[0] * width]
+    queries = draw(st.lists(counts, min_size=1, max_size=6))
+    queries += [rows[draw(st.integers(0, len(rows) - 1))], [0] * width]
 
     def weigh(r):
         return [c * w * scale for c, w in zip(r, idf)]
@@ -187,7 +186,8 @@ def knn_problems(draw):
 def exhaustive_neighbours(model, queries):
     """Each query's k nearest training indices by the full euclidean scan."""
     return [
-        np.argsort(_distances(model.rows, x, "euclidean", 3.0), kind="stable")[: model.k].tolist()
+        np.argsort(_distances(model.rows.dense(), x, "euclidean", 3.0),
+                   kind="stable")[: model.k].tolist()
         for x in queries
     ]
 
@@ -196,16 +196,30 @@ def screened_neighbours(model, queries):
     return [nearest.tolist() for nearest in model._neighbours(queries)]
 
 
+def on_both_paths(f):
+    """f() with the training rows read dense, as a model reads rows whose
+    dense form fits DENSE_BUDGET, then read sparse, as it reads any other."""
+    dense = f()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "DENSE_BUDGET", 0)
+        return dense, f()
+
+
 class TestBatchPrediction:
     @given(knn_problems(), st.sampled_from(DISTANCES), st.sampled_from([1, 3, 5]))
     @settings(max_examples=300, deadline=None)
     def test_predict_indices_matches_brute_force(self, problem, metric, k):
+        # the trained model holds the matrix's CSR rows, the reloaded one
+        # those its loader builds
+        from rusent.classifiers.base import loads_model
+
         rows, labels, queries = problem
         model = train_knn(make_matrix(rows, labels, CLASSES3), k=k, distance=metric, p=3.0)
-        got = [CLASSES3[i] for i in model.predict_indices(np.array(queries))]
-        assert got == [
-            brute_force_predict(rows, labels, CLASSES3, q, k, metric, 3.0) for q in queries
-        ]
+        expected = [brute_force_predict(rows, labels, CLASSES3, q, k, metric, 3.0)
+                    for q in queries]
+        for m in (model, loads_model(model.dumps())):
+            for got in on_both_paths(lambda: m.predict_indices(np.array(queries))):
+                assert [CLASSES3[i] for i in got] == expected
 
     @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e154])
     @pytest.mark.parametrize("seed", range(6))
@@ -228,7 +242,9 @@ class TestBatchPrediction:
         labels = [CLASSES3[i] for i in rng.integers(0, 3, size=n)]
         for k in (1, 3, 5):
             model = train_knn(make_matrix(rows, labels, CLASSES3), k=k)
-            assert screened_neighbours(model, queries) == exhaustive_neighbours(model, queries)
+            expected = exhaustive_neighbours(model, queries)
+            for got in on_both_paths(lambda: screened_neighbours(model, queries)):
+                assert got == expected
 
     @pytest.mark.parametrize("width", [4, 6, 9])
     def test_screen_keeps_ties_that_rounding_splits(self, width):
@@ -243,7 +259,9 @@ class TestBatchPrediction:
         labels = [CLASSES3[i % 3] for i in range(len(rows))]
         for k in (1, 3, 5):
             model = train_knn(make_matrix(rows, labels, CLASSES3), k=k)
-            assert screened_neighbours(model, queries) == exhaustive_neighbours(model, queries)
+            expected = exhaustive_neighbours(model, queries)
+            for got in on_both_paths(lambda: screened_neighbours(model, queries)):
+                assert got == expected
 
     @pytest.mark.parametrize("metric", DISTANCES)
     def test_distances_of_a_subset_are_bitwise_those_of_the_full_scan(self, metric):
@@ -293,5 +311,5 @@ def test_loading_holds_about_one_copy_of_the_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.rows.tobytes() == rows.tobytes()
+    assert model.rows.dense().tobytes() == rows.tobytes()
     assert peak < 2 * rows.nbytes, (peak, rows.nbytes)

@@ -1,0 +1,106 @@
+"""Memory guards: no command holds a whole dense matrix.
+
+A feature matrix is held sparse, and dense rows are made a block at a time
+(rusent.sparse). These tests trace the Python heap with tracemalloc while
+the CLI runs on a Zipf-like corpus of 1000 reviews, whose train matrix is
+800 rows by about 1900 terms and under 1% non-zero, so one dense copy of
+it (12 MB) would stand out against everything else the commands hold.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rusent import cli
+from rusent.classifiers.base import load_model
+from rusent.vectorize import read_matrix
+
+
+def zipf_corpus(n_docs, seed):
+    """A two-class raw-text ARFF of n_docs reviews of 10-30 words, each a
+    class word (a pool of 200 per class) or a shared word (a pool of 2300),
+    picked by Zipf rank."""
+    rng = np.random.default_rng(seed)
+
+    def pick(prefix, pool, size):
+        weights = 1.0 / np.arange(1, pool + 1)
+        return [f"{prefix}{i}" for i in rng.choice(pool, size=size, p=weights / weights.sum())]
+
+    lines = ["@relation zipf", "@attribute text string", "@attribute class {neg,pos}", "@data"]
+    for d in range(n_docs):
+        label = ("neg", "pos")[d % 2]
+        size = int(rng.integers(10, 31))
+        own = rng.random(size) < 0.35
+        words = pick(label, 200, int(own.sum())) + pick("w", 2300, size - int(own.sum()))
+        lines.append(f"'{' '.join(words)}',{label}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """train.arff (800 reviews) and test.arff (200) in one directory."""
+    root = tmp_path_factory.mktemp("zipf")
+    text = zipf_corpus(1000, seed=3).split("\n")
+    header, rows = text[:4], text[4:-1]
+    (root / "train.arff").write_text("\n".join(header + rows[:800]) + "\n", encoding="utf-8")
+    (root / "test.arff").write_text("\n".join(header + rows[800:]) + "\n", encoding="utf-8")
+    return root
+
+
+# each trainer's own work is cut short: the guard is on what is held, not on time
+SHORT = ["--svm-epochs", "2", "--mlp-epochs", "2", "--trees", "2", "--rounds", "3",
+         "--max-depth", "4"]
+
+
+def test_compare_never_holds_half_a_dense_train_matrix(corpus, monkeypatch, tmp_path):
+    # a first run imports every module the command needs, which is code,
+    # not data, and is left out of the count
+    tiny = tmp_path / "tiny.arff"
+    tiny.write_text(zipf_corpus(20, seed=4), encoding="utf-8")
+    assert cli.main(["compare", "--train", str(tiny), "--test", str(tiny),
+                     "--out-dir", str(tmp_path / "tiny"), *SHORT]) == 0
+    parsed = {}
+    parse_file = cli.parse_file
+
+    def traced_parse(path, parse):
+        # the heap once both inputs are parsed is the baseline; the peak
+        # counts from there
+        result = parse_file(path, parse)
+        parsed["current"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(cli, "parse_file", traced_parse)
+    out = corpus / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(["compare", "--train", str(corpus / "train.arff"),
+                         "--test", str(corpus / "test.arff"), "--out-dir", str(out), *SHORT])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    train = read_matrix((out / "train_vectorized.arff").read_text(encoding="utf-8"))
+    dense = train.n_rows * train.width * 8
+    assert train.n_rows == 800 and train.width > 1800 and dense > 11_000_000
+    assert peak - parsed["current"] < dense / 2, (peak - parsed["current"], dense)
+
+
+def test_evaluating_a_knn_model_never_holds_its_rows_dense(corpus):
+    out = corpus / "knn"
+    assert cli.main(["compare", "--train", str(corpus / "train.arff"),
+                     "--test", str(corpus / "test.arff"), "--out-dir", str(out),
+                     "--algorithms", "knn"]) == 0
+    model = load_model(out / "models" / "knn.model")
+    test = read_matrix((out / "test_vectorized.arff").read_text(encoding="utf-8"))
+    dense = model.rows.n_rows * model.feature_width * 8
+    assert dense > 11_000_000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli.evaluate(model, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < dense / 2, (peak - start, dense)

@@ -34,7 +34,7 @@ from rusent.classifiers.tree import Tree
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
-from conftest import make_matrix
+from conftest import dense_csr, make_matrix
 
 
 def training_matrix():
@@ -119,7 +119,8 @@ def sparse_knn(n, width, seed=0, density=0.01):
     cells non-zero, as in a bag-of-words matrix."""
     rng = np.random.default_rng(seed)
     rows = np.where(rng.random((n, width)) < density, rng.random((n, width)) * 3.0, 0.0)
-    return KnnModel(("neg", "pos"), width, 1, "euclidean", 3.0, rows, np.arange(n) % 2)
+    return KnnModel(("neg", "pos"), width, 1, "euclidean", 3.0, dense_csr(rows),
+                    np.arange(n) % 2)
 
 
 @pytest.mark.parametrize("zeros", [0.0, 0.5, 0.99, 1.0])
@@ -154,9 +155,10 @@ class TestStreamedFile:
         path = tmp_path / "knn.model"
         sparse_knn(30, 50).save(path)
         before = path.read_bytes()
-        rows = sparse_knn(30, 50, seed=1).rows
+        rows = sparse_knn(30, 50, seed=1).rows.dense()
         rows[-1, 7] = np.nan  # the last line made, after the file is begun
-        bad = KnnModel(("neg", "pos"), 50, 1, "euclidean", 3.0, rows, np.arange(30) % 2)
+        bad = KnnModel(("neg", "pos"), 50, 1, "euclidean", 3.0, dense_csr(rows),
+                       np.arange(30) % 2)
         with pytest.raises(ModelError, match="non-finite"):
             bad.save(path)
         assert path.read_bytes() == before
@@ -166,13 +168,13 @@ class TestStreamedFile:
         # mostly zeros, so the cells go through the sparse writer and reader
         cells = [0.0] * 12 + [-0.0, 5e-324, -5e-324, 1.0]
         rows = np.array([cells, cells[::-1], [0.0] * 16])
-        model = KnnModel(("neg", "pos"), 16, 1, "euclidean", 3.0, rows, [0, 1, 0])
+        model = KnnModel(("neg", "pos"), 16, 1, "euclidean", 3.0, dense_csr(rows), [0, 1, 0])
         path = tmp_path / "knn.model"
         model.save(path)
         text = path.read_text(encoding="utf-8")
         assert "\nrow " + " ".join(["0.0"] * 12 + ["-0.0", "5e-324", "-5e-324", "1.0"]) in text
         for clone in (load_model(path), loads_model(text)):
-            assert clone.rows.tobytes() == rows.tobytes()
+            assert clone.rows.dense().tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"])
     def test_a_knn_file_with_other_line_ends_loads(self, tmp_path, end):
@@ -266,8 +268,9 @@ class TestStreamedFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert clone.rows.tobytes() == model.rows.tobytes()
-        assert peak < 1.1 * model.rows.nbytes, (peak, model.rows.nbytes)
+        rows = model.rows.dense()
+        assert clone.rows.dense().tobytes() == rows.tobytes()
+        assert peak < 1.1 * rows.nbytes, (peak, rows.nbytes)
 
 
 class TestCorruptInput:
@@ -416,6 +419,49 @@ def test_every_line_mutant_is_rejected_or_loads_canonically(variant):
         model.predict_indices(m.rows)
 
 
+def byte_mutants(data, seed, count):
+    """(name, bytes) for `count` seeded mutations of data: a bit flipped, a
+    byte deleted, a byte inserted (often a separator, a digit or a byte
+    that is not UTF-8), or the file truncated."""
+    rng = SplitMix64(seed)
+    inserts = b"\n\r -.0e9\xff"
+    for _ in range(count):
+        kind = rng.next_below(4)
+        at = rng.next_below(len(data))
+        if kind == 0:
+            bit = rng.next_below(8)
+            yield f"flip {at}:{bit}", data[:at] + bytes([data[at] ^ 1 << bit]) + data[at + 1:]
+        elif kind == 1:
+            yield f"delete {at}", data[:at] + data[at + 1:]
+        elif kind == 2:
+            byte = inserts[rng.next_below(len(inserts))]
+            yield f"insert {at}:{byte}", data[:at] + bytes([byte]) + data[at:]
+        else:
+            yield f"truncate {at}", data[:at]
+
+
+@pytest.mark.parametrize("variant", sorted(TRAINERS))
+def test_every_byte_mutant_of_a_model_file_loads_or_raises_model_error(variant, tmp_path):
+    """A model file with a byte flipped, deleted or inserted, or cut short,
+    either loads through load_model, and then predicts, or raises
+    ModelError: never another exception (which the CLI reports as exit 3)."""
+    m = training_matrix()
+    data = TRAINERS[variant](m).dumps().encode("utf-8")
+    path = tmp_path / f"{variant}.model"
+    loaded = 0
+    for name, mutant in byte_mutants(data, seed=len(variant), count=150):
+        path.write_bytes(mutant)
+        try:
+            model = load_model(path)
+        except ModelError:
+            continue
+        loaded += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a mutated weight may overflow
+            assert model.predict_indices(m.rows).shape == (len(m.labels),), name
+    assert loaded > 0  # some mutants load: a flip inside a digit, say
+
+
 @pytest.mark.parametrize("variant", ["mnb", "knn", "dtree", "bagging", "adaboost", "svm", "mlp"])
 def test_a_model_of_no_features_round_trips(variant):
     # array lines of zero values are written as the key and a space
@@ -488,7 +534,7 @@ def constructions(draw, variant):
         k = sometimes(draw, st.integers(1, len(labels)), st.sampled_from([0, len(labels) + 1]))
         metric = sometimes(draw, st.sampled_from(DISTANCES), st.just("chebyshev"))
         return make(KnnModel, k, metric, sometimes(draw, POSITIVE, NOT_POSITIVE),
-                    params(draw, (len(labels), width)), labels)
+                    dense_csr(params(draw, (len(labels), width))), labels)
     if variant == "svm":
         return make(LinearSvmModel, params(draw, (width,)), draw(FINITE),
                     sometimes(draw, POSITIVE, NOT_POSITIVE),
@@ -555,9 +601,9 @@ BAD_MODELS = {
         NEG_POS, 1, [leaf()], TreeConfig(), 0, 0),
     "mlp hidden [0]": lambda: MlpModel(NEG_POS, 1, [0], np.zeros(2), "logistic", 0.1, 1, 1, 0),
     "knn label 5 of 2 classes": lambda: KnnModel(
-        NEG_POS, 1, 1, "euclidean", 3.0, np.zeros((1, 1)), [5]),
+        NEG_POS, 1, 1, "euclidean", 3.0, dense_csr(np.zeros((1, 1))), [5]),
     "knn rows narrower than feature_width": lambda: KnnModel(
-        NEG_POS, 2, 1, "euclidean", 3.0, np.zeros((1, 1)), [0]),
+        NEG_POS, 2, 1, "euclidean", 3.0, dense_csr(np.zeros((1, 1))), [0]),
     "repeated class values": lambda: DecisionTreeModel(("neg", "neg"), 1, leaf(), TreeConfig()),
     "negative feature_width": lambda: DecisionTreeModel(NEG_POS, -1, leaf(), TreeConfig()),
 }

@@ -9,7 +9,6 @@ from rusent.arff import AttributeDecl, Dataset, parse_arff
 from rusent.corpus import StopWordList
 from rusent.errors import ConfigError, VectorizeError
 from rusent.vectorize import (
-    FeatureMatrix,
     VectorSpace,
     _read_sparse,
     fit,
@@ -19,7 +18,7 @@ from rusent.vectorize import (
     transform,
 )
 
-from conftest import full_read, read_outcome, write_sparse_arff
+from conftest import full_read, make_matrix, read_outcome, write_sparse_arff
 from test_arff import line_mutants
 
 
@@ -118,6 +117,7 @@ class TestTransform:
         gari = space.vocabulary.index("gari")
         achi = space.vocabulary.index("achi")
         assert np.all(m.rows[:, gari] == 0.0)
+        assert gari not in m.indices.tolist()  # a weight of 0.0 is no stored cell
         assert m.rows[0, achi] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_training_transform_has_no_zero_column(self):
@@ -148,7 +148,7 @@ class TestToArff:
     def test_empty_matrix(self):
         d = text_dataset([("gari achi", "pos"), ("x", "neg")])
         space = fit(d)
-        matrix = FeatureMatrix(np.zeros((0, space.width)), [], space.class_values)
+        matrix = make_matrix(np.zeros((0, space.width)), [], space.class_values)
         out = parse_arff(to_arff(space, matrix))
         assert len(out.attributes) == space.width + 1
         assert out.instances == ()
@@ -185,7 +185,7 @@ def vectorized(draw, classes=st.lists(_names, min_size=1, max_size=3, unique=Tru
     labels = draw(st.lists(st.sampled_from(class_values), min_size=n, max_size=n))
     space = VectorSpace(terms, "count", 1, None, StopWordList(),
                         "text", class_attr, class_values)
-    return space, FeatureMatrix(rows, labels, class_values)
+    return space, make_matrix(rows, labels, class_values)
 
 
 class TestToArffText:
@@ -204,20 +204,20 @@ class TestToArffText:
         space = VectorSpace(("a b", "?"), "count", 1, None, StopWordList(),
                             "text", "class", ("neg", "pos x"))
         rows = [[-0.0, 5e-324], [-1e308, 0.0]]
-        text = to_arff(space, FeatureMatrix(rows, ["pos x", "neg"], space.class_values))
+        text = to_arff(space, make_matrix(rows, ["pos x", "neg"], space.class_values))
         assert text.endswith("@data\n{1 5e-324,2 'pos x'}\n{0 -1e+308}\n")
         assert "@attribute 'a b' numeric\n@attribute '?' numeric\n" in text
 
 
 class TestFeatureMatrix:
     def test_y_indexes_each_label_among_the_class_values(self):
-        matrix = FeatureMatrix(np.zeros((3, 1)), ["pos", "neg", "pos"], ("neg", "pos"))
+        matrix = make_matrix(np.zeros((3, 1)), ["pos", "neg", "pos"], ("neg", "pos"))
         assert matrix.y.dtype == np.intp and matrix.y.tolist() == [1, 0, 1]
         assert not matrix.y.flags.writeable
 
     def test_an_undeclared_label_is_rejected_at_construction(self):
         with pytest.raises(VectorizeError, match="'typo' not among class values"):
-            FeatureMatrix(np.zeros((2, 1)), ["neg", "typo"], ("neg", "pos"))
+            make_matrix(np.zeros((2, 1)), ["neg", "typo"], ("neg", "pos"))
 
 
 class TestNonzeros:
@@ -234,14 +234,14 @@ class TestNonzeros:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_drops_both_zeros_and_keeps_negative_values(self):
-        matrix = FeatureMatrix([[0.0, -0.0, -2.5], [3.0, -0.0, 0.0], [-0.0, 0.0, -2.5]],
+        matrix = make_matrix([[0.0, -0.0, -2.5], [3.0, -0.0, 0.0], [-0.0, 0.0, -2.5]],
                                ["neg", "pos", "neg"], ("neg", "pos"))
         rows, cols, values = matrix.columns
         assert (rows.tolist(), cols.tolist(), values.tolist()) == (
             [1, 0, 2], [0, 2, 2], [3.0, -2.5, -2.5])
 
     def test_a_second_access_returns_the_same_object(self):
-        matrix = FeatureMatrix([[1.0, 0.0]], ["pos"], ("neg", "pos"))
+        matrix = make_matrix([[1.0, 0.0]], ["pos"], ("neg", "pos"))
         assert matrix.columns is matrix.columns
 
 
@@ -347,7 +347,7 @@ MUTATIONS = {
 SMALL = (
     VectorSpace(("achi", "gari", "kharab"), "count", 1, None, StopWordList(),
                 "text", "class", ("neg", "pos")),
-    FeatureMatrix([[1.0, 2.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]], ["pos", "neg", "pos"],
+    make_matrix([[1.0, 2.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]], ["pos", "neg", "pos"],
                   ("neg", "pos")),
 )
 
