@@ -54,6 +54,7 @@ loads_model do the same for a model file held as a string.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
@@ -88,14 +89,12 @@ def fmt_rows(matrix) -> Iterator[str]:
 
 def fmt_csr(matrix: Csr) -> Iterator[str]:
     """fmt_rows of the dense rows of a Csr, each made from its stored cells
-    as it is read: "0.0" for every other cell."""
+    as it is read."""
     _check_finite(matrix.data)
     indptr = matrix.indptr.tolist()
     for lo, hi in zip(indptr, indptr[1:]):
-        words = ["0.0"] * matrix.width
-        for i, value in zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()):
-            words[i] = repr(value)
-        yield " ".join(words)
+        yield _cell_words(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist(),
+                          matrix.width)
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -108,9 +107,15 @@ def _check_finite(arr: np.ndarray) -> None:
 def _words(arr: np.ndarray) -> str:
     if 2 * np.count_nonzero(arr) >= arr.size:
         return " ".join(map(repr, arr.tolist()))
-    words = ["0.0"] * arr.size
     cells = np.flatnonzero(is_stored(arr))
-    for i, value in zip(cells.tolist(), arr[cells].tolist()):
+    return _cell_words(cells.tolist(), arr[cells].tolist(), arr.size)
+
+
+def _cell_words(cells: list[int], values: list[float], size: int) -> str:
+    """The words of a row of `size` cells, repr(value) at each of `cells`
+    and "0.0", repr(0.0), at every other cell."""
+    words = ["0.0"] * size
+    for i, value in zip(cells, values):
         words[i] = repr(value)
     return " ".join(words)
 
@@ -210,7 +215,8 @@ class BodyReader:
         if 2 * count * width > self.left:
             raise ValueError(f"line {self.pos + 1}: expected {count} {key!r} lines"
                              f" of {width} values")
-        counts, indices, data = [], [], []
+        # the cells go into typed buffers, 8 bytes each, not lists of objects
+        counts, indices, data = [0], array("q"), array("d")
         for _ in range(count):
             words = self.values(key, width)
             cells = [i for i, word in enumerate(words) if word != "0.0"]
@@ -218,13 +224,15 @@ class BodyReader:
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"line {self.pos}: {key!r} holds a non-finite value")
             counts.append(len(cells))
-            indices += cells
-            data += values
-        data = np.array(data, dtype=np.float64)
+            indices.extend(cells)
+            data.extend(values)
+        indptr = np.cumsum(counts)
+        indices, data = np.frombuffer(indices, dtype=np.int64), np.frombuffer(data)
         stored = is_stored(data)  # a word such as "0" or "0e5" is +0.0 too
-        rows = np.repeat(np.arange(count), counts)[stored]
-        return Csr(row_starts(rows, count), np.array(indices, dtype=np.intp)[stored],
-                   data[stored], width)
+        if not stored.all():
+            indptr = row_starts(np.repeat(np.arange(count), counts[1:])[stored], count)
+            indices, data = indices[stored], data[stored]
+        return Csr(indptr, indices, data, width)
 
     def tree_config(self, prefix: str = "") -> TreeConfig:
         """Inverse of TreeConfig.lines."""

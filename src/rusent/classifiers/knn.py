@@ -160,7 +160,7 @@ class KnnModel(Model):
     def _neighbours(self, X: np.ndarray):
         """Yield the k nearest training indices of each row of X, nearest
         first, equal distances in training-index order."""
-        csr, blocks = self.rows, None
+        csr, blocks, plan = self.rows, None, None
         # training rows whose dense form fits DENSE_BUDGET are densified
         # once: their products and scans are small, and faster dense
         dense = csr.dense() if csr.fits_dense() else None
@@ -170,10 +170,12 @@ class KnnModel(Model):
                 dist = _distances(rows, x, self.metric, self.p)
             elif dense is not None:
                 dist = _distances(dense, x, self.metric, self.p)
-            else:  # every training row, a dense block at a time
-                blocks = blocks or RowBlocks(csr)
+            else:  # every training row, a dense block at a time, planned once
+                if blocks is None:
+                    blocks = RowBlocks(csr)
+                    plan = blocks.plan(range(csr.n_rows))
                 dist = np.concatenate([_distances(blocks.out[:stop - start], x, self.metric, self.p)
-                                       for start, stop in blocks(range(csr.n_rows))])
+                                       for start, stop in blocks.walk(plan)])
             order = np.argsort(dist, kind="stable")[: self.k]
             yield order if cand is None else cand[order]
 

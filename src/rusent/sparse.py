@@ -140,7 +140,9 @@ class RowBlocks:
     block is taken from it. Any other matrix has each block's stored cells
     scattered into `out`, and +0.0 written back to the same cells before
     the next block is written, so an order costs O(nnz), not
-    O(rows x width)."""
+    O(rows x width). plan(order) is the work a call does before it writes
+    a block, and walk(plan) writes the blocks, so an order read more than
+    once is planned once."""
 
     def __init__(self, matrix: Csr, size: int | None = None):
         if size is None:
@@ -151,26 +153,35 @@ class RowBlocks:
         self._written = np.zeros(0, dtype=np.intp)  # flat cells of `out` holding the last block
 
     def __call__(self, order) -> Iterator[tuple[int, int]]:
+        return self.walk(self.plan(order))
+
+    def plan(self, order) -> tuple:
+        """(the order; the flat cells of `out` and the values that its
+        blocks write, one block after another, and where each block's run
+        of them starts, or three Nones for a densified matrix)."""
         order = np.asarray(order, dtype=np.intp)
-        size = self.out.shape[0]
         if self._dense is not None:
-            for start in range(0, order.size, size):
-                stop = min(start + size, order.size)
+            return order, None, None, None
+        m, size = self._matrix, self.out.shape[0]
+        pos, at = m._cells(order)
+        cells = (at % size) * m.width + m.indices[pos]
+        bounds = np.searchsorted(at, np.arange(0, order.size + size, size)).tolist()
+        return order, cells, m.data[pos], bounds
+
+    def walk(self, plan) -> Iterator[tuple[int, int]]:
+        order, cells, values, bounds = plan
+        size = self.out.shape[0]
+        flat = self.out.reshape(-1)
+        for block, start in enumerate(range(0, order.size, size)):
+            stop = min(start + size, order.size)
+            if cells is None:
                 # the indices are rows of the matrix, so "clip" clips none;
                 # unlike "raise" it writes to `out` without a buffer
                 self._dense.take(order[start:stop], axis=0, out=self.out[:stop - start],
                                  mode="clip")
-                yield start, stop
-            return
-        m = self._matrix
-        flat = self.out.reshape(-1)
-        pos, at = m._cells(order)
-        cells = (at % size) * m.width + m.indices[pos]
-        values = m.data[pos]
-        bounds = np.searchsorted(at, np.arange(0, order.size + size, size)).tolist()
-        for block, start in enumerate(range(0, order.size, size)):
-            flat[self._written] = 0.0
-            lo, hi = bounds[block], bounds[block + 1]
-            self._written = cells[lo:hi]
-            flat[self._written] = values[lo:hi]
-            yield start, min(start + size, order.size)
+            else:
+                flat[self._written] = 0.0
+                lo, hi = bounds[block], bounds[block + 1]
+                self._written = cells[lo:hi]
+                flat[self._written] = values[lo:hi]
+            yield start, stop

@@ -157,17 +157,24 @@ class TestAgainstBruteForce:
 
 
 CLASSES3 = ("neg", "neu", "pos")
+DYADIC_IDF = (0.5, 0.75, 1.0, 1.25)
 
 
 @st.composite
 def knn_problems(draw):
     """(rows, labels, queries): rows of up to 40 columns, most cells zero
-    and the others counts times inexact tf-idf-like weights; duplicated
-    rows, which force exact distance ties; queries that repeat a training
-    row, and an all-zero query; and a scale of 1 or 2**510 (about 3e153,
-    where sums of squares overflow)."""
+    and the others counts times weights that are all 1.0, dyadic, or
+    inexact and tf-idf-like; duplicated rows, and with the exact weights
+    distinct rows at equal distances (such as [1, 0] and [0, 1] from the
+    zero query), which force exact distance ties; queries that repeat a
+    training row, and an all-zero query; and a scale of 1 or 2**510
+    (about 3e153, where sums of squares overflow)."""
     width = draw(st.integers(1, 40))
-    idf = draw(st.lists(st.floats(0.1, 4.0), min_size=width, max_size=width))
+    idf = draw(st.one_of(
+        st.just([1.0] * width),
+        st.lists(st.sampled_from(DYADIC_IDF), min_size=width, max_size=width),
+        st.lists(st.floats(0.1, 4.0), min_size=width, max_size=width),
+    ))
     counts = st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=width, max_size=width)
     rows = draw(st.lists(counts, min_size=5, max_size=14))
     rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1),
@@ -292,24 +299,37 @@ def test_model_file_with_k_below_one_is_rejected():
         loads_model(text.replace("\nk 1\n", "\nk 0\n"))
 
 
-def test_loading_holds_about_one_copy_of_the_rows():
-    # the rows are read into one preallocated matrix, and the text is split
-    # without first copying it whole: the loader's peak stays below twice
-    # the rows' bytes (stacking a list of row arrays and copying the text
-    # take it past 2.5 times)
+def test_loading_holds_about_one_copy_of_the_rows(tmp_path):
+    # sparse rows: the text is split without first copying it whole, and
+    # the loader's peak stays below twice the rows' dense bytes (stacking a
+    # list of row arrays and copying the text take it past 2.5 times);
+    # dense rows, read from a file a line at a time: the cells go into
+    # typed buffers, so the peak stays below 1.5 times the CSR arrays'
+    # bytes (lists of Python ints and floats take it past 3.5 times)
     import tracemalloc
 
-    from rusent.classifiers.base import loads_model
+    from rusent.classifiers.base import load_model, loads_model
 
     rng = np.random.default_rng(5)
-    rows = np.where(rng.random((300, 400)) < 0.01, rng.integers(1, 9, (300, 400)), 0.0)
     labels = ["pos" if i % 3 else "neg" for i in range(300)]
-    text = train_knn(make_matrix(rows, labels), k=3).dumps()
-    tracemalloc.start()
-    try:
-        model = loads_model(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def peak_of(load, source):
+        tracemalloc.start()
+        try:
+            model = load(source)
+            return model, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows = np.where(rng.random((300, 400)) < 0.01, rng.integers(1, 9, (300, 400)), 0.0)
+    model, peak = peak_of(loads_model, train_knn(make_matrix(rows, labels), k=3).dumps())
     assert model.rows.dense().tobytes() == rows.tobytes()
     assert peak < 2 * rows.nbytes, (peak, rows.nbytes)
+
+    rows = rng.standard_normal((300, 400))
+    train_knn(make_matrix(rows, labels), k=3).save(tmp_path / "knn.model")
+    model, peak = peak_of(load_model, tmp_path / "knn.model")
+    csr = model.rows
+    held = csr.indptr.nbytes + csr.indices.nbytes + csr.data.nbytes
+    assert csr.dense().tobytes() == rows.tobytes()
+    assert peak < 1.5 * held, (peak, held)

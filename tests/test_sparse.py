@@ -68,9 +68,13 @@ def test_row_blocks_hold_each_block_of_an_order_and_nothing_else(monkeypatch, bu
     rows = np.where(rng.random((23, 6)) < 0.3, rng.standard_normal((23, 6)), 0.0)
     rows[3, 2] = -0.0
     blocks = RowBlocks(dense_csr(rows), size)
-    for order in (rng.permutation(23), np.arange(23), rng.permutation(23)[:5]):
+    a, b, c = rng.permutation(23), np.arange(23), rng.permutation(23)[:5]
+    plan = blocks.plan(a)
+    # a plan walked again after other orders writes its blocks again
+    for order, walk in ((a, blocks.walk(plan)), (b, blocks(b)), (c, blocks(c)),
+                        (a, blocks.walk(plan))):
         seen = []
-        for start, stop in blocks(order):
+        for start, stop in walk:
             assert blocks.out[:stop - start].tobytes() == rows[order[start:stop]].tobytes()
             seen += order[start:stop].tolist()
         assert seen == order.tolist()
