@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from ..errors import ModelError
-from ..sparse import RowBlocks
 from .base import Model, TreeConfig, fmt_floats, require_binary
 from .tree import grow_tree, read_tree, tree_lines, tree_predict_batch
 
@@ -45,7 +44,7 @@ class AdaBoostModel(Model):
 
     def scores(self, X) -> np.ndarray:
         X = self.check_matrix(X)
-        margin = np.zeros(X.shape[0])  # summed stage by stage, which fixes its bits
+        margin = np.zeros(X.n_rows)  # summed stage by stage, which fixes its bits
         for alpha, tree in self.stages:
             margin += alpha * np.where(tree_predict_batch(tree, X) == 1, 1.0, -1.0)
         return np.stack([-margin, margin], axis=1)
@@ -77,15 +76,10 @@ def train_adaboost(
     n = matrix.n_rows
     if n == 0:
         raise ModelError("cannot boost an empty matrix")
-    # the training predictions read dense blocks of rows in index order
-    blocks = RowBlocks(matrix)
-    preds = np.empty(n, dtype=np.intp)
     weights = np.full(n, 1.0 / n)
     for _ in range(rounds):
         tree = grow_tree(matrix, weights, weak)
-        for start, stop in blocks(range(n)):
-            preds[start:stop] = tree_predict_batch(tree, blocks.out[:stop - start])
-        miss = preds != y
+        miss = tree_predict_batch(tree, matrix) != y
         eps = float(weights[miss].sum())
         if eps <= 0.0:
             model.stages.append((ALPHA_CAP, tree))

@@ -3,20 +3,20 @@
 Every variant implements one scoring method, scores(X): the (n, classes)
 scores of an (n, d) matrix, computed in one call. predict_indices(X), the
 path evaluation uses, is the first maximum of each row of scores(X) (MNB
-alone overrides it, to take the argmax in log space). Both take a 2-D
-matrix only; a single row is scored as a one-row matrix. Tie-breaking is
-one rule everywhere: the lowest class index wins an argmax tie, the
-lowest feature index wins a split-gain tie, and the lowest
+alone overrides it, to take the argmax in log space). Both take a Csr
+only, such as a FeatureMatrix; a single row is a one-row matrix.
+Tie-breaking is one rule everywhere: the lowest class index wins an argmax
+tie, the lowest feature index wins a split-gain tie, and the lowest
 training-instance index wins an equal-distance tie.
 
 Batch scores and their bits. Where a variant takes a matrix product
 (MNB, SVM, MLP), numpy and the BLAS choose the routine by the matrix's
 shape, so a row's scores can differ in the last bits between batches of
 different shapes, a one-row matrix among them; the same matrix always
-gives the same bits. A FeatureMatrix is held sparse, so evaluation
-scores the dense rows of the whole test matrix, made once by its
-dense(), at the shape the scores have always had. kNN's screen may be a
-sparse product, whose bits reach no prediction (see knn.py).
+gives the same bits. These three take their product over X.dense(), at
+the shape the scores have always had; no other variant densifies all of
+X: the trees read cells through X.at, and kNN a block of rows at a time.
+kNN's screen may be a sparse product, whose bits reach no prediction.
 
 Persistence is a versioned key-value text format:
 
@@ -273,13 +273,11 @@ class Model:
 
     # -- prediction ------------------------------------------------------
 
-    def check_matrix(self, X) -> np.ndarray:
-        mat = np.asarray(X, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[1] != self.feature_width:
-            raise ModelError(
-                f"expected a matrix of width {self.feature_width}, got shape {mat.shape}"
-            )
-        return mat
+    def check_matrix(self, X) -> Csr:
+        if not isinstance(X, Csr) or X.width != self.feature_width:
+            raise ModelError(f"expected a Csr of width {self.feature_width},"
+                             f" got {type(X).__name__} of shape {np.shape(X)}")
+        return X
 
     def scores(self, X) -> np.ndarray:
         """Class scores of every row of X, shape (n, classes)."""

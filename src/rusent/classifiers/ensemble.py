@@ -33,8 +33,8 @@ class _VotingTreeEnsemble(Model):
 
     def scores(self, X) -> np.ndarray:
         X = self.check_matrix(X)
-        votes = np.zeros((X.shape[0], len(self.class_values)))
-        rows = np.arange(X.shape[0])
+        votes = np.zeros((X.n_rows, len(self.class_values)))
+        rows = np.arange(X.n_rows)
         for tree in self.trees:
             votes[rows, tree_predict_batch(tree, X)] += 1.0
         return votes / len(self.trees)

@@ -13,9 +13,10 @@ power: it has the distance's order (p > 0), while the root can overflow
 for a small p even where the sum is finite (a sum of 3 at p = 0.001).
 
 The neighbours are always those of the exhaustive scan: `_distances` over
-the training rows, then a stable argsort. Manhattan and minkowski run that
-scan for every test row. Euclidean batch prediction first screens the
-training rows, so the exact scan runs on a few candidates only:
+the training rows, then a stable argsort; test rows are made dense a block
+at a time (below). Manhattan and minkowski run that scan for every test
+row. Euclidean batch prediction first screens the training rows, so the
+exact scan runs on a few candidates only:
 
 * For a block of test rows at a time, approximate the squared distances
   as a_i = (|x|^2 + |r_i|^2) - 2 r_i.x, with the dot products of the whole
@@ -58,8 +59,8 @@ training rows, so the exact scan runs on a few candidates only:
   result equals the exhaustive scan's, ties included: a row's distance
   is the same bits whatever rows it is computed with. If any norm or
   bound of a test row is not finite (squares overflow past about 1e154),
-  that row scans every training row, as manhattan and minkowski do (read
-  sparse, a dense block of rows at a time).
+  that row scans every training row, as manhattan and minkowski do,
+  through RowBlocks (a dense block of rows at a time; see rusent.sparse).
 """
 
 from __future__ import annotations
@@ -113,24 +114,22 @@ class KnnModel(Model):
                              f" not {rows.shape}")
         self.rows = rows  # a Csr
 
-    def _candidates(self, X: np.ndarray, dense):
+    def _candidates(self, X: Csr, dense):
         """Yield (x, training indices that can be among x's neighbours, in
-        ascending order, or None for all of them) for each row x of X.
-        `dense` is the training rows' dense matrix, or None to read them
-        sparse."""
+        ascending order, or None for all) for each row x of X, made dense a
+        block at a time. `dense` is the training rows' dense matrix, or None."""
         csr = self.rows
-        if self.metric != "euclidean":
-            for x in X:
-                yield x, None
-            return
         with np.errstate(over="ignore"):
             row_sq = np.bincount(csr.row_of(), weights=csr.data * csr.data, minlength=csr.n_rows)
         runs = np.flatnonzero(np.diff(csr.indptr))
         slack = 8.0 * (self.feature_width + 2)
         entries = csr.n_rows if dense is not None else max(csr.n_rows, csr.data.size)
         step = max(1, _BLOCK_ENTRIES // entries)
-        for start in range(0, X.shape[0], step):
-            block = X[start:start + step]
+        for start in range(0, X.n_rows, step):
+            block = X.dense(np.arange(start, min(start + step, X.n_rows)))
+            if self.metric != "euclidean":
+                yield from ((x, None) for x in block)
+                continue
             # overflow only makes a bound non-finite, which the scan handles
             with np.errstate(over="ignore", invalid="ignore"):
                 if dense is not None:
@@ -157,19 +156,16 @@ class KnnModel(Model):
             for x, mask, ok in zip(block, keep, finite):
                 yield x, np.flatnonzero(mask) if ok else None
 
-    def _neighbours(self, X: np.ndarray):
+    def _neighbours(self, X: Csr):
         """Yield the k nearest training indices of each row of X, nearest
         first, equal distances in training-index order."""
         csr, blocks, plan = self.rows, None, None
-        # training rows whose dense form fits DENSE_BUDGET are densified
-        # once: their products and scans are small, and faster dense
+        # training rows that fit DENSE_BUDGET are densified once: small products are faster dense
         dense = csr.dense() if csr.fits_dense() else None
         for x, cand in self._candidates(X, dense):
             if cand is not None:
                 rows = csr.dense(cand) if dense is None else dense[cand]
                 dist = _distances(rows, x, self.metric, self.p)
-            elif dense is not None:
-                dist = _distances(dense, x, self.metric, self.p)
             else:  # every training row, a dense block at a time, planned once
                 if blocks is None:
                     blocks = RowBlocks(csr)

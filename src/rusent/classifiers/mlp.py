@@ -187,7 +187,7 @@ class MlpModel(Model):
     # -- prediction --------------------------------------------------------
 
     def scores(self, X) -> np.ndarray:
-        return self.forward(self.check_matrix(X))[-1]
+        return self.forward(self.check_matrix(X).dense())[-1]
 
     # -- persistence -------------------------------------------------------
 

@@ -41,8 +41,8 @@ class MultinomialNBModel(Model):
 
     def log_posteriors(self, X) -> np.ndarray:
         """log P(c) + sum_i x_i log P(w_i | c) of every row of a matrix,
-        shape (n, C), in one matrix product."""
-        return self.log_prior + self.check_matrix(X) @ self.log_likelihood.T
+        shape (n, C), in one matrix product over its dense rows."""
+        return self.log_prior + self.check_matrix(X).dense() @ self.log_likelihood.T
 
     def scores(self, X) -> np.ndarray:
         log_post = self.log_posteriors(X)

@@ -38,7 +38,7 @@ class LinearSvmModel(Model):
         self.seed = int(seed)
 
     def scores(self, X) -> np.ndarray:
-        v = self.check_matrix(X) @ self.weights + self.bias
+        v = self.check_matrix(X).dense() @ self.weights + self.bias
         return np.stack([-v, v], axis=1)
 
     def _body_lines(self):

@@ -74,7 +74,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from ..sparse import ranges
+from ..sparse import Csr, ranges
 from .base import Model, TreeConfig, fmt_floats
 
 _GAIN_EPS = 1e-12
@@ -338,21 +338,21 @@ def grow_tree(matrix, weights: np.ndarray, config: TreeConfig, rng=None,
     return Tree(nodes)
 
 
-def tree_leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
+def tree_leaves(tree: Tree, X: Csr) -> np.ndarray:
     """The index of the leaf each row of X reaches, shape (n,). The walk
-    moves every row still at a split down one level per step: a row goes
-    left where x[feature] <= threshold, so a NaN feature goes right."""
-    at = np.zeros(X.shape[0], dtype=np.intp)
+    moves every row still at a split down one level per step, reading one
+    cell of each (X.at): left where x[feature] <= threshold, so NaN goes right."""
+    at = np.zeros(X.n_rows, dtype=np.intp)
     rows = np.flatnonzero(tree.feature[at] >= 0)
     while rows.size:
         node = at[rows]
-        left = X[rows, tree.feature[node]] <= tree.threshold[node]
+        left = X.at(rows, tree.feature[node]) <= tree.threshold[node]
         at[rows] = np.where(left, node + 1, tree.right[node])
         rows = rows[tree.feature[at[rows]] >= 0]
     return at
 
 
-def tree_predict_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
+def tree_predict_batch(tree: Tree, X: Csr) -> np.ndarray:
     """The leaf class index of every row of X, shape (n,)."""
     return tree.leaf_class[tree_leaves(tree, X)]
 
@@ -398,8 +398,7 @@ class DecisionTreeModel(Model):
         self.config = config
 
     def scores(self, X) -> np.ndarray:
-        X = self.check_matrix(X)
-        return self.tree.distribution[tree_leaves(self.tree, X)]
+        return self.tree.distribution[tree_leaves(self.tree, self.check_matrix(X))]
 
     def _body_lines(self):
         yield from self.config.lines()

@@ -287,7 +287,7 @@ def cmd_compare(args) -> int:
 
     # made only once both inputs are read and checked, so that bad input leaves no directory
     _check_train(train_matrix)
-    check_test(test_matrix, train_matrix.width, args.positive_class)
+    check_test(test_matrix, train_matrix.width, train_matrix.class_values, args.positive_class)
     make_dirs(args.out_dir)
     if space is not None:
         _write_vectorized(space, os.path.join(args.out_dir, "vocabulary.txt"),

@@ -111,14 +111,18 @@ def metrics_from_matrix(matrix: ConfusionMatrix, model_name: str) -> EvalReport:
     )
 
 
-def check_test(test: FeatureMatrix, feature_width: int, positive_class: str | None = None) -> str:
-    """The positive class to score models of feature_width on test: positive_class,
-    or else "pos" if declared, else the first class. EvalError if test does not fit."""
+def check_test(test: FeatureMatrix, feature_width: int, class_values: tuple[str, ...],
+               positive_class: str | None = None) -> str:
+    """The positive class to score models of feature_width and class_values on
+    test: positive_class, or else "pos" if declared, else the first class.
+    EvalError if test does not fit, or declares a class (by name) they lack."""
     if test.n_rows == 0:
         raise EvalError("cannot evaluate on an empty test set")
     if test.width != feature_width:
         raise EvalError(f"test width {test.width} does not match model width {feature_width}"
                         " (was it vectorized under the same vocabulary?)")
+    if not set(test.class_values) <= set(class_values):
+        raise EvalError(f"test classes {test.class_values} are not in the model's {class_values}")
     if positive_class is None:
         positive_class = "pos" if "pos" in test.class_values else test.class_values[0]
     if positive_class not in test.class_values:
@@ -126,21 +130,19 @@ def check_test(test: FeatureMatrix, feature_width: int, positive_class: str | No
     return positive_class
 
 
-def evaluate(model, test: FeatureMatrix, positive_class: str | None = None,
-             rows: np.ndarray | None = None) -> EvalReport:
+def evaluate(model, test: FeatureMatrix, positive_class: str | None = None) -> EvalReport:
     """Predict every test instance and tally against positive_class.
 
     The whole test matrix is scored in one `model.predict_indices` call
     (for k-NN, the neighbours of the exhaustive scan; see
-    classifiers/knn.py), on its dense rows: `rows`, if the caller holds
-    them already, or else test.dense(), made here and freed on return.
-    The same matrix always gives the same predictions; a batch of another
-    shape may round a row's scores differently in the last bits (see
-    classifiers/base.py).
+    classifiers/knn.py), held sparse: only MNB, SVM and MLP make its dense
+    rows, for their matrix products. The same matrix always gives the same
+    predictions; a batch of another shape may round a row's scores
+    differently in the last bits (see classifiers/base.py).
     """
-    positive_class = check_test(test, model.feature_width, positive_class)
+    positive_class = check_test(test, model.feature_width, model.class_values, positive_class)
     is_positive = np.array([c == positive_class for c in model.class_values])
-    predicted = is_positive[model.predict_indices(test.dense() if rows is None else rows)]
+    predicted = is_positive[model.predict_indices(test)]
     actual = test.y == test.class_values.index(positive_class)
     tn, fp, fn, tp = np.bincount(2 * actual + predicted, minlength=4).tolist()
     matrix = ConfusionMatrix(tp, fp, fn, tn, positive_class)
@@ -151,8 +153,7 @@ def compare(models, test: FeatureMatrix, positive_class: str | None = None) -> l
     """One report per model, best accuracy first (name breaks ties)."""
     if not models:
         raise EvalError("compare needs at least one model")
-    rows = test.dense()  # once for every model
-    reports = [evaluate(m, test, positive_class, rows) for m in models]
+    reports = [evaluate(m, test, positive_class) for m in models]
     return sorted(reports, key=lambda r: (-r.accuracy, r.model_name))
 
 

@@ -9,13 +9,14 @@ cell is kept, and the dense rows that Csr gives back have the bits of the
 dense matrix it was made from. A reader that counts non-zeros as
 np.nonzero does (-0.0 being a zero) tests `data != 0`.
 
-Dense values are read through two doors only, each of which writes a
-block of rows in full, +0.0 in every cell that is not stored:
+Dense values are read through three doors only, each of which gives
++0.0 for every cell that is not stored:
 
-* dense(rows): a fresh float64 block of the given rows;
+* dense(rows): a fresh float64 block of the given rows, in full;
 * RowBlocks: the rows of an order, a block at a time, written into one
   reused buffer (see there), for the trainers that visit every row in
-  each epoch.
+  each epoch;
+* at(rows, cols): single cells, for the trees, which read one per level.
 
 A product over a dense block has the bits it had over the same rows of a
 dense matrix, as the values and the shape are the same.
@@ -110,6 +111,17 @@ class Csr:
         order, and the index in `rows` of each)."""
         starts, ends = self.indptr[rows], self.indptr[rows + 1]
         return ranges(starts, ends), np.repeat(np.arange(rows.size), ends - starts)
+
+    def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """dense()[rows, cols], each cell found by searchsorted over the
+        stored cells' row-major keys row * width + index, +0.0 if not there."""
+        keys = np.append(self.row_of() * self.width + self.indices, self.n_rows * self.width)
+        want = rows * self.width + cols
+        pos = np.searchsorted(keys, want)  # < keys.size: the last key is past every cell
+        found = keys[pos] == want
+        out = np.zeros(want.shape)
+        out[found] = self.data[pos[found]]
+        return out
 
     def dense(self, rows=None) -> np.ndarray:
         """The dense rows (all of them if None), a fresh float64 array of

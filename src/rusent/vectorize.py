@@ -93,8 +93,8 @@ class FeatureMatrix(Csr):
     @property
     def rows(self) -> np.ndarray:
         """The dense rows, made afresh at each access: for callers outside
-        the package, which reads dense values through dense() and
-        RowBlocks only."""
+        the package, which reads dense values through dense(), RowBlocks
+        and at() only, and scores the matrix itself."""
         return self.dense()
 
     @cached_property

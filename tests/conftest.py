@@ -27,10 +27,12 @@ def make_matrix(rows, labels, class_values=("neg", "pos")):
                          tuple(class_values))
 
 
-def predicted(model, rows):
+def predicted(model, X):
     """The class values a model predicts for the rows of a matrix, by
-    predict_indices; a single row goes in as a one-row matrix."""
-    return [model.class_values[i] for i in model.predict_indices(rows)]
+    predict_indices: X is the Csr itself, or a 2-D array of rows made one by
+    dense_csr; a single row goes in as a one-row matrix."""
+    X = X if isinstance(X, Csr) else dense_csr(X)
+    return [model.class_values[i] for i in model.predict_indices(X)]
 
 
 def full_read(source):

@@ -44,7 +44,7 @@ from rusent.rng import SplitMix64
 from rusent.synth import generate_corpus
 from rusent.vectorize import FeatureMatrix
 
-from conftest import make_matrix, predicted
+from conftest import dense_csr, make_matrix, predicted
 from test_adaboost import NONSEP_LABELS, NONSEP_ROWS, best_stump_accuracy
 from test_knn import brute_force_predict
 from test_mlp import XOR, finite_difference_grads
@@ -116,7 +116,7 @@ def test_criterion_3_mnb_hand_oracle():
                 assert likes[1, i] == pytest.approx(pos_probs[i], abs=1e-12)
                 assert likes[0, i] == pytest.approx(neg_probs[i], abs=1e-12)
             x = np.array([[1.0, 1.0, 0.0]])
-            post = mod.log_posteriors(x)[0]
+            post = mod.log_posteriors(dense_csr(x))[0]
             assert post[1] == pytest.approx(
                 math.log(0.5 * pos_probs[0] * pos_probs[1]), abs=1e-12
             )
@@ -176,13 +176,13 @@ def test_criterion_6_adaboost_identity_and_stump():
         y = m.y
         weights = np.full(len(y), 1.0 / len(y))
         for alpha, root in model.stages:
-            miss = tree_predict_batch(root, m.rows) != y
+            miss = tree_predict_batch(root, m) != y
             weights = weights * np.where(miss, math.exp(alpha), math.exp(-alpha))
             weights /= weights.sum()
             assert weights[miss].sum() == pytest.approx(0.5, abs=1e-9)
         stump_best = best_stump_accuracy(NONSEP_ROWS, NONSEP_LABELS)
         assert stump_best < 1.0
-        acc = np.mean(np.array(predicted(model, m.rows)) == m.labels)
+        acc = np.mean(np.array(predicted(model, m)) == m.labels)
         assert acc > stump_best
 
 
@@ -204,7 +204,7 @@ def test_criterion_7_mlp_gradients_and_xor():
         assert worst < 1e-4
         xor_model = train_mlp(XOR, hidden=[8], learning_rate=0.5, epochs=2000,
                               batch_size=4, seed=1)
-        assert predicted(xor_model, XOR.rows) == XOR.labels
+        assert predicted(xor_model, XOR) == XOR.labels
 
 
 def test_criterion_8_svm_blob_and_objective():
@@ -221,7 +221,7 @@ def test_criterion_8_svm_blob_and_objective():
         m = make_matrix(rows, labels, ("neg", "pos"))
         lam = 0.05
         model = train_svm(m, lam=lam, epochs=1000, seed=0)
-        assert predicted(model, m.rows) == m.labels
+        assert predicted(model, m) == m.labels
         signs = np.where(m.y == 1, 1.0, -1.0)
         achieved = svm_objective(model.weights, model.bias, m.rows, signs, lam)
         best = np.inf

@@ -9,7 +9,7 @@ from rusent.classifiers.base import TreeConfig
 from rusent.classifiers.tree import tree_predict_batch
 from rusent.errors import ModelError
 
-from conftest import make_matrix, predicted
+from conftest import dense_csr, make_matrix, predicted
 
 # 1-D set no single stump can classify perfectly: +, +, -, -, -, +, +, +
 NONSEP_ROWS = [[float(i)] for i in range(8)]
@@ -48,7 +48,7 @@ class TestBoostingLoop:
         weights = np.full(n, 1.0 / n)
         assert len(model.stages) >= 2
         for alpha, root in model.stages:
-            miss = tree_predict_batch(root, m.rows) != y
+            miss = tree_predict_batch(root, m) != y
             eps = weights[miss].sum()
             assert 0.0 < eps < 0.5
             assert alpha == pytest.approx(0.5 * math.log((1 - eps) / eps), abs=1e-12)
@@ -61,7 +61,7 @@ class TestBoostingLoop:
         stump_best = best_stump_accuracy(NONSEP_ROWS, NONSEP_LABELS)
         assert stump_best < 1.0  # the set really is stump-inseparable
         model = train_adaboost(m, rounds=10)
-        acc = np.mean(np.array(predicted(model, m.rows)) == m.labels)
+        acc = np.mean(np.array(predicted(model, m)) == m.labels)
         assert acc > stump_best
 
     def test_separable_data_caps_alpha_and_stops(self):
@@ -80,9 +80,9 @@ class TestBoostingLoop:
     def test_margin_sign_maps_to_classes(self):
         m = make_matrix([[0.0], [1.0]], ["neg", "pos"], ("neg", "pos"))
         model = train_adaboost(m, rounds=1)
-        assert model.scores([[0.0]])[0, 1] < 0 and predicted(model, [[0.0]]) == ["neg"]
-        assert model.scores([[1.0]])[0, 1] > 0 and predicted(model, [[1.0]]) == ["pos"]
-        lo, hi = model.scores([[1.0]])[0]
+        assert model.scores(dense_csr([[0.0]]))[0, 1] < 0 and predicted(model, [[0.0]]) == ["neg"]
+        assert model.scores(dense_csr([[1.0]]))[0, 1] > 0 and predicted(model, [[1.0]]) == ["pos"]
+        lo, hi = model.scores(dense_csr([[1.0]]))[0]
         assert lo == -hi
 
     def test_multiclass_rejected(self):
@@ -97,5 +97,5 @@ class TestBoostingLoop:
     def test_deeper_weak_learner_config_used(self):
         m = nonsep_matrix()
         model = train_adaboost(m, rounds=3, weak=TreeConfig(max_depth=3))
-        acc = np.mean(np.array(predicted(model, m.rows)) == m.labels)
+        acc = np.mean(np.array(predicted(model, m)) == m.labels)
         assert acc == 1.0  # depth-3 tree separates this set outright

@@ -523,11 +523,51 @@ class TestMalformedArffNamesItsFile:
         assert not out_dir.exists()
 
 
-def write_numeric_arff(path, width):
-    """A vectorized ARFF of two rows over `width` numeric features."""
+def write_numeric_arff(path, width, classes=("neg", "pos"), labels=("neg", "pos")):
+    """A vectorized ARFF of two rows over `width` numeric features, all 0 in
+    the first row and 1 in the second, labelled `labels`, with the class
+    attribute declaring `classes`."""
     attributes = "".join(f"@attribute x{i} numeric\n" for i in range(width))
-    path.write_text(f"@relation r\n{attributes}@attribute class {{neg,pos}}\n@data\n"
-                    + "0," * width + "neg\n" + "1," * width + "pos\n", encoding="utf-8")
+    path.write_text(f"@relation r\n{attributes}@attribute class {{{','.join(classes)}}}\n@data\n"
+                    + "0," * width + f"{labels[0]}\n" + "1," * width + f"{labels[1]}\n",
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+class TestTestSetClasses:
+    """A test set is scored by class name against a dtree trained on
+    {neg,pos}: the same classes in another order score as declared in
+    order, and a class value the model lacks is refused before scoring."""
+
+    def run(self, tmp_path, command, name, classes, labels):
+        train, test, out = tmp_path / "train.arff", tmp_path / f"{name}.arff", tmp_path / name
+        write_numeric_arff(train, 3)
+        write_numeric_arff(test, 3, classes, labels)
+        if command == "compare":
+            code = main(["compare", "--train", str(train), "--test", str(test),
+                         "--out-dir", str(out), "--algorithms", "dtree"])
+            return code, out / "report.json"
+        model = tmp_path / "dtree.model"
+        assert main(["train", "--train", str(train), "--algorithm", "dtree",
+                     "--model-out", str(model)]) == 0
+        return main(["evaluate", "--model", str(model), "--test", str(test),
+                     "--report-out", str(out)]), out
+
+    def test_a_class_the_model_lacks_exits_2(self, tmp_path, capsys, command):
+        capsys.readouterr()
+        code, report = self.run(tmp_path, command, "foreign", ("bad", "good"), ("bad", "good"))
+        assert code == 2
+        assert capsys.readouterr().err == ("error: test classes ('bad', 'good') are not in"
+                                           " the model's ('neg', 'pos')\n")
+        assert not report.exists() and not (tmp_path / "foreign").exists()
+
+    def test_the_same_classes_in_another_order_score_by_name(self, tmp_path, capsys, command):
+        code, declared = self.run(tmp_path, command, "declared", ("neg", "pos"), ("neg", "pos"))
+        assert code == 0
+        code, reordered = self.run(tmp_path, command, "reordered", ("pos", "neg"), ("neg", "pos"))
+        assert code == 0
+        assert json.loads(reordered.read_text())["reports"][0]["accuracy"] == 1.0
+        assert reordered.read_text() == declared.read_text()
 
 
 class TestCompare:

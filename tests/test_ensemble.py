@@ -6,7 +6,7 @@ from rusent.classifiers.base import TreeConfig
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
-from conftest import make_matrix, predicted
+from conftest import dense_csr, make_matrix, predicted
 from test_tree import is_leaf
 
 
@@ -45,7 +45,7 @@ class TestBagging:
     def test_vote_fraction_scores(self):
         m = random_matrix(30, 2, seed=3)
         model = train_bagging(m, m=5, seed=0)
-        scores = model.scores(m.rows[:1])[0]
+        scores = model.scores(dense_csr(m.rows[:1]))[0]
         assert sum(scores) == pytest.approx(1.0)
         assert all(s in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0) for s in scores)
 
@@ -65,8 +65,8 @@ class TestBagging:
         m = random_matrix(50, 3, seed=11)
         tree = train_dtree(m)
         bag = train_bagging(m, m=25, seed=0)
-        tree_acc = np.mean(np.array(predicted(tree, m.rows)) == m.labels)
-        bag_acc = np.mean(np.array(predicted(bag, m.rows)) == m.labels)
+        tree_acc = np.mean(np.array(predicted(tree, m)) == m.labels)
+        bag_acc = np.mean(np.array(predicted(bag, m)) == m.labels)
         assert bag_acc >= tree_acc - 0.15
 
 

@@ -128,7 +128,7 @@ class _FixedPredictions:
 def per_row_tally(model, test, positive_class):
     """The confusion counts by comparing class strings row by row."""
     tp = fp = fn = tn = 0
-    for index, actual in zip(model.predict_indices(test.rows), test.labels):
+    for index, actual in zip(model.predict_indices(test), test.labels):
         predicted = model.class_values[index]
         if actual == positive_class:
             if predicted == positive_class:

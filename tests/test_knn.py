@@ -12,7 +12,7 @@ from rusent.classifiers.knn import _distances
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
-from conftest import make_matrix, predicted
+from conftest import dense_csr, make_matrix, predicted
 
 
 def brute_force_predict(rows, labels, class_values, x, k, metric, p):
@@ -81,7 +81,7 @@ class TestExamples:
     def test_scores_are_vote_fractions(self):
         m = make_matrix([[0.0], [1.0], [2.0]], ["neg", "neg", "pos"], ("neg", "pos"))
         model = train_knn(m, k=3)
-        assert model.scores([[0.0]])[0] == pytest.approx([2 / 3, 1 / 3])
+        assert model.scores(dense_csr([[0.0]]))[0] == pytest.approx([2 / 3, 1 / 3])
 
 
 class TestValidation:
@@ -200,7 +200,7 @@ def exhaustive_neighbours(model, queries):
 
 
 def screened_neighbours(model, queries):
-    return [nearest.tolist() for nearest in model._neighbours(queries)]
+    return [nearest.tolist() for nearest in model._neighbours(dense_csr(queries))]
 
 
 def on_both_paths(f):
@@ -225,7 +225,7 @@ class TestBatchPrediction:
         expected = [brute_force_predict(rows, labels, CLASSES3, q, k, metric, 3.0)
                     for q in queries]
         for m in (model, loads_model(model.dumps())):
-            for got in on_both_paths(lambda: m.predict_indices(np.array(queries))):
+            for got in on_both_paths(lambda: m.predict_indices(dense_csr(queries))):
                 assert [CLASSES3[i] for i in got] == expected
 
     @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e154])
@@ -284,10 +284,10 @@ class TestBatchPrediction:
 
     def test_predict_indices_rejects_a_bad_shape(self):
         model = train_knn(make_matrix([[0.0, 1.0], [1.0, 0.0]], ["neg", "pos"]), k=1)
-        for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))):
+        for bad in (np.zeros((1, 2)), dense_csr(np.zeros((3, 3))), dense_csr(np.zeros((1, 1)))):
             with pytest.raises(ModelError):
                 model.predict_indices(bad)
-        assert model.predict_indices(np.zeros((0, 2))).tolist() == []
+        assert model.predict_indices(dense_csr(np.zeros((0, 2)))).tolist() == []
 
 
 def test_model_file_with_k_below_one_is_rejected():

@@ -7,7 +7,7 @@ from rusent.classifiers.mlp import MlpModel, _init_mlp, init_mlp
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
-from conftest import make_matrix, predicted
+from conftest import dense_csr, make_matrix, predicted
 
 XOR = make_matrix(
     [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
@@ -85,11 +85,11 @@ class TestTraining:
     def test_learns_xor(self):
         model = train_mlp(XOR, hidden=[8], learning_rate=0.5, epochs=2000,
                           batch_size=4, seed=1)
-        assert predicted(model, XOR.rows) == XOR.labels
+        assert predicted(model, XOR) == XOR.labels
 
     def test_scores_sum_to_one(self):
         model = train_mlp(XOR, hidden=[3], epochs=5, seed=0)
-        scores = model.scores([[0.5, 0.5]])[0]
+        scores = model.scores(dense_csr([[0.5, 0.5]]))[0]
         assert sum(scores) == pytest.approx(1.0, abs=1e-9)
         assert all(0.0 <= s <= 1.0 for s in scores)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rusent.classifiers import train_mnb
 from rusent.errors import ModelError
 
-from conftest import make_matrix, predicted
+from conftest import dense_csr, make_matrix, predicted
 
 # hand computation for the 4-document corpus, alpha=1, |V|=3:
 #   pos counts (achi, gari, kharab) = (2, 1, 0), total 3
@@ -32,7 +32,7 @@ class TestHandOracle:
     def test_posteriors_match_hand_computation(self, hand_corpus):
         model = train_mnb(hand_corpus, alpha=1.0)
         x = [[1.0, 1.0, 0.0]]  # test doc "achi gari"
-        log_post = model.log_posteriors(x)[0]
+        log_post = model.log_posteriors(dense_csr(x))[0]
         expected_pos = math.log(0.5) + math.log(POS_PROBS[0]) + math.log(POS_PROBS[1])
         expected_neg = math.log(0.5) + math.log(NEG_PROBS[0]) + math.log(NEG_PROBS[1])
         assert log_post[1] == pytest.approx(expected_pos, abs=1e-12)
@@ -69,7 +69,7 @@ class TestEdgeCases:
 
     def test_scores_are_probabilities(self, hand_corpus):
         model = train_mnb(hand_corpus)
-        scores = model.scores([[2.0, 0.0, 1.0]])[0]
+        scores = model.scores(dense_csr([[2.0, 0.0, 1.0]]))[0]
         assert sum(scores) == pytest.approx(1.0, abs=1e-9)
         assert all(0.0 <= s <= 1.0 for s in scores)
 

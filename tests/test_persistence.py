@@ -68,7 +68,7 @@ class TestRoundTrip:
         m = training_matrix()
         model = TRAINERS[variant](m)
         clone = loads_model(model.dumps())
-        assert clone.scores(m.rows).tobytes() == model.scores(m.rows).tobytes()
+        assert clone.scores(m).tobytes() == model.scores(m).tobytes()
 
     def test_header_fields(self, variant):
         model = TRAINERS[variant](training_matrix())
@@ -104,7 +104,7 @@ def test_class_value_with_a_unicode_line_break_round_trips(separator, tmp_path):
     clone = load_model(path)
     assert clone.class_values == classes
     assert clone.dumps() == model.dumps()
-    assert clone.predict_indices(m.rows).tolist() == model.predict_indices(m.rows).tolist()
+    assert clone.predict_indices(m).tolist() == model.predict_indices(m).tolist()
 
 
 def test_a_model_file_with_crlf_line_ends_loads(tmp_path):
@@ -416,7 +416,7 @@ def test_every_line_mutant_is_rejected_or_loads_canonically(variant):
         except ModelError:
             continue
         assert model.dumps() == text, name
-        model.predict_indices(m.rows)
+        model.predict_indices(m)
 
 
 def byte_mutants(data, seed, count):
@@ -458,7 +458,7 @@ def test_every_byte_mutant_of_a_model_file_loads_or_raises_model_error(variant, 
         loaded += 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # a mutated weight may overflow
-            assert model.predict_indices(m.rows).shape == (len(m.labels),), name
+            assert model.predict_indices(m).shape == (len(m.labels),), name
     assert loaded > 0  # some mutants load: a flip inside a digit, say
 
 

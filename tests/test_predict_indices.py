@@ -23,6 +23,8 @@ from rusent.evaluation import evaluate
 from rusent.synth import generate_corpus
 from rusent.vectorize import fit, transform
 
+from conftest import dense_csr
+
 CASES = {
     "mnb": ("count", lambda m: train_mnb(m)),
     "knn": ("count", lambda m: train_knn(m, k=3)),
@@ -60,18 +62,20 @@ def test_predict_indices_equals_per_row_predict(case, matrices):
     train, test = matrices[weighting]
     model = trainer(train)
     X = np.vstack([test.rows, train.rows[:100]])
-    indices = model.predict_indices(X)
+    indices = model.predict_indices(dense_csr(X))
     assert indices.dtype == np.intp and indices.shape == (X.shape[0],)
-    assert indices.tolist() == [model.predict_indices(x[None])[0] for x in X]
+    assert indices.tolist() == [model.predict_indices(dense_csr(x[None]))[0] for x in X]
     if model.variant != "mnb":  # MNB takes its argmax in log space
-        assert indices.tolist() == [first_max(model.scores(x[None])[0].tolist()) for x in X]
+        assert indices.tolist() == [first_max(model.scores(dense_csr(x[None]))[0].tolist())
+                                    for x in X]
 
 
 def test_evaluate_tallies_the_batch_predictions(matrices):
     train, test = matrices["count"]
     model = train_knn(train, k=3)
     report = evaluate(model, test)
-    predicted = [model.class_values[model.predict_indices(x[None])[0]] for x in test.rows]
+    predicted = [model.class_values[model.predict_indices(dense_csr(x[None]))[0]]
+                 for x in test.rows]
     correct = sum(p == a for p, a in zip(predicted, test.labels))
     assert report.correct == correct and report.total == len(test.labels)
 
@@ -81,18 +85,22 @@ VARIANTS = ["mnb", "knn", "dtree", "bagging", "rforest", "adaboost", "svm", "mlp
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_predict_indices_checks_the_shape(variant, matrices):
-    model = CASES[variant][1](matrices["count"][0])
+    # only a Csr of the model's width is scored: a plain ndarray or list of
+    # the right shape is refused, as it is not coerced
+    train = matrices["count"][0]
+    model = CASES[variant][1](train)
     width = model.feature_width
-    bad_inputs = (np.zeros(width), np.zeros((2, width + 1)), np.zeros((1, 1, width)), 0.0)
+    bad_inputs = (train.rows, train.rows.tolist(), np.zeros(width), 0.0,
+                  dense_csr(np.zeros((2, width + 1))), dense_csr(np.zeros((2, width - 1))))
     methods = [model.predict_indices, model.scores]
     if variant == "mnb":
-        methods.append(model.log_posteriors)  # a 1-D row is refused too
+        methods.append(model.log_posteriors)
     for bad in bad_inputs:
         for method in methods:
             with pytest.raises(ModelError):
                 method(bad)
-    assert model.predict_indices(np.zeros((0, width))).tolist() == []
-    assert model.scores(np.zeros((0, width))).shape == (0, len(model.class_values))
+    assert model.predict_indices(dense_csr(np.zeros((0, width)))).tolist() == []
+    assert model.scores(dense_csr(np.zeros((0, width)))).shape == (0, len(model.class_values))
 
 
 def scalar_first_max(scores):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rusent import sparse
@@ -41,6 +41,22 @@ class TestCsr:
         block = dense_csr(rows).dense(picks)
         assert block.shape == (len(picks), rows.shape[1]) and block.flags.c_contiguous
         assert block.tobytes() == rows[picks].tobytes()
+
+    @given(dense_matrices(), st.data())
+    @example(np.zeros((0, 3)), None)  # no rows
+    @example(np.zeros((4, 3)), None)  # nnz == 0
+    @example(np.array([[0.0, -0.0, 2.0], [0.0, 0.0, 0.0], [-0.0, 0.0, -1.5]]), None)
+    @settings(max_examples=200)
+    def test_at_reads_the_cells_of_the_dense_matrix(self, rows, data):
+        n, width = rows.shape
+        cells = [(r, c) for r in range(n) for c in range(width)]  # every cell, for an example
+        if data is not None and cells:
+            cells = data.draw(st.lists(st.sampled_from(cells), max_size=30))
+        r = np.array([i for i, _ in cells], dtype=np.intp)
+        c = np.array([j for _, j in cells], dtype=np.intp)
+        got = dense_csr(rows).at(r, c)
+        assert got.dtype == np.float64 and got.shape == (len(cells),)
+        assert got.tobytes() == rows[r, c].tobytes()
 
     def test_negative_zero_is_stored_and_not_a_nonzero(self):
         csr = dense_csr([[0.0, -0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, -0.0]])

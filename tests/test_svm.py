@@ -6,7 +6,7 @@ from rusent.classifiers.svm import svm_objective
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
-from conftest import make_matrix, predicted
+from conftest import dense_csr, make_matrix, predicted
 
 
 def blob_matrix(n_per_class=20, seed=0, gap=4.0):
@@ -26,14 +26,14 @@ class TestTraining:
     def test_separable_blobs_reach_full_training_accuracy(self):
         m = blob_matrix()
         model = train_svm(m, lam=1e-3, epochs=100, seed=0)
-        assert predicted(model, m.rows) == m.labels
+        assert predicted(model, m) == m.labels
 
     def test_margin_signs(self):
         m = blob_matrix()
         model = train_svm(m)
-        assert model.scores([[-3.0, 0.0]])[0, 1] < 0
-        assert model.scores([[3.0, 0.0]])[0, 1] > 0
-        lo, hi = model.scores([[3.0, 0.0]])[0]
+        assert model.scores(dense_csr([[-3.0, 0.0]]))[0, 1] < 0
+        assert model.scores(dense_csr([[3.0, 0.0]]))[0, 1] > 0
+        lo, hi = model.scores(dense_csr([[3.0, 0.0]]))[0]
         assert lo == -hi
 
     def test_objective_decreases_with_more_epochs(self):

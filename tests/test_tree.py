@@ -15,7 +15,7 @@ from rusent.classifiers.tree import (
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
-from conftest import make_matrix, predicted
+from conftest import dense_csr, make_matrix, predicted
 
 
 class TestEntropy:
@@ -159,7 +159,7 @@ class TestGrowth:
                         ["neg", "neg", "pos", "pos"], ("neg", "pos"))
         w = np.array([1.0, 1.0, 5.0, 1.0])
         grown = grow_tree(m, w, TreeConfig())
-        assert tree_predict_batch(grown, np.array([[0.0]])).tolist() == [1]
+        assert tree_predict_batch(grown, dense_csr([[0.0]])).tolist() == [1]
 
 
 # Adjacent sorted values whose plain midpoint (a + b) / 2 does not fall in
@@ -596,10 +596,10 @@ class TestBatchWalk:
         for model in trained:
             Q = batch_walk_queries(X, model_trees(model))
             for tree in model_trees(model):
-                got = tree_predict_batch(tree, Q)
+                got = tree_predict_batch(tree, dense_csr(Q))
                 assert got.dtype == np.intp
                 assert got.tolist() == [tree.leaf_class[walk_one(tree, q)] for q in Q]
-                assert tree_predict_batch(tree, Q[:0]).shape == (0,)
+                assert tree_predict_batch(tree, dense_csr(Q[:0])).shape == (0,)
 
     def test_scores(self, models):
         X, trained = models
@@ -619,15 +619,15 @@ class TestBatchWalk:
                     for tree in model.trees:
                         votes[tree.leaf_class[walk_one(tree, q)]] += 1.0
                     expected.append(votes / len(model.trees))
-            got = model.scores(Q)
+            got = model.scores(dense_csr(Q))
             assert got.tobytes() == np.array(expected).tobytes(), model.variant
-            assert model.scores(Q[:0]).shape == (0, len(model.class_values))
+            assert model.scores(dense_csr(Q[:0])).shape == (0, len(model.class_values))
 
     def test_a_deep_chain_read_from_text(self):
         model = loads_model(chain_model_text(1500))
         Q = np.array([[v] for v in (-1.0, 0.5, 0.0, -0.0, 1499.5, 1500.0, np.nan, np.inf,
                                     -np.inf, 700.0, 700.5, 701.0)])
-        assert model.scores(Q).tobytes() == np.array(
+        assert model.scores(dense_csr(Q)).tobytes() == np.array(
             [model.tree.distribution[walk_one(model.tree, q)] for q in Q]).tobytes()
 
 
