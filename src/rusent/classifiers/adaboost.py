@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import ModelError
 from .base import Model, TreeConfig, fmt_floats, require_binary
-from .tree import grow_tree, read_tree, tree_lines, tree_predict_batch
+from .tree import column_entries, grow_tree, read_tree, tree_lines, tree_predict_batch
 
 ALPHA_CAP = math.log(1e10) / 2.0
 
@@ -77,8 +77,9 @@ def train_adaboost(
     if n == 0:
         raise ModelError("cannot boost an empty matrix")
     weights = np.full(n, 1.0 / n)
+    columns = column_entries(matrix)
     for _ in range(rounds):
-        tree = grow_tree(matrix, weights, weak)
+        tree = grow_tree(matrix, columns, weights, weak)
         miss = tree_predict_batch(tree, matrix) != y
         eps = float(weights[miss].sum())
         if eps <= 0.0:

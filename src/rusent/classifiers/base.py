@@ -62,7 +62,7 @@ from itertools import chain
 import numpy as np
 
 from ..errors import ModelError
-from ..sparse import Csr, is_stored, row_starts
+from ..sparse import Csr, is_stored
 from ..util import atomic_write_lines, read_lines
 
 MAGIC = "rusent-model v1"
@@ -210,8 +210,8 @@ class BodyReader:
         """`count` lines of `width` values as one CSR matrix. Each value takes
         at least two characters of its line, so what is left of the file
         bounds the matrix before a line is read, whatever the header says.
-        Only the words that are not "0.0" are cast, and those that are not
-        +0.0 stored."""
+        Only the words that are not "0.0" are cast; the Csr drops those that
+        are +0.0 all the same ("0", "0e5")."""
         if 2 * count * width > self.left:
             raise ValueError(f"line {self.pos + 1}: expected {count} {key!r} lines"
                              f" of {width} values")
@@ -226,13 +226,8 @@ class BodyReader:
             counts.append(len(cells))
             indices.extend(cells)
             data.extend(values)
-        indptr = np.cumsum(counts)
-        indices, data = np.frombuffer(indices, dtype=np.int64), np.frombuffer(data)
-        stored = is_stored(data)  # a word such as "0" or "0e5" is +0.0 too
-        if not stored.all():
-            indptr = row_starts(np.repeat(np.arange(count), counts[1:])[stored], count)
-            indices, data = indices[stored], data[stored]
-        return Csr(indptr, indices, data, width)
+        return Csr(np.cumsum(counts), np.frombuffer(indices, dtype=np.int64),
+                   np.frombuffer(data), width)
 
     def tree_config(self, prefix: str = "") -> TreeConfig:
         """Inverse of TreeConfig.lines."""

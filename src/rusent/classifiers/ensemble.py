@@ -5,8 +5,8 @@ members in any order (or in parallel) yields the identical ensemble.
 Each member's stream is consumed in a documented order: first the n
 bootstrap index draws, then (random forest only) the per-node feature
 subset draws in preorder. A bootstrap sample is a count per training row,
-the times it was drawn; every member grows on the training matrix's one
-`columns`, weighted by its counts.
+the times it was drawn; every member grows on one column_entries of the
+training matrix, sorted once per ensemble, weighted by its counts.
 
 Prediction is a majority vote over member class predictions, ties broken
 toward the lowest class index; scores are vote fractions.
@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import ModelError
 from ..rng import SplitMix64, derive
 from .base import Model, TreeConfig
-from .tree import grow_tree, read_tree, tree_lines, tree_predict_batch
+from .tree import column_entries, grow_tree, read_tree, tree_lines, tree_predict_batch
 
 
 class _VotingTreeEnsemble(Model):
@@ -97,11 +97,12 @@ def _bootstrap_trees(matrix, m, base: TreeConfig, seed, subset_size):
     n = matrix.y.size
     if n == 0:
         raise ModelError("cannot train an ensemble on an empty matrix")
+    columns = column_entries(matrix)
     trees = []
     for i in range(m):
         rng = SplitMix64(derive(seed, i))
         counts = np.bincount(bootstrap_indices(rng, n), minlength=n)
-        trees.append(grow_tree(matrix, counts, base, rng=rng, subset_size=subset_size))
+        trees.append(grow_tree(matrix, columns, counts, base, rng=rng, subset_size=subset_size))
     return trees
 
 

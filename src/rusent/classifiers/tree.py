@@ -29,7 +29,8 @@ list (the lowest index: the list is range(d) or a sorted subset), then the
 lowest threshold; leaf majorities break toward the lowest class index.
 
 Split search and model bytes. The search reads each feature's non-zero
-entries only: the matrix's `columns`, its non-zero cells ordered by column.
+entries only: column_entries of the matrix, its non-zero cells ordered by
+column, which a learner sorts once and grows each of its trees on.
 With non-dyadic weights (AdaBoost) a gain's last bits depend on the order
 of every addition, so the search fixes that order; the model bytes stay
 fixed only while it holds:
@@ -271,12 +272,21 @@ def _node_split(rows, entries, y, w, counts, total_cw, min_leaf):
     return float(gains[i]), int(ec[first[run_b[i]]]), _threshold(float(t_value[t]), float(t_value[t + 1]))
 
 
-def grow_tree(matrix, weights: np.ndarray, config: TreeConfig, rng=None,
+def column_entries(matrix: Csr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the matrix's non-zero cells (0.0 and -0.0 are
+    both zeros), ordered by column, then value, with ties in row order."""
+    nonzero = matrix.data != 0
+    rows, cols, values = matrix.row_of()[nonzero], matrix.indices[nonzero], matrix.data[nonzero]
+    order = np.lexsort((values, cols))  # stable: ties keep the row-major order
+    return rows[order], cols[order], values[order]
+
+
+def grow_tree(matrix, columns, weights: np.ndarray, config: TreeConfig, rng=None,
               subset_size: int | None = None) -> Tree:
-    """Grow a tree on a FeatureMatrix's `columns` and labels `y`, within
-    config, in preorder: a node is split (and draws its feature subset of
-    subset_size from rng) before its left subtree, which is grown before
-    its right one.
+    """Grow a tree on a FeatureMatrix's labels `y` and `columns`, its
+    column_entries (the same whatever the weights), within config, in
+    preorder: a node is split (and draws its feature subset of subset_size
+    from rng) before its left subtree, which is grown before its right one.
 
     `weights` holds one value per matrix row: integer instance counts, or
     float weights (see the module docstring). A row counted 0 times is in
@@ -295,7 +305,7 @@ def grow_tree(matrix, weights: np.ndarray, config: TreeConfig, rng=None,
     y, n_classes = matrix.y, len(matrix.class_values)
     max_depth, min_leaf = config.max_depth, config.min_leaf
     counts = weights if weights.dtype.kind == "i" else np.ones(n, dtype=np.intp)
-    er, ec, ev = matrix.columns
+    er, ec, ev = columns
     drawn = counts[er] > 0
     entries = er[drawn], ec[drawn], ev[drawn]
     goes_left = np.empty(n, dtype=bool)
@@ -415,5 +425,6 @@ def train_dtree(matrix, max_depth: int | None = None, min_leaf: int = 1) -> Deci
     config = TreeConfig(max_depth, min_leaf)
     if matrix.n_rows == 0:
         raise ModelError("cannot train a tree on an empty matrix")
-    tree = grow_tree(matrix, np.ones(len(matrix.y), dtype=np.intp), config)
+    tree = grow_tree(matrix, column_entries(matrix), np.ones(len(matrix.y), dtype=np.intp),
+                     config)
     return DecisionTreeModel(matrix.class_values, matrix.width, tree, config)

@@ -225,10 +225,6 @@ def _train(algorithm: str, args, matrix):
     raise RusentError(f"unknown algorithm {algorithm!r}")
 
 
-#: the learners that read a FeatureMatrix's `columns`
-_TREE_LEARNERS = frozenset({"dtree", "bagging", "rforest", "adaboost"})
-
-
 def _hyper_config(args) -> dict:
     dests = (flag[2:].replace("-", "_") for flag in _HYPER_FLAGS)
     return {dest: getattr(args, dest) for dest in dests}
@@ -298,7 +294,7 @@ def cmd_compare(args) -> int:
     failures = []
     models_dir = os.path.join(args.out_dir, "models")
     make_dirs(models_dir)
-    for i, algorithm in enumerate(args.algorithms):
+    for algorithm in args.algorithms:
         try:
             model = _train(algorithm, args, train_matrix)
             model.save(os.path.join(models_dir, f"{algorithm}.model"))
@@ -306,10 +302,6 @@ def cmd_compare(args) -> int:
         except RusentError as exc:
             failures.append(algorithm)
             print(f"error: {algorithm} failed: {exc}", file=sys.stderr)
-        if _TREE_LEARNERS.isdisjoint(args.algorithms[i + 1:]):
-            # no later learner reads the non-zeros in column order, so they
-            # are not held through SVM and MLP training (made or not)
-            vars(train_matrix).pop("columns", None)
 
     if models:
         reports = compare_models(models, test_matrix, args.positive_class)

@@ -6,8 +6,11 @@ keeps its stored cells row after row, row i's being the columns
 indices[indptr[i]:indptr[i + 1]], ascending, and the values at the same
 places of `data`. A stored cell is any value that is not +0.0, so a -0.0
 cell is kept, and the dense rows that Csr gives back have the bits of the
-dense matrix it was made from. A reader that counts non-zeros as
-np.nonzero does (-0.0 being a zero) tests `data != 0`.
+dense matrix it was made from. The constructor keeps that rule itself: it
+drops each +0.0 cell it is given, so a maker of a Csr need not. A reader
+that counts non-zeros as np.nonzero does (-0.0 being a zero) tests
+`data != 0`. from_rows makes a Csr of dense rows, a block of about
+DENSE_BUDGET values at a time.
 
 Dense values are read through three doors only, each of which gives
 +0.0 for every cell that is not stored:
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -55,7 +59,8 @@ def is_stored(values: np.ndarray) -> np.ndarray:
 class Csr:
     """A matrix as (indptr, indices, data) and its width; see the module
     docstring. The three arrays are read-only views of the arrays given
-    (no copy is made), so a model may keep them."""
+    (no copy is made, unless a +0.0 cell is to be dropped), so a model may
+    keep them."""
 
     indptr: np.ndarray  # (n + 1,) intp, from 0 to nnz
     indices: np.ndarray  # (nnz,) intp, ascending within each row
@@ -71,18 +76,29 @@ class Csr:
                 or self.indptr[-1] != self.data.size
                 or self.indices.shape != self.data.shape):
             raise ValueError("indptr, indices and data do not form a CSR matrix")
+        stored = is_stored(self.data)
+        if not stored.all():
+            # a row's new end is the count of stored cells before its old one
+            self.indptr = _frozen(np.cumsum(np.append(0, stored))[self.indptr], np.intp)
+            self.indices = _frozen(self.indices[stored], np.intp)
+            self.data = _frozen(self.data[stored], np.float64)
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[np.ndarray], width: int) -> Csr:
-        """The Csr of dense float64 row blocks, each of shape (rows, width),
-        one below the other: no more than one block need be dense at a time."""
+    def from_rows(cls, rows: Iterable[Iterable[float]], width: int) -> Csr:
+        """The Csr of rows of `width` floats each, read a dense block of
+        about DENSE_BUDGET values at a time: no more than one block is dense
+        at once."""
+        rows, step = iter(rows), max(1, DENSE_BUDGET // max(width, 1))
         counts, indices, data = [np.zeros(1, dtype=np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-        for block in blocks:
+        while chunk := list(islice(rows, step)):
+            # the block's values in one pass over its rows
+            block = np.fromiter(chain.from_iterable(chunk), dtype=np.float64,
+                                count=len(chunk) * width).reshape(len(chunk), width)
             stored = is_stored(block)
             counts.append(np.count_nonzero(stored, axis=1))
-            rows, cols = np.nonzero(stored)  # row-major, as CSR holds them
+            at, cols = np.nonzero(stored)  # row-major, as CSR holds them
             indices.append(cols)
-            data.append(block[rows, cols])
+            data.append(block[at, cols])
         return cls(np.cumsum(np.concatenate(counts)), np.concatenate(indices),
                    np.concatenate(data), width)
 

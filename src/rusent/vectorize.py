@@ -14,8 +14,10 @@ ratio is always >= 1).
 A FeatureMatrix holds its rows sparse, as CSR (rusent.sparse): a
 bag-of-words row has a few dozen terms of a vocabulary of thousands, and
 no whole dense matrix is made. transform counts each document's terms
-straight into its row, and matrix_from_dataset reads a Dataset's rows a
-dense block at a time.
+straight into its row, and matrix_from_dataset hands a Dataset's rows to
+Csr.from_rows, which reads them a dense block at a time. Neither drops
+a +0.0 cell itself (a tf-idf weight of ln(1), a value written `0`): the
+Csr does.
 
 Vectorized ARFF goes straight between text and a FeatureMatrix, without
 a Dataset of per-cell values. to_arff returns the sparse ARFF text of a
@@ -36,14 +38,13 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .arff import NUMERIC, STRING, AttributeDecl, Dataset, _quote, parse_arff
 from .corpus import StopWordList, lowercase, remove_stopwords, tokenize
 from .errors import ArffError, ConfigError, VectorizeError
-from .sparse import DENSE_BUDGET, Csr, is_stored, row_starts
+from .sparse import Csr, row_starts
 
 WEIGHTINGS = ("binary", "count", "tfidf")
 
@@ -69,11 +70,10 @@ class VectorSpace:
 @dataclass(eq=False)
 class FeatureMatrix(Csr):
     """Numeric feature rows, held sparse (see rusent.sparse), with a
-    parallel label list, and what the learners read of them, derived
-    once: `y`, each label's index among `class_values`, and `columns`,
-    the non-zero entries column after column. The arrays are read-only
-    and no copy of those given is made, so `columns` stays that of the
-    rows, and a model may keep any of them without copying."""
+    parallel label list, and `y`, each label's index among
+    `class_values`, derived once. The arrays are read-only and no copy of
+    those given is made (but to drop +0.0 cells), so a model may keep any
+    of them without copying."""
 
     labels: list[str]
     class_values: tuple[str, ...]
@@ -96,16 +96,6 @@ class FeatureMatrix(Csr):
         the package, which reads dense values through dense(), RowBlocks
         and at() only, and scores the matrix itself."""
         return self.dense()
-
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the non-zero cells (0.0 and -0.0 are both
-        zeros), ordered by column, then value, with ties in row order. A tree
-        learner grows every tree on them, whatever the tree's weights."""
-        nonzero = self.data != 0
-        rows, cols, values = self.row_of()[nonzero], self.indices[nonzero], self.data[nonzero]
-        order = np.lexsort((values, cols))  # stable: ties keep the row-major order
-        return rows[order], cols[order], values[order]
 
 
 def _schema(data: Dataset) -> tuple[int, int]:
@@ -205,10 +195,9 @@ def transform(space: VectorSpace, data: Dataset) -> FeatureMatrix:
         values[:] = 1.0
     elif space.weighting == "tfidf":
         idf = np.log(space.doc_count / np.array(space.doc_frequency, dtype=np.float64))
+        # a term in every training document weighs ln(1) = 0.0, which the
+        # FeatureMatrix does not store
         values *= idf[indices]
-        # a term in every training document weighs ln(1) = 0.0, a cell not stored
-        kept = values != 0
-        indices, values, rows = indices[kept], values[kept], rows[kept]
     return FeatureMatrix(row_starts(rows, len(labels)), indices, values, width, labels,
                          space.class_values)
 
@@ -246,8 +235,8 @@ def matrix_from_dataset(data: Dataset) -> FeatureMatrix:
     """Read back a vectorized (all-numeric plus class) Dataset.
 
     `compare` reads its already-vectorized inputs this way, and read_matrix
-    falls back to it for any text outside its fast subset. Missing values are rejected here: no classifier in this toolkit
-    accepts them.
+    falls back to it for any text outside its fast subset. Missing values
+    are rejected here: no classifier in this toolkit accepts them.
     """
     if data.class_index is None:
         raise VectorizeError("dataset has no nominal class attribute")
@@ -261,19 +250,8 @@ def matrix_from_dataset(data: Dataset) -> FeatureMatrix:
             )
     if data.has_missing():
         raise VectorizeError("dataset contains missing values; classifiers reject these")
-    n, width = len(data.instances), len(feature_idx)
-    step = max(1, DENSE_BUDGET // max(width, 1))
-
-    def blocks():
-        # a block of rows at a time, each read in one pass over its cells
-        for start in range(0, n, step):
-            chunk = data.instances[start:start + step]
-            yield np.fromiter(
-                itertools.chain.from_iterable(row[:ci] + row[ci + 1:] for row in chunk),
-                dtype=np.float64, count=len(chunk) * width,
-            ).reshape(len(chunk), width)
-
-    csr = Csr.from_blocks(blocks(), width)
+    width = len(feature_idx)
+    csr = Csr.from_rows((row[:ci] + row[ci + 1:] for row in data.instances), width)
     labels = [row[ci] for row in data.instances]
     return FeatureMatrix(csr.indptr, csr.indices, csr.data, width, labels,
                          data.attributes[ci].values)
@@ -379,6 +357,6 @@ def _read_sparse(source: str | bytes) -> FeatureMatrix | None:
         return None
     if not np.isfinite(values).all():
         return None
-    stored = is_stored(values)  # a value read as +0.0 is no stored cell
-    return FeatureMatrix(row_starts(row_of[numeric][stored], len(lines)), index[numeric][stored],
-                         values[stored], width, labels, classes)
+    # a value read as +0.0 is dropped by the FeatureMatrix
+    return FeatureMatrix(row_starts(row_of[numeric], len(lines)), index[numeric], values, width,
+                         labels, classes)

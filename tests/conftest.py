@@ -17,7 +17,7 @@ settings.load_profile("deterministic")
 def dense_csr(rows):
     """The Csr of a 2-D array of rows."""
     rows = np.asarray(rows, dtype=float)
-    return Csr.from_blocks([rows], rows.shape[1])
+    return Csr.from_rows(rows, rows.shape[1])
 
 
 def make_matrix(rows, labels, class_values=("neg", "pos")):

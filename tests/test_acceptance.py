@@ -36,7 +36,7 @@ from rusent.classifiers import (
 )
 from rusent.classifiers.mlp import init_mlp, train_mlp
 from rusent.classifiers.svm import svm_objective
-from rusent.classifiers.tree import entropy, grow_tree, tree_predict_batch
+from rusent.classifiers.tree import column_entries, entropy, grow_tree, tree_predict_batch
 from rusent.cli import main
 from rusent.corpus import SplitSpec, split
 from rusent.evaluation import ConfusionMatrix, metrics_from_matrix
@@ -134,7 +134,8 @@ def test_criterion_4_entropy_and_gain():
         y = np.array([rng.next_below(2) for _ in range(40)], dtype=np.intp)
         w = np.ones(40)
         labels = [("neg", "pos")[c] for c in y]
-        tree = grow_tree(make_matrix(X, labels), w, TreeConfig())
+        m = make_matrix(X, labels)
+        tree = grow_tree(m, column_entries(m), w, TreeConfig())
         splits = list(walk_splits(tree, X, y, w, 2))
         assert splits  # the noisy data forces at least one split
         for _, gain in splits:

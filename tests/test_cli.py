@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -663,26 +664,36 @@ class TestCompare:
         assert capsys.readouterr().err == "error: cannot train on an empty training set\n"
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("algorithms, held", [
-        (["dtree", "svm", "adaboost", "mlp"], [True, False]),
-        (["dtree", "adaboost", "svm", "mlp"], [False, False]),
-        (["svm", "rforest", "mlp"], [False, False]),
+    @pytest.mark.parametrize("algorithms", [
+        ["dtree", "svm", "adaboost", "mlp"],
+        ["dtree", "adaboost", "svm", "mlp"],
+        ["svm", "rforest", "mlp"],
     ], ids=["a tree learner follows", "trees first", "svm first"])
     def test_the_column_order_is_released_after_the_last_tree_learner(
-            self, arff_paths, tmp_path, monkeypatch, algorithms, held):
-        # `columns` of the train matrix is read by the tree learners only
+            self, arff_paths, tmp_path, monkeypatch, algorithms):
+        # a tree learner's column_entries live no longer than its training,
+        # so none is held while SVM or MLP trains
         import rusent.cli as cli
+        from rusent.classifiers import adaboost, ensemble, tree
 
+        views = []
+
+        def entries(matrix, _entries=tree.column_entries):
+            columns = _entries(matrix)
+            views.extend(map(weakref.ref, columns))
+            return columns
+        for module in (tree, ensemble, adaboost):
+            monkeypatch.setattr(module, "column_entries", entries)
         seen = []
         for name in ("svm", "mlp"):
             def spy(matrix, *args, _train=getattr(cli, f"train_{name}"), **kwargs):
-                seen.append("columns" in vars(matrix))
+                seen.append(any(view() is not None for view in views))
                 return _train(matrix, *args, **kwargs)
             monkeypatch.setattr(cli, f"train_{name}", spy)
         assert main(["compare", "--train", str(arff_paths[0]), "--test", str(arff_paths[1]),
                      "--out-dir", str(tmp_path / "cmp"), "--mlp-epochs", "2",
                      "--algorithms", *algorithms]) == 0
-        assert seen == held
+        assert views and seen == [False, False]
 
     def test_malformed_hidden_exits_1_and_makes_no_directory(self, arff_paths, tmp_path, capsys):
         out_dir = tmp_path / "cmp"

@@ -69,11 +69,40 @@ class TestCsr:
             with pytest.raises(ValueError):
                 array[0] = 1
 
-    def test_blocks_of_rows_make_the_matrix_of_them_all(self):
+    def test_blocks_of_rows_make_the_matrix_of_them_all(self, monkeypatch):
         rng = np.random.default_rng(1)
         rows = np.where(rng.random((30, 7)) < 0.3, rng.standard_normal((30, 7)), 0.0)
-        blocks = (rows[i:i + 4] for i in range(0, 30, 4))
-        assert Csr.from_blocks(blocks, 7).dense().tobytes() == rows.tobytes()
+        rows[4, 3] = -0.0
+        whole = Csr.from_rows(rows, 7)  # one block
+        monkeypatch.setattr(sparse, "DENSE_BUDGET", 0)  # a block of one row
+        for csr in whole, Csr.from_rows(rows.tolist(), 7):
+            assert csr.dense().tobytes() == rows.tobytes()
+            for name in ("indptr", "indices", "data"):
+                assert getattr(csr, name).tobytes() == getattr(whole, name).tobytes()
+
+    @given(dense_matrices(), st.data())
+    @example(np.array([[0.0, 0.0], [-0.0, 1.0]]), None)  # every cell given: a row of +0.0
+    @settings(max_examples=200)
+    def test_the_constructor_drops_the_positive_zeros_it_is_given(self, rows, data):
+        # any cells may be given, so long as those that are not +0.0 are
+        n, width = rows.shape
+        extra = (np.ones(rows.shape, dtype=bool) if data is None else np.array(
+            data.draw(st.lists(st.booleans(), min_size=n * width, max_size=n * width)),
+            dtype=bool).reshape(rows.shape))
+        stored = (rows != 0) | np.signbit(rows)
+        given_cells = stored | extra
+        indptr = np.concatenate(([0], np.cumsum(given_cells.sum(axis=1)))).astype(np.intp)
+        indices = np.nonzero(given_cells)[1].astype(np.intp)
+        values = rows[given_cells]
+        csr = Csr(indptr, indices, values, width)
+        assert csr.dense().tobytes() == rows.tobytes()
+        assert csr.data.tobytes() == rows[stored].tobytes()  # each -0.0 kept, no +0.0
+        assert csr.indices.tolist() == np.nonzero(stored)[1].tolist()
+        assert np.diff(csr.indptr).tolist() == stored.sum(axis=1).tolist()
+        if (given_cells == stored).all():  # no +0.0 given: the caller's arrays, no copy
+            for got, given_array in ((csr.indptr, indptr), (csr.indices, indices),
+                                     (csr.data, values)):
+                assert np.shares_memory(got, given_array) or given_array.size == 0
 
 
 @pytest.mark.parametrize("budget", [8, 1 << 16])  # scattered, and densified once

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from rusent.classifiers import train_adaboost, train_bagging, train_dtree, train_rforest
 from rusent.classifiers.base import MAGIC, BodyReader, TreeConfig, loads_model
 from rusent.classifiers.tree import (
-    Tree, _entropy_rows, _node_split, _restrict, entropy, grow_tree, read_tree,
+    Tree, _entropy_rows, _node_split, _restrict, column_entries, entropy, grow_tree, read_tree,
     tree_lines, tree_predict_batch,
 )
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
 
 from conftest import dense_csr, make_matrix, predicted
+from test_vectorize import vectorized
 
 
 class TestEntropy:
@@ -158,7 +159,7 @@ class TestGrowth:
         m = make_matrix([[0.0], [0.0], [0.0], [1.0]],
                         ["neg", "neg", "pos", "pos"], ("neg", "pos"))
         w = np.array([1.0, 1.0, 5.0, 1.0])
-        grown = grow_tree(m, w, TreeConfig())
+        grown = grow_tree(m, column_entries(m), w, TreeConfig())
         assert tree_predict_batch(grown, dense_csr([[0.0]])).tolist() == [1]
 
 
@@ -208,8 +209,8 @@ class TestProperties:
     def test_every_accepted_split_has_positive_gain(self, docs):
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
-        w = np.ones(len(y))
-        tree = grow_tree(matrix_of(rows, y), w, TreeConfig())
+        w, m = np.ones(len(y)), matrix_of(rows, y)
+        tree = grow_tree(m, column_entries(m), w, TreeConfig())
         for _, gain in walk_splits(tree, rows, y, w, 2):
             assert gain > 0.0
 
@@ -232,8 +233,8 @@ class TestProperties:
     def test_every_leaf_is_pure_or_at_a_stopping_rule(self, docs, max_depth, min_leaf):
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
-        w = np.ones(len(y))
-        tree = grow_tree(matrix_of(rows, y), w, TreeConfig(max_depth, min_leaf))
+        w, m = np.ones(len(y)), matrix_of(rows, y)
+        tree = grow_tree(m, column_entries(m), w, TreeConfig(max_depth, min_leaf))
         for depth, X, ys in walk_leaves(tree, rows, y):
             stopped = (
                 len(set(ys.tolist())) == 1
@@ -251,8 +252,9 @@ class TestProperties:
     def test_uniform_weight_scaling_changes_nothing(self, docs, scale):
         rows = np.array([r for r, _ in docs])
         y = np.array([0 if l == "neg" else 1 for _, l in docs])
-        a = grow_tree(matrix_of(rows, y), np.ones(len(y)), TreeConfig())
-        b = grow_tree(matrix_of(rows, y), np.full(len(y), scale), TreeConfig())
+        m = matrix_of(rows, y)
+        a = grow_tree(m, column_entries(m), np.ones(len(y)), TreeConfig())
+        b = grow_tree(m, column_entries(m), np.full(len(y), scale), TreeConfig())
 
         def shape(t, i=0):
             if is_leaf(t, i):
@@ -277,7 +279,7 @@ def best_split(X, y, w, n_classes, min_leaf, features):
     that are all 1.0 go in as integer ones, the counted search."""
     total_cw = np.zeros(n_classes)
     np.add.at(total_cw, y, w)
-    entries = _restrict(matrix_of(X).columns, list(features))
+    entries = _restrict(column_entries(matrix_of(X)), list(features))
     ones = np.ones(X.shape[0], dtype=np.intp)
     w = ones if (w == 1.0).all() else w
     return _node_split(np.arange(X.shape[0]), entries, y, w, ones, total_cw, min_leaf)
@@ -394,8 +396,27 @@ class TestColumns:
         values = X[rows, cols]
         order = np.lexsort((values, cols))
         expected = rows[order], cols[order], values[order]
-        for got, want in zip(matrix_of(X).columns, expected, strict=True):
+        for got, want in zip(column_entries(matrix_of(X)), expected, strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(vectorized())
+    @settings(max_examples=200)
+    def test_is_the_np_nonzero_triple(self, case):
+        # in column order: by column, then value, ties in np.nonzero's row order
+        matrix = case[1]
+        rows, cols = np.nonzero(matrix.rows)
+        values = matrix.rows[rows, cols]
+        order = np.lexsort((values, cols))
+        for got, want in zip(column_entries(matrix), (rows[order], cols[order], values[order]),
+                             strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_drops_both_zeros_and_keeps_negative_values(self):
+        matrix = make_matrix([[0.0, -0.0, -2.5], [3.0, -0.0, 0.0], [-0.0, 0.0, -2.5]],
+                             ["neg", "pos", "neg"], ("neg", "pos"))
+        rows, cols, values = column_entries(matrix)
+        assert (rows.tolist(), cols.tolist(), values.tolist()) == (
+            [1, 0, 2], [0, 2, 2], [3.0, -2.5, -2.5])
 
     @given(split_problems(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -412,10 +433,11 @@ class TestColumns:
         seed = data.draw(st.integers(0, 2**64 - 1))
         rngs = SplitMix64(seed), SplitMix64(seed)
         config = TreeConfig(max_depth, min_leaf)
-        counted = grow_tree(matrix_of(X, y, n_classes), np.bincount(indices, minlength=n),
+        m = matrix_of(X, y, n_classes)
+        counted = grow_tree(m, column_entries(m), np.bincount(indices, minlength=n),
                             config, rng=rngs[0], subset_size=subset_size)
-        copied = grow_tree(matrix_of(X[indices], y[indices], n_classes),
-                           np.ones(indices.size, dtype=np.intp), config,
+        m = matrix_of(X[indices], y[indices], n_classes)
+        copied = grow_tree(m, column_entries(m), np.ones(indices.size, dtype=np.intp), config,
                            rng=rngs[1], subset_size=subset_size)
         for name in Tree.__slots__:
             a, b = getattr(counted, name), getattr(copied, name)
@@ -508,7 +530,8 @@ def test_a_1100_deep_tree_grows_without_recursion():
     n = 2200
     X = np.arange(n, dtype=float)[:, None]
     y = np.array([(i * (i + 1) // 2) % 2 for i in range(n)])
-    tree = grow_tree(matrix_of(X, y), np.ones(n), TreeConfig())
+    m = matrix_of(X, y)
+    tree = grow_tree(m, column_entries(m), np.ones(n), TreeConfig())
     leaves = list(walk_leaves(tree, X, y))
     assert len(leaves) == 1101
     assert max(depth for depth, _, _ in leaves) == 1100

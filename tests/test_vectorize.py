@@ -220,31 +220,6 @@ class TestFeatureMatrix:
             make_matrix(np.zeros((2, 1)), ["neg", "typo"], ("neg", "pos"))
 
 
-class TestNonzeros:
-    @given(vectorized())
-    @settings(max_examples=200)
-    def test_is_the_np_nonzero_triple(self, case):
-        # in column order: by column, then value, ties in np.nonzero's row order
-        matrix = case[1]
-        rows, cols = np.nonzero(matrix.rows)
-        values = matrix.rows[rows, cols]
-        order = np.lexsort((values, cols))
-        for got, want in zip(matrix.columns, (rows[order], cols[order], values[order]),
-                             strict=True):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    def test_drops_both_zeros_and_keeps_negative_values(self):
-        matrix = make_matrix([[0.0, -0.0, -2.5], [3.0, -0.0, 0.0], [-0.0, 0.0, -2.5]],
-                               ["neg", "pos", "neg"], ("neg", "pos"))
-        rows, cols, values = matrix.columns
-        assert (rows.tolist(), cols.tolist(), values.tolist()) == (
-            [1, 0, 2], [0, 2, 2], [3.0, -2.5, -2.5])
-
-    def test_a_second_access_returns_the_same_object(self):
-        matrix = make_matrix([[1.0, 0.0]], ["pos"], ("neg", "pos"))
-        assert matrix.columns is matrix.columns
-
-
 def _entries(text):
     """(line number, entries) of every non-empty data row."""
     lines = text.split("\n")
