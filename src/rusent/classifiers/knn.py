@@ -10,13 +10,16 @@ ties toward the lowest training index, then takes the majority label of
 the k nearest, breaking vote ties toward the lowest class index. Scores
 are vote fractions. Minkowski ranks by sum |r - x|^p, the distance's p-th
 power: it has the distance's order (p > 0), while the root can overflow
-for a small p even where the sum is finite (a sum of 3 at p = 0.001).
+for a small p even where the sum is finite (a sum of 3 at p = 0.001). A
+distance that overflows is inf, silently, and ranks last.
 
 The neighbours are always those of the exhaustive scan: `_distances` over
 the training rows, then a stable argsort; test rows are made dense a block
-at a time (below). Manhattan and minkowski run that scan for every test
-row. Euclidean batch prediction first screens the training rows, so the
-exact scan runs on a few candidates only:
+at a time (below), and training rows (all or some) by `_rows`, a block of
+_BLOCK_ENTRIES values at a time unless they fit DENSE_BUDGET. Manhattan
+and minkowski scan every training row for every test row. Euclidean batch
+prediction first screens the training rows, so the exact scan runs on a
+few candidates only:
 
 * For a block of test rows at a time, approximate the squared distances
   as a_i = (|x|^2 + |r_i|^2) - 2 r_i.x, with the dot products of the whole
@@ -59,8 +62,7 @@ exact scan runs on a few candidates only:
   result equals the exhaustive scan's, ties included: a row's distance
   is the same bits whatever rows it is computed with. If any norm or
   bound of a test row is not finite (squares overflow past about 1e154),
-  that row scans every training row, as manhattan and minkowski do,
-  through RowBlocks (a dense block of rows at a time; see rusent.sparse).
+  that row scans every training row, as manhattan and minkowski do.
 """
 
 from __future__ import annotations
@@ -68,26 +70,29 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from ..sparse import Csr, RowBlocks
+from ..sparse import Csr
 from .base import Model, fmt_csr, fmt_floats
 
 DISTANCES = ("euclidean", "manhattan", "minkowski")
 
 #: entries (test rows x training rows, or x stored cells when the training
-#: rows are read sparse) per block of the euclidean screen, which bounds
-#: each of its scratch arrays to 128 KiB
+#: rows are read sparse) per block of the euclidean screen, and values per
+#: block of training rows read sparse: each scratch array is 128 KiB at most
 _BLOCK_ENTRIES = 1 << 14
 _U = 2.0**-53
 _ETA = 2.0**-1074
 
 
 def _distances(rows: np.ndarray, x: np.ndarray, metric: str, p: float) -> np.ndarray:
-    diff = np.abs(rows - x)
-    if metric == "euclidean":
-        return np.sqrt((diff * diff).sum(axis=1))
-    if metric == "manhattan":
+    with np.errstate(over="ignore"):  # an overflowing distance is inf, ranked last
+        diff = rows - x
+        np.abs(diff, out=diff)  # each step in place: one scratch array
+        if metric == "euclidean":
+            diff *= diff
+            return np.sqrt(diff.sum(axis=1))
+        if metric != "manhattan":
+            diff **= p
         return diff.sum(axis=1)
-    return (diff**p).sum(axis=1)
 
 
 class KnnModel(Model):
@@ -156,22 +161,27 @@ class KnnModel(Model):
             for x, mask, ok in zip(block, keep, finite):
                 yield x, np.flatnonzero(mask) if ok else None
 
+    def _rows(self, cand, dense):
+        """Yield the dense training rows `cand` (all if None), in order: `dense`
+        itself or its rows if given, else blocks of _BLOCK_ENTRIES values."""
+        if dense is not None:
+            yield dense if cand is None else dense[cand]
+            return
+        csr = self.rows
+        ids = np.arange(csr.n_rows) if cand is None else cand
+        step = max(1, _BLOCK_ENTRIES // csr.width)
+        for i in range(0, ids.size, step):
+            yield csr.dense(ids[i:i + step])
+
     def _neighbours(self, X: Csr):
         """Yield the k nearest training indices of each row of X, nearest
         first, equal distances in training-index order."""
-        csr, blocks, plan = self.rows, None, None
+        csr = self.rows
         # training rows that fit DENSE_BUDGET are densified once: small products are faster dense
         dense = csr.dense() if csr.fits_dense() else None
         for x, cand in self._candidates(X, dense):
-            if cand is not None:
-                rows = csr.dense(cand) if dense is None else dense[cand]
-                dist = _distances(rows, x, self.metric, self.p)
-            else:  # every training row, a dense block at a time, planned once
-                if blocks is None:
-                    blocks = RowBlocks(csr)
-                    plan = blocks.plan(range(csr.n_rows))
-                dist = np.concatenate([_distances(blocks.out[:stop - start], x, self.metric, self.p)
-                                       for start, stop in blocks.walk(plan)])
+            dist = np.concatenate([_distances(rows, x, self.metric, self.p)
+                                   for rows in self._rows(cand, dense)])
             order = np.argsort(dist, kind="stable")[: self.k]
             yield order if cand is None else cand[order]
 

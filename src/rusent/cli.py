@@ -46,7 +46,7 @@ from .corpus import StopWordList
 from .errors import ConfigError, ModelError, RusentError
 from .evaluation import compare as compare_models
 from .evaluation import check_test, evaluate, render_json, render_table
-from .util import atomic_write_text, make_dirs, named, parse_file
+from .util import atomic_write_lines, atomic_write_text, make_dirs, named, parse_file
 from .vectorize import fit, matrix_from_dataset, read_matrix, to_arff, transform
 
 MANIFEST_SCHEMA = "rusent-manifest/1"
@@ -119,7 +119,7 @@ def _write_vectorized(space, vocab_out, *outputs):
     """Write each (path, matrix) of outputs as vectorized ARFF, then the
     vocabulary, one term per line."""
     for path, matrix in outputs:
-        atomic_write_text(path, to_arff(space, matrix))
+        atomic_write_lines(path, to_arff(space, matrix))
     atomic_write_text(vocab_out, "\n".join(space.vocabulary) + "\n")
 
 

@@ -17,8 +17,8 @@ Dense values are read through three doors only, each of which gives
 
 * dense(rows): a fresh float64 block of the given rows, in full;
 * RowBlocks: the rows of an order, a block at a time, written into one
-  reused buffer (see there), for the trainers that visit every row in
-  each epoch;
+  reused buffer (see there), for the SVM and MLP trainers, which visit
+  every row in each epoch;
 * at(rows, cols): single cells, for the trees, which read one per level.
 
 A product over a dense block has the bits it had over the same rows of a
@@ -157,9 +157,9 @@ def _frozen(values, dtype) -> np.ndarray:
 
 class RowBlocks:
     """The dense rows of a Csr in a chosen order, a block of `size` rows at a
-    time, in one reused buffer `out` of shape (size, width). By default a
-    block holds as many rows as fit DENSE_BUDGET values: at least one, and
-    at most the matrix's rows.
+    time, in one reused buffer `out` of shape (size, width), for the SVM and
+    MLP trainers. By default a block holds as many rows as fit DENSE_BUDGET
+    values: at least one, and at most the matrix's rows.
 
     A call with an order (a sequence of row indices) yields (start, stop)
     for each run order[start:stop] of `size` rows (the last may be
@@ -168,9 +168,8 @@ class RowBlocks:
     block is taken from it. Any other matrix has each block's stored cells
     scattered into `out`, and +0.0 written back to the same cells before
     the next block is written, so an order costs O(nnz), not
-    O(rows x width). plan(order) is the work a call does before it writes
-    a block, and walk(plan) writes the blocks, so an order read more than
-    once is planned once."""
+    O(rows x width). Each call works out its order's cells afresh, as each
+    epoch's order is new."""
 
     def __init__(self, matrix: Csr, size: int | None = None):
         if size is None:
@@ -181,28 +180,18 @@ class RowBlocks:
         self._written = np.zeros(0, dtype=np.intp)  # flat cells of `out` holding the last block
 
     def __call__(self, order) -> Iterator[tuple[int, int]]:
-        return self.walk(self.plan(order))
-
-    def plan(self, order) -> tuple:
-        """(the order; the flat cells of `out` and the values that its
-        blocks write, one block after another, and where each block's run
-        of them starts, or three Nones for a densified matrix)."""
         order = np.asarray(order, dtype=np.intp)
-        if self._dense is not None:
-            return order, None, None, None
         m, size = self._matrix, self.out.shape[0]
-        pos, at = m._cells(order)
-        cells = (at % size) * m.width + m.indices[pos]
-        bounds = np.searchsorted(at, np.arange(0, order.size + size, size)).tolist()
-        return order, cells, m.data[pos], bounds
-
-    def walk(self, plan) -> Iterator[tuple[int, int]]:
-        order, cells, values, bounds = plan
-        size = self.out.shape[0]
+        if self._dense is None:
+            # the cells of `out` and values the blocks write, block after block
+            pos, at = m._cells(order)
+            cells = (at % size) * m.width + m.indices[pos]
+            values = m.data[pos]
+            bounds = np.searchsorted(at, np.arange(0, order.size + size, size)).tolist()
         flat = self.out.reshape(-1)
         for block, start in enumerate(range(0, order.size, size)):
             stop = min(start + size, order.size)
-            if cells is None:
+            if self._dense is not None:
                 # the indices are rows of the matrix, so "clip" clips none;
                 # unlike "raise" it writes to `out` without a buffer
                 self._dense.take(order[start:stop], axis=0, out=self.out[:stop - start],

@@ -20,7 +20,7 @@ a +0.0 cell itself (a tf-idf weight of ln(1), a value written `0`): the
 Csr does.
 
 Vectorized ARFF goes straight between text and a FeatureMatrix, without
-a Dataset of per-cell values. to_arff returns the sparse ARFF text of a
+a Dataset of per-cell values. to_arff yields the sparse ARFF lines of a
 matrix: write_arff's header for that relation, then one `{index value,...}`
 row per instance that omits numeric zeros and first-declared nominal
 values (write_sparse_arff in the tests writes the same text from a
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,10 +203,10 @@ def transform(space: VectorSpace, data: Dataset) -> FeatureMatrix:
                          space.class_values)
 
 
-def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> str:
-    """The sparse ARFF text of a feature matrix: one numeric attribute per
-    vocabulary term, then the nominal class, and one `{index value,...}`
-    row per instance.
+def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> Iterator[str]:
+    """Yield the lines (without "\\n") of the sparse ARFF text of a feature
+    matrix, one at a time: one numeric attribute per vocabulary term, then
+    the nominal class, and one `{index value,...}` row per instance.
 
     The text is the tests' write_sparse_arff of that relation, byte for
     byte, written straight from the matrix: a row lists its non-zero cells
@@ -213,22 +214,21 @@ def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> str:
     values, then a class entry unless the label is the first class value.
     """
     classes = space.class_values
-    lines = ["@relation vectorized"]
-    lines += [f"@attribute {_quote(term)} numeric" for term in space.vocabulary]
-    lines.append(f"@attribute {_quote(space.class_attr)} {{{','.join(map(_quote, classes))}}}")
-    lines.append("@data")
+    yield "@relation vectorized"
+    for term in space.vocabulary:
+        yield f"@attribute {_quote(term)} numeric"
+    yield f"@attribute {_quote(space.class_attr)} {{{','.join(map(_quote, classes))}}}"
+    yield "@data"
     nonzero = matrix.data != 0
     cols, values = matrix.indices[nonzero], matrix.data[nonzero]
-    entries = [f"{j} {v!r}" for j, v in zip(cols.tolist(), values.tolist())]
     ends = np.cumsum(np.bincount(matrix.row_of()[nonzero], minlength=matrix.n_rows)).tolist()
     start = 0
     for end, label in zip(ends, matrix.labels):
-        row = entries[start:end]
+        row = [f"{j} {v!r}" for j, v in zip(cols[start:end].tolist(), values[start:end].tolist())]
         if label != classes[0]:
             row.append(f"{space.width} {_quote(label)}")
-        lines.append("{" + ",".join(row) + "}")
+        yield "{" + ",".join(row) + "}"
         start = end
-    return "\n".join(lines) + "\n"
 
 
 def matrix_from_dataset(data: Dataset) -> FeatureMatrix:

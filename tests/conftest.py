@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from rusent.arff import NOMINAL, NUMERIC, Dataset, _format_value, parse_arff, write_arff
 from rusent.sparse import Csr
-from rusent.vectorize import FeatureMatrix, matrix_from_dataset
+from rusent.vectorize import FeatureMatrix, matrix_from_dataset, to_arff
 
 # Every run draws the same examples: a property either holds on them or
 # fails the same way each time. No example database, so a failure found
@@ -25,6 +25,11 @@ def make_matrix(rows, labels, class_values=("neg", "pos")):
     csr = dense_csr(rows)
     return FeatureMatrix(csr.indptr, csr.indices, csr.data, csr.width, list(labels),
                          tuple(class_values))
+
+
+def arff_text(space, matrix):
+    """to_arff's lines joined as the CLI writes them, each ended by "\\n"."""
+    return "".join(line + "\n" for line in to_arff(space, matrix))
 
 
 def predicted(model, X):

@@ -949,6 +949,25 @@ class TestHugeFeatureValues:
         assert "training accuracy 100.00%" in capsys.readouterr().out
         assert main(["evaluate", "--model", str(model), "--test", str(train)]) == 0
 
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan", "minkowski"])
+    def test_knn_distances_that_overflow_print_nothing(self, tmp_path, distance):
+        # each distance between these rows overflows to inf, which ranks
+        # last; numpy's overflow warning must not reach stderr
+        train, model = tmp_path / "huge.arff", tmp_path / "knn.model"
+        train.write_text(
+            "@relation r\n@attribute x numeric\n@attribute y numeric\n"
+            "@attribute class {neg,pos}\n@data\n"
+            "1e200,0,neg\n-1.7e308,1e200,pos\n1.7e308,-1e200,neg\n",
+            encoding="utf-8",
+        )
+        rusent = [sys.executable, "-c", "import sys; from rusent.cli import main; sys.exit(main())"]
+        env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+        for argv in (["train", "--train", str(train), "--algorithm", "knn", "--k", "2",
+                      "--distance", distance, "--model-out", str(model)],
+                     ["evaluate", "--model", str(model), "--test", str(train)]):
+            done = subprocess.run(rusent + argv, env=env, capture_output=True, text=True)
+            assert (done.returncode, done.stderr) == (0, ""), argv
+
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rusent import sparse
-from rusent.classifiers import DISTANCES, train_knn
+from rusent.classifiers import DISTANCES, knn, train_knn
 from rusent.classifiers.knn import _distances
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
@@ -205,10 +205,12 @@ def screened_neighbours(model, queries):
 
 def on_both_paths(f):
     """f() with the training rows read dense, as a model reads rows whose
-    dense form fits DENSE_BUDGET, then read sparse, as it reads any other."""
+    dense form fits DENSE_BUDGET, then read sparse, as it reads any other,
+    a training row per block, so that a scan spans many blocks."""
     dense = f()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse, "DENSE_BUDGET", 0)
+        mp.setattr(knn, "_BLOCK_ENTRIES", 1)
         return dense, f()
 
 
@@ -281,6 +283,22 @@ class TestBatchPrediction:
             full = _distances(rows, x, metric, 3.0)
             for subset in ([5], [0, 69], list(range(0, 70, 3))):
                 assert _distances(rows[subset], x, metric, 3.0).tolist() == full[subset].tolist()
+
+    def test_a_full_scan_of_rows_that_fit_densifies_them_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 3, size=(40, 7)) * 1.0
+        model = train_knn(make_matrix(rows, [CLASSES3[i % 3] for i in range(40)], CLASSES3),
+                          k=3, distance="manhattan")
+        assert model.rows.fits_dense()
+        whole, dense = [], sparse.Csr.dense
+
+        def counted(csr, rows=None):
+            whole.append(csr is model.rows and rows is None)
+            return dense(csr, rows)
+
+        monkeypatch.setattr(sparse.Csr, "dense", counted)
+        model.predict_indices(dense_csr(rows[:9]))
+        assert sum(whole) == 1
 
     def test_predict_indices_rejects_a_bad_shape(self):
         model = train_knn(make_matrix([[0.0, 1.0], [1.0, 0.0]], ["neg", "pos"]), k=1)

@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 
 from rusent import cli
+from rusent.classifiers import train_knn
 from rusent.classifiers.base import load_model
 from rusent.vectorize import read_matrix
+
+from conftest import dense_csr, make_matrix
 
 
 def zipf_corpus(n_docs, seed):
@@ -151,4 +154,20 @@ def test_train_never_holds_half_a_dense_train_matrix(sparse_readers, tmp_path, a
         "train", "--train", str(train), "--algorithm", algorithm,
         "--model-out", str(tmp_path / f"{algorithm}.model"), *SHORT]))
     assert code == 0
+    assert peak < dense / 2, (peak, dense)
+
+
+@pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+def test_knn_never_holds_half_its_rows_dense_when_many_are_equal(distance):
+    # short reviews often vectorize to equal rows, and equal rows survive the
+    # euclidean screen together: 300 of 400 training rows are one row, and
+    # the test rows include it
+    rng = np.random.default_rng(8)
+    rows = np.where(rng.random((400, 2005)) < 0.008, rng.integers(1, 4, (400, 2005)), 0.0)
+    rows[:300] = rows[0]
+    model = train_knn(make_matrix(rows, ["neg", "pos"] * 200), k=3, distance=distance)
+    test = dense_csr(rows[[0, 1, 350, 399, 0]])
+    dense = model.rows.n_rows * model.feature_width * 8
+    peak, nearest = traced_peak(lambda: model.predict_indices(test))
+    assert nearest.size == 5
     assert peak < dense / 2, (peak, dense)

@@ -14,11 +14,10 @@ from rusent.vectorize import (
     fit,
     matrix_from_dataset,
     read_matrix,
-    to_arff,
     transform,
 )
 
-from conftest import full_read, make_matrix, read_outcome, write_sparse_arff
+from conftest import arff_text, full_read, make_matrix, read_outcome, write_sparse_arff
 from test_arff import line_mutants
 
 
@@ -140,7 +139,7 @@ class TestToArff:
     def test_shape(self):
         d = text_dataset([("gari achi", "pos"), ("gari kharab", "neg")])
         space = fit(d)
-        out = parse_arff(to_arff(space, transform(space, d)))
+        out = parse_arff(arff_text(space, transform(space, d)))
         assert len(out.attributes) == 4
         assert out.class_index == 3
         assert len(out.instances) == 2
@@ -149,7 +148,7 @@ class TestToArff:
         d = text_dataset([("gari achi", "pos"), ("x", "neg")])
         space = fit(d)
         matrix = make_matrix(np.zeros((0, space.width)), [], space.class_values)
-        out = parse_arff(to_arff(space, matrix))
+        out = parse_arff(arff_text(space, matrix))
         assert len(out.attributes) == space.width + 1
         assert out.instances == ()
 
@@ -157,7 +156,7 @@ class TestToArff:
         d = text_dataset([("gari gari achi hai", "pos"), ("bakwas engine", "neg")])
         space = fit(d, weighting="tfidf")
         matrix = transform(space, d)
-        reparsed = parse_arff(to_arff(space, matrix))
+        reparsed = parse_arff(arff_text(space, matrix))
         back = matrix_from_dataset(reparsed)
         assert back.rows.tolist() == matrix.rows.tolist()
         assert back.labels == matrix.labels
@@ -198,13 +197,13 @@ class TestToArffText:
         instances = tuple(tuple(float(v) for v in row) + (label,)
                           for row, label in zip(matrix.rows, matrix.labels))
         oracle = Dataset("vectorized", attributes, instances, space.width)
-        assert to_arff(space, matrix) == write_sparse_arff(oracle)
+        assert arff_text(space, matrix) == write_sparse_arff(oracle)
 
     def test_negative_zero_is_omitted_and_edge_values_round_trip(self):
         space = VectorSpace(("a b", "?"), "count", 1, None, StopWordList(),
                             "text", "class", ("neg", "pos x"))
         rows = [[-0.0, 5e-324], [-1e308, 0.0]]
-        text = to_arff(space, make_matrix(rows, ["pos x", "neg"], space.class_values))
+        text = arff_text(space, make_matrix(rows, ["pos x", "neg"], space.class_values))
         assert text.endswith("@data\n{1 5e-324,2 'pos x'}\n{0 -1e+308}\n")
         assert "@attribute 'a b' numeric\n@attribute '?' numeric\n" in text
 
@@ -331,14 +330,14 @@ class TestReadMatrix:
     @given(vectorized(), st.sampled_from(sorted(MUTATIONS)), st.integers(0, 50), st.booleans())
     @settings(max_examples=600)
     def test_agrees_with_parse_arff_and_matrix_from_dataset(self, case, mutation, pick, as_bytes):
-        text = MUTATIONS[mutation](to_arff(*case), pick)
+        text = MUTATIONS[mutation](arff_text(*case), pick)
         source = text.encode("utf-8") if as_bytes else text
         assert read_outcome(read_matrix, source) == read_outcome(full_read, source)
 
     @given(vectorized(), st.integers(0, 10_000))
     @settings(max_examples=100)
     def test_invalid_utf8_agrees(self, case, pick):
-        data = to_arff(*case).encode("utf-8")
+        data = arff_text(*case).encode("utf-8")
         at = pick % (len(data) + 1)
         source = data[:at] + b"\xff" + data[at:]
         assert read_outcome(read_matrix, source) == read_outcome(full_read, source)
@@ -348,12 +347,12 @@ class TestReadMatrix:
     @settings(max_examples=100)
     def test_the_writers_text_is_read_without_the_full_path(self, case):
         # every class value is written unquoted, so to_arff's text is in the subset
-        text = to_arff(*case)
+        text = arff_text(*case)
         assert _read_sparse(text) is not None
         assert read_outcome(_read_sparse, text) == read_outcome(full_read, text)
 
     def test_line_mutants_of_a_written_file_agree(self):
-        for name, text in line_mutants("written", to_arff(*SMALL)):
+        for name, text in line_mutants("written", arff_text(*SMALL)):
             assert read_outcome(read_matrix, text) == read_outcome(full_read, text), name
 
     def test_an_unquoted_question_mark_is_a_missing_class(self):
@@ -370,7 +369,7 @@ class TestReadMatrix:
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_each_mutation_agrees_on_a_small_file(self, mutation):
-        text = MUTATIONS[mutation](to_arff(*SMALL), 1)
+        text = MUTATIONS[mutation](arff_text(*SMALL), 1)
         assert read_outcome(read_matrix, text) == read_outcome(full_read, text)
         if mutation == "none":
             assert _read_sparse(text) is not None
