@@ -17,14 +17,28 @@ into them, training steps the buffer in place and loading fills it, so
 `loss` reads the live weights even mid-training.
 
 Training step: a step of 16 rows is a few dozen numpy calls on arrays of
-a few hundred values, so the time per call sets the speed, and the step
-makes as few calls as it can without changing a float operation. The
-gradients are views into a second buffer of the same layout, written in
-place by `_Kernel.run`; the update `grads *= learning_rate; params -=
-grads` is still p - lr * g per element. Activations and deltas live in
-buffers allocated once per batch length, and each batch's rows are
-written into the input buffer (rusent.sparse.RowBlocks) rather than the
-whole matrix shuffled.
+a few hundred values, so the time per call sets the speed. A `_Kernel`,
+built once per batch shape, lays the step out as a plan: a list of
+(numpy function, arguments) with every operand bound in advance (the
+input, activation, delta and gradient buffers, the weight and bias views
+into `params`, their `.T` views and the outputs, all positional). Each
+batch of an epoch has its plan, bound to its rows of the epoch's one-hot
+targets, and a step replays it with no Python per layer. Products are
+`np.dot(a, b, out)`, which has matmul's bits at these shapes and less
+call overhead. The hidden activations share one buffer, so one pair of
+calls after the forward pass gives every hidden layer's derivative, each
+element by the same float operations as layer by layer. The gradients
+are written into a second buffer laid out as `params`, and the plan ends
+with the update `grads *= learning_rate; params -= grads`, still
+p - lr * g per element. `forward` (so `scores` and `loss`) and
+`gradients` replay the same kernel's ops. Each batch's rows are written
+into the input buffer (rusent.sparse.RowBlocks) rather than the whole
+matrix shuffled.
+
+A diverging network's overflow is silent: training and the replayed
+passes run with numpy's overflow and invalid-value warnings off, and a
+logistic exp(-z) that overflows to inf gives exactly 0.0, as it should.
+A parameter left non-finite is reported when the model is saved.
 """
 
 from __future__ import annotations
@@ -52,79 +66,84 @@ def _layers(buf: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]
     return weights, biases
 
 
-def _forward(acts, col, weights, biases, activation) -> None:
-    """Fill acts[1:] in place from the input rows in acts[0]; the last is
-    the softmax output. `col` is an (n,) scratch column.
-
-    Each call does the float operation of the textbook expression:
-    act(a @ W + b) with logistic 1 / (1 + exp(-z)) or tanh(z), and softmax
-    exp(z - max) / sum, its max and sum taken along each row."""
-    last = len(weights) - 1
-    for li, (W, b) in enumerate(zip(weights, biases)):
-        z = acts[li + 1]
-        np.matmul(acts[li], W, out=z)
-        z += b
-        if li == last:
-            # the ufunc reductions into a 1-d column: np.max and keepdims
-            # add a few microseconds a call
-            np.maximum.reduce(z, axis=1, out=col)
-            z -= col[:, None]
-            np.exp(z, out=z)
-            np.add.reduce(z, axis=1, out=col)
-            z /= col[:, None]
-        elif activation == "logistic":
-            np.negative(z, out=z)
-            np.exp(z, out=z)
-            z += 1.0
-            np.divide(1.0, z, out=z)
-        else:
-            np.tanh(z, out=z)
+def _views(buf: np.ndarray, rows: int, widths) -> list[np.ndarray]:
+    """Consecutive (rows, k) views into a flat buffer, one per width k."""
+    bounds = np.cumsum([0, *widths]) * rows
+    return [buf[lo:hi].reshape(rows, k) for lo, hi, k in zip(bounds, bounds[1:], widths)]
 
 
 class _Kernel:
-    """Forward and backward passes over batches of a fixed number of rows,
-    in preallocated buffers. Training and MlpModel.gradients share it."""
+    """The forward and backward passes over batches of inputs.shape[0]
+    rows, as ops (numpy function, positional arguments) bound to buffers
+    allocated here and to the model's weight and bias views: `forward`
+    fills acts[1:] from the rows in acts[0] (`inputs`), the last being the
+    softmax output, and step(targets) adds the backward pass, which writes
+    into `grads` (laid out as `params`) the gradients of the mean
+    cross-entropy against the one-hot rows in `targets`.
 
-    def __init__(self, weights, biases, grads_w, grads_b, activation, inputs):
+    Each op does the float operation of the textbook expression:
+    act(a @ W + b) with logistic 1 / (1 + exp(-z)) or tanh(z), and softmax
+    exp(z - max) / sum, its max and sum taken along each row; then
+    delta = (probs - onehot) / rows at the output and, layer by layer
+    down, dW = a.T @ delta, db = delta summed over the rows and the next
+    delta = (delta @ W.T) * a * (1 - a) for logistic, * (1 - a * a) for
+    tanh, where a is the layer's activation."""
+
+    def __init__(self, model, inputs: np.ndarray, grads: np.ndarray | None = None):
         rows = inputs.shape[0]
-        widths = [W.shape[1] for W in weights]
-        self.weights, self.biases = weights, biases
-        self.grads_w, self.grads_b = grads_w, grads_b
-        self.activation = activation
-        self.acts = [inputs] + [np.empty((rows, k)) for k in widths]
-        self.deltas = [np.empty((rows, k)) for k in widths]
-        self.derivs = [np.empty((rows, k)) for k in widths[:-1]]
-        self.col = np.empty(rows)
-        self.rows = rows
-
-    def run(self, onehot: np.ndarray) -> None:
-        """Write into grads_w and grads_b the gradients of the mean
-        cross-entropy of the rows in acts[0], whose one-hot targets are
-        `onehot`; the softmax output is left in acts[-1]."""
-        acts, deltas, derivs = self.acts, self.deltas, self.derivs
-        weights, activation = self.weights, self.activation
-        _forward(acts, self.col, weights, self.biases, activation)
-        delta = deltas[-1]
-        # probs - onehot is probs less 1.0 at each row's target, and probs
-        # itself elsewhere (x - 0.0 == x)
-        np.subtract(acts[-1], onehot, out=delta)
-        delta /= self.rows
-        for li in range(len(weights) - 1, -1, -1):
-            np.matmul(acts[li].T, delta, out=self.grads_w[li])
-            np.add.reduce(delta, axis=0, out=self.grads_b[li])
+        hidden = model.sizes[1:-1]
+        logistic = model.activation == "logistic"
+        # the hidden activations in one buffer, a (rows, k) view per layer
+        flat = np.empty(rows * sum(hidden))
+        self.acts = [inputs, *_views(flat, rows, hidden), np.empty((rows, model.sizes[-1]))]
+        probs = self.acts[-1]
+        col = np.empty(rows)  # the ufunc reductions write a 1-d column
+        ops = []
+        for a, z, W, b in zip(self.acts, self.acts[1:], model.weights, model.biases):
+            ops += [(np.dot, (a, W, z)), (np.add, (z, b, z))]
+            if z is probs:
+                ops += [(np.maximum.reduce, (z, 1, None, col)),
+                        (np.subtract, (z, col[:, None], z)),
+                        (np.exp, (z, z)),
+                        (np.add.reduce, (z, 1, None, col)),
+                        (np.divide, (z, col[:, None], z))]
+            elif logistic:
+                ops += [(np.negative, (z, z)), (np.exp, (z, z)), (np.add, (z, 1.0, z)),
+                        (np.divide, (1.0, z, z))]
+            else:
+                ops.append((np.tanh, (z, z)))
+        self.forward = ops
+        if grads is None:
+            return
+        self.delta = np.empty_like(probs)
+        # every hidden layer's derivative in one pass, through the activation
+        # value a: a * (1 - a) or 1 - a * a
+        d = np.empty_like(flat)
+        if logistic:
+            ops = [(np.subtract, (1.0, flat, d)), (np.multiply, (d, flat, d))]
+        else:
+            ops = [(np.multiply, (flat, flat, d)), (np.subtract, (1.0, d, d))]
+        ops.append((np.divide, (self.delta, rows, self.delta)))
+        grads_w, grads_b = _layers(grads, model.sizes)
+        deltas = [np.empty((rows, k)) for k in hidden] + [self.delta]
+        derivs = [None, *_views(d, rows, hidden)]  # derivs[li] is acts[li]'s
+        for li in range(len(model.weights) - 1, -1, -1):
+            a, delta = self.acts[li], deltas[li]
+            ops += [(np.dot, (a.T, delta, grads_w[li])),
+                    (np.add.reduce, (delta, 0, None, grads_b[li]))]
             if li > 0:
-                # delta @ W.T times the activation's derivative, expressed
-                # through the activation value a: a * (1 - a) or 1 - a * a
-                a, d, back = acts[li], derivs[li - 1], deltas[li - 1]
-                np.matmul(delta, weights[li].T, out=back)
-                if activation == "logistic":
-                    np.subtract(1.0, a, out=d)
-                    d *= a
-                else:
-                    np.multiply(a, a, out=d)
-                    np.subtract(1.0, d, out=d)
-                back *= d
-                delta = back
+                back = deltas[li - 1]
+                ops += [(np.dot, (delta, model.weights[li].T, back)),
+                        (np.multiply, (back, derivs[li], back))]
+        self.backward = ops
+
+    def step(self, targets: np.ndarray) -> list:
+        """The ops of a training step on the rows in acts[0], whose one-hot
+        targets are `targets`, short of the update. probs - onehot is probs
+        less 1.0 at each row's target, and probs itself elsewhere
+        (x - 0.0 == x)."""
+        return [*self.forward, (np.subtract, (self.acts[-1], targets, self.delta)),
+                *self.backward]
 
 
 class MlpModel(Model):
@@ -164,9 +183,11 @@ class MlpModel(Model):
 
     def forward(self, X: np.ndarray) -> list[np.ndarray]:
         """Activations per layer; the last entry is the softmax output."""
-        acts = [X] + [np.empty((X.shape[0], k)) for k in self.sizes[1:]]
-        _forward(acts, np.empty(X.shape[0]), self.weights, self.biases, self.activation)
-        return acts
+        kernel = _Kernel(self, np.ascontiguousarray(X, dtype=np.float64))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, args in kernel.forward:
+                f(*args)
+        return kernel.acts
 
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
         probs = self.forward(X)[-1]
@@ -175,14 +196,15 @@ class MlpModel(Model):
 
     def gradients(self, X: np.ndarray, y: np.ndarray):
         """Mean cross-entropy gradients, as (loss, dW list, db list), from
-        the kernel that training steps run."""
-        X = np.asarray(X, dtype=np.float64)
-        grads_w, grads_b = _layers(np.empty_like(self.params), self.sizes)
-        kernel = _Kernel(self.weights, self.biases, grads_w, grads_b, self.activation, X)
-        kernel.run(np.eye(self.sizes[-1])[y])
-        picked = kernel.acts[-1][np.arange(X.shape[0]), y]
+        the ops that training steps run."""
+        grads = np.empty_like(self.params)
+        kernel = _Kernel(self, np.ascontiguousarray(X, dtype=np.float64), grads)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, args in kernel.step(np.eye(self.sizes[-1])[y]):
+                f(*args)
+        picked = kernel.acts[-1][np.arange(len(y)), y]
         loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-        return loss, grads_w, grads_b
+        return (loss, *_layers(grads, self.sizes))
 
     # -- prediction --------------------------------------------------------
 
@@ -256,21 +278,27 @@ def train_mlp(matrix, hidden: list[int] | None = None, activation: str = "logist
     if n == 0:
         raise ModelError("cannot train on an empty matrix")
     grads = np.empty_like(model.params)
-    grads_w, grads_b = _layers(grads, model.sizes)
+    update = [(np.multiply, (grads, learning_rate, grads)),
+              (np.subtract, (model.params, grads, model.params))]
     # each batch's rows are written into the input buffer, `blocks.out`;
-    # one kernel per batch length reads it: full batches, and a short last one
-    blocks = RowBlocks(matrix, min(batch_size, n))
-    kernels = {rows: _Kernel(model.weights, model.biases, grads_w, grads_b, activation,
-                             blocks.out[:rows])
-               for rows in {min(batch_size, n), (n - 1) % batch_size + 1}}
+    # one kernel per batch length reads it: full batches, and a short last
+    # one. Each epoch's one-hot targets go into `targets` in the epoch's
+    # order, and each batch's plan is bound to its rows of it.
+    size = min(batch_size, n)
+    blocks = RowBlocks(matrix, size)
+    kernels = {rows: _Kernel(model, blocks.out[:rows], grads)
+               for rows in {size, (n - 1) % batch_size + 1}}
+    targets = np.empty((n, model.sizes[-1]))
+    plans = {start: [*kernels[min(size, n - start)].step(targets[start:start + size]), *update]
+             for start in range(0, n, size)}
     eye = np.eye(model.sizes[-1])
-    for _ in range(epochs):
-        order = list(range(n))
-        rng.shuffle(order)
-        order = np.array(order, dtype=np.intp)
-        onehot = eye[y[order]]
-        for start, stop in blocks(order):
-            kernels[stop - start].run(onehot[start:stop])
-            grads *= learning_rate
-            model.params -= grads
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = list(range(n))
+            rng.shuffle(order)
+            order = np.array(order, dtype=np.intp)
+            np.take(eye, y[order], 0, targets)
+            for start, _ in blocks(order):
+                for f, args in plans[start]:
+                    f(*args)
     return model

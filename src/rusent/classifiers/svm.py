@@ -80,19 +80,22 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
     w, b = model.weights, 0.0
     rng = SplitMix64(seed)
     t = 0
-    for _ in range(epochs):
-        order = list(range(n))
-        rng.shuffle(order)
-        for start, stop in blocks(order):
-            for x, i in zip(rows, order[start:stop]):
-                sign = signs[i]
-                t += 1
-                eta = 1.0 / (lam * t)
-                margin = sign * (x.dot(w) + b)
-                w *= 1.0 - eta * lam
-                if margin < 1.0:
-                    step = eta * sign
-                    w += step * x
-                    b += step
+    # a diverging run (a tiny lambda) overflows silently: its non-finite
+    # weights are reported when the model is saved
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = list(range(n))
+            rng.shuffle(order)
+            for start, stop in blocks(order):
+                for x, i in zip(rows, order[start:stop]):
+                    sign = signs[i]
+                    t += 1
+                    eta = 1.0 / (lam * t)
+                    margin = sign * (x.dot(w) + b)
+                    w *= 1.0 - eta * lam
+                    if margin < 1.0:
+                        step = eta * sign
+                        w += step * x
+                        b += step
     model.bias = b
     return model

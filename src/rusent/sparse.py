@@ -19,7 +19,9 @@ Dense values are read through three doors only, each of which gives
 * RowBlocks: the rows of an order, a block at a time, written into one
   reused buffer (see there), for the SVM and MLP trainers, which visit
   every row in each epoch;
-* at(rows, cols): single cells, for the trees, which read one per level.
+* at(rows, cols): single cells, for the trees, which read one per level,
+  found among the stored cells' row-major keys, made at the first call
+  and kept with the matrix.
 
 A product over a dense block has the bits it had over the same rows of a
 dense matrix, as the values and the shape are the same.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -128,11 +131,18 @@ class Csr:
         starts, ends = self.indptr[rows], self.indptr[rows + 1]
         return ranges(starts, ends), np.repeat(np.arange(rows.size), ends - starts)
 
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The stored cells' row-major keys row * width + index, ascending,
+        then n_rows * width, past every cell: made at the first at() and
+        kept, as the arrays are read-only (8 bytes a stored cell)."""
+        return _frozen(np.append(self.row_of() * self.width + self.indices,
+                                 self.n_rows * self.width), np.intp)
+
     def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """dense()[rows, cols], each cell found by searchsorted over the
-        stored cells' row-major keys row * width + index, +0.0 if not there."""
-        keys = np.append(self.row_of() * self.width + self.indices, self.n_rows * self.width)
-        want = rows * self.width + cols
+        stored cells' row-major keys, +0.0 if not there."""
+        keys, want = self._keys, rows * self.width + cols
         pos = np.searchsorted(keys, want)  # < keys.size: the last key is past every cell
         found = keys[pos] == want
         out = np.zeros(want.shape)

@@ -960,16 +960,46 @@ class TestHugeFeatureValues:
             "1e200,0,neg\n-1.7e308,1e200,pos\n1.7e308,-1e200,neg\n",
             encoding="utf-8",
         )
-        rusent = [sys.executable, "-c", "import sys; from rusent.cli import main; sys.exit(main())"]
-        env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
         for argv in (["train", "--train", str(train), "--algorithm", "knn", "--k", "2",
                       "--distance", distance, "--model-out", str(model)],
                      ["evaluate", "--model", str(model), "--test", str(train)]):
-            done = subprocess.run(rusent + argv, env=env, capture_output=True, text=True)
+            done = rusent_process(argv)
             assert (done.returncode, done.stderr) == (0, ""), argv
 
 
+class TestDivergingTraining:
+    """Training that diverges prints none of numpy's floating-point
+    warnings: a non-finite parameter is refused when the model is saved
+    (exit 2), and a logistic unit whose exp(-z) overflows is exactly 0.0."""
+
+    def train(self, tmp_path, *argv):
+        train = tmp_path / "train.arff"
+        write_numeric_arff(train, 3)
+        return rusent_process(["train", "--train", str(train), *argv,
+                               "--model-out", str(tmp_path / "m.model")])
+
+    def test_a_diverged_svm_prints_only_its_error(self, tmp_path):
+        done = self.train(tmp_path, "--algorithm", "svm", "--svm-lambda", "1e-320")
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write a non-finite model parameter (did training diverge?)\n")
+        assert not (tmp_path / "m.model").exists()
+
+    def test_an_mlp_whose_units_saturate_prints_no_warning(self, tmp_path):
+        done = self.train(tmp_path, "--algorithm", "mlp", "--learning-rate", "1e300")
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning" not in done.stdout + done.stderr
+
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def rusent_process(argv):
+    """The finished run of the CLI on `argv` in a fresh interpreter, with
+    its stdout and stderr as text: what a user sees, numpy's warnings
+    included."""
+    rusent = [sys.executable, "-c", "import sys; from rusent.cli import main; sys.exit(main())"]
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+    return subprocess.run(rusent + argv, env=env, capture_output=True, text=True)
 
 
 def quick_start_steps():

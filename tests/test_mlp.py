@@ -120,6 +120,85 @@ class TestTraining:
         assert np.all(np.abs(model.weights[1]) <= r1)
 
 
+def textbook_step(model, X, y):
+    """The pass the mlp module documents, one expression per line with
+    np.matmul: (softmax output, dW list, db list) of the mean
+    cross-entropy of the rows X against the classes y."""
+    last = len(model.weights) - 1
+    acts = [X]
+    for li, (W, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(acts[-1], W) + b
+        if li == last:
+            z = np.exp(z - np.max(z, axis=1)[:, None])
+            z = z / np.sum(z, axis=1)[:, None]
+        elif model.activation == "logistic":
+            z = 1.0 / (1.0 + np.exp(-z))
+        else:
+            z = np.tanh(z)
+        acts.append(z)
+    delta = (acts[-1] - np.eye(model.sizes[-1])[y]) / len(y)
+    grads_w, grads_b = [None] * (last + 1), [None] * (last + 1)
+    for li in range(last, -1, -1):
+        grads_w[li] = np.matmul(acts[li].T, delta)
+        grads_b[li] = np.sum(delta, axis=0)
+        if li > 0:
+            a = acts[li]
+            deriv = a * (1.0 - a) if model.activation == "logistic" else 1.0 - a * a
+            delta = np.matmul(delta, model.weights[li].T) * deriv
+    return acts[-1], grads_w, grads_b
+
+
+def plan_matrix(classes):
+    """37 rows of 6 features, a third of the cells 0, in `classes` classes."""
+    gen = np.random.default_rng(classes)
+    rows = gen.standard_normal((37, 6)) * (gen.random((37, 6)) < 0.67)
+    names = ("neg", "neu", "pos")[:classes]
+    return make_matrix(rows, [names[i % classes] for i in range(37)], names)
+
+
+@pytest.mark.parametrize("activation", ["logistic", "tanh"])
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("hidden", [[1], [3, 5], [32, 32]], ids=str)
+class TestTheStepPlan:
+    """The replayed plan gives the bits of the textbook step, for layer
+    widths that share the hidden buffer unequally and batches of every
+    shape training makes."""
+
+    @pytest.mark.parametrize("rows", [1, 5, 16])
+    def test_gradients_are_the_textbook_ones(self, hidden, classes, activation, rows):
+        m = plan_matrix(classes)
+        model = init_mlp(m, hidden=hidden, activation=activation, seed=3)
+        X, y = m.rows[:rows], m.y[:rows]
+        loss, gw, gb = model.gradients(X, y)
+        probs, tw, tb = textbook_step(model, X, y)
+        for a, b in zip(gw + gb, tw + tb):
+            assert a.tobytes() == b.tobytes()
+        assert loss == float(-np.log(np.maximum(probs[np.arange(rows), y], 1e-300)).mean())
+        assert model.forward(X)[-1].tobytes() == probs.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 16])  # 16: two full batches and one of 5
+    def test_an_epoch_steps_as_the_textbook_does(self, hidden, classes, activation,
+                                                 batch_size):
+        m, lr, seed = plan_matrix(classes), 0.3, 5
+        rng = SplitMix64(seed)
+        ref = _init_mlp(rng, m, hidden, activation, lr, 1, batch_size, seed)
+        order = list(range(37))
+        rng.shuffle(order)
+        for start in range(0, 37, batch_size):
+            batch = order[start:start + batch_size]
+            _, gw, gb = textbook_step(ref, m.rows[batch], m.y[batch])
+            grads = np.concatenate([g.reshape(-1) for pair in zip(gw, gb) for g in pair])
+            ref.params -= lr * grads
+        trained = train_mlp(m, hidden=hidden, activation=activation, learning_rate=lr,
+                            epochs=1, batch_size=batch_size, seed=seed)
+        assert trained.params.tobytes() == ref.params.tobytes()
+        # a second call builds its own plan: none of the first one's views
+        # into buffers or parameters carries over
+        again = train_mlp(m, hidden=hidden, activation=activation, learning_rate=lr,
+                          epochs=1, batch_size=batch_size, seed=seed)
+        assert again.dumps() == trained.dumps()
+
+
 THREE_CLASSES = make_matrix(
     [[0.3, -1.2, 0.0], [2.0, 0.5, 1.0], [-0.7, 0.1, 0.0], [0.0, 0.0, 3.0],
      [1.5, -0.2, 0.4], [0.2, 0.9, -1.1]],
