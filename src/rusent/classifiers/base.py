@@ -9,14 +9,15 @@ Tie-breaking is one rule everywhere: the lowest class index wins an argmax
 tie, the lowest feature index wins a split-gain tie, and the lowest
 training-instance index wins an equal-distance tie.
 
-Batch scores and their bits. Where a variant takes a matrix product
-(MNB, SVM, MLP), numpy and the BLAS choose the routine by the matrix's
-shape, so a row's scores can differ in the last bits between batches of
-different shapes, a one-row matrix among them; the same matrix always
-gives the same bits. These three take their product over X.dense(), at
-the shape the scores have always had; no other variant densifies all of
-X: the trees read cells through X.at, and kNN a block of rows at a time.
-kNN's screen may be a sparse product, whose bits reach no prediction.
+Row-alone scores. A row's scores are a function of its own cells alone,
+bit for bit, in any batch, a one-row matrix among them. MNB, SVM and MLP
+sum each row's products over its stored cells in one fixed order
+(rusent.sparse.row_sums), with numpy's elementwise loops and no BLAS, so
+their bits do not depend on the BLAS kernel either; MNB's probabilities
+and the MLP's scores go through numpy's exp (and tanh), whose SIMD loops
+numpy picks by CPU. No variant densifies all of X: the trees read cells
+through X.at, and kNN a block of rows at a time. kNN's screen may be a
+sparse product, whose bits reach no prediction.
 
 Persistence is a versioned key-value text format:
 

@@ -25,15 +25,23 @@ into `params`, their `.T` views and the outputs, all positional). Each
 batch of an epoch has its plan, bound to its rows of the epoch's one-hot
 targets, and a step replays it with no Python per layer. Products are
 `np.dot(a, b, out)`, which has matmul's bits at these shapes and less
-call overhead. The hidden activations share one buffer, so one pair of
-calls after the forward pass gives every hidden layer's derivative, each
-element by the same float operations as layer by layer. The gradients
+call overhead (the kernel takes its products as a parameter: see
+"Scoring" below). The hidden activations share one buffer, so one pair
+of calls after the forward pass gives every hidden layer's derivative,
+each element by the same float operations as layer by layer. The gradients
 are written into a second buffer laid out as `params`, and the plan ends
 with the update `grads *= learning_rate; params -= grads`, still
-p - lr * g per element. `forward` (so `scores` and `loss`) and
-`gradients` replay the same kernel's ops. Each batch's rows are written
-into the input buffer (rusent.sparse.RowBlocks) rather than the whole
-matrix shuffled.
+p - lr * g per element. `forward` (so `loss`) and `gradients` replay
+the same kernel's ops. Each batch's rows are written into the input
+buffer (rusent.sparse.RowBlocks) rather than the whole matrix shuffled.
+
+Scoring: `scores` replays the kernel's forward ops over the Csr itself,
+with each product summed row by row in a fixed order: the input layer by
+rusent.sparse.row_sums over each row's stored cells, and each later layer
+by the same fold over its dense inputs (+0.0, then a[:, i] * W[i] added
+for i = 0, 1, ...). Every other op is elementwise or a reduction along
+each row, so a row's scores have the same bits in any batch and under
+any BLAS kernel. No dense test matrix is made.
 
 A diverging network's overflow is silent: training and the replayed
 passes run with numpy's overflow and invalid-value warnings off, and a
@@ -47,7 +55,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..rng import SplitMix64
-from ..sparse import RowBlocks
+from ..sparse import Csr, RowBlocks, row_sums
 from .base import Model, fmt_floats, fmt_rows
 
 ACTIVATIONS = ("logistic", "tanh")
@@ -72,6 +80,29 @@ def _views(buf: np.ndarray, rows: int, widths) -> list[np.ndarray]:
     return [buf[lo:hi].reshape(rows, k) for lo, hi, k in zip(bounds, bounds[1:], widths)]
 
 
+def _row_alone(a, W: np.ndarray, z: np.ndarray) -> None:
+    """a @ W into z, each row summed from its own values alone, in one
+    order: row_sums over a Csr's stored cells, and over a dense array the
+    same fold over every cell, +0.0 and then a[:, i] * W[i] added for
+    i = 0, 1, ... (a sum that starts at +0.0 is never -0.0, so the zero
+    cells that row_sums skips would change nothing)."""
+    if isinstance(a, Csr):
+        row_sums(a, W, z)
+        return
+    z[...] = 0.0
+    term = np.empty_like(z)
+    for i, w in enumerate(W):
+        np.multiply(a[:, i, None], w, term)
+        np.add(z, term, z)
+
+
+def _replay(ops) -> None:
+    """Run ops of a kernel, with a diverging network's overflow silent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, args in ops:
+            f(*args)
+
+
 class _Kernel:
     """The forward and backward passes over batches of inputs.shape[0]
     rows, as ops (numpy function, positional arguments) bound to buffers
@@ -79,7 +110,10 @@ class _Kernel:
     fills acts[1:] from the rows in acts[0] (`inputs`), the last being the
     softmax output, and step(targets) adds the backward pass, which writes
     into `grads` (laid out as `params`) the gradients of the mean
-    cross-entropy against the one-hot rows in `targets`.
+    cross-entropy against the one-hot rows in `targets`. `product(a, W, z)`
+    writes the forward pass's a @ W into z: np.dot over dense inputs in
+    training, or _row_alone over a Csr in scoring, which has no backward
+    pass.
 
     Each op does the float operation of the textbook expression:
     act(a @ W + b) with logistic 1 / (1 + exp(-z)) or tanh(z), and softmax
@@ -89,7 +123,7 @@ class _Kernel:
     delta = (delta @ W.T) * a * (1 - a) for logistic, * (1 - a * a) for
     tanh, where a is the layer's activation."""
 
-    def __init__(self, model, inputs: np.ndarray, grads: np.ndarray | None = None):
+    def __init__(self, model, inputs, grads: np.ndarray | None = None, product=np.dot):
         rows = inputs.shape[0]
         hidden = model.sizes[1:-1]
         logistic = model.activation == "logistic"
@@ -100,7 +134,7 @@ class _Kernel:
         col = np.empty(rows)  # the ufunc reductions write a 1-d column
         ops = []
         for a, z, W, b in zip(self.acts, self.acts[1:], model.weights, model.biases):
-            ops += [(np.dot, (a, W, z)), (np.add, (z, b, z))]
+            ops += [(product, (a, W, z)), (np.add, (z, b, z))]
             if z is probs:
                 ops += [(np.maximum.reduce, (z, 1, None, col)),
                         (np.subtract, (z, col[:, None], z)),
@@ -182,11 +216,10 @@ class MlpModel(Model):
     # -- forward / backward ----------------------------------------------
 
     def forward(self, X: np.ndarray) -> list[np.ndarray]:
-        """Activations per layer; the last entry is the softmax output."""
+        """Activations per layer of the rows of a dense array, by training's
+        products; the last entry is the softmax output."""
         kernel = _Kernel(self, np.ascontiguousarray(X, dtype=np.float64))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for f, args in kernel.forward:
-                f(*args)
+        _replay(kernel.forward)
         return kernel.acts
 
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
@@ -199,9 +232,7 @@ class MlpModel(Model):
         the ops that training steps run."""
         grads = np.empty_like(self.params)
         kernel = _Kernel(self, np.ascontiguousarray(X, dtype=np.float64), grads)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for f, args in kernel.step(np.eye(self.sizes[-1])[y]):
-                f(*args)
+        _replay(kernel.step(np.eye(self.sizes[-1])[y]))
         picked = kernel.acts[-1][np.arange(len(y)), y]
         loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
         return (loss, *_layers(grads, self.sizes))
@@ -209,7 +240,9 @@ class MlpModel(Model):
     # -- prediction --------------------------------------------------------
 
     def scores(self, X) -> np.ndarray:
-        return self.forward(self.check_matrix(X).dense())[-1]
+        kernel = _Kernel(self, self.check_matrix(X), product=_row_alone)
+        _replay(kernel.forward)
+        return kernel.acts[-1]
 
     # -- persistence -------------------------------------------------------
 

@@ -6,16 +6,16 @@ Training stores, per class c:
     log P(w | c)  = log((count(w, c) + alpha) / (sum_w' count(w', c) + alpha * |V|))
 
 and scoring computes log P(c) + sum_i x_i * log P(w_i | c) in log space,
-for every row of a matrix in one matrix product (log_posteriors). scores
-exponentiates and normalizes each row into probabilities summing to 1.
+the sum over each row's stored cells alone, in the order that
+rusent.sparse.row_sums states (log_posteriors), so a row's log posteriors
+have the same bits in any batch. scores exponentiates and normalizes each
+row into probabilities summing to 1.
 
 predict_indices takes the argmax in log space. It is the argmax of the
 rounded log posteriors, so it matches the exact posterior argmax wherever
 the exact posteriors differ by more than the rounding error. Where two
 classes' exact posteriors are equal (e.g. 4/21 each), rounding in log
 space may pick either of them, not necessarily the lower class index.
-A row's rounding can differ between batches of different shapes; the
-same matrix always gives the same bits (see classifiers/base.py).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
+from ..sparse import row_sums
 from .base import Model, fmt_floats, fmt_rows
 
 
@@ -41,8 +42,8 @@ class MultinomialNBModel(Model):
 
     def log_posteriors(self, X) -> np.ndarray:
         """log P(c) + sum_i x_i log P(w_i | c) of every row of a matrix,
-        shape (n, C), in one matrix product over its dense rows."""
-        return self.log_prior + self.check_matrix(X).dense() @ self.log_likelihood.T
+        shape (n, C), the sum over the row's stored cells (row_sums)."""
+        return self.log_prior + row_sums(self.check_matrix(X), self.log_likelihood.T)
 
     def scores(self, X) -> np.ndarray:
         log_post = self.log_posteriors(X)

@@ -8,7 +8,8 @@ is the only randomness. The bias is updated by the hinge subgradient but
 not regularized.
 
 Prediction is sign(w.x + b), zero breaking to the lower class index;
-scores are the (-v, v) margin pair with v = w.x + b.
+scores are the (-v, v) margin pair with v = w.x + b, w.x summed over the
+row's stored cells alone (rusent.sparse.row_sums).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..rng import SplitMix64
-from ..sparse import RowBlocks
+from ..sparse import RowBlocks, row_sums
 from .base import Model, fmt_floats, require_binary
 
 
@@ -38,7 +39,7 @@ class LinearSvmModel(Model):
         self.seed = int(seed)
 
     def scores(self, X) -> np.ndarray:
-        v = self.check_matrix(X).dense() @ self.weights + self.bias
+        v = row_sums(self.check_matrix(X), self.weights[:, None])[:, 0] + self.bias
         return np.stack([-v, v], axis=1)
 
     def _body_lines(self):

@@ -135,10 +135,9 @@ def evaluate(model, test: FeatureMatrix, positive_class: str | None = None) -> E
 
     The whole test matrix is scored in one `model.predict_indices` call
     (for k-NN, the neighbours of the exhaustive scan; see
-    classifiers/knn.py), held sparse: only MNB, SVM and MLP make its dense
-    rows, for their matrix products. The same matrix always gives the same
-    predictions; a batch of another shape may round a row's scores
-    differently in the last bits (see classifiers/base.py).
+    classifiers/knn.py), held sparse: no model makes its dense rows. Each
+    row's prediction is a function of that row alone (see
+    classifiers/base.py).
     """
     positive_class = check_test(test, model.feature_width, model.class_values, positive_class)
     is_positive = np.array([c == positive_class for c in model.class_values])

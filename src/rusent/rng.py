@@ -3,8 +3,10 @@
 Every stochastic component in the toolkit (bootstrap draws, feature
 subsets, epoch shuffles, weight initialization) pulls from this generator,
 so a fixed seed yields the same draws on any platform. The models made
-from them are byte-identical per BLAS kernel: MLP training sums its
-matrix products in the order of the kernel OpenBLAS picks for the CPU.
+from them are byte-identical on one CPU; MLP model bytes also depend on
+the CPU, as MLP training sums its matrix products in the order of the
+kernel OpenBLAS picks for it and goes through numpy's exp and tanh, whose
+SIMD loops numpy picks for it.
 
 Draw-order contract: each training routine documents the exact sequence of
 calls it makes, and ensemble members use `derive(seed, index)` so members

@@ -25,6 +25,11 @@ Dense values are read through three doors only, each of which gives
 
 A product over a dense block has the bits it had over the same rows of a
 dense matrix, as the values and the shape are the same.
+
+row_sums(X, W) is the product X @ W taken from the stored cells alone, in
+a summation order that each row's own cells fix, with numpy's elementwise
+loops and no BLAS: the MNB, SVM and MLP scores, so a row's scores have the
+same bits in any batch and under any BLAS kernel.
 """
 
 from __future__ import annotations
@@ -157,6 +162,47 @@ class Csr:
         pos, at = self._cells(rows)
         out.reshape(-1)[at * self.width + self.indices[pos]] = self.data[pos]
         return out
+
+
+def row_sums(X: Csr, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """X @ W for a (width, k) array W, shape (n, k), into `out` if given,
+    summed over each row's stored cells in this order: a row's k sums
+    start at +0.0, and x * W[j] is added to them for each of its stored
+    cells (j, x) in turn, in the row's order (ascending j), each product
+    and each sum rounded once. So a row's bits depend on its own cells
+    alone, not on the other rows of X, and a row with no stored cells
+    gives +0.0. Only numpy's elementwise multiply and add run, no BLAS and
+    no reduction, and they round as IEEE 754 says on every CPU.
+
+    The rows go a block of about DENSE_BUDGET // k at a time, longest
+    first within a block, so that the rows with a p-th cell are a prefix
+    of it: step p adds those rows' p-th products. The temporaries hold
+    about 2 * DENSE_BUDGET values beyond the result: O(n * k +
+    DENSE_BUDGET), however many cells X stores."""
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2 or W.shape[0] != X.width:
+        raise ValueError(f"expected a ({X.width}, k) array, not shape {W.shape}")
+    n, k = X.n_rows, W.shape[1]
+    out = np.empty((n, k)) if out is None else out
+    lens = np.diff(X.indptr)
+    step = max(1, DENSE_BUDGET // max(k, 1))
+    cells = np.empty((min(step, n), k))
+    for lo in range(0, n, step):
+        block = lens[lo:lo + step]
+        order = np.argsort(-block, kind="stable")
+        starts = X.indptr[lo + order]
+        sums = np.zeros((block.size, k))
+        # have[p]: the block's rows with more than p cells, for p < the most
+        have = block.size - np.cumsum(np.bincount(block))
+        for p, m in enumerate(have[:-1].tolist()):
+            pos = starts[:m] + p
+            # the indices are columns of W, so "clip" clips none; unlike
+            # "raise" it writes to `cells` without a buffer
+            W.take(X.indices[pos], axis=0, out=cells[:m], mode="clip")
+            cells[:m] *= X.data[pos, None]
+            sums[:m] += cells[:m]
+        out[lo + order] = sums
+    return out
 
 
 def _frozen(values, dtype) -> np.ndarray:

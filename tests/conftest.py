@@ -14,6 +14,26 @@ settings.register_profile("deterministic", derandomize=True, database=None, dead
 settings.load_profile("deterministic")
 
 
+def zipf_corpus(n_docs, seed):
+    """A two-class raw-text ARFF of n_docs reviews of 10-30 words, each a
+    class word (a pool of 200 per class) or a shared word (a pool of 2300),
+    picked by Zipf rank."""
+    rng = np.random.default_rng(seed)
+
+    def pick(prefix, pool, size):
+        weights = 1.0 / np.arange(1, pool + 1)
+        return [f"{prefix}{i}" for i in rng.choice(pool, size=size, p=weights / weights.sum())]
+
+    lines = ["@relation zipf", "@attribute text string", "@attribute class {neg,pos}", "@data"]
+    for d in range(n_docs):
+        label = ("neg", "pos")[d % 2]
+        size = int(rng.integers(10, 31))
+        own = rng.random(size) < 0.35
+        words = pick(label, 200, int(own.sum())) + pick("w", 2300, size - int(own.sum()))
+        lines.append(f"'{' '.join(words)}',{label}")
+    return "\n".join(lines) + "\n"
+
+
 def dense_csr(rows):
     """The Csr of a 2-D array of rows."""
     rows = np.asarray(rows, dtype=float)

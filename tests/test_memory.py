@@ -5,8 +5,9 @@ A feature matrix is held sparse, and dense rows are made a block at a time
 the CLI runs on a Zipf-like corpus of 1000 reviews, whose train matrix is
 800 rows by about 1900 terms and under 1% non-zero, so one dense copy of
 it (12 MB) would stand out against everything else the commands hold.
-Only MNB, SVM and MLP make the dense rows of a whole matrix they score,
-for their matrix products; the trees and kNN read none.
+No model makes the dense rows of a whole matrix it scores: MNB, SVM and
+MLP sum each row's stored cells (rusent.sparse.row_sums), the trees read
+single cells and kNN a block of test rows at a time.
 """
 
 import tracemalloc
@@ -19,27 +20,7 @@ from rusent.classifiers import train_knn
 from rusent.classifiers.base import load_model
 from rusent.vectorize import read_matrix
 
-from conftest import dense_csr, make_matrix
-
-
-def zipf_corpus(n_docs, seed):
-    """A two-class raw-text ARFF of n_docs reviews of 10-30 words, each a
-    class word (a pool of 200 per class) or a shared word (a pool of 2300),
-    picked by Zipf rank."""
-    rng = np.random.default_rng(seed)
-
-    def pick(prefix, pool, size):
-        weights = 1.0 / np.arange(1, pool + 1)
-        return [f"{prefix}{i}" for i in rng.choice(pool, size=size, p=weights / weights.sum())]
-
-    lines = ["@relation zipf", "@attribute text string", "@attribute class {neg,pos}", "@data"]
-    for d in range(n_docs):
-        label = ("neg", "pos")[d % 2]
-        size = int(rng.integers(10, 31))
-        own = rng.random(size) < 0.35
-        words = pick(label, 200, int(own.sum())) + pick("w", 2300, size - int(own.sum()))
-        lines.append(f"'{' '.join(words)}',{label}")
-    return "\n".join(lines) + "\n"
+from conftest import dense_csr, make_matrix, zipf_corpus
 
 
 @pytest.fixture(scope="module")
@@ -105,17 +86,16 @@ def test_evaluating_a_knn_model_never_holds_its_rows_dense(corpus):
     assert peak < dense / 2, (peak, dense)
 
 
-# the models that score a matrix without its dense rows
-SPARSE_READERS = ["dtree", "bagging", "rforest", "adaboost", "knn"]
+ALGORITHMS = ["mnb", "knn", "dtree", "bagging", "rforest", "adaboost", "svm", "mlp"]
 
 
 @pytest.fixture(scope="module")
-def sparse_readers(corpus):
-    """The output directory of one compare of SPARSE_READERS."""
-    out = corpus / "sparse-readers"
+def compared(corpus):
+    """The output directory of one compare of every algorithm."""
+    out = corpus / "compared"
     assert cli.main(["compare", "--train", str(corpus / "train.arff"),
                      "--test", str(corpus / "test.arff"), "--out-dir", str(out),
-                     "--algorithms", *SPARSE_READERS, *SHORT]) == 0
+                     *SHORT]) == 0
     return out
 
 
@@ -132,10 +112,10 @@ def traced_peak(run):
     return peak - start, result
 
 
-@pytest.mark.parametrize("algorithm", SPARSE_READERS)
-def test_evaluate_never_holds_half_a_dense_test_matrix(sparse_readers, algorithm):
-    model = load_model(sparse_readers / "models" / f"{algorithm}.model")
-    test = read_matrix((sparse_readers / "test_vectorized.arff").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_evaluate_never_holds_half_a_dense_test_matrix(compared, algorithm):
+    model = load_model(compared / "models" / f"{algorithm}.model")
+    test = read_matrix((compared / "test_vectorized.arff").read_text(encoding="utf-8"))
     dense = test.n_rows * test.width * 8
     assert dense > 2_500_000
     peak, report = traced_peak(lambda: cli.evaluate(model, test))
@@ -143,10 +123,10 @@ def test_evaluate_never_holds_half_a_dense_test_matrix(sparse_readers, algorithm
     assert peak < dense / 2, (peak, dense)
 
 
-@pytest.mark.parametrize("algorithm", ["dtree", "knn"])
-def test_train_never_holds_half_a_dense_train_matrix(sparse_readers, tmp_path, algorithm):
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_train_never_holds_half_a_dense_train_matrix(compared, tmp_path, algorithm):
     # train reports the training accuracy, which scores the train matrix
-    train = sparse_readers / "train_vectorized.arff"
+    train = compared / "train_vectorized.arff"
     matrix = read_matrix(train.read_text(encoding="utf-8"))
     dense = matrix.n_rows * matrix.width * 8
     assert dense > 11_000_000

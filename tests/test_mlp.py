@@ -148,6 +148,28 @@ def textbook_step(model, X, y):
     return acts[-1], grads_w, grads_b
 
 
+def textbook_scores(model, X):
+    """The scoring pass the mlp module documents: textbook_step's forward
+    pass, each product a @ W taken as +0.0 and then a[:, i] * W[i] added
+    for i = 0, 1, ..., every cell of the dense rows X included."""
+    last = len(model.weights) - 1
+    a = X
+    for li, (W, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.zeros((len(X), W.shape[1]))
+        for i in range(W.shape[0]):
+            z = z + a[:, i:i + 1] * W[i]
+        z = z + b
+        if li == last:
+            z = np.exp(z - np.max(z, axis=1)[:, None])
+            z = z / np.sum(z, axis=1)[:, None]
+        elif model.activation == "logistic":
+            z = 1.0 / (1.0 + np.exp(-z))
+        else:
+            z = np.tanh(z)
+        a = z
+    return a
+
+
 def plan_matrix(classes):
     """37 rows of 6 features, a third of the cells 0, in `classes` classes."""
     gen = np.random.default_rng(classes)
@@ -175,6 +197,15 @@ class TestTheStepPlan:
             assert a.tobytes() == b.tobytes()
         assert loss == float(-np.log(np.maximum(probs[np.arange(rows), y], 1e-300)).mean())
         assert model.forward(X)[-1].tobytes() == probs.tobytes()
+
+    def test_scores_are_the_textbook_forward_in_row_order(self, hidden, classes, activation):
+        # the input layer sums each row's stored cells alone (row_sums), the
+        # others every cell; a zero cell would add nothing to such a sum, so
+        # both are the textbook's fold over every cell (-0.0 cells included)
+        m = plan_matrix(classes)
+        model = train_mlp(m, hidden=hidden, activation=activation, epochs=2, seed=4)
+        assert np.signbit(m.data).any() and (m.data == 0).any()
+        assert model.scores(m).tobytes() == textbook_scores(model, m.rows).tobytes()
 
     @pytest.mark.parametrize("batch_size", [1, 16])  # 16: two full batches and one of 5
     def test_an_epoch_steps_as_the_textbook_does(self, hidden, classes, activation,

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rusent import sparse
-from rusent.sparse import Csr, RowBlocks
+from rusent.sparse import Csr, RowBlocks, row_sums
 
 from conftest import dense_csr
 
@@ -13,10 +15,10 @@ _cells = st.one_of(st.just(0.0), st.just(0.0), st.just(-0.0),
 
 
 @st.composite
-def dense_matrices(draw, max_rows=12, max_width=9):
+def dense_matrices(draw, max_rows=12, max_width=9, cells=_cells):
     n = draw(st.integers(0, max_rows))
     width = draw(st.integers(0, max_width))
-    cells = draw(st.lists(_cells, min_size=n * width, max_size=n * width))
+    cells = draw(st.lists(cells, min_size=n * width, max_size=n * width))
     return np.array(cells, dtype=np.float64).reshape(n, width)
 
 
@@ -129,3 +131,88 @@ def test_row_blocks_default_to_the_rows_that_fit_the_budget():
     assert RowBlocks(wide).out.shape == (1, 3 * sparse.DENSE_BUDGET)
     tall = Csr(np.zeros(sparse.DENSE_BUDGET + 1, dtype=np.intp), [], [], 4)
     assert RowBlocks(tall).out.shape == (sparse.DENSE_BUDGET // 4, 4)
+
+
+def left_fold(csr, W):
+    """row_sums' stated order in plain Python floats: a row's sums start at
+    +0.0 and add x * W[j] for each of its stored cells (j, x) in turn."""
+    out = []
+    for i in range(csr.n_rows):
+        sums = [0.0] * W.shape[1]
+        for pos in range(csr.indptr[i], csr.indptr[i + 1]):
+            x = float(csr.data[pos])
+            sums = [s + x * w for s, w in zip(sums, W[csr.indices[pos]].tolist())]
+        out.append(sums)
+    return np.array(out, dtype=np.float64).reshape(csr.n_rows, W.shape[1])
+
+
+# no product or sum of these overflows
+_bounded = st.one_of(st.just(0.0), st.just(0.0), st.just(-0.0), st.floats(-1e100, 1e100))
+
+
+@given(dense_matrices(cells=_bounded), st.sampled_from([1, 2, 3, 32]), st.data())
+@example(np.zeros((0, 3)), 2, None)  # no rows
+@example(np.zeros((3, 0)), 1, None)  # no columns: every row is empty
+@example(np.array([[0.0, -0.0, 0.0], [0.0, 0.0, 0.0], [-0.0, 1.5, -0.0]]), 3, None)
+@settings(max_examples=200)
+def test_row_sums_is_the_left_fold_over_each_rows_stored_cells(rows, k, data):
+    width = rows.shape[1]
+    if data is None:
+        W = np.linspace(-2.0, 3.0, width * k).reshape(width, k)
+    else:
+        W = np.array(data.draw(st.lists(_bounded, min_size=width * k, max_size=width * k)),
+                     dtype=np.float64).reshape(width, k)
+    csr = dense_csr(rows)
+    got = row_sums(csr, W)
+    assert got.shape == (rows.shape[0], k) and got.dtype == np.float64
+    assert got.tobytes() == left_fold(csr, W).tobytes()
+    empty = np.diff(csr.indptr) == 0
+    assert not np.signbit(got[empty]).any() and (got[empty] == 0).all()  # +0.0
+
+
+@pytest.mark.parametrize("budget", [0, 40, 1 << 16])  # a row a block, a few rows, all rows
+@pytest.mark.parametrize("k", [1, 2, 32])
+def test_row_sums_keeps_its_order_on_long_rows_in_any_blocks(monkeypatch, budget, k):
+    # rows of up to 60 cells of mixed magnitudes, where a sum's order
+    # shows in its bits; the order is the left fold whatever the blocks
+    monkeypatch.setattr(sparse, "DENSE_BUDGET", budget)
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        rows = np.where(rng.random((40, 80)) < rng.random((40, 1)),
+                        rng.standard_normal((40, 80)) * 10.0 ** rng.integers(-8, 9, (40, 80)), 0.0)
+        rows[5] = 0.0
+        rows[7, 3] = -0.0
+        W = rng.standard_normal((80, k)) * 10.0 ** rng.integers(-8, 9, (80, k))
+        csr = dense_csr(rows)
+        assert row_sums(csr, W).tobytes() == left_fold(csr, W).tobytes()
+        out = np.full((40, k), np.nan)
+        assert row_sums(csr, W, out) is out
+        assert out.tobytes() == left_fold(csr, W).tobytes()
+
+
+def test_row_sums_refuses_a_w_of_another_height():
+    csr = dense_csr(np.ones((2, 3)))
+    for bad in (np.ones((2, 1)), np.ones((4, 1)), np.ones(3)):
+        with pytest.raises(ValueError):
+            row_sums(csr, bad)
+
+
+def test_row_sums_temporaries_do_not_grow_with_the_stored_cells():
+    # 4000 rows of 50 cells: the products of every cell at once would take
+    # nnz * k * 8 = 51 MB, beside the 1 MB result
+    rng = np.random.default_rng(0)
+    n, per_row, width, k = 4000, 50, 3000, 32
+    # one column in each run of width // per_row columns, so ascending
+    step = width // per_row
+    indices = (np.arange(per_row) * step + rng.integers(0, step, (n, per_row))).ravel()
+    csr = Csr(np.arange(n + 1) * per_row, indices, rng.random(n * per_row) + 1.0, width)
+    W = rng.standard_normal((width, k))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = row_sums(csr, W)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == n * k * 8
+    assert peak < got.nbytes + 4 * sparse.DENSE_BUDGET * 8, (peak, got.nbytes)
