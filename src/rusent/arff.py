@@ -18,13 +18,11 @@ Conventions fixed by this module:
   byte-stable, so golden-file tests can compare exact text.
 * Input must be valid UTF-8; decoding failures are parse errors.
 
-rusent.vectorize.read_matrix reads the sparse vectorized files that
-rusent.vectorize.to_arff writes without building a Dataset. It reads the
-plain `@attribute <name> numeric` lines after the relation line itself,
-sends the rest of the header through parse_arff, accepts only quote-,
-whitespace- and comment-free `{index value,...}` rows, and hands every
-other input to parse_arff, so this module's rules and errors hold for
-all input.
+All input goes through one line loop (_read): the header, then each data
+row's given cells, {attribute index: value}. parse_arff fills in a sparse
+row's omitted cells; rusent.vectorize.read_matrix puts the given cells
+straight into CSR. Text with no quote is split with str methods, to the
+fields that the character scanner gives it.
 
 A Dataset is immutable once built and safe to share across threads.
 """
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import ArffError, CorpusError
@@ -126,15 +125,36 @@ class Dataset:
 
 def _scan_fields(line: str, lineno: int, sep: str | None, i: int = 0,
                  n: int | None = None) -> list[tuple[str, bool, int, int]]:
-    """Split line[i:n] on `sep` (or runs of whitespace when sep is None),
-    honoring single quotes with '' as the escaped quote. Quotes may open
-    anywhere inside a field, so quoted text can contain the separator.
+    """Split line[i:n] on `sep` (or runs of spaces and tabs when sep is
+    None), honoring single quotes with '' as the escaped quote. Quotes may
+    open anywhere inside a field, so quoted text can contain the separator.
 
     Returns (text, was_quoted, 1-based column, end index) tuples; columns
-    and indices count from the start of `line`.
+    and indices count from the start of `line`. Text that holds no quote
+    is split with str methods, to the fields _scan_chars gives it.
     """
-    fields = []
     n = len(line) if n is None else n
+    text = line[i:n]
+    if "'" in text:
+        return _scan_chars(line, lineno, sep, i, n)
+    fields = []
+    if sep is None:
+        for piece in text.replace("\t", " ").split(" "):
+            if field := piece.strip():
+                fields.append((field, False, i + 1, i + len(piece)))
+            i += len(piece) + 1
+    else:
+        for piece in text.split(sep):
+            lead = len(piece) - len(piece.lstrip(" \t"))
+            fields.append((piece.strip(), False, i + lead + 1, i + len(piece)))
+            i += len(piece) + 1
+    return fields
+
+
+def _scan_chars(line: str, lineno: int, sep: str | None, i: int,
+                n: int) -> list[tuple[str, bool, int, int]]:
+    """_scan_fields' split, a character at a time."""
+    fields = []
     while True:
         while i < n and line[i] in " \t":
             i += 1
@@ -192,8 +212,6 @@ def _stripped(line: str, i: int, n: int) -> tuple[int, int]:
 def _parse_attribute(line: str, i: int, n: int, lineno: int) -> AttributeDecl:
     """The declaration in line[i:n], the text after `@attribute`."""
     i, n = _stripped(line, i, n)
-    if i == n:
-        raise ArffError("@attribute needs a name and a type", lineno)
     name_fields = _scan_fields(line, lineno, None, i, n)
     if not name_fields:
         raise ArffError("@attribute needs a name and a type", lineno)
@@ -201,14 +219,14 @@ def _parse_attribute(line: str, i: int, n: int, lineno: int) -> AttributeDecl:
     if not name:
         raise ArffError("empty attribute name", lineno, col)
     # everything after the name token is the type specification
-    i, n = _stripped(line, end, n)
-    spec = line[i:n]
+    spec = line[end:n].strip()
     if not spec:
         raise ArffError(f"attribute {name!r} has no type", lineno)
     if spec.startswith("{"):
         if not spec.endswith("}"):
             raise ArffError("nominal specification missing closing '}'", lineno)
         values = []
+        i = n - len(spec)
         for text, was_quoted, vcol, _ in _scan_fields(line, lineno, ",", i + 1, n - 1):
             if not text and not was_quoted:
                 raise ArffError("empty nominal value", lineno, vcol)
@@ -250,20 +268,39 @@ def _convert(decl: AttributeDecl, text: str, quoted: bool, lineno: int, col: int
     return text
 
 
-def _sparse_defaults(attributes) -> list:
-    """A sparse row's value for each omitted entry (_STRING_HOLE for
-    strings, which have none)."""
-    return [
-        0.0 if decl.kind == NUMERIC else decl.values[0] if decl.kind == NOMINAL else _STRING_HOLE
-        for decl in attributes
-    ]
+def _data_rows(lines, attributes) -> Iterator[dict]:
+    """The cells that each data row of `lines`, (line number, line) pairs
+    after `@data`, gives: {attribute index: value}, of every index for a
+    dense row and of the entries written for a sparse one."""
+    strings = [i for i, decl in enumerate(attributes) if decl.kind == STRING]
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        start = len(raw) - len(raw.lstrip())  # columns count from the start of raw
+        if line.startswith("{"):
+            if not line.endswith("}"):
+                raise ArffError("sparse row missing closing '}'", lineno)
+            cells = _entry_cells(raw, start + 1, start + len(line) - 1, attributes, lineno)
+            for idx in strings:
+                if idx not in cells:
+                    raise ArffError(f"sparse row omits string attribute {attributes[idx].name!r},"
+                                    " which has no default", lineno)
+            yield cells
+            continue
+        fields = _scan_fields(raw, lineno, ",", start, start + len(line))
+        if len(fields) != len(attributes):
+            raise ArffError(f"row has {len(fields)} values, expected {len(attributes)}", lineno)
+        yield {
+            idx: _convert(decl, text, quoted, lineno, col)
+            for idx, (decl, (text, quoted, col, _)) in enumerate(zip(attributes, fields))
+        }
 
 
-def _parse_sparse_row(line: str, i: int, n: int, attributes, defaults: list,
-                      lineno: int) -> tuple:
-    """The row whose entries line[i:n] holds, between its braces."""
-    row = defaults.copy()
-    seen = set()
+def _entry_cells(line: str, i: int, n: int, attributes, lineno: int) -> dict:
+    """The cells of the sparse row whose entries line[i:n] holds, read an
+    entry at a time; raises the ArffError of the first bad entry."""
+    cells = {}
     entries = _scan_fields(line, lineno, ",", i, n)
     if len(entries) == 1 and entries[0][0] == "" and not entries[0][1]:
         entries = []  # "{}" row: all defaults
@@ -280,30 +317,28 @@ def _parse_sparse_row(line: str, i: int, n: int, attributes, defaults: list,
             raise ArffError(f"invalid sparse index {idx_text!r}", lineno, col) from None
         if not 0 <= idx < len(attributes):
             raise ArffError(f"sparse index {idx} out of range", lineno, col)
-        if idx in seen:
+        if idx in cells:
             raise ArffError(f"duplicate sparse index {idx}", lineno, col)
-        seen.add(idx)
-        row[idx] = _convert(attributes[idx], val_text, val_quoted, lineno, col)
-    if _STRING_HOLE in row:
-        idx = row.index(_STRING_HOLE)
-        raise ArffError(
-            f"sparse row omits string attribute {attributes[idx].name!r},"
-            " which has no default",
-            lineno,
-        )
-    return tuple(row)
+        cells[idx] = _convert(attributes[idx], val_text, val_quoted, lineno, col)
+    return cells
 
 
-_STRING_HOLE = object()
+def _lines(source: str) -> Iterator[str]:
+    """The lines of source, split on \n only (unicode line separators, \x85,
+    \u2028, ..., may occur inside quoted values), each cut as it is reached
+    so that a reader never holds them all."""
+    start = 0
+    while (end := source.find("\n", start)) >= 0:
+        yield source[start:end]
+        start = end + 1
+    yield source[start:]
 
 
-def parse_arff(source: str | bytes) -> Dataset:
-    """Parse ARFF text into a Dataset.
-
-    Raises ArffError with line (and usually column) information on any
-    malformed input. The class index defaults to the last nominal
-    attribute, or None when there is no nominal attribute.
-    """
+def _read(source: str | bytes) -> tuple[str, tuple[AttributeDecl, ...], Iterator[dict]]:
+    """The relation name and attributes of ARFF text, read up to its
+    `@data` line, and its data rows' cells (see _data_rows), read as they
+    are iterated. Raises the ArffError of a malformed header here, and
+    that of a malformed row when the row is reached."""
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
@@ -313,80 +348,72 @@ def parse_arff(source: str | bytes) -> Dataset:
     relation = None
     attributes: list[AttributeDecl] = []
     names: set[str] = set()
-    instances: list[tuple] = []
-    in_data = False
-
-    # split on \n only: unicode line separators (\x85, \u2028, ...) may
-    # legitimately occur inside quoted values
-    for lineno, raw in enumerate(source.split("\n"), start=1):
+    lines = enumerate(_lines(source), start=1)
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
-        # line is raw[start:stop]; error columns count from the start of raw
-        start = len(raw) - len(raw.lstrip())
-        stop = start + len(line)
-        if not in_data and line.startswith("@"):
-            word = line.split(None, 1)[0].lower()
-            after = start + len(word)
-            if word == "@relation":
-                if relation is not None:
-                    raise ArffError("duplicate @relation", lineno)
-                if attributes or in_data:
-                    raise ArffError("@relation must come first", lineno)
-                fields = _scan_fields(raw, lineno, None, *_stripped(raw, after, stop))
-                if not fields:
-                    raise ArffError("@relation needs a name", lineno)
-                relation = fields[0][0]
-                continue
-            if word == "@attribute":
-                if relation is None:
-                    raise ArffError("@attribute before @relation", lineno)
-                decl = _parse_attribute(raw, after, stop, lineno)
-                if decl.name in names:
-                    raise ArffError(f"duplicate attribute name {decl.name!r}", lineno)
-                names.add(decl.name)
-                attributes.append(decl)
-                continue
-            if word == "@data":
-                if relation is None:
-                    raise ArffError("@data before @relation", lineno)
-                if not attributes:
-                    raise ArffError("@data before any @attribute", lineno)
-                in_data = True
-                defaults = _sparse_defaults(attributes)
-                continue
-            raise ArffError(f"unknown declaration {word!r}", lineno)
-        if not in_data:
+        if not line.startswith("@"):
             raise ArffError(f"unexpected text before @data: {line!r}", lineno)
-        if line.startswith("{"):
-            if not line.endswith("}"):
-                raise ArffError("sparse row missing closing '}'", lineno)
-            instances.append(
-                _parse_sparse_row(raw, start + 1, stop - 1, attributes, defaults, lineno))
+        word = line.split(None, 1)[0].lower()
+        if word == "@attribute":
+            if relation is None:
+                raise ArffError("@attribute before @relation", lineno)
+            start = len(raw) - len(raw.lstrip())  # columns count from the start of raw
+            decl = _parse_attribute(raw, start + len(word), start + len(line), lineno)
+            if decl.name in names:
+                raise ArffError(f"duplicate attribute name {decl.name!r}", lineno)
+            names.add(decl.name)
+            attributes.append(decl)
+        elif word == "@relation":
+            if relation is not None:
+                raise ArffError("duplicate @relation", lineno)
+            if attributes:
+                raise ArffError("@relation must come first", lineno)
+            start = len(raw) - len(raw.lstrip())
+            fields = _scan_fields(raw, lineno, None,
+                                  *_stripped(raw, start + len(word), start + len(line)))
+            if not fields:
+                raise ArffError("@relation needs a name", lineno)
+            relation = fields[0][0]
+        elif word == "@data":
+            if relation is None:
+                raise ArffError("@data before @relation", lineno)
+            if not attributes:
+                raise ArffError("@data before any @attribute", lineno)
+            return relation, tuple(attributes), _data_rows(lines, attributes)
         else:
-            fields = _scan_fields(raw, lineno, ",", start, stop)
-            if len(fields) != len(attributes):
-                raise ArffError(
-                    f"row has {len(fields)} values, expected {len(attributes)}",
-                    lineno,
-                )
-            row = tuple(
-                _convert(decl, text, quoted, lineno, col)
-                for decl, (text, quoted, col, _) in zip(attributes, fields)
-            )
-            instances.append(row)
-
+            raise ArffError(f"unknown declaration {word!r}", lineno)
     if relation is None:
         raise ArffError("missing @relation declaration")
-    if not in_data:
-        raise ArffError("missing @data section")
+    raise ArffError("missing @data section")
 
-    class_index = None
+
+def _class_index(attributes) -> int | None:
+    """The index of the last nominal attribute, the class by default, or
+    None when there is none."""
     for i in range(len(attributes) - 1, -1, -1):
         if attributes[i].kind == NOMINAL:
-            class_index = i
-            break
-    return Dataset(relation, tuple(attributes), tuple(instances), class_index)
+            return i
+    return None
+
+
+def parse_arff(source: str | bytes) -> Dataset:
+    """Parse ARFF text into a Dataset.
+
+    Raises ArffError with line (and usually column) information on any
+    malformed input. The class index defaults to the last nominal
+    attribute, or None when there is no nominal attribute.
+    """
+    relation, attributes, rows = _read(source)
+    # a string attribute has none: _data_rows rejects a sparse row that omits one
+    defaults = {
+        idx: 0.0 if decl.kind == NUMERIC else decl.values[0] if decl.kind == NOMINAL else None
+        for idx, decl in enumerate(attributes)
+    }
+    # a dict merge keeps the defaults' order of keys, with the cells' values
+    instances = tuple(tuple({**defaults, **cells}.values()) for cells in rows)
+    return Dataset(relation, attributes, instances, _class_index(attributes))
 
 
 # ---------------------------------------------------------------------------

@@ -24,28 +24,21 @@ a Dataset of per-cell values. to_arff yields the sparse ARFF lines of a
 matrix: write_arff's header for that relation, then one `{index value,...}`
 row per instance that omits numeric zeros and first-declared nominal
 values (write_sparse_arff in the tests writes the same text from a
-Dataset). read_matrix reads such text back: a strict subset (a
-numeric header with the nominal class last, its plain numeric attribute
-lines matched by regex and the rest parsed by parse_arff, then quote- and
-whitespace-free `{index value,...}` rows with ascending indices and finite
-values) is read with a few array operations, straight into CSR; any other
-input, and any input that fails a check, goes through parse_arff and
-matrix_from_dataset, so results and errors are always theirs.
+Dataset). read_matrix reads a vectorized ARFF in any form through
+rusent.arff's own line loop, and puts each row's cells straight into CSR.
 """
 
 from __future__ import annotations
 
-import itertools
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arff import NUMERIC, STRING, AttributeDecl, Dataset, _quote, parse_arff
+from .arff import NUMERIC, STRING, Dataset, _class_index, _quote, _read
 from .corpus import StopWordList, lowercase, remove_stopwords, tokenize
-from .errors import ArffError, ConfigError, VectorizeError
-from .sparse import Csr, row_starts
+from .errors import ConfigError, VectorizeError
+from .sparse import Csr, is_stored, row_starts
 
 WEIGHTINGS = ("binary", "count", "tfidf")
 
@@ -231,132 +224,78 @@ def to_arff(space: VectorSpace, matrix: FeatureMatrix) -> Iterator[str]:
         start = end
 
 
+def _check_vectorized(attributes, class_index: int | None, has_missing: bool) -> None:
+    """The VectorizeError of a relation that cannot be a FeatureMatrix, in
+    this order: no class attribute, a feature that is not numeric, then a
+    missing value (no classifier in this toolkit accepts one)."""
+    if class_index is None:
+        raise VectorizeError("dataset has no nominal class attribute")
+    kinds = [decl.kind for decl in attributes]
+    if kinds.count(NUMERIC) < len(kinds) - 1:
+        name = next(decl.name for i, decl in enumerate(attributes)
+                    if i != class_index and decl.kind != NUMERIC)
+        raise VectorizeError(f"attribute {name!r} is not numeric; vectorize the dataset first")
+    if has_missing:
+        raise VectorizeError("dataset contains missing values; classifiers reject these")
+
+
 def matrix_from_dataset(data: Dataset) -> FeatureMatrix:
     """Read back a vectorized (all-numeric plus class) Dataset.
 
-    `compare` reads its already-vectorized inputs this way, and read_matrix
-    falls back to it for any text outside its fast subset. Missing values
-    are rejected here: no classifier in this toolkit accepts them.
+    `compare` reads its already-vectorized inputs this way; read_matrix
+    makes the same matrix from ARFF text without a Dataset.
     """
-    if data.class_index is None:
-        raise VectorizeError("dataset has no nominal class attribute")
     ci = data.class_index
-    feature_idx = [i for i, a in enumerate(data.attributes) if i != ci]
-    for i in feature_idx:
-        if data.attributes[i].kind != NUMERIC:
-            raise VectorizeError(
-                f"attribute {data.attributes[i].name!r} is not numeric;"
-                " vectorize the dataset first"
-            )
-    if data.has_missing():
-        raise VectorizeError("dataset contains missing values; classifiers reject these")
-    width = len(feature_idx)
+    _check_vectorized(data.attributes, ci, data.has_missing())
+    width = len(data.attributes) - 1
     csr = Csr.from_rows((row[:ci] + row[ci + 1:] for row in data.instances), width)
     labels = [row[ci] for row in data.instances]
     return FeatureMatrix(csr.indptr, csr.indices, csr.data, width, labels,
                          data.attributes[ci].values)
 
 
-# The data section read_matrix takes without building a Dataset: rows of
-# `{index value,...}`, each ended by "\n", with no quote, brace, comma or
-# whitespace inside an index or a value.
-_SPARSE_ROWS = re.compile(r"(?:\{(?:[0-9]+ [^\s,'{}]+(?:,[0-9]+ [^\s,'{}]+)*)?\}\n)*")
-_DATA_LINE = "\n@data\n"
-# The run of `@attribute <name> numeric` lines that to_arff writes after the
-# relation line, read without parse_arff: a name with no whitespace and no
-# quote is a field that _parse_attribute reads back unchanged.
-_PLAIN_NUMERICS = re.compile(r"(?:@attribute [^\s']+ numeric\n)*")
-_PLAIN_NUMERIC_NAME = re.compile(r"@attribute ([^\s']+) numeric\n")
-
-
 def read_matrix(source: str | bytes) -> FeatureMatrix:
-    """Read a vectorized ARFF into a FeatureMatrix.
-
-    The result is matrix_from_dataset(parse_arff(source)): the same matrix
-    bits, labels and class values, or the same error. Text in the form
-    to_arff writes is read straight into the matrix; everything else
-    takes that full path (see _read_sparse).
+    """Read a vectorized ARFF into a FeatureMatrix: matrix_from_dataset(
+    parse_arff(source)), the same matrix bits, labels and class values, or
+    the same error, with each row's given cells put straight into CSR, so
+    that no row is dense. A cell past the class attribute is one column to
+    the left, and a row that omits the class has its first declared value.
     """
-    matrix = _read_sparse(source)
-    if matrix is None:
-        matrix = matrix_from_dataset(parse_arff(source))
-    return matrix
+    _, attributes, rows = _read(source)
+    ci = _class_index(attributes)
+    try:
+        _check_vectorized(attributes, ci, False)
+    except VectorizeError:
+        for _ in rows:  # each row's ArffError comes first
+            pass
+        raise
+    width, classes = len(attributes) - 1, attributes[ci].values
+    labels, counts, blocks = [], [], []
+    first, cols, values = 0, [], []  # the cells given by rows first, first + 1, ...
+    for cells in rows:
+        labels.append(cells.pop(ci, classes[0]))
+        counts.append(len(cells))
+        cols += cells
+        values += cells.values()
+        if len(values) > width:  # no more than a row's width of cells in Python objects
+            blocks.append(_stored_cells(first, counts, cols, values))
+            first, cols, values = len(counts), [], []
+    blocks.append(_stored_cells(first, counts, cols, values))
+    row_of, cols, data = map(np.concatenate, zip(*blocks))
+    # a given value is finite, or None, which np.array made NaN
+    _check_vectorized(attributes, ci, None in labels or np.isnan(data).any())
+    order = np.argsort(row_of * (width + 1) + cols)  # each row's cells in column order
+    cols = cols[order]
+    cols -= cols > ci
+    return FeatureMatrix(row_starts(row_of, len(labels)), cols, data[order], width, labels,
+                         classes)
 
 
-def _read_sparse(source: str | bytes) -> FeatureMatrix | None:
-    """The matrix of a strict subset of vectorized ARFF, or None for any
-    other input and on any failed check.
-
-    The subset: UTF-8 whose header, up to a line that is exactly `@data`,
-    parse_arff accepts with numeric attributes and then one nominal class
-    attribute (the run of plain numeric attribute lines right after a
-    first line `@relation ...` is read by regex and parse_arff reads the
-    rest, so the names of both parts are checked for duplicates here);
-    after it only `{i v,...}` rows, each ended by "\\n", with no quotes, no
-    whitespace and no blank or comment lines; indices ascending within a
-    row and at most the class index, so that the class entry, if any,
-    comes last; class values declared and not `?`; every other value
-    finite under float(), the conversion _convert applies to the same
-    text. parse_arff gives such rows the same values.
-    """
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    at = source.find(_DATA_LINE)
-    if at < 0:
-        return None
-    at += len(_DATA_LINE)
-    start = end = 0
-    if source.startswith("@relation "):
-        start = source.find("\n") + 1
-        end = _PLAIN_NUMERICS.match(source, start, at).end()
-    try:
-        header = parse_arff(source[:start] + source[end:at])
-    except ArffError:
-        return None
-    attributes = [AttributeDecl(name, NUMERIC)
-                  for name in _PLAIN_NUMERIC_NAME.findall(source, start, end)]
-    attributes += header.attributes
-    width = len(attributes) - 1
-    # no instances: the `@data` line found is the declaration, not a row
-    if header.instances or header.class_index != len(header.attributes) - 1 or any(
-        a.kind != NUMERIC for a in header.attributes[:-1]
-    ) or len({a.name for a in attributes}) != len(attributes):
-        return None
-    body = source[at:]
-    if not _SPARSE_ROWS.fullmatch(body):
-        return None
-    lines = body.split("\n")[:-1]
-    counts = [line.count(",") + 1 if len(line) > 2 else 0 for line in lines]
-    cells = ",".join([line[1:-1] for line in lines if len(line) > 2])
-    tokens = cells.replace(",", " ").split(" ") if cells else []
-    texts = tokens[1::2]
-    try:
-        index = np.fromiter(map(int, tokens[0::2]), dtype=np.int64, count=len(texts))
-    except (ValueError, OverflowError):
-        return None
-    row_of = np.repeat(np.arange(len(lines)), counts)
-    if (index > width).any() or (np.diff(index)[row_of[1:] == row_of[:-1]] <= 0).any():
-        return None
-    is_class = index == width
-    classes = attributes[width].values
-    labels = [classes[0]] * len(lines)
-    for k in np.flatnonzero(is_class).tolist():
-        if texts[k] == "?" or texts[k] not in classes:
-            return None
-        labels[row_of[k]] = texts[k]
-    numeric = ~is_class
-    try:
-        values = np.fromiter(
-            map(float, itertools.compress(texts, numeric.tolist())),
-            dtype=np.float64, count=int(numeric.sum()),
-        )
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    # a value read as +0.0 is dropped by the FeatureMatrix
-    return FeatureMatrix(row_starts(row_of[numeric], len(lines)), index[numeric], values, width,
-                         labels, classes)
+def _stored_cells(first: int, counts: list[int], cols: list[int], values: list[float]):
+    """The (row, attribute, value) arrays of the stored cells (see rusent.sparse)
+    among the cells given by rows first, first + 1, ..., counts[row] by each."""
+    rows = np.repeat(np.arange(first, len(counts)), counts[first:])
+    cols = np.array(cols, dtype=np.intp)
+    data = np.array(values, dtype=np.float64)
+    stored = is_stored(data)
+    return rows[stored], cols[stored], data[stored]

@@ -9,6 +9,8 @@ from rusent.arff import (
     MISSING,
     AttributeDecl,
     Dataset,
+    _scan_chars,
+    _scan_fields,
     load_text_directory,
     parse_arff,
     write_arff,
@@ -344,6 +346,30 @@ class TestProperties:
             parse_arff(b)
         except ArffError:
             pass
+
+
+# quote-free text with every character the field split treats apart: the
+# separators, the characters a quote-free field keeps, and whitespace that
+# str.strip removes but that splits no field
+_quote_free = st.text(alphabet=" \t,{}%\\a1\x0b\x0c\x85\u2028", max_size=40)
+
+
+@st.composite
+def _bounded(draw, text):
+    """text with bounds i <= n within it."""
+    n = draw(st.integers(0, len(text)))
+    return text, draw(st.integers(0, n)), n
+
+
+class TestQuoteFreeSplit:
+    """_scan_fields' str-method split of quote-free text against the
+    character scanner."""
+
+    @given(_quote_free.flatmap(_bounded), st.sampled_from([",", None]))
+    @settings(max_examples=500, deadline=None)
+    def test_quote_free_split_is_the_character_scanners(self, bounded, sep):
+        text, i, n = bounded
+        assert _scan_fields(text, 1, sep, i, n) == _scan_chars(text, 1, sep, i, n)
 
 
 class TestTextDirectoryLoader:

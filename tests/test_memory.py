@@ -7,7 +7,8 @@ the CLI runs on a Zipf-like corpus of 1000 reviews, whose train matrix is
 it (12 MB) would stand out against everything else the commands hold.
 No model makes the dense rows of a whole matrix it scores: MNB, SVM and
 MLP sum each row's stored cells (rusent.sparse.row_sums), the trees read
-single cells and kNN a block of test rows at a time.
+single cells and kNN a block of test rows at a time. read_matrix reads each
+row's cells straight into CSR, in whatever form the ARFF writes its rows.
 """
 
 import tracemalloc
@@ -17,8 +18,9 @@ import pytest
 
 from rusent import cli
 from rusent.classifiers import train_knn
+from rusent.arff import parse_arff
 from rusent.classifiers.base import load_model
-from rusent.vectorize import read_matrix
+from rusent.vectorize import fit, read_matrix, to_arff, transform
 
 from conftest import dense_csr, make_matrix, zipf_corpus
 
@@ -84,6 +86,67 @@ def test_evaluating_a_knn_model_never_holds_its_rows_dense(corpus):
     assert dense > 11_000_000
     peak, _ = traced_peak(lambda: cli.evaluate(model, test))
     assert peak < dense / 2, (peak, dense)
+
+
+def _class_first(lines, width):
+    """to_arff's lines with the class attribute declared first, and each
+    row's entries renumbered to match, the class entry first."""
+    at = lines.index("@data")
+    out = [lines[0], lines[at - 1], *lines[1:at - 1], "@data"]
+    for row in lines[at + 1:]:
+        entries = [e.split(" ", 1) for e in row[1:-1].split(",") if e]
+        label = [f"0 {v}" for i, v in entries if int(i) == width]
+        out.append("{" + ",".join(label + [f"{int(i) + 1} {v}" for i, v in entries
+                                           if int(i) < width]) + "}")
+    return out
+
+
+def _dense(lines, matrix, n_rows):
+    """to_arff's header, then a dense row for each of the first n_rows
+    instances of `matrix`."""
+    at = lines.index("@data")
+    rows = (",".join(map("{:g}".format, row)) + "," + label
+            for row, label in zip(matrix.dense()[:n_rows].tolist(), matrix.labels))
+    return [*lines[:at + 1], *rows]
+
+
+# dense rows are read a cell at a time, which tracemalloc slows down: 300
+# of the 800 rows keep the case short, and their dense matrix (4.8 MB)
+# still holds far more than the header that a read of any row count holds
+DENSE_ROWS = 300
+
+
+@pytest.fixture(scope="module")
+def vectorized_forms(corpus):
+    """The train set of `corpus` vectorized: (its matrix, {form: (the
+    number of its first rows written, their ARFF text)}) for three forms
+    that rusent does not write."""
+    train = parse_arff((corpus / "train.arff").read_bytes())
+    space = fit(train)
+    matrix = transform(space, train)
+    lines = list(to_arff(space, matrix))
+    at = lines.index("@data")
+    forms = {
+        "spaced": (matrix.n_rows,
+                   lines[:at + 1] + [row.replace(",", ", ") for row in lines[at + 1:]]),
+        "class first": (matrix.n_rows, _class_first(lines, matrix.width)),
+        "dense rows": (DENSE_ROWS, _dense(lines, matrix, DENSE_ROWS)),
+    }
+    return matrix, {name: (n_rows, "".join(line + "\n" for line in form))
+                    for name, (n_rows, form) in forms.items()}
+
+
+@pytest.mark.parametrize("form", ["spaced", "class first", "dense rows"])
+def test_read_matrix_never_holds_half_a_dense_matrix(vectorized_forms, form):
+    # any vectorized ARFF, not only to_arff's own text, goes straight into CSR
+    matrix, texts = vectorized_forms
+    assert matrix.n_rows * matrix.width * 8 > 11_000_000
+    n_rows, text = texts[form]
+    expected = matrix.dense()[:n_rows]
+    peak, read = traced_peak(lambda: read_matrix(text))
+    assert read.dense().tobytes() == expected.tobytes()
+    assert read.labels == matrix.labels[:n_rows]
+    assert peak < expected.nbytes / 2, (peak, expected.nbytes)
 
 
 ALGORITHMS = ["mnb", "knn", "dtree", "bagging", "rforest", "adaboost", "svm", "mlp"]

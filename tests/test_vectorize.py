@@ -10,7 +10,6 @@ from rusent.corpus import StopWordList
 from rusent.errors import ConfigError, VectorizeError
 from rusent.vectorize import (
     VectorSpace,
-    _read_sparse,
     fit,
     matrix_from_dataset,
     read_matrix,
@@ -265,8 +264,8 @@ def _repeat_attribute(header, k):
 
 def _term_named_like_the_class(header):
     """header with a first term named like the class attribute, when that
-    name is unquoted: read_matrix reads the term by regex and the class
-    through parse_arff, so only its own name check sees the clash."""
+    name is unquoted: a duplicate name, which the header's name check
+    rejects wherever the two declarations are."""
     name = header[-1][len("@attribute "):].split(" ", 1)[0]
     if name.startswith("'"):
         return header
@@ -345,11 +344,9 @@ class TestReadMatrix:
     @given(vectorized(classes=st.lists(st.sampled_from(["neg", "pos", "mixed", "0"]),
                                        min_size=1, max_size=3, unique=True)))
     @settings(max_examples=100)
-    def test_the_writers_text_is_read_without_the_full_path(self, case):
-        # every class value is written unquoted, so to_arff's text is in the subset
+    def test_the_writers_text_is_read_as_the_full_path_reads_it(self, case):
         text = arff_text(*case)
-        assert _read_sparse(text) is not None
-        assert read_outcome(_read_sparse, text) == read_outcome(full_read, text)
+        assert read_outcome(read_matrix, text) == read_outcome(full_read, text)
 
     def test_line_mutants_of_a_written_file_agree(self):
         for name, text in line_mutants("written", arff_text(*SMALL)):
@@ -357,14 +354,14 @@ class TestReadMatrix:
 
     def test_an_unquoted_question_mark_is_a_missing_class(self):
         text = "@relation r\n@attribute x numeric\n@attribute c {'?',b}\n@data\n{0 1,1 ?}\n"
-        assert _read_sparse(text) is None
+        assert read_outcome(read_matrix, text) == read_outcome(full_read, text)
         with pytest.raises(VectorizeError, match="missing values"):
             read_matrix(text)
 
     def test_a_data_line_that_reads_like_the_declaration_is_a_row(self):
         # the first "@data" line is a row here: @DATA opened the section
         text = "@relation r\n@attribute c {'@data',b}\n@DATA\n@data\n{0 b}\n"
-        assert _read_sparse(text) is None
+        assert read_outcome(read_matrix, text) == read_outcome(full_read, text)
         assert read_matrix(text).labels == ["@data", "b"]
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
@@ -372,7 +369,6 @@ class TestReadMatrix:
         text = MUTATIONS[mutation](arff_text(*SMALL), 1)
         assert read_outcome(read_matrix, text) == read_outcome(full_read, text)
         if mutation == "none":
-            assert _read_sparse(text) is not None
             assert read_matrix(text).rows.tolist() == SMALL[1].rows.tolist()
 
 
