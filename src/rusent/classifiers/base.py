@@ -32,10 +32,10 @@ Body lines are a key of one or more words (`alpha`, `log_likelihood 1`)
 and its values, separated by single spaces; each line has a fixed place
 and an exact number of values. Floats are written with repr(), the
 shortest string that round-trips to the same double, so model files are
-byte-stable and loading loses no precision; fmt_floats refuses non-finite
-ones, and writes a zero as "0.0" without a repr, as most cells of a kNN
-model's rows are zeros. A class line has no escape, so a model refuses
-to write a class value that holds a line feed or a carriage return.
+byte-stable and loading loses no precision; the writers refuse
+non-finite ones, and fmt_csr writes a kNN model's rows from their stored
+cells, "0.0" at every other cell. A class line has no escape, so a model
+refuses to write a class value that holds a line feed or a carriage return.
 
 save streams: it writes the file's lines one at a time, as the model
 makes them, to a temporary file that replaces the target only once it is
@@ -63,7 +63,7 @@ from itertools import chain
 import numpy as np
 
 from ..errors import ModelError
-from ..sparse import Csr, is_stored
+from ..sparse import Csr
 from ..util import atomic_write_lines, read_lines
 
 MAGIC = "rusent-model v1"
@@ -73,8 +73,7 @@ _REGISTRY: dict[str, type] = {}
 
 def fmt_floats(values) -> str:
     """repr() of a float or of each float of an array; ModelError if one is
-    not finite. Where most of them are zeros, each 0.0 is written as "0.0"
-    and only the others go through repr(); -0.0 is one of the others."""
+    not finite."""
     arr = np.asarray(values, dtype=np.float64).ravel()
     _check_finite(arr)
     return _words(arr)
@@ -106,10 +105,7 @@ def _check_finite(arr: np.ndarray) -> None:
 
 
 def _words(arr: np.ndarray) -> str:
-    if 2 * np.count_nonzero(arr) >= arr.size:
-        return " ".join(map(repr, arr.tolist()))
-    cells = np.flatnonzero(is_stored(arr))
-    return _cell_words(cells.tolist(), arr[cells].tolist(), arr.size)
+    return " ".join(map(repr, arr.tolist()))
 
 
 def _cell_words(cells: list[int], values: list[float], size: int) -> str:

@@ -31,17 +31,19 @@ of calls after the forward pass gives every hidden layer's derivative,
 each element by the same float operations as layer by layer. The gradients
 are written into a second buffer laid out as `params`, and the plan ends
 with the update `grads *= learning_rate; params -= grads`, still
-p - lr * g per element. `forward` (so `loss`) and `gradients` replay
-the same kernel's ops. Each batch's rows are written into the input
-buffer (rusent.sparse.RowBlocks) rather than the whole matrix shuffled.
+p - lr * g per element. `gradients` replays the same kernel's ops. Each
+batch's rows are written into the input buffer (rusent.sparse.RowBlocks)
+rather than the whole matrix shuffled.
 
 Scoring: `scores` replays the kernel's forward ops over the Csr itself,
-with each product summed row by row in a fixed order: the input layer by
-rusent.sparse.row_sums over each row's stored cells, and each later layer
-by the same fold over its dense inputs (+0.0, then a[:, i] * W[i] added
-for i = 0, 1, ...). Every other op is elementwise or a reduction along
-each row, so a row's scores have the same bits in any batch and under
-any BLAS kernel. No dense test matrix is made.
+with every layer's product summed row by row by rusent.sparse.row_sums:
+the input layer over each row's stored cells, and each later layer over
+the Csr of its dense activations (+0.0, then a[:, i] * W[i] added for
+each cell i that is not +0.0, i ascending). Every other op is elementwise
+or a reduction along each row, so a row's scores have the same bits in
+any batch and under any BLAS kernel. No dense test matrix is made.
+`loss` is the mean cross-entropy of `scores`, so it reads the training
+Csr as it is held.
 
 A diverging network's overflow is silent: training and the replayed
 passes run with numpy's overflow and invalid-value warnings off, and a
@@ -80,20 +82,27 @@ def _views(buf: np.ndarray, rows: int, widths) -> list[np.ndarray]:
     return [buf[lo:hi].reshape(rows, k) for lo, hi, k in zip(bounds, bounds[1:], widths)]
 
 
-def _row_alone(a, W: np.ndarray, z: np.ndarray) -> None:
-    """a @ W into z, each row summed from its own values alone, in one
-    order: row_sums over a Csr's stored cells, and over a dense array the
-    same fold over every cell, +0.0 and then a[:, i] * W[i] added for
-    i = 0, 1, ... (a sum that starts at +0.0 is never -0.0, so the zero
-    cells that row_sums skips would change nothing)."""
+def _csr(a) -> Csr:
+    """a, if a Csr, or else the Csr of a dense 2-D array's cells, which
+    drops the +0.0 ones. A fold that starts at +0.0 never sums to -0.0, so
+    adding +0.0 * w (a zero, for a finite w) would leave it as it is; for
+    an infinite w the cell adds nothing, where the dense fold added NaN (a
+    model holds such a weight only in memory: save and load refuse it)."""
     if isinstance(a, Csr):
-        row_sums(a, W, z)
-        return
-    z[...] = 0.0
-    term = np.empty_like(z)
-    for i, w in enumerate(W):
-        np.multiply(a[:, i, None], w, term)
-        np.add(z, term, z)
+        return a
+    rows, width = a.shape
+    return Csr(np.arange(rows + 1) * width, np.tile(np.arange(width), rows), a.ravel(), width)
+
+
+def _row_alone(a, W: np.ndarray, z: np.ndarray) -> None:
+    """a @ W into z by row_sums: each row from its own cells, in one order."""
+    row_sums(_csr(a), W, z)
+
+
+def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross-entropy of softmax rows `probs` against the classes y."""
+    picked = probs[np.arange(len(y)), y]
+    return float(-np.log(np.maximum(picked, 1e-300)).mean())
 
 
 def _replay(ops) -> None:
@@ -112,8 +121,8 @@ class _Kernel:
     into `grads` (laid out as `params`) the gradients of the mean
     cross-entropy against the one-hot rows in `targets`. `product(a, W, z)`
     writes the forward pass's a @ W into z: np.dot over dense inputs in
-    training, or _row_alone over a Csr in scoring, which has no backward
-    pass.
+    training and `gradients`, or _row_alone in scoring, whose inputs are a
+    Csr and which has no backward pass.
 
     Each op does the float operation of the textbook expression:
     act(a @ W + b) with logistic 1 / (1 + exp(-z)) or tanh(z), and softmax
@@ -213,19 +222,12 @@ class MlpModel(Model):
         self.batch_size = int(batch_size)
         self.seed = int(seed)
 
-    # -- forward / backward ----------------------------------------------
+    # -- loss / gradients --------------------------------------------------
 
-    def forward(self, X: np.ndarray) -> list[np.ndarray]:
-        """Activations per layer of the rows of a dense array, by training's
-        products; the last entry is the softmax output."""
-        kernel = _Kernel(self, np.ascontiguousarray(X, dtype=np.float64))
-        _replay(kernel.forward)
-        return kernel.acts
-
-    def loss(self, X: np.ndarray, y: np.ndarray) -> float:
-        probs = self.forward(X)[-1]
-        picked = probs[np.arange(len(y)), y]
-        return float(-np.log(np.maximum(picked, 1e-300)).mean())
+    def loss(self, X, y: np.ndarray) -> float:
+        """Mean cross-entropy of scores(X) against the classes y; X is a
+        Csr, or a dense array read as the Csr of its cells."""
+        return _cross_entropy(self.scores(_csr(X)), y)
 
     def gradients(self, X: np.ndarray, y: np.ndarray):
         """Mean cross-entropy gradients, as (loss, dW list, db list), from
@@ -233,9 +235,7 @@ class MlpModel(Model):
         grads = np.empty_like(self.params)
         kernel = _Kernel(self, np.ascontiguousarray(X, dtype=np.float64), grads)
         _replay(kernel.step(np.eye(self.sizes[-1])[y]))
-        picked = kernel.acts[-1][np.arange(len(y)), y]
-        loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-        return (loss, *_layers(grads, self.sizes))
+        return (_cross_entropy(kernel.acts[-1], y), *_layers(grads, self.sizes))
 
     # -- prediction --------------------------------------------------------
 

@@ -444,9 +444,9 @@ def main(argv=None) -> int:
     if getattr(args, "distance", None) == "minkowski" and args.minkowski_p <= 0:
         parser.error(f"argument --minkowski-p: expected a number above 0 under"
                      f" --distance minkowski, got {args.minkowski_p!r}")
-    named = getattr(args, "algorithms", [])
-    if len(set(named)) < len(named):
-        parser.error(f"argument --algorithms: {max(named, key=named.count)} is repeated")
+    algorithms = getattr(args, "algorithms", [])
+    if len(set(algorithms)) < len(algorithms):
+        parser.error(f"argument --algorithms: {max(algorithms, key=algorithms.count)} is repeated")
     try:
         return args.func(args)
     except RusentError as exc:

@@ -7,8 +7,9 @@ the CLI runs on a Zipf-like corpus of 1000 reviews, whose train matrix is
 it (12 MB) would stand out against everything else the commands hold.
 No model makes the dense rows of a whole matrix it scores: MNB, SVM and
 MLP sum each row's stored cells (rusent.sparse.row_sums), the trees read
-single cells and kNN a block of test rows at a time. read_matrix reads each
-row's cells straight into CSR, in whatever form the ARFF writes its rows.
+single cells and kNN a block of test rows at a time; the MLP's loss is
+the cross-entropy of its scores. read_matrix reads each row's cells
+straight into CSR, in whatever form the ARFF writes its rows.
 """
 
 import tracemalloc
@@ -18,6 +19,7 @@ import pytest
 
 from rusent import cli
 from rusent.classifiers import train_knn
+from rusent.classifiers.mlp import init_mlp
 from rusent.arff import parse_arff
 from rusent.classifiers.base import load_model
 from rusent.vectorize import fit, read_matrix, to_arff, transform
@@ -147,6 +149,18 @@ def test_read_matrix_never_holds_half_a_dense_matrix(vectorized_forms, form):
     assert read.dense().tobytes() == expected.tobytes()
     assert read.labels == matrix.labels[:n_rows]
     assert peak < expected.nbytes / 2, (peak, expected.nbytes)
+
+
+def test_mlp_loss_never_holds_half_a_dense_matrix(vectorized_forms):
+    # the loss is the cross-entropy of the scores, which sum each row's
+    # stored cells: no dense copy of the training matrix is made
+    matrix, _ = vectorized_forms
+    dense = matrix.n_rows * matrix.width * 8
+    assert dense > 11_000_000
+    model = init_mlp(matrix, hidden=[32, 32], seed=0)
+    peak, loss = traced_peak(lambda: model.loss(matrix, matrix.y))
+    assert peak < dense / 2, (peak, dense)
+    assert loss == pytest.approx(model.gradients(matrix.dense(), matrix.y)[0], abs=1e-12)
 
 
 ALGORITHMS = ["mnb", "knn", "dtree", "bagging", "rforest", "adaboost", "svm", "mlp"]

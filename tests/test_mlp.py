@@ -196,12 +196,12 @@ class TestTheStepPlan:
         for a, b in zip(gw + gb, tw + tb):
             assert a.tobytes() == b.tobytes()
         assert loss == float(-np.log(np.maximum(probs[np.arange(rows), y], 1e-300)).mean())
-        assert model.forward(X)[-1].tobytes() == probs.tobytes()
 
     def test_scores_are_the_textbook_forward_in_row_order(self, hidden, classes, activation):
-        # the input layer sums each row's stored cells alone (row_sums), the
-        # others every cell; a zero cell would add nothing to such a sum, so
-        # both are the textbook's fold over every cell (-0.0 cells included)
+        # every layer sums each row's stored cells alone (row_sums), its
+        # input's and then its activations'; a +0.0 cell would add nothing
+        # to such a sum, so this is the textbook's fold over every cell
+        # (-0.0 cells included)
         m = plan_matrix(classes)
         model = train_mlp(m, hidden=hidden, activation=activation, epochs=2, seed=4)
         assert np.signbit(m.data).any() and (m.data == 0).any()
@@ -274,6 +274,28 @@ class TestParameterBuffer:
         model.params *= 0.0  # every score equal: the loss is ln(3)
         assert model.loss(X, y) != before
         assert model.loss(X, y) == pytest.approx(np.log(3.0), abs=1e-12)
+
+
+class TestNonFiniteParameters:
+    """Only a model in memory can hold a non-finite parameter: save and load
+    refuse them."""
+
+    @pytest.mark.parametrize("hidden", [[4], [4, 3]], ids=str)
+    def test_a_zero_activation_times_an_infinite_weight_adds_nothing(self, hidden):
+        # tanh of the zero row's +0.0 sums is +0.0 at every hidden unit, and
+        # a +0.0 activation is skipped as a +0.0 input cell is, so infinite
+        # weights out of it change no score (the fold over every cell gave
+        # NaN: +0.0 * inf)
+        model = init_mlp(THREE_CLASSES, hidden=hidden, activation="tanh", seed=1)
+        model.biases[-1][...] = [0.5, -1.0, 2.0]
+        zero_row = dense_csr([[0.0, 0.0, 0.0]])
+        finite = model.scores(zero_row)
+        for W in model.weights:
+            W[...] = np.inf
+        assert model.scores(zero_row).tobytes() == finite.tobytes()
+        assert np.isfinite(model.loss(np.zeros((1, 3)), np.array([2])))
+        with pytest.raises(ModelError, match="non-finite"):
+            model.dumps()
 
 
 class TestValidation:

@@ -146,6 +146,15 @@ def left_fold(csr, W):
     return np.array(out, dtype=np.float64).reshape(csr.n_rows, W.shape[1])
 
 
+def dense_fold(rows, W):
+    """The fold over every cell of dense rows: a row's sums start at +0.0
+    and add rows[i, j] * W[j] for j = 0, 1, ..., +0.0 cells included."""
+    out = np.zeros((rows.shape[0], W.shape[1]))
+    for j in range(rows.shape[1]):
+        out = out + rows[:, j:j + 1] * W[j]
+    return out
+
+
 # no product or sum of these overflows
 _bounded = st.one_of(st.just(0.0), st.just(0.0), st.just(-0.0), st.floats(-1e100, 1e100))
 
@@ -168,6 +177,12 @@ def test_row_sums_is_the_left_fold_over_each_rows_stored_cells(rows, k, data):
     assert got.tobytes() == left_fold(csr, W).tobytes()
     empty = np.diff(csr.indptr) == 0
     assert not np.signbit(got[empty]).any() and (got[empty] == 0).all()  # +0.0
+    # the Csr of every cell, which the constructor gives back without the
+    # +0.0 ones: skipping them changes no sum of a finite W, so its sums
+    # are the dense fold's
+    n = rows.shape[0]
+    every = Csr(np.arange(n + 1) * width, np.tile(np.arange(width), n), rows.reshape(-1), width)
+    assert row_sums(every, W).tobytes() == got.tobytes() == dense_fold(rows, W).tobytes()
 
 
 @pytest.mark.parametrize("budget", [0, 40, 1 << 16])  # a row a block, a few rows, all rows
