@@ -14,33 +14,28 @@ for a small p even where the sum is finite (a sum of 3 at p = 0.001). A
 distance that overflows is inf, silently, and ranks last.
 
 The neighbours are always those of the exhaustive scan: `_distances` over
-the training rows, then a stable argsort; test rows are made dense a block
-at a time (below), and training rows (all or some) by `_rows`, a block of
-_BLOCK_ENTRIES values at a time unless they fit DENSE_BUDGET. Manhattan
-and minkowski scan every training row for every test row. Euclidean batch
+the training rows, then a stable argsort. Test rows are made dense a
+block of max(1, _BLOCK_ENTRIES // max(n_train, width)) rows at a time,
+which bounds both the dense block and each (block x n_train) array of
+the screen whatever the training set's shape; training rows (all or
+some) a block of _BLOCK_ENTRIES // width rows at a time. Manhattan and
+minkowski scan every training row for every test row. Euclidean batch
 prediction first screens the training rows, so the exact scan runs on a
 few candidates only:
 
 * For a block of test rows at a time, approximate the squared distances
   as a_i = (|x|^2 + |r_i|^2) - 2 r_i.x, with the dot products of the whole
-  block taken as one product, and |r_i|^2 summed over r_i's stored cells.
-  Training rows whose dense form fits DENSE_BUDGET (rusent.sparse) are
-  densified once, and the product is a matrix product with a block of
-  _BLOCK_ENTRIES // n_train test rows; any other training rows are read
-  sparse: each test row times their stored cells, summed along each
-  training row's run of cells, in blocks of
-  _BLOCK_ENTRIES // max(n_train, stored cells) test rows. A block has at
-  least one row; the fixed budget bounds the screen's scratch memory
-  whatever the training set's size.
+  block taken as one product, row_sums (rusent.sparse) of the training
+  rows' stored cells, and |r_i|^2 summed over r_i's stored cells.
 * Error bound. Let n be the width, u = 2^-53 the unit roundoff,
   gamma_m = m u / (1 - m u), and S_i = |x|^2 + |r_i|^2 exactly. The two
   norms and the dot product are inner products of length n, so in any
   summation order they are off by at most gamma_n |r_i|^2, gamma_n |x|^2
   and gamma_n sum_j |r_ij x_j| <= gamma_n S_i / 2; the final addition and
   subtraction add at most about 2u S_i. So |a_i - e_i| <= (2 gamma_n + 3u)
-  S_i to first order, where e_i = |r_i - x|^2 exactly. (Read sparse,
-  the sums leave out terms that are exactly zero, so they have fewer than
-  n terms: the bound holds as it is.) `_distances`
+  S_i to first order, where e_i = |r_i - x|^2 exactly. (Over stored
+  cells, the sums leave out terms that are exactly zero, so they have
+  fewer than n terms: the bound holds as it is.) `_distances`
   computes s_i from n rounded squares of rounded differences, summed in
   some order: |s_i - e_i| <= gamma_(n+2) e_i <= 2 gamma_(n+2) S_i, as
   e_i <= 2 S_i. Hence |s_i - a_i| <= (4n + 7) u S_i to first order. The
@@ -70,14 +65,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from ..sparse import Csr
+from ..sparse import Csr, row_sums
 from .base import Model, fmt_csr, fmt_floats
 
 DISTANCES = ("euclidean", "manhattan", "minkowski")
 
-#: entries (test rows x training rows, or x stored cells when the training
-#: rows are read sparse) per block of the euclidean screen, and values per
-#: block of training rows read sparse: each scratch array is 128 KiB at most
+#: values per dense block of test rows or of training rows, and entries
+#: (test rows x training rows) per block of the euclidean screen: each
+#: scratch array is 128 KiB at most
 _BLOCK_ENTRIES = 1 << 14
 _U = 2.0**-53
 _ETA = 2.0**-1074
@@ -119,17 +114,15 @@ class KnnModel(Model):
                              f" not {rows.shape}")
         self.rows = rows  # a Csr
 
-    def _candidates(self, X: Csr, dense):
+    def _candidates(self, X: Csr):
         """Yield (x, training indices that can be among x's neighbours, in
         ascending order, or None for all) for each row x of X, made dense a
-        block at a time. `dense` is the training rows' dense matrix, or None."""
+        block at a time."""
         csr = self.rows
         with np.errstate(over="ignore"):
             row_sq = np.bincount(csr.row_of(), weights=csr.data * csr.data, minlength=csr.n_rows)
-        runs = np.flatnonzero(np.diff(csr.indptr))
         slack = 8.0 * (self.feature_width + 2)
-        entries = csr.n_rows if dense is not None else max(csr.n_rows, csr.data.size)
-        step = max(1, _BLOCK_ENTRIES // entries)
+        step = max(1, _BLOCK_ENTRIES // max(csr.n_rows, csr.width))
         for start in range(0, X.n_rows, step):
             block = X.dense(np.arange(start, min(start + step, X.n_rows)))
             if self.metric != "euclidean":
@@ -137,14 +130,7 @@ class KnnModel(Model):
                 continue
             # overflow only makes a bound non-finite, which the scan handles
             with np.errstate(over="ignore", invalid="ignore"):
-                if dense is not None:
-                    gram = block @ dense.T
-                else:  # each test row times the stored cells, summed along each row's run
-                    products = block[:, csr.indices]
-                    products *= csr.data
-                    gram = np.zeros((block.shape[0], csr.n_rows))
-                    if runs.size:
-                        gram[:, runs] = np.add.reduceat(products, csr.indptr[runs], axis=1)
+                gram = row_sums(csr, block.T).T
                 norms = np.einsum("ij,ij->i", block, block)[:, None] + row_sq
                 approx = norms - 2.0 * gram
                 bound = norms
@@ -161,27 +147,15 @@ class KnnModel(Model):
             for x, mask, ok in zip(block, keep, finite):
                 yield x, np.flatnonzero(mask) if ok else None
 
-    def _rows(self, cand, dense):
-        """Yield the dense training rows `cand` (all if None), in order: `dense`
-        itself or its rows if given, else blocks of _BLOCK_ENTRIES values."""
-        if dense is not None:
-            yield dense if cand is None else dense[cand]
-            return
-        csr = self.rows
-        ids = np.arange(csr.n_rows) if cand is None else cand
-        step = max(1, _BLOCK_ENTRIES // csr.width)
-        for i in range(0, ids.size, step):
-            yield csr.dense(ids[i:i + step])
-
     def _neighbours(self, X: Csr):
         """Yield the k nearest training indices of each row of X, nearest
         first, equal distances in training-index order."""
         csr = self.rows
-        # training rows that fit DENSE_BUDGET are densified once: small products are faster dense
-        dense = csr.dense() if csr.fits_dense() else None
-        for x, cand in self._candidates(X, dense):
-            dist = np.concatenate([_distances(rows, x, self.metric, self.p)
-                                   for rows in self._rows(cand, dense)])
+        step = max(1, _BLOCK_ENTRIES // max(csr.width, 1))
+        for x, cand in self._candidates(X):
+            ids = np.arange(csr.n_rows) if cand is None else cand
+            dist = np.concatenate([_distances(csr.dense(ids[i:i + step]), x, self.metric, self.p)
+                                   for i in range(0, ids.size, step)])
             order = np.argsort(dist, kind="stable")[: self.k]
             yield order if cand is None else cand[order]
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..rng import SplitMix64
-from ..sparse import RowBlocks, row_sums
+from ..sparse import Csr, RowBlocks, row_sums
 from .base import Model, fmt_floats, require_binary
 
 
@@ -59,9 +59,11 @@ class LinearSvmModel(Model):
         return cls(reader.class_values, reader.feature_width, weights, bias, lam, epochs, seed)
 
 
-def svm_objective(weights: np.ndarray, bias: float, X: np.ndarray, signs: np.ndarray,
+def svm_objective(weights: np.ndarray, bias: float, X: Csr, signs: np.ndarray,
                   lam: float) -> float:
-    margins = signs * (X @ weights + bias)
+    """The training objective at (weights, bias), each margin summed over
+    its row's stored cells."""
+    margins = signs * (row_sums(X, weights[:, None])[:, 0] + bias)
     hinge = np.maximum(0.0, 1.0 - margins)
     return float(lam / 2.0 * (weights @ weights) + hinge.mean())
 

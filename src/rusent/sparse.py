@@ -18,7 +18,8 @@ Dense values are read through three doors only, each of which gives
 * dense(rows): a fresh float64 block of the given rows, in full;
 * RowBlocks: the rows of an order, a block at a time, written into one
   reused buffer (see there), for the SVM and MLP trainers, which visit
-  every row in each epoch;
+  every row in each epoch; it alone densifies a whole matrix, once, and
+  only one whose dense form fits DENSE_BUDGET;
 * at(rows, cols): single cells, for the trees, which read one per level,
   found among the stored cells' row-major keys, made at the first call
   and kept with the matrix.
@@ -29,7 +30,8 @@ dense matrix, as the values and the shape are the same.
 row_sums(X, W) is the product X @ W taken from the stored cells alone, in
 a summation order that each row's own cells fix, with numpy's elementwise
 loops and no BLAS: the MNB, SVM and MLP scores, so a row's scores have the
-same bits in any batch and under any BLAS kernel.
+same bits in any batch and under any BLAS kernel, the SVM objective, and
+the dot products of kNN's euclidean screen.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from itertools import chain, islice
 
 import numpy as np
 
-#: values (rows x width) in one dense block of rows: a matrix whose dense
-#: form fits is densified once and each block taken from it, and the
-#: trainers' blocks of a wider matrix hold about this many values (512 KiB)
+#: values (rows x width) in one dense block of rows (512 KiB): RowBlocks
+#: densifies a matrix whose dense form fits once and takes each block from
+#: it, and its blocks of a larger one hold about this many values
 DENSE_BUDGET = 1 << 16
 
 
@@ -118,10 +120,6 @@ class Csr:
     def shape(self) -> tuple[int, int]:
         return self.n_rows, self.width
 
-    def fits_dense(self) -> bool:
-        """Whether the dense form holds at most DENSE_BUDGET values."""
-        return self.n_rows * self.width <= DENSE_BUDGET
-
     def row_of(self) -> np.ndarray:
         """The row of each stored cell, shape (nnz,)."""
         return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
@@ -177,9 +175,10 @@ def row_sums(X: Csr, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     The rows go a block of about DENSE_BUDGET // k at a time, longest
     first within a block, so that the rows with a p-th cell are a prefix
     of it: step p adds those rows' p-th products. The temporaries hold
-    about 2 * DENSE_BUDGET values beyond the result: O(n * k +
-    DENSE_BUDGET), however many cells X stores."""
-    W = np.asarray(W, dtype=np.float64)
+    about 2 * DENSE_BUDGET values beyond the result and W, which is copied
+    if it is not C-contiguous (a copy each take would otherwise make):
+    O(n * k + DENSE_BUDGET), however many cells X stores."""
+    W = np.ascontiguousarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] != X.width:
         raise ValueError(f"expected a ({X.width}, k) array, not shape {W.shape}")
     n, k = X.n_rows, W.shape[1]
@@ -232,7 +231,7 @@ class RowBlocks:
             size = max(1, min(matrix.n_rows, DENSE_BUDGET // max(matrix.width, 1)))
         self.out = np.zeros((size, matrix.width))
         self._matrix = matrix
-        self._dense = matrix.dense() if matrix.fits_dense() else None
+        self._dense = matrix.dense() if matrix.n_rows * matrix.width <= DENSE_BUDGET else None
         self._written = np.zeros(0, dtype=np.intp)  # flat cells of `out` holding the last block
 
     def __call__(self, order) -> Iterator[tuple[int, int]]:

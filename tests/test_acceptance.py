@@ -224,14 +224,14 @@ def test_criterion_8_svm_blob_and_objective():
         model = train_svm(m, lam=lam, epochs=1000, seed=0)
         assert predicted(model, m) == m.labels
         signs = np.where(m.y == 1, 1.0, -1.0)
-        achieved = svm_objective(model.weights, model.bias, m.rows, signs, lam)
+        achieved = svm_objective(model.weights, model.bias, m, signs, lam)
         best = np.inf
         for w0 in np.linspace(-2, 2, 41):
             for w1 in np.linspace(-2, 2, 41):
                 for b in np.linspace(-2, 2, 21):
                     best = min(
                         best,
-                        svm_objective(np.array([w0, w1]), b, m.rows, signs, lam),
+                        svm_objective(np.array([w0, w1]), b, m, signs, lam),
                     )
         assert achieved <= best * 1.05 + 1e-9
         assert time.perf_counter() - started < 10.0

@@ -204,9 +204,10 @@ def screened_neighbours(model, queries):
 
 
 def on_both_paths(f):
-    """f() with the training rows read dense, as a model reads rows whose
-    dense form fits DENSE_BUDGET, then read sparse, as it reads any other,
-    a training row per block, so that a scan spans many blocks."""
+    """f() with the default blocks, then with blocks of one row: one test
+    row per screen block and one training row per scan block, so that a
+    scan spans many blocks, and (DENSE_BUDGET 0) one training row per
+    block of row_sums, the screen's product."""
     dense = f()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse, "DENSE_BUDGET", 0)
@@ -284,21 +285,25 @@ class TestBatchPrediction:
             for subset in ([5], [0, 69], list(range(0, 70, 3))):
                 assert _distances(rows[subset], x, metric, 3.0).tolist() == full[subset].tolist()
 
-    def test_a_full_scan_of_rows_that_fit_densifies_them_once(self, monkeypatch):
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    def test_training_rows_are_read_a_block_at_a_time(self, monkeypatch, distance):
+        # rows that fit DENSE_BUDGET but span two blocks of _BLOCK_ENTRIES
+        # values are read a block at a time all the same
         rng = np.random.default_rng(5)
-        rows = rng.integers(0, 3, size=(40, 7)) * 1.0
+        rows = rng.integers(0, 3, size=(40, 700)) * (rng.random((40, 700)) < 0.1)
         model = train_knn(make_matrix(rows, [CLASSES3[i % 3] for i in range(40)], CLASSES3),
-                          k=3, distance="manhattan")
-        assert model.rows.fits_dense()
-        whole, dense = [], sparse.Csr.dense
+                          k=3, distance=distance)
+        assert 40 * 700 <= sparse.DENSE_BUDGET and 40 > knn._BLOCK_ENTRIES // 700
+        sizes, dense = [], sparse.Csr.dense
 
         def counted(csr, rows=None):
-            whole.append(csr is model.rows and rows is None)
+            if csr is model.rows:
+                sizes.append(csr.n_rows if rows is None else len(rows))
             return dense(csr, rows)
 
         monkeypatch.setattr(sparse.Csr, "dense", counted)
         model.predict_indices(dense_csr(rows[:9]))
-        assert sum(whole) == 1
+        assert sizes and max(sizes) <= knn._BLOCK_ENTRIES // 700, sizes
 
     def test_predict_indices_rejects_a_bad_shape(self):
         model = train_knn(make_matrix([[0.0, 1.0], [1.0, 0.0]], ["neg", "pos"]), k=1)

@@ -20,11 +20,14 @@ import pytest
 from rusent import cli
 from rusent.classifiers import train_knn
 from rusent.classifiers.mlp import init_mlp
+from rusent.classifiers.svm import svm_objective
 from rusent.arff import parse_arff
 from rusent.classifiers.base import load_model
+from rusent.sparse import Csr
 from rusent.vectorize import fit, read_matrix, to_arff, transform
 
 from conftest import dense_csr, make_matrix, zipf_corpus
+from test_knn import brute_force_predict
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +154,19 @@ def test_read_matrix_never_holds_half_a_dense_matrix(vectorized_forms, form):
     assert peak < expected.nbytes / 2, (peak, expected.nbytes)
 
 
+def test_svm_objective_never_holds_half_a_dense_matrix(vectorized_forms):
+    # the margins sum each row's stored cells: no dense copy is made
+    matrix, _ = vectorized_forms
+    dense = matrix.n_rows * matrix.width * 8
+    assert dense > 11_000_000
+    weights = np.random.default_rng(0).standard_normal(matrix.width)
+    signs = np.where(matrix.y == 1, 1.0, -1.0)
+    peak, got = traced_peak(lambda: svm_objective(weights, 0.5, matrix, signs, 1e-3))
+    assert peak < dense / 2, (peak, dense)
+    hinge = np.maximum(0.0, 1.0 - signs * (matrix.dense() @ weights + 0.5))
+    assert got == pytest.approx(1e-3 / 2 * (weights @ weights) + hinge.mean(), rel=1e-12)
+
+
 def test_mlp_loss_never_holds_half_a_dense_matrix(vectorized_forms):
     # the loss is the cross-entropy of the scores, which sum each row's
     # stored cells: no dense copy of the training matrix is made
@@ -228,3 +244,26 @@ def test_knn_never_holds_half_its_rows_dense_when_many_are_equal(distance):
     peak, nearest = traced_peak(lambda: model.predict_indices(test))
     assert nearest.size == 5
     assert peak < dense / 2, (peak, dense)
+
+
+@pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("n_train", [3, 4])
+def test_knn_never_holds_a_dense_test_set_against_few_wide_rows(distance, n_train):
+    # 3 rows of 20000 columns fit DENSE_BUDGET and 4 do not; either way a
+    # block of test rows is bounded by the width as well as by the
+    # training rows, so 500 test rows (80 MB dense) are never dense at once
+    width, n_test = 20_000, 500
+    rng = np.random.default_rng(n_train)
+    rows = np.where(rng.random((n_train, width)) < 0.002,
+                    rng.integers(1, 4, (n_train, width)), 0.0)
+    labels = ["neg", "pos", "pos", "neg"][:n_train]
+    model = train_knn(make_matrix(rows, labels), k=1, distance=distance)
+    per_row = 200
+    indices = [np.sort(rng.choice(width, per_row, replace=False)) for _ in range(n_test)]
+    test = Csr(np.arange(n_test + 1) * per_row, np.concatenate(indices),
+               rng.integers(1, 4, n_test * per_row).astype(float), width)
+    peak, got = traced_peak(lambda: model.predict_indices(test))
+    assert peak < 2_000_000, peak
+    expected = [brute_force_predict(rows, labels, ("neg", "pos"), test.dense([i])[0], 1,
+                                    distance, 3.0) for i in range(n_test)]
+    assert [("neg", "pos")[i] for i in got] == expected

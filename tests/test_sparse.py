@@ -175,6 +175,8 @@ def test_row_sums_is_the_left_fold_over_each_rows_stored_cells(rows, k, data):
     got = row_sums(csr, W)
     assert got.shape == (rows.shape[0], k) and got.dtype == np.float64
     assert got.tobytes() == left_fold(csr, W).tobytes()
+    # W as a transposed view, which is not C-contiguous, gives the same bits
+    assert row_sums(csr, np.ascontiguousarray(W.T).T).tobytes() == got.tobytes()
     empty = np.diff(csr.indptr) == 0
     assert not np.signbit(got[empty]).any() and (got[empty] == 0).all()  # +0.0
     # the Csr of every cell, which the constructor gives back without the

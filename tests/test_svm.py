@@ -41,7 +41,7 @@ class TestTraining:
         signs = np.where(m.y == 1, 1.0, -1.0)
         short = train_svm(m, lam=1e-2, epochs=2, seed=1)
         long = train_svm(m, lam=1e-2, epochs=200, seed=1)
-        f = lambda mod: svm_objective(mod.weights, mod.bias, m.rows, signs, 1e-2)
+        f = lambda mod: svm_objective(mod.weights, mod.bias, m, signs, 1e-2)
         assert f(long) < f(short)
 
     def test_deterministic_for_seed(self):
@@ -61,27 +61,27 @@ class TestObjective:
     def test_zero_model_objective_is_one(self):
         m = blob_matrix()
         signs = np.where(m.y == 1, 1.0, -1.0)
-        assert svm_objective(np.zeros(2), 0.0, m.rows, signs, 1e-3) == pytest.approx(1.0)
+        assert svm_objective(np.zeros(2), 0.0, m, signs, 1e-3) == pytest.approx(1.0)
 
     def test_hand_value(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
         signs = np.array([1.0, -1.0])
         w = np.array([0.5, 0.0])
         # lam/2 * 0.25 + mean(max(0, 1-0.5), max(0, 1-0.5)) = 0.125 + 0.5
-        assert svm_objective(w, 0.0, X, signs, 1.0) == pytest.approx(0.625, abs=1e-12)
+        assert svm_objective(w, 0.0, dense_csr(X), signs, 1.0) == pytest.approx(0.625, abs=1e-12)
 
     def test_final_objective_near_grid_search_optimum(self):
         m = blob_matrix(seed=9)
         signs = np.where(m.y == 1, 1.0, -1.0)
         lam = 0.05
         model = train_svm(m, lam=lam, epochs=1000, seed=0)
-        got = svm_objective(model.weights, model.bias, m.rows, signs, lam)
+        got = svm_objective(model.weights, model.bias, m, signs, lam)
         # brute-force grid over (w0, w1, b)
         best = np.inf
         for w0 in np.linspace(-2, 2, 41):
             for w1 in np.linspace(-2, 2, 41):
                 for b in np.linspace(-2, 2, 21):
-                    best = min(best, svm_objective(np.array([w0, w1]), b, m.rows, signs, lam))
+                    best = min(best, svm_objective(np.array([w0, w1]), b, m, signs, lam))
         assert got <= best * 1.05 + 1e-9
 
 
