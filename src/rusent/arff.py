@@ -123,8 +123,8 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _scan_fields(line: str, lineno: int, sep: str | None, i: int = 0,
-                 n: int | None = None) -> list[tuple[str, bool, int, int]]:
+def _scan_fields(line: str, lineno: int, sep: str | None, i: int,
+                 n: int) -> list[tuple[str, bool, int, int]]:
     """Split line[i:n] on `sep` (or runs of spaces and tabs when sep is
     None), honoring single quotes with '' as the escaped quote. Quotes may
     open anywhere inside a field, so quoted text can contain the separator.
@@ -133,7 +133,6 @@ def _scan_fields(line: str, lineno: int, sep: str | None, i: int = 0,
     and indices count from the start of `line`. Text that holds no quote
     is split with str methods, to the fields _scan_chars gives it.
     """
-    n = len(line) if n is None else n
     text = line[i:n]
     if "'" in text:
         return _scan_chars(line, lineno, sep, i, n)

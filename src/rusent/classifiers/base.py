@@ -140,13 +140,11 @@ class BodyReader:
     """Cursor over the lines of a model file, read one at a time; it reads
     the header when made. `lines` are the file's lines without their line
     ends, the magic line first, as a list or as an iterator; `size` bounds
-    their characters, line ends included, and is worked out for a list.
+    their characters, line ends included.
     Each read names the key the next line must have and the number of
     values it must hold, and raises ValueError otherwise."""
 
-    def __init__(self, lines, size: int | None = None):
-        if size is None:
-            size = sum(map(len, lines)) + len(lines)
+    def __init__(self, lines, size: int):
         self._lines = iter(lines)
         self._line = next(self._lines, None)  # line `pos`, the next to read; None past the last
         self.pos = 0

@@ -18,10 +18,11 @@ the training rows, then a stable argsort. Test rows are made dense a
 block of max(1, _BLOCK_ENTRIES // max(n_train, width)) rows at a time,
 which bounds both the dense block and each (block x n_train) array of
 the screen whatever the training set's shape; training rows (all or
-some) a block of _BLOCK_ENTRIES // width rows at a time. Manhattan and
-minkowski scan every training row for every test row. Euclidean batch
-prediction first screens the training rows, so the exact scan runs on a
-few candidates only:
+some) a block of _BLOCK_ENTRIES // width rows at a time. Each test row's
+candidates are an array of training indices, ascending, and the exact
+scan reads those rows. For manhattan and minkowski they are every
+training index. Euclidean batch prediction first screens the training
+rows, so its candidates are few:
 
 * For a block of test rows at a time, approximate the squared distances
   as a_i = (|x|^2 + |r_i|^2) - 2 r_i.x, with the dot products of the whole
@@ -57,7 +58,8 @@ few candidates only:
   result equals the exhaustive scan's, ties included: a row's distance
   is the same bits whatever rows it is computed with. If any norm or
   bound of a test row is not finite (squares overflow past about 1e154),
-  that row scans every training row, as manhattan and minkowski do.
+  that row's candidates are every training index, as manhattan's and
+  minkowski's are.
 """
 
 from __future__ import annotations
@@ -114,50 +116,46 @@ class KnnModel(Model):
                              f" not {rows.shape}")
         self.rows = rows  # a Csr
 
-    def _candidates(self, X: Csr):
-        """Yield (x, training indices that can be among x's neighbours, in
-        ascending order, or None for all) for each row x of X, made dense a
-        block at a time."""
+    def _neighbours(self, X: Csr):
+        """Yield the k nearest training indices of each row of X, nearest
+        first, equal distances in training-index order. X is made dense a
+        block of rows at a time; each row's candidates are the training
+        indices, ascending, that can be among its neighbours: every index,
+        or the euclidean screen's."""
         csr = self.rows
+        every = np.arange(csr.n_rows)
         with np.errstate(over="ignore"):
             row_sq = np.bincount(csr.row_of(), weights=csr.data * csr.data, minlength=csr.n_rows)
         slack = 8.0 * (self.feature_width + 2)
         step = max(1, _BLOCK_ENTRIES // max(csr.n_rows, csr.width))
+        scan = max(1, _BLOCK_ENTRIES // max(csr.width, 1))
         for start in range(0, X.n_rows, step):
             block = X.dense(np.arange(start, min(start + step, X.n_rows)))
-            if self.metric != "euclidean":
-                yield from ((x, None) for x in block)
-                continue
-            # overflow only makes a bound non-finite, which the scan handles
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram = row_sums(csr, block.T).T
-                norms = np.einsum("ij,ij->i", block, block)[:, None] + row_sq
-                approx = norms - 2.0 * gram
-                bound = norms
-                bound *= _U
-                bound += _ETA
-                bound *= slack
-                upper = approx + bound
-                lower = np.subtract(approx, bound, out=approx)
-                tau = np.partition(upper, self.k - 1, axis=1)[:, self.k - 1]
-                # every a_i + B_i >= s_i >= 0, so tau >= 0 and scaling it
-                # up widens the screen
-                keep = lower <= (tau * (1.0 + 8.0 * _U))[:, None]
-            finite = np.isfinite(upper).all(axis=1) & np.isfinite(lower).all(axis=1)
-            for x, mask, ok in zip(block, keep, finite):
-                yield x, np.flatnonzero(mask) if ok else None
-
-    def _neighbours(self, X: Csr):
-        """Yield the k nearest training indices of each row of X, nearest
-        first, equal distances in training-index order."""
-        csr = self.rows
-        step = max(1, _BLOCK_ENTRIES // max(csr.width, 1))
-        for x, cand in self._candidates(X):
-            ids = np.arange(csr.n_rows) if cand is None else cand
-            dist = np.concatenate([_distances(csr.dense(ids[i:i + step]), x, self.metric, self.p)
-                                   for i in range(0, ids.size, step)])
-            order = np.argsort(dist, kind="stable")[: self.k]
-            yield order if cand is None else cand[order]
+            candidates = [every] * len(block)
+            if self.metric == "euclidean":
+                # overflow only makes a bound non-finite, which the scan handles
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gram = row_sums(csr, block.T).T
+                    norms = np.einsum("ij,ij->i", block, block)[:, None] + row_sq
+                    approx = norms - 2.0 * gram
+                    bound = norms
+                    bound *= _U
+                    bound += _ETA
+                    bound *= slack
+                    upper = approx + bound
+                    lower = np.subtract(approx, bound, out=approx)
+                    tau = np.partition(upper, self.k - 1, axis=1)[:, self.k - 1]
+                    # every a_i + B_i >= s_i >= 0, so tau >= 0 and scaling it
+                    # up widens the screen
+                    keep = lower <= (tau * (1.0 + 8.0 * _U))[:, None]
+                finite = np.isfinite(upper).all(axis=1) & np.isfinite(lower).all(axis=1)
+                candidates = [np.flatnonzero(mask) if ok else every
+                              for mask, ok in zip(keep, finite)]
+            for x, cand in zip(block, candidates):
+                dist = np.concatenate([_distances(csr.dense(cand[i:i + scan]), x,
+                                                  self.metric, self.p)
+                                       for i in range(0, cand.size, scan)])
+                yield cand[np.argsort(dist, kind="stable")[: self.k]]
 
     def scores(self, X) -> np.ndarray:
         n_classes = len(self.class_values)

@@ -334,10 +334,6 @@ def grow_tree(matrix, columns, weights: np.ndarray, config: TreeConfig, rng=None
                 goes_left[rows] = 0.0 <= threshold
                 goes_left[er[lo:hi]] = ev[lo:hi] <= threshold
                 left = goes_left[rows]
-                if max_depth is not None and depth + 1 >= max_depth:
-                    # the children are leaves, which read no entries
-                    stack += [(rows[~left], None, depth + 1), (rows[left], None, depth + 1)]
-                    continue
                 keep = goes_left[er]
                 stack.append((rows[~left], (er[~keep], ec[~keep], ev[~keep]), depth + 1))
                 stack.append((rows[left], (er[keep], ec[keep], ev[keep]), depth + 1))

@@ -124,8 +124,8 @@ def _write_vectorized(space, vocab_out, *outputs):
 
 
 def cmd_vectorize(args) -> int:
-    if args.test and not args.out_test:
-        raise ConfigError("--out-test is required when --test is given")
+    if bool(args.test) != bool(args.out_test):
+        raise ConfigError("--test and --out-test must be given together")
     # every input is read and transformed before any file is written
     train = parse_file(args.train, parse_arff)
     test = parse_file(args.test, parse_arff) if args.test else None

@@ -256,17 +256,17 @@ def test_criterion_9_end_to_end_pipeline(tmp_path, capsys):
     with criterion(9):
         started = time.perf_counter()
         train_path, test_path = _pipeline_inputs(str(tmp_path))
-        out_a = str(tmp_path / "run_a")
-        out_b = str(tmp_path / "run_b")
+        out_a = tmp_path / "run_a"
+        out_b = tmp_path / "run_b"
         for out_dir in (out_a, out_b):
             code = main([
                 "compare", "--train", train_path, "--test", test_path,
-                "--out-dir", out_dir, "--seed", "42",
+                "--out-dir", str(out_dir), "--seed", "42",
             ])
             assert code == 0
         assert time.perf_counter() - started < 60.0
 
-        table = open(os.path.join(out_a, "report.txt"), encoding="utf-8").read()
+        table = (out_a / "report.txt").read_text(encoding="utf-8")
         lines = table.rstrip("\n").split("\n")
         assert lines[0].split() == [
             "classifier", "total", "correct", "incorrect",
@@ -274,15 +274,13 @@ def test_criterion_9_end_to_end_pipeline(tmp_path, capsys):
         ]
         assert len(lines) == 2 + 8 + 1  # header + rule + 8 classifiers + footer
 
-        payload = json.loads(open(os.path.join(out_a, "report.json")).read())
+        payload = json.loads((out_a / "report.json").read_text())
         assert len(payload["reports"]) == 8
         for report in payload["reports"]:
             assert report["accuracy"] >= 0.90, (report["model"], report["accuracy"])
 
         for name in ("report.txt", "report.json"):
-            a = open(os.path.join(out_a, name), "rb").read()
-            b = open(os.path.join(out_b, name), "rb").read()
-            assert a == b
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 # SHA-256 of each model file produced by criterion 10's seed-42 run.

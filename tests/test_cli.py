@@ -105,6 +105,19 @@ class TestVectorize:
         assert "--out-test" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_out_test_without_test_fails(self, arff_paths, tmp_path, capsys):
+        # --out-test alone would name a file that nothing writes
+        train, _ = arff_paths
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([
+            "vectorize", "--train", str(train),
+            "--out-train", str(out / "tr.arff"), "--out-test", str(out / "te.arff"),
+        ])
+        assert code == 1
+        assert "--test" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("bad_test", ["missing", "other classes"])
     def test_a_bad_test_input_exits_2_and_writes_nothing(
             self, arff_paths, tmp_path, capsys, bad_test):

@@ -696,8 +696,8 @@ def right_children(tree):
 def reread(lines):
     """A tree over 3 features and 2 classes read back from its lines, with
     the reader checked to stop at the tree's last line."""
-    reader = BodyReader([MAGIC, "variant dtree", "feature_width 3",
-                         "class neg", "class pos"] + lines + ["end"])
+    lines = [MAGIC, "variant dtree", "feature_width 3", "class neg", "class pos"] + lines + ["end"]
+    reader = BodyReader(lines, sum(map(len, lines)) + len(lines))
     tree = read_tree(reader)
     reader.end()
     return tree
