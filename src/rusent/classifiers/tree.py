@@ -50,16 +50,19 @@ fixed only while it holds:
   class's zero rows in row order, then through the positives. A row of
   another class adds 0.0, which changes no bit of a sum of weights, so
   the folds skip such rows or pad with 0.0;
-* the node's class totals are summed in row order (np.add.at), and every
-  candidate's gain comes from the same elementwise formula on its
-  (candidates, classes) rows of left weights;
+* the node's class totals are summed in row order (np.bincount adds
+  each row's weight in turn), and the node's entropy and every
+  candidate's gain come from one elementwise formula (_entropy_rows) on
+  (rows, classes) weights;
 * the first maximum wins: in candidate-list order, then lowest threshold.
 
-A tree takes its root's entries once, and a split filters its node's
-entries by the side each row goes to, which keeps their order: below the
-root nothing is sorted and no dense matrix is copied. Scratch memory
-grows with the non-zero entries, except for the fold over the zeros,
-whose matrix holds at most _FOLD_ENTRIES values at a time.
+A node holds an index array into column_entries: the root's picks the
+entries of its drawn rows, and a split filters its node's array by the
+side each row goes to, which keeps their order, so below the root
+nothing is sorted and no dense matrix is copied. A node gathers the
+entries its array picks only when it may split. Working memory grows
+with the non-zero entries, except for the fold over the zeros, whose
+matrix holds about DENSE_BUDGET values (sparse.py) at a time.
 
 A Tree holds arrays over its nodes in preorder, the model file's order:
 `feature` and `threshold` (-1 and 0.0 at a leaf), `right`, a split's
@@ -74,15 +77,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import sparse
 from ..errors import ModelError
 from ..sparse import Csr, ranges
 from .base import Model, TreeConfig, fmt_floats
 
 _GAIN_EPS = 1e-12
-
-# Values per matrix of the weighted fold over a class's zero rows (one
-# column per feature): the fold takes as many features at a time as fit.
-_FOLD_ENTRIES = 1 << 14
 
 
 class Tree:
@@ -109,14 +109,13 @@ class Tree:
 
 def entropy(class_weights: np.ndarray) -> float:
     """Entropy in bits of a per-class weight (or count) vector."""
-    total = class_weights.sum()
-    if total <= 0.0:
-        return 0.0
-    p = class_weights[class_weights > 0.0] / total
-    return float(-(p * np.log2(p)).sum())
+    return float(_entropy_rows(class_weights[None])[0])
 
 
 def _entropy_rows(cw: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a (rows, classes) weight matrix: the
+    terms -p log2(p) of its class proportions, a zero weight's term 0.0,
+    summed along the row (0.0 for a row of zeros)."""
     totals = cw.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0.0, totals, 1.0)
     p = cw / safe
@@ -171,7 +170,7 @@ def _zero_run_folds(end, w_c, dense, at, feature):
     last column (a one-column matrix would be contiguous down its rows)."""
     d = dense.nonzero()[0]
     slot = (np.cumsum(dense) - 1)[feature]
-    step = max(1, _FOLD_ENTRIES // (w_c.size + 1))
+    step = max(1, sparse.DENSE_BUDGET // (w_c.size + 1))
     for lo in range(0, d.size, step):
         ks = d[lo:lo + step]
         i, j = np.searchsorted(slot, (lo, lo + ks.size))
@@ -292,36 +291,36 @@ def grow_tree(matrix, columns, weights: np.ndarray, config: TreeConfig, rng=None
     float weights (see the module docstring). A row counted 0 times is in
     no node.
 
-    A node holds its rows (ascending indices into the matrix) and their
-    non-zero entries, in the `columns` order. A split sends each row to one
-    side by its value in the split feature (a row with no entry there
-    holds 0.0) and filters the node's entries by their row's side, which
-    keeps their order. An explicit stack replaces recursion, so depth is
-    not bounded by the interpreter's recursion limit. A split hands each
-    child its own rows and entries and drops the node's, so the pending
-    right subtrees on the stack hold disjoint rows: at most one copy of
-    the entries in all, whatever the depth."""
+    A node holds its rows (ascending indices into the matrix) and an index
+    array into `columns`, which picks the rows' non-zero entries in the
+    `columns` order; a node that may split gathers those entries. A split
+    sends each row to one side by its value in the split feature (a row
+    with no entry there holds 0.0) and filters the node's index array by
+    its entries' side, which keeps their order. An explicit stack replaces
+    recursion, so depth is not bounded by the interpreter's recursion
+    limit. A split hands each child its own rows and index array and
+    drops the node's, so the pending right subtrees on the stack hold
+    disjoint rows: at most one index per entry in all, whatever the
+    depth."""
     n, d = matrix.shape
     y, n_classes = matrix.y, len(matrix.class_values)
     max_depth, min_leaf = config.max_depth, config.min_leaf
     counts = weights if weights.dtype.kind == "i" else np.ones(n, dtype=np.intp)
     er, ec, ev = columns
-    drawn = counts[er] > 0
-    entries = er[drawn], ec[drawn], ev[drawn]
     goes_left = np.empty(n, dtype=bool)
     no_distribution = np.zeros(n_classes)
     nodes = []
-    stack = [(np.flatnonzero(counts), entries, 0)]
+    stack = [(np.flatnonzero(counts), np.flatnonzero(counts[er] > 0), 0)]
     while stack:
-        rows, entries, depth = stack.pop()
-        cw = np.zeros(n_classes)
-        np.add.at(cw, y[rows], weights[rows])
+        rows, at, depth = stack.pop()
+        cw = np.bincount(y[rows], weights=weights[rows], minlength=n_classes)
         can_split = (
             counts[rows].sum() >= 2 * min_leaf
             and (max_depth is None or depth < max_depth)
             and np.count_nonzero(cw) > 1
         )
         if can_split:
+            entries = node_rows, node_cols, node_values = er[at], ec[at], ev[at]
             candidates = entries
             if subset_size is not None and subset_size < d:
                 candidates = _restrict(entries, rng.sample_indices(d, subset_size))
@@ -329,14 +328,13 @@ def grow_tree(matrix, columns, weights: np.ndarray, config: TreeConfig, rng=None
             if best is not None and best[0] > _GAIN_EPS:
                 _, feature, threshold = best
                 nodes.append((feature, threshold, -1, no_distribution))
-                er, ec, ev = entries
-                lo, hi = np.searchsorted(ec, (feature, feature + 1))
+                lo, hi = np.searchsorted(node_cols, (feature, feature + 1))
                 goes_left[rows] = 0.0 <= threshold
-                goes_left[er[lo:hi]] = ev[lo:hi] <= threshold
+                goes_left[node_rows[lo:hi]] = node_values[lo:hi] <= threshold
                 left = goes_left[rows]
-                keep = goes_left[er]
-                stack.append((rows[~left], (er[~keep], ec[~keep], ev[~keep]), depth + 1))
-                stack.append((rows[left], (er[keep], ec[keep], ev[keep]), depth + 1))
+                keep = goes_left[node_rows]
+                stack.append((rows[~left], at[~keep], depth + 1))
+                stack.append((rows[left], at[keep], depth + 1))
                 continue
         total = cw.sum()
         distribution = cw / total if total > 0.0 else np.full(n_classes, 1.0 / n_classes)

@@ -14,7 +14,10 @@ Diagnostics go to stderr; results go to files or stdout.
 
 Every command that writes files also writes a JSON run manifest next to
 its outputs; re-running the command described by a manifest reproduces
-the outputs byte for byte (manifests carry no timestamps).
+the outputs byte for byte (manifests carry no timestamps). vectorize,
+train and evaluate refuse (exit 1), before reading anything, an output
+that names the same file as another of their outputs or as an input:
+the run it records could not be made again.
 """
 
 from __future__ import annotations
@@ -69,6 +72,19 @@ def _write_manifest(path, command, config):
         "config": config,
     }
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _check_paths(inputs: dict, outputs: dict) -> None:
+    """ConfigError, before anything is read or written, if an output names
+    the same file (after os.path.realpath) as another output or an input.
+    Each dict maps a flag to its path, or to None where it is not given."""
+    seen = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ConfigError(f"{seen[real]} and {flag} name the same file {path!r}")
+            seen[real] = flag
 
 
 def _stopwords(spec: str) -> StopWordList:
@@ -126,11 +142,15 @@ def _write_vectorized(space, vocab_out, *outputs):
 def cmd_vectorize(args) -> int:
     if bool(args.test) != bool(args.out_test):
         raise ConfigError("--test and --out-test must be given together")
+    vocab_out = args.vocab_out or os.path.splitext(args.out_train)[0] + ".vocab.txt"
+    _check_paths({"--train": args.train, "--test": args.test}, {
+        "--out-train": args.out_train, "--out-test": args.out_test, "--vocab-out": vocab_out,
+        "--out-train's manifest": args.out_train + ".manifest.json",
+    })
     # every input is read and transformed before any file is written
     train = parse_file(args.train, parse_arff)
     test = parse_file(args.test, parse_arff) if args.test else None
     space, train_matrix, test_matrix = _vectorize(args, train, test)
-    vocab_out = args.vocab_out or os.path.splitext(args.out_train)[0] + ".vocab.txt"
     outputs = {"out_train": args.out_train, "vocab_out": vocab_out}
     written = [(args.out_train, train_matrix)]
     if test is not None:
@@ -237,6 +257,10 @@ def _check_train(matrix) -> None:
 
 
 def cmd_train(args) -> int:
+    _check_paths({"--train": args.train}, {
+        "--model-out": args.model_out,
+        "--model-out's manifest": args.model_out + ".manifest.json",
+    })
     matrix = parse_file(args.train, read_matrix)
     _check_train(matrix)
     started = time.perf_counter()
@@ -254,6 +278,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.report_out:
+        _check_paths({"--model": args.model, "--test": args.test}, {
+            "--report-out": args.report_out,
+            "--report-out's manifest": args.report_out + ".manifest.json",
+        })
     model = load_model(args.model)
     matrix = parse_file(args.test, read_matrix)
     report = evaluate(model, matrix, args.positive_class)

@@ -45,7 +45,9 @@ import numpy as np
 
 #: values (rows x width) in one dense block of rows (512 KiB): RowBlocks
 #: densifies a matrix whose dense form fits once and takes each block from
-#: it, and its blocks of a larger one hold about this many values
+#: it, and its blocks of a larger one hold about this many values; the
+#: tree split search's fold over a class's zero rows (classifiers/tree.py)
+#: takes as many features at a time as fit it
 DENSE_BUDGET = 1 << 16
 
 

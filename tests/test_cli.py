@@ -348,6 +348,90 @@ class TestTrainEvaluate:
         assert a.read_bytes() == b.read_bytes()
 
 
+def tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+class TestAnOutputNamesAnotherFile:
+    """vectorize, train and evaluate exit 1 before reading anything when an
+    output names the same file as another output or an input: the file
+    would be written over, and its manifest would describe a run that
+    cannot be made again."""
+
+    @pytest.fixture
+    def files(self, arff_paths, tmp_path):
+        train, test = arff_paths
+        vtr, vte, model = tmp_path / "v" / "tr.arff", tmp_path / "v" / "te.arff", tmp_path / "m"
+        vtr.parent.mkdir()
+        assert main(["vectorize", "--train", str(train), "--test", str(test),
+                     "--out-train", str(vtr), "--out-test", str(vte)]) == 0
+        assert main(["train", "--train", str(vtr), "--algorithm", "mnb",
+                     "--model-out", str(model)]) == 0
+        return {"train": train, "test": test, "vtr": vtr, "vte": vte, "model": model,
+                "out": tmp_path / "out"}
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["vectorize", "--train", "{train}", "--test", "{test}",
+          "--out-train", "{out}/v.arff", "--out-test", "{out}/v.arff"],
+         ["--out-train", "--out-test"]),
+        (["vectorize", "--train", "{train}",
+          "--out-train", "{out}/w.arff", "--vocab-out", "{out}/w.arff"],
+         ["--out-train", "--vocab-out"]),
+        (["vectorize", "--train", "{train}", "--test", "{test}",  # the default vocabulary
+          "--out-train", "{out}/tr.arff", "--out-test", "{out}/tr.vocab.txt"],
+         ["--out-test", "--vocab-out"]),
+        (["vectorize", "--train", "{train}", "--test", "{test}",
+          "--out-train", "{out}/tr.arff", "--out-test", "{out}/tr.arff.manifest.json"],
+         ["--out-test", "--out-train's manifest"]),
+        (["vectorize", "--train", "{train}", "--out-train", "{out}/../{train_name}"],
+         ["--train", "--out-train"]),
+        (["train", "--train", "{vtr}", "--algorithm", "mnb", "--model-out", "{vtr}"],
+         ["--train", "--model-out"]),
+        (["train", "--train", "{vtr}", "--algorithm", "mnb",
+          "--model-out", "{out}/../v/tr.arff"],
+         ["--train", "--model-out"]),
+        (["evaluate", "--model", "{model}", "--test", "{vte}", "--report-out", "{vte}"],
+         ["--test", "--report-out"]),
+        (["evaluate", "--model", "{model}", "--test", "{vte}", "--report-out", "{model}"],
+         ["--model", "--report-out"]),
+    ], ids=["out-test is out-train", "vocab-out is out-train", "out-test is the default vocab",
+            "out-test is the manifest", "out-train is train", "model-out is train",
+            "model-out is train by another path", "report-out is test", "report-out is model"])
+    def test_exits_1_names_both_flags_and_writes_nothing(self, files, capsys, argv, flags):
+        files["out"].mkdir()
+        names = {k: str(v) for k, v in files.items()}
+        names["train_name"] = files["train"].name
+        root = files["train"].parent
+        before = tree_bytes(root)
+        capsys.readouterr()
+        assert main([a.format(**names) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(flag in captured.err for flag in flags), captured.err
+        assert tree_bytes(root) == before
+
+    def test_an_input_named_like_the_model_manifest_exits_1(self, files, capsys):
+        vtr = files["vtr"]
+        kept = vtr.with_name("m.manifest.json")
+        vtr.rename(kept)
+        before = tree_bytes(vtr.parent)
+        assert main(["train", "--train", str(kept), "--algorithm", "mnb",
+                     "--model-out", str(vtr.with_name("m"))]) == 1
+        assert "--train and --model-out's manifest" in capsys.readouterr().err
+        assert tree_bytes(vtr.parent) == before
+
+    def test_a_symlink_to_an_input_is_the_same_file(self, files, capsys):
+        link = files["vte"].with_name("link.json")
+        link.symlink_to(files["model"])
+        before = tree_bytes(files["vte"].parent)
+        assert main(["evaluate", "--model", str(files["model"]), "--test", str(files["vte"]),
+                     "--report-out", str(link)]) == 1
+        assert "--model and --report-out" in capsys.readouterr().err
+        assert tree_bytes(files["vte"].parent) == before
+
+
 class TestUnwritableOutput:
     """An output in a missing directory, or at a directory, exits 2 and
     leaves no temporary file."""

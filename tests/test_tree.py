@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rusent import sparse
 from rusent.classifiers import train_adaboost, train_bagging, train_dtree, train_rforest
+from rusent.classifiers import tree as tree_module
 from rusent.classifiers.base import MAGIC, BodyReader, TreeConfig, loads_model
 from rusent.classifiers.tree import (
     Tree, _entropy_rows, _node_split, _restrict, column_entries, entropy, grow_tree, read_tree,
@@ -38,6 +40,25 @@ class TestEntropy:
     def test_scale_invariant(self):
         a = np.array([3.0, 1.0, 2.0])
         assert entropy(a) == pytest.approx(entropy(a * 17.5), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda c: st.tuples(st.just(c), st.lists(
+    st.tuples(st.integers(0, c - 1),
+              st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)),
+    max_size=60))))
+def test_weighted_bincount_is_a_left_fold_in_row_order(case):
+    """A node's class totals (np.bincount with weights) have the bits of a
+    Python left fold of each class's weights in row order, which the
+    model bytes under float weights rely on."""
+    n_classes, pairs = case
+    fold = [0.0] * n_classes
+    for c, w in pairs:
+        fold[c] += w
+    y = np.array([c for c, _ in pairs], dtype=np.intp)
+    w = np.array([w for _, w in pairs], dtype=np.float64)
+    got = np.bincount(y, weights=w, minlength=n_classes)
+    assert got.tobytes() == np.array(fold).tobytes()
 
 
 def is_leaf(tree, i=0):
@@ -465,8 +486,8 @@ def wide_count_matrix(rows=600, width=2000, terms=30, seed=2024):
 
 # Taken from the per-feature split search, before the blocked search and
 # then the search over non-zero entries replaced it. At 600 rows AdaBoost's
-# fold over the zeros of 2000 features takes more than one _FOLD_ENTRIES
-# matrix.
+# fold over the zeros of 2000 features takes more than one matrix of
+# DENSE_BUDGET values (checked below).
 WIDE_MODEL_HASHES = {
     "dtree": "7aec1a981ced041ddce6222f61c61bfc5794fec484b143dedcb08d6eda293a9f",
     "bagging": "9da901b26a77ec34de3e51d43031e50df65312a932299d2b948b105231050ff1",
@@ -491,6 +512,41 @@ def wide_matrix():
 
 @pytest.mark.parametrize("name", sorted(WIDE_TRAINERS))
 def test_tree_model_bytes_on_a_wide_matrix(wide_matrix, name):
+    text = WIDE_TRAINERS[name](wide_matrix).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_MODEL_HASHES[name]
+
+
+class _Writes(np.ndarray):
+    """A view that counts the assignments made through it."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def test_the_wide_matrix_folds_its_zeros_in_more_than_one_matrix(wide_matrix, monkeypatch):
+    # the fold writes its features' sums into `end` once per matrix
+    matrices, fold = [], tree_module._zero_run_folds
+
+    def counted(end, *args):
+        view = end.view(_Writes)
+        fold(view, *args)
+        matrices.append(view.writes)
+
+    monkeypatch.setattr(tree_module, "_zero_run_folds", counted)
+    text = WIDE_TRAINERS["adaboost-depth1"](wide_matrix).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_MODEL_HASHES["adaboost-depth1"]
+    assert max(matrices) > 1, matrices
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 24])
+@pytest.mark.parametrize("name", ["adaboost-depth1", "adaboost-depth2"])
+def test_the_fold_bits_do_not_depend_on_the_budget(wide_matrix, monkeypatch, name, budget):
+    # one feature per matrix, or every feature in one: each column's sum
+    # is one fold down the rows whatever the matrix's width
+    monkeypatch.setattr(sparse, "DENSE_BUDGET", budget)
     text = WIDE_TRAINERS[name](wide_matrix).dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == WIDE_MODEL_HASHES[name]
 
