@@ -34,7 +34,8 @@ and an exact number of values. Floats are written with repr(), the
 shortest string that round-trips to the same double, so model files are
 byte-stable and loading loses no precision; the writers refuse
 non-finite ones, and fmt_csr writes a kNN model's rows from their stored
-cells, "0.0" at every other cell. A class line has no escape, so a model
+cells, "0.0" at every other cell: each run of zeros is one slice of a row
+of "0.0" words made once per matrix. A class line has no escape, so a model
 refuses to write a class value that holds a line feed or a carriage return.
 
 save streams: it writes the file's lines one at a time, as the model
@@ -42,10 +43,12 @@ makes them, to a temporary file that replaces the target only once it is
 whole, so the whole text is never held. load_model reads the file one
 line at a time (a pipe, which has no size, whole) into one BodyReader.
 It bounds a matrix by what is left of the file before reading its rows,
-reads them straight into CSR (rusent.sparse), casting only the cells
-that are not "0.0", and refuses any other line or value
-count, trailing lines, non-finite floats, and a split feature or leaf
-class out of range. Every other value goes to the variant's constructor, which
+reads them straight into CSR (rusent.sparse) a block of lines at a time,
+finding a block's "0.0" words with numpy from its code points and
+casting only the others, and refuses any other line or value count,
+trailing lines, non-finite floats, and a split feature or leaf class out
+of range (a block's first bad line in file order, as if the lines were
+read one by one). Every other value goes to the variant's constructor, which
 checks what a model holds, trained or loaded alike: hyperparameter
 ranges, parameter shapes, distinct classes. load_model reports what
 either refuses as a corrupt model file (ModelError, exit 2). dumps and
@@ -62,6 +65,7 @@ from itertools import chain
 
 import numpy as np
 
+from .. import sparse
 from ..errors import ModelError
 from ..sparse import Csr
 from ..util import atomic_write_lines, read_lines
@@ -91,10 +95,10 @@ def fmt_csr(matrix: Csr) -> Iterator[str]:
     """fmt_rows of the dense rows of a Csr, each made from its stored cells
     as it is read."""
     _check_finite(matrix.data)
+    zeros = "0.0 " * matrix.width
     indptr = matrix.indptr.tolist()
     for lo, hi in zip(indptr, indptr[1:]):
-        yield _cell_words(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist(),
-                          matrix.width)
+        yield _cell_words(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist(), zeros)
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -108,13 +112,17 @@ def _words(arr: np.ndarray) -> str:
     return " ".join(map(repr, arr.tolist()))
 
 
-def _cell_words(cells: list[int], values: list[float], size: int) -> str:
-    """The words of a row of `size` cells, repr(value) at each of `cells`
-    and "0.0", repr(0.0), at every other cell."""
-    words = ["0.0"] * size
-    for i, value in zip(cells, values):
-        words[i] = repr(value)
-    return " ".join(words)
+def _cell_words(cells: list[int], values: list[float], zeros: str) -> str:
+    """The words of a row of len(zeros) // 4 cells, repr(value) at each of
+    `cells` (ascending) and "0.0", repr(0.0), at every other cell. `zeros`
+    is "0.0 " once per cell of the row, and each run of zeros is one slice
+    of it."""
+    parts, at = [], 0  # at: the offset in zeros of the cell after the last stored one
+    for i, word in zip(cells, map(repr, values)):
+        parts.append(zeros[at:4 * i] + word)
+        at = 4 * i + 4
+    parts.append(zeros[at:])
+    return " ".join(parts)[:-1]  # the space after the last word
 
 
 @dataclass(frozen=True)
@@ -172,13 +180,18 @@ class BodyReader:
         self._advance()
         return line[len(key) + 1:]
 
+    def _counted(self, key: str, count: int | None) -> str:
+        """rest(key), which must hold `count` values (any number if None)."""
+        rest = self.rest(key)
+        found = rest.count(" ") + 1 if rest else 0  # "key " holds no values
+        if count is not None and found != count:
+            raise ValueError(f"line {self.pos}: {key!r} needs {count} values, not {found}")
+        return rest
+
     def values(self, key: str, count: int | None = None) -> list[str]:
         """Exactly `count` values, or any number if count is None."""
-        rest = self.rest(key)
-        words = rest.split(" ") if rest else []  # "key " holds no values
-        if count is not None and len(words) != count:
-            raise ValueError(f"line {self.pos}: {key!r} needs {count} values, not {len(words)}")
-        return words
+        rest = self._counted(key, count)
+        return rest.split(" ") if rest else []
 
     def integers(self, key: str, count=None) -> list[int]:
         return [int(w) for w in self.values(key, count)]
@@ -205,23 +218,46 @@ class BodyReader:
         """`count` lines of `width` values as one CSR matrix. Each value takes
         at least two characters of its line, so what is left of the file
         bounds the matrix before a line is read, whatever the header says.
-        Only the words that are not "0.0" are cast; the Csr drops those that
-        are +0.0 all the same ("0", "0e5")."""
+        The lines are read a block at a time: one line at least, and about
+        sparse.DENSE_BUDGET // 4 characters (16 Ki), as the block's scan
+        holds some 12 bytes a character. The scan joins the block's lines
+        and takes their code points once: the words end at the spaces, and
+        a zero word is the three points "0.0". Only the other words are
+        cast, in file order; the Csr drops those that are +0.0 all the same
+        ("0", "0e5"). As a block reads ahead, the error of a bad line (its
+        key, its value count, a word float() refuses or a non-finite value)
+        is raised once the lines before it are read, so the first bad line
+        in the file is the one reported."""
         if 2 * count * width > self.left:
             raise ValueError(f"line {self.pos + 1}: expected {count} {key!r} lines"
                              f" of {width} values")
         # the cells go into typed buffers, 8 bytes each, not lists of objects
-        counts, indices, data = [0], array("q"), array("d")
-        for _ in range(count):
-            words = self.values(key, width)
-            cells = [i for i, word in enumerate(words) if word != "0.0"]
-            values = [float(words[i]) for i in cells]
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"line {self.pos}: {key!r} holds a non-finite value")
-            counts.append(len(cells))
-            indices.extend(cells)
-            data.extend(values)
-        return Csr(np.cumsum(counts), np.frombuffer(indices, dtype=np.int64),
+        counts, indices, data = [np.zeros(1, np.intp)], array("q"), array("d")
+        while count:
+            first, rests, chars, error = self.pos, [], 0, None
+            while len(rests) < count and (not rests or chars < sparse.DENSE_BUDGET // 4):
+                try:
+                    rests.append(self._counted(key, width))
+                except ValueError as exc:
+                    error = exc  # raised once the lines before it are read
+                    break
+                chars += len(rests[-1]) + 1
+            words, cells = _stored_words(rests, width)
+            rows, cols = np.divmod(cells, width)
+            row_counts = np.bincount(rows, minlength=len(rests))
+            at = 0
+            for line, n in enumerate(row_counts.tolist(), first + 1):
+                values = list(map(float, words[at:at + n]))
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"line {line}: {key!r} holds a non-finite value")
+                data.extend(values)
+                at += n
+            if error is not None:
+                raise error
+            counts.append(row_counts)
+            indices.frombytes(cols.astype(np.int64).tobytes())
+            count -= len(rests)
+        return Csr(np.cumsum(np.concatenate(counts)), np.frombuffer(indices, dtype=np.int64),
                    np.frombuffer(data), width)
 
     def tree_config(self, prefix: str = "") -> TreeConfig:
@@ -233,6 +269,29 @@ class BodyReader:
     def end(self) -> None:
         if self._line != "end" or next(self._lines, None) is not None:
             raise ValueError(f"line {self.pos + 1}: expected 'end' as the last line")
+
+
+def _stored_words(rests: list[str], width: int) -> tuple[list[str], np.ndarray]:
+    """The words of `rests`, lines of `width` words each, that are not
+    "0.0", in file order, and their places among all the words."""
+    if not (width and rests):
+        return [], np.zeros(0, np.intp)
+    text = " ".join(rests) + " "  # a space after every word
+    # code points, one array element each (lone surrogates too), so that
+    # an offset into the array is an offset into the text
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    ends = np.flatnonzero(points == ord(" "))  # one past each word
+    # zero[i]: the 3 points before i are "0.0", and the text starts, or a
+    # space is, before them
+    zero = np.zeros(points.size, bool)
+    zero[3:] = (points[:-3] == ord("0")) & (points[1:-2] == ord(".")) & (points[2:-1] == ord("0"))
+    zero[4:] &= points[:-4] == ord(" ")
+    del points  # before the words are made
+    cells = np.flatnonzero(~zero[ends])
+    stops = ends[cells]
+    starts = np.where(cells > 0, ends[cells - 1] + 1, 0)
+    words = list(map(text.__getitem__, map(slice, starts.tolist(), stops.tolist())))
+    return words, cells
 
 
 class Model:

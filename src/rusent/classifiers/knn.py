@@ -1,13 +1,16 @@
 """k-nearest-neighbor classifier.
 
 Training keeps the feature matrix's CSR rows (rusent.sparse), which are
-read-only, without a copy; a loaded model reads its rows straight into
-CSR, casting only the cells that are not "0.0", and save writes "0.0" for
-each cell it does not store, so a model file has the bytes of its dense
-rows. Prediction ranks training instances by distance (euclidean,
-manhattan, or minkowski with a configurable exponent p), breaking distance
-ties toward the lowest training index, then takes the majority label of
-the k nearest, breaking vote ties toward the lowest class index. Scores
+read-only, without a copy. A loaded model reads its rows straight into
+CSR a block of lines at a time, finding the "0.0" words of a block with
+numpy and casting only the others (BodyReader.matrix). save writes "0.0"
+for each cell it does not store, each run of them as one slice of a row
+of zeros, so a model file has the bytes of its dense rows.
+
+Prediction ranks training instances by distance (euclidean, manhattan, or
+minkowski with a configurable exponent p), breaking distance ties toward
+the lowest training index, then takes the majority label of the k
+nearest, breaking vote ties toward the lowest class index. Scores
 are vote fractions. Minkowski ranks by sum |r - x|^p, the distance's p-th
 power: it has the distance's order (p > 0), while the root can overflow
 for a small p even where the sum is finite (a sum of 3 at p = 0.001). A

@@ -17,7 +17,11 @@ its outputs; re-running the command described by a manifest reproduces
 the outputs byte for byte (manifests carry no timestamps). vectorize,
 train and evaluate refuse (exit 1), before reading anything, an output
 that names the same file as another of their outputs or as an input:
-the run it records could not be made again.
+the run it records could not be made again. Likewise compare refuses an
+input that names one of the files it may write under --out-dir (the
+vectorized ARFFs, vocabulary.txt, manifest.json, report.txt, report.json
+and models/<algorithm>.model for each algorithm asked for), whether the
+input is raw text or vectorized: it takes no input from among them.
 """
 
 from __future__ import annotations
@@ -297,6 +301,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # every name it may write, whichever kind of input it turns out to read
+    written = ["train_vectorized.arff", "test_vectorized.arff", "vocabulary.txt",
+               "manifest.json", "report.txt", "report.json",
+               *(os.path.join("models", f"{a}.model") for a in args.algorithms)]
+    _check_paths({"--train": args.train, "--test": args.test},
+                 {f"--out-dir's {name}": os.path.join(args.out_dir, name) for name in written})
     train = parse_file(args.train, parse_arff)
     test = parse_file(args.test, parse_arff)
 

@@ -432,6 +432,74 @@ class TestAnOutputNamesAnotherFile:
         assert tree_bytes(files["vte"].parent) == before
 
 
+class TestCompareTakesNoInputFromItsOutDir:
+    """compare exits 1 before reading anything when --train or --test names
+    a file it may write under --out-dir, whatever the input holds: it
+    would replace the input, and its manifest would name a file whose
+    bytes changed."""
+
+    @pytest.fixture
+    def inputs(self, arff_paths, tmp_path):
+        (tmp_path / "out" / "models").mkdir(parents=True)
+        return arff_paths, tmp_path
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--train", "train_vectorized.arff"),
+        ("--test", "test_vectorized.arff"),
+        ("--train", "vocabulary.txt"),
+        ("--test", "manifest.json"),
+        ("--train", "report.txt"),
+        ("--test", "report.json"),
+        ("--train", "models/mnb.model"),
+        ("--test", "models/knn.model"),
+    ])
+    def test_exits_1_and_leaves_every_file(self, inputs, capsys, flag, name):
+        (train, test), root = inputs
+        moved = root / "out" / name
+        (train if flag == "--train" else test).rename(moved)
+        paths = {"--train": str(train), "--test": str(test), flag: str(moved)}
+        before = tree_bytes(root)
+        capsys.readouterr()
+        assert main(["compare", "--train", paths["--train"], "--test", paths["--test"],
+                     "--out-dir", str(root / "out"), "--algorithms", "mnb", "knn"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} and --out-dir's {name} name the same file" in captured.err, captured.err
+        assert tree_bytes(root) == before
+
+    def test_a_raw_train_input_named_like_its_vectorized_output(self, inputs, capsys):
+        # the reported case: compare read the raw text, then wrote its
+        # vectorized form over it and exited 0
+        (train, test), root = inputs
+        kept = root / "out" / "train_vectorized.arff"
+        train.rename(kept)
+        before = kept.read_bytes()
+        assert main(["compare", "--train", str(kept), "--test", str(test),
+                     "--out-dir", str(root / "out"), "--algorithms", "mnb"]) == 1
+        assert "--train and --out-dir's train_vectorized.arff" in capsys.readouterr().err
+        assert kept.read_bytes() == before
+        assert sorted(p.name for p in (root / "out").rglob("*")) == ["models",
+                                                                     "train_vectorized.arff"]
+
+    def test_by_another_path_or_a_symlink(self, inputs, capsys):
+        (train, test), root = inputs
+        (root / "out" / "report.txt").symlink_to(test)
+        before = tree_bytes(root)
+        for out_dir in [root / "out", root / "out" / ".." / "out"]:
+            assert main(["compare", "--train", str(train), "--test", str(test),
+                         "--out-dir", str(out_dir), "--algorithms", "mnb"]) == 1
+            assert "--test and --out-dir's report.txt" in capsys.readouterr().err
+        assert tree_bytes(root) == before
+
+    def test_the_model_of_an_algorithm_not_asked_for_may_be_an_input(self, inputs):
+        (train, test), root = inputs
+        moved = root / "out" / "models" / "knn.model"
+        test.rename(moved)
+        assert main(["compare", "--train", str(train), "--test", str(moved),
+                     "--out-dir", str(root / "out"), "--algorithms", "mnb"]) == 0
+        assert (root / "out" / "models" / "mnb.model").is_file()
+
+
 class TestUnwritableOutput:
     """An output in a missing directory, or at a directory, exits 2 and
     leaves no temporary file."""

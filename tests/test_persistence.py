@@ -8,6 +8,7 @@ import hypothesis.extra.numpy as hnp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rusent import sparse
 from rusent.classifiers import (
     ACTIVATIONS,
     DISTANCES,
@@ -29,10 +30,18 @@ from rusent.classifiers import (
     train_rforest,
     train_svm,
 )
-from rusent.classifiers.base import MAGIC, fmt_floats, fmt_rows, load_model, loads_model
+from rusent.classifiers.base import (
+    MAGIC,
+    _cell_words,
+    fmt_floats,
+    fmt_rows,
+    load_model,
+    loads_model,
+)
 from rusent.classifiers.tree import Tree
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
+from rusent.sparse import Csr
 
 from conftest import dense_csr, make_matrix
 
@@ -468,6 +477,185 @@ def test_a_model_of_no_features_round_trips(variant):
     m = make_matrix(np.zeros((4, 0)), ["neg", "pos", "neg", "pos"])
     text = TRAINERS[variant](m).dumps()
     assert loads_model(text).dumps() == text
+
+
+# -- the kNN body: the row reader against a reader of one word at a time ----
+
+def knn_text(rows: list[str], width: int, n: int) -> str:
+    """A kNN model file of n training rows over `width` features, whose row
+    lines are "row " and each of `rows`."""
+    labels = " ".join(str(i % 2) for i in range(n))
+    lines = [MAGIC, "variant knn", f"feature_width {width}", "class neg", "class pos", "k 1",
+             "distance euclidean", "p 3.0", f"labels {labels}"]
+    return "\n".join(lines + [f"row {rest}" for rest in rows] + ["end"]) + "\n"
+
+
+def oracle_rows(text: str):
+    """The rows of a kNN model file as a Csr, read one line and one word at a
+    time: split at spaces, each word that is not "0.0" cast, the line's
+    values checked. Or the ModelError text loads_model gives for them."""
+    lines = text.split("\n")[:-1]
+    first = next(i for i, line in enumerate(lines) if line.startswith("labels ")) + 1
+    width, count = int(lines[2].split(" ")[1]), len(lines[first - 1].split(" ")) - 1
+    if 2 * count * width > sum(len(line) + 1 for line in lines[first:]):
+        return f"corrupt model file: line {first + 1}: expected {count} 'row' lines of {width} values"
+    counts, indices, data = [0], [], []
+    for pos in range(first, first + count):
+        if not lines[pos].startswith("row "):
+            return f"corrupt model file: line {pos + 1}: expected 'row'"
+        rest = lines[pos][len("row "):]
+        words = rest.split(" ") if rest else []
+        if len(words) != width:
+            return f"corrupt model file: line {pos + 1}: 'row' needs {width} values, not {len(words)}"
+        cells = [i for i, word in enumerate(words) if word != "0.0"]
+        try:
+            values = [float(words[i]) for i in cells]
+        except ValueError as exc:
+            return f"corrupt model file: {exc}"
+        if not all(map(math.isfinite, values)):
+            return f"corrupt model file: line {pos + 1}: 'row' holds a non-finite value"
+        counts.append(len(cells))
+        indices += cells
+        data += values
+    return Csr(np.cumsum(counts), np.array(indices, dtype=np.intp),
+               np.array(data, dtype=np.float64), width)
+
+
+def loaded_rows(text: str):
+    """loads_model(text)'s rows, or the text of the ModelError it raises."""
+    try:
+        return loads_model(text).rows
+    except ModelError as exc:
+        return str(exc)
+
+
+def assert_same_rows(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert got.indptr.tolist() == expected.indptr.tolist()
+        assert got.indices.tolist() == expected.indices.tolist()
+        assert got.data.tobytes() == expected.data.tobytes()
+
+
+#: words a row may hold besides "0.0": zeros the Csr drops or keeps, an
+#: empty word (two spaces), words float() refuses or casts to a non-finite
+#: value, and words of three code points that are not zero
+ODD_WORDS = ["-0.0", "0", "0e5", "", "nan", "inf", "1_0", "\u0661\u0662", "x", "\ud800"]
+BODY_WORDS = st.one_of(st.sampled_from(ODD_WORDS),
+                       st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+@st.composite
+def knn_bodies(draw):
+    """A kNN model file whose rows hold runs of "0.0" at their start, middle
+    and end around other words, and may have one bad line: one value too
+    many or too few, a value moved to the next line, a wrong key, or "end"
+    one row early."""
+    width = draw(st.sampled_from([0, 1, 2, 40]))
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        words = ["0.0"] * width
+        places = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=min(width, 4))
+                      ) if width else []
+        for i in places:
+            words[i] = draw(BODY_WORDS)
+        rows.append(words)
+    at = draw(st.integers(0, n - 1))
+    edit = draw(st.sampled_from(["none", "none", "one more", "one less", "moved", "key", "early end"]))
+    if edit == "one more":
+        rows[at].append(draw(BODY_WORDS))
+    elif edit == "one less" and width:
+        rows[at].pop()
+    elif edit == "moved" and width and at + 1 < n:
+        rows[at + 1].insert(0, rows[at].pop())
+    lines = [" ".join(words) for words in rows]
+    if edit == "early end":
+        lines.pop()
+    text = knn_text(lines, width, n)
+    return text.replace(f"\nrow {lines[at]}\n", f"\nrox {lines[at]}\n", 1) if edit == "key" else text
+
+
+@given(text=knn_bodies(), budget=st.sampled_from([0, 16, 256, sparse.DENSE_BUDGET]))
+@settings(max_examples=500)
+def test_the_row_reader_reads_what_a_word_reader_reads(text, budget):
+    """loads_model gives the word-at-a-time oracle's rows, bit for bit, or
+    its error, whether a block of lines holds one line or all of them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse, "DENSE_BUDGET", budget)
+        got = loaded_rows(text)
+    assert_same_rows(got, oracle_rows(text))
+
+
+def test_the_row_reader_reads_a_wide_model_as_a_word_reader_does():
+    # many blocks of a few lines each, with signed and subnormal values
+    rng = np.random.default_rng(3)
+    rows = np.where(rng.random((120, 700)) < 0.05, rng.standard_normal((120, 700)), 0.0)
+    rows[::5, ::9] *= 1e-310
+    rows[1, :3] = -0.0
+    text = KnnModel(("neg", "pos"), 700, 1, "euclidean", 3.0, dense_csr(rows),
+                    np.arange(120) % 2).dumps()
+    assert_same_rows(loaded_rows(text), oracle_rows(text))
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_cell_words_are_the_words_of_the_dense_row(data):
+    size = data.draw(st.sampled_from([0, 1, 2, 40]))
+    cells = sorted(data.draw(st.sets(st.integers(0, size - 1)))) if size else []
+    values = data.draw(st.lists(FINITE, min_size=len(cells), max_size=len(cells)))
+    dense = ["0.0"] * size
+    for i, value in zip(cells, values):
+        dense[i] = repr(value)
+    assert _cell_words(cells, values, "0.0 " * size) == " ".join(dense)
+
+
+class TestTheFirstBadRowIsTheOneReported:
+    """A block of lines reads ahead of the line it casts, but the error is
+    that of the first bad line in the file, as when lines were read one at
+    a time. Six rows of five values, rows 1-6 on lines 10-15: all of them
+    in one block."""
+
+    ROWS = ["0.0 1.5 0.0 0.0 2.0", "0.0 0.0 0.0 0.0 0.0", "3.0 0.0 0.0 0.0 0.0",
+            "0.0 0.0 0.0 0.0 4.0", "0.0 0.0 5.0 0.0 0.0", "0.0 6.0 0.0 0.0 0.0"]
+
+    def load(self, edits: dict[int, str], n: int = 6) -> str:
+        rows = [edits.get(i, rest) for i, rest in enumerate(self.ROWS, 1)]
+        with pytest.raises(ModelError) as exc:
+            loads_model(knn_text([r for r in rows if r is not None], 5, n))
+        return str(exc.value).removeprefix("corrupt model file: ")
+
+    def test_the_rows_load(self):
+        assert loads_model(knn_text(self.ROWS, 5, 6)).rows.data.tolist() == [
+            1.5, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def test_an_uncastable_word_before_a_short_row(self):
+        assert self.load({3: "x 0.0 0.0 0.0 0.0", 5: "0.0 0.0 5.0 0.0"}) == (
+            "could not convert string to float: 'x'")
+
+    def test_an_uncastable_word_before_a_wrong_key(self):
+        edits = {3: "0.0 0.0 0.0 0.0 x", 5: None}
+        rows = [edits.get(i, rest) for i, rest in enumerate(self.ROWS, 1)]
+        text = knn_text([r for r in rows if r is not None], 5, 6).replace(
+            "row 0.0 6.0", "rows 0.0 6.0")
+        with pytest.raises(ModelError, match="could not convert string to float: 'x'$"):
+            loads_model(text)
+
+    def test_a_non_finite_value_before_an_uncastable_word(self):
+        assert self.load({2: "0.0 nan 0.0 0.0 0.0", 3: "x 0.0 0.0 0.0 0.0"}) == (
+            "line 11: 'row' holds a non-finite value")
+
+    def test_a_short_row_before_an_uncastable_word(self):
+        assert self.load({4: "0.0 0.0 0.0 4.0", 5: "x 0.0 0.0 0.0 0.0"}) == (
+            "line 13: 'row' needs 5 values, not 4")
+
+    def test_an_uncastable_word_before_a_non_finite_value_in_its_row(self):
+        assert self.load({4: "inf 0.0 x 0.0 0.0"}) == "could not convert string to float: 'x'"
+
+    def test_end_one_row_early(self):
+        assert self.load({6: None}) == "line 15: expected 'row'"
 
 
 # -- the constructor is the one check of what a model holds ---------------
