@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import ArffError, CorpusError
-from .util import list_dir, read_text
+from .util import list_dir, read_text, split_lines
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -322,17 +322,6 @@ def _entry_cells(line: str, i: int, n: int, attributes, lineno: int) -> dict:
     return cells
 
 
-def _lines(source: str) -> Iterator[str]:
-    """The lines of source, split on \n only (unicode line separators, \x85,
-    \u2028, ..., may occur inside quoted values), each cut as it is reached
-    so that a reader never holds them all."""
-    start = 0
-    while (end := source.find("\n", start)) >= 0:
-        yield source[start:end]
-        start = end + 1
-    yield source[start:]
-
-
 def _read(source: str | bytes) -> tuple[str, tuple[AttributeDecl, ...], Iterator[dict]]:
     """The relation name and attributes of ARFF text, read up to its
     `@data` line, and its data rows' cells (see _data_rows), read as they
@@ -347,7 +336,7 @@ def _read(source: str | bytes) -> tuple[str, tuple[AttributeDecl, ...], Iterator
     relation = None
     attributes: list[AttributeDecl] = []
     names: set[str] = set()
-    lines = enumerate(_lines(source), start=1)
+    lines = enumerate(split_lines(source), start=1)
     for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("%"):

@@ -2,9 +2,9 @@
 
 Every variant implements one scoring method, scores(X): the (n, classes)
 scores of an (n, d) matrix, computed in one call. predict_indices(X), the
-path evaluation uses, is the first maximum of each row of scores(X) (MNB
-alone overrides it, to take the argmax in log space). Both take a Csr
-only, such as a FeatureMatrix; a single row is a one-row matrix.
+path evaluation uses, is the first maximum of each row of scores(X), for
+every variant alike. Both take a Csr only, such as a FeatureMatrix; a
+single row is a one-row matrix.
 Tie-breaking is one rule everywhere: the lowest class index wins an argmax
 tie, the lowest feature index wins a split-gain tie, and the lowest
 training-instance index wins an equal-distance tie.
@@ -13,11 +13,11 @@ Row-alone scores. A row's scores are a function of its own cells alone,
 bit for bit, in any batch, a one-row matrix among them. MNB, SVM and MLP
 sum each row's products over its stored cells in one fixed order
 (rusent.sparse.row_sums), with numpy's elementwise loops and no BLAS, so
-their bits do not depend on the BLAS kernel either; MNB's probabilities
-and the MLP's scores go through numpy's exp (and tanh), whose SIMD loops
-numpy picks by CPU. No variant densifies all of X: the trees read cells
-through X.at, and kNN a block of rows at a time. kNN's screen may be a
-sparse product, whose bits reach no prediction.
+their bits do not depend on the BLAS kernel either; only the MLP's scores
+go through numpy's exp (and tanh), whose SIMD loops numpy picks by CPU.
+No variant densifies all of X: the trees read cells through X.at, and kNN
+a block of rows at a time. kNN's screen may be a sparse product, whose
+bits reach no prediction.
 
 Persistence is a versioned key-value text format:
 
@@ -68,7 +68,7 @@ import numpy as np
 from .. import sparse
 from ..errors import ModelError
 from ..sparse import Csr
-from ..util import atomic_write_lines, read_lines
+from ..util import atomic_write_lines, read_lines, split_lines
 
 MAGIC = "rusent-model v1"
 
@@ -370,12 +370,8 @@ def _first_max(scores: np.ndarray) -> np.ndarray:
 
 
 def loads_model(text: str) -> Model:
-    # split where dumps joined, at "\n" only: str.splitlines would also
-    # break inside a class value at U+2028, U+0085 or \x1c-\x1e
-    lines = text.split("\n")
-    if text.endswith("\n"):
-        lines.pop()  # the "" after it, dropped with no copy of the text
-    return _load(lines, len(text))
+    # split where dumps joined, at "\n" only
+    return _load(split_lines(text), len(text))
 
 
 class _Unreadable(ModelError):
@@ -383,8 +379,7 @@ class _Unreadable(ModelError):
 
 
 def load_model(path) -> Model:
-    # a file's lines break at "\n", "\r\n" and "\r" (text mode), but not
-    # at the other line breaks of str.splitlines
+    # a file's lines break at "\n", "\r\n" and "\r" (text mode)
     with read_lines(path, _Unreadable) as (size, lines):
         return _load(lines, size)
 

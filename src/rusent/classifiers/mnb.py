@@ -5,17 +5,17 @@ Training stores, per class c:
     log P(c)      = log(n_c / n)
     log P(w | c)  = log((count(w, c) + alpha) / (sum_w' count(w', c) + alpha * |V|))
 
-and scoring computes log P(c) + sum_i x_i * log P(w_i | c) in log space,
+and scores are the log posteriors, log P(c) + sum_i x_i * log P(w_i | c),
 the sum over each row's stored cells alone, in the order that
-rusent.sparse.row_sums states (log_posteriors), so a row's log posteriors
-have the same bits in any batch. scores exponentiates and normalizes each
-row into probabilities summing to 1.
+rusent.sparse.row_sums states, so a row's scores have the same bits in any
+batch. A prediction is their first maximum (Model.predict_indices), as for
+every variant.
 
-predict_indices takes the argmax in log space. It is the argmax of the
-rounded log posteriors, so it matches the exact posterior argmax wherever
-the exact posteriors differ by more than the rounding error. Where two
-classes' exact posteriors are equal (e.g. 4/21 each), rounding in log
-space may pick either of them, not necessarily the lower class index.
+A prediction is thus the argmax of the rounded log posteriors, so it
+matches the exact posterior argmax wherever the exact posteriors differ by
+more than the rounding error. Where two classes' exact posteriors are equal (e.g. 4/21
+each), rounding in log space may pick either of them, not necessarily the
+lower class index.
 """
 
 from __future__ import annotations
@@ -40,19 +40,10 @@ class MultinomialNBModel(Model):
         self.log_likelihood = self.shaped("log_likelihood", log_likelihood,
                                           n_classes, self.feature_width)
 
-    def log_posteriors(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         """log P(c) + sum_i x_i log P(w_i | c) of every row of a matrix,
         shape (n, C), the sum over the row's stored cells (row_sums)."""
         return self.log_prior + row_sums(self.check_matrix(X), self.log_likelihood.T)
-
-    def scores(self, X) -> np.ndarray:
-        log_post = self.log_posteriors(X)
-        shifted = np.exp(log_post - log_post.max(axis=1, keepdims=True))
-        return shifted / shifted.sum(axis=1, keepdims=True)
-
-    def predict_indices(self, X) -> np.ndarray:
-        # argmax in log space; ties go to the lowest class index
-        return np.argmax(self.log_posteriors(X), axis=1)
 
     def _body_lines(self):
         yield f"alpha {fmt_floats(self.alpha)}"
@@ -82,16 +73,14 @@ def train_mnb(matrix, alpha: float = 1.0) -> MultinomialNBModel:
         raise ModelError(f"class {missing!r} has no training instances")
     np.log(class_counts / len(y), out=model.log_prior)
     smoothed = model.log_likelihood  # each class's word counts plus alpha, then their logs
-    cell_class = y[matrix.row_of()]
-    for c in range(n_classes):
-        # the stored cells of the class's rows added up column by column in
-        # row order, which are the bits of the sum of its dense rows over
-        # axis 0 wherever the width is 2 or more: a +0.0 cell added to a sum
-        # that cannot be -0.0 changes nothing (with one column, each
-        # likelihood is log(x / x) = 0 anyway)
-        of_c = cell_class == c
-        smoothed[c] = np.bincount(matrix.indices[of_c], weights=matrix.data[of_c],
-                                  minlength=matrix.width)
+    # the stored cells of each class's rows added up column by column in row
+    # order (bincount adds each bin's weights in input order), which are the
+    # bits of the sum of its dense rows over axis 0 wherever the width is 2
+    # or more: a +0.0 cell added to a sum that cannot be -0.0 changes nothing
+    # (with one column, each likelihood is log(x / x) = 0 anyway)
+    cell_bin = y[matrix.row_of()] * matrix.width + matrix.indices
+    smoothed[:] = np.bincount(cell_bin, weights=matrix.data,
+                              minlength=smoothed.size).reshape(smoothed.shape)
     smoothed += model.alpha
     np.log(smoothed / smoothed.sum(axis=1, keepdims=True), out=smoothed)
     return model

@@ -37,7 +37,9 @@ from dataclasses import replace
 from . import __version__, synth
 from .arff import load_text_directory, parse_arff, write_arff
 from .classifiers import (
+    ACTIVATIONS,
     ALGORITHMS,
+    DISTANCES,
     TreeConfig,
     load_model,
     train_adaboost,
@@ -54,7 +56,7 @@ from .errors import ConfigError, ModelError, RusentError
 from .evaluation import compare as compare_models
 from .evaluation import check_test, evaluate, render_json, render_table
 from .util import atomic_write_lines, atomic_write_text, make_dirs, named, parse_file
-from .vectorize import fit, matrix_from_dataset, read_matrix, to_arff, transform
+from .vectorize import WEIGHTINGS, fit, matrix_from_dataset, read_matrix, to_arff, transform
 
 MANIFEST_SCHEMA = "rusent-manifest/1"
 
@@ -301,12 +303,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    # every name it may write, whichever kind of input it turns out to read
-    written = ["train_vectorized.arff", "test_vectorized.arff", "vocabulary.txt",
-               "manifest.json", "report.txt", "report.json",
-               *(os.path.join("models", f"{a}.model") for a in args.algorithms)]
+    # every file it may write, by its name under --out-dir, whichever kind
+    # of input it turns out to read
+    out = {name: os.path.join(args.out_dir, name) for name in (
+        "train_vectorized.arff", "test_vectorized.arff", "vocabulary.txt",
+        "manifest.json", "report.txt", "report.json",
+        *(f"models/{a}.model" for a in args.algorithms))}
     _check_paths({"--train": args.train, "--test": args.test},
-                 {f"--out-dir's {name}": os.path.join(args.out_dir, name) for name in written})
+                 {f"--out-dir's {name}": path for name, path in out.items()})
     train = parse_file(args.train, parse_arff)
     test = parse_file(args.test, parse_arff)
 
@@ -325,18 +329,17 @@ def cmd_compare(args) -> int:
     check_test(test_matrix, train_matrix.width, train_matrix.class_values, args.positive_class)
     make_dirs(args.out_dir)
     if space is not None:
-        _write_vectorized(space, os.path.join(args.out_dir, "vocabulary.txt"),
-                          (os.path.join(args.out_dir, "train_vectorized.arff"), train_matrix),
-                          (os.path.join(args.out_dir, "test_vectorized.arff"), test_matrix))
+        _write_vectorized(space, out["vocabulary.txt"],
+                          (out["train_vectorized.arff"], train_matrix),
+                          (out["test_vectorized.arff"], test_matrix))
 
     models = []
     failures = []
-    models_dir = os.path.join(args.out_dir, "models")
-    make_dirs(models_dir)
+    make_dirs(os.path.join(args.out_dir, "models"))
     for algorithm in args.algorithms:
         try:
             model = _train(algorithm, args, train_matrix)
-            model.save(os.path.join(models_dir, f"{algorithm}.model"))
+            model.save(out[f"models/{algorithm}.model"])
             models.append(model)
         except RusentError as exc:
             failures.append(algorithm)
@@ -345,11 +348,11 @@ def cmd_compare(args) -> int:
     if models:
         reports = compare_models(models, test_matrix, args.positive_class)
         table = render_table(reports)
-        atomic_write_text(os.path.join(args.out_dir, "report.txt"), table)
-        atomic_write_text(os.path.join(args.out_dir, "report.json"), render_json(reports))
+        atomic_write_text(out["report.txt"], table)
+        atomic_write_text(out["report.json"], render_json(reports))
         print(table, end="")
 
-    _write_manifest(os.path.join(args.out_dir, "manifest.json"), "compare", {
+    _write_manifest(out["manifest.json"], "compare", {
         "train": args.train, "test": args.test, "algorithms": list(args.algorithms),
         "seed": args.seed, "positive_class": args.positive_class,
         "out_dir": args.out_dir,
@@ -382,8 +385,8 @@ def cmd_gen_corpus(args) -> int:
 _HYPER_FLAGS = {
     "--alpha": dict(type=_POSITIVE, default=1.0, help="MNB smoothing (default 1.0)"),
     "--k": dict(type=_COUNT, default=1, help="k-NN neighbor count (default 1)"),
-    "--distance": dict(choices=("euclidean", "manhattan", "minkowski"),
-                       default="euclidean", help="k-NN distance (default euclidean)"),
+    "--distance": dict(choices=DISTANCES, default="euclidean",
+                       help="k-NN distance (default euclidean)"),
     "--minkowski-p": dict(type=_FINITE, default=3.0, help="minkowski exponent (default 3)"),
     "--max-depth": dict(type=_DEPTH, default=None, help="tree depth limit (default unlimited)"),
     "--min-leaf": dict(type=_COUNT, default=1,
@@ -398,7 +401,7 @@ _HYPER_FLAGS = {
     "--svm-epochs": dict(type=_COUNT, default=100, help="SVM training epochs (default 100)"),
     "--hidden": dict(type=_HIDDEN, default="32,32",
                      help="MLP hidden layer widths, comma separated (default 32,32)"),
-    "--activation": dict(choices=("logistic", "tanh"), default="logistic",
+    "--activation": dict(choices=ACTIVATIONS, default="logistic",
                          help="MLP hidden activation (default logistic)"),
     "--learning-rate": dict(type=_POSITIVE, default=0.1, help="MLP learning rate (default 0.1)"),
     "--mlp-epochs": dict(type=_DEPTH, default=200, help="MLP training epochs (default 200)"),
@@ -413,7 +416,7 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_vectorize_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weighting", choices=("binary", "count", "tfidf"), default="count",
+    p.add_argument("--weighting", choices=WEIGHTINGS, default="count",
                    help="feature weighting (default count)")
     p.add_argument("--stopwords", default="default",
                    help="'default', 'none', or a stop-word file path")

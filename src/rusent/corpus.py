@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .arff import Dataset
 from .errors import ConfigError, CorpusError
 from .rng import SplitMix64
-from .util import read_text
+from .util import read_text, split_lines
 
 DEFAULT_DELIMITERS = frozenset(" \t\r\n.,;:'\"()?!")
 _SPLITTER = re.compile("[" + "".join(re.escape(ch) for ch in sorted(DEFAULT_DELIMITERS)) + "]+")
@@ -43,8 +43,7 @@ class StopWordList:
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "StopWordList":
         words = set()
-        # split at "\n" only: str.splitlines would also break at \x0b, \x1c or U+2028
-        for line in read_text(path, CorpusError).split("\n"):
+        for line in split_lines(read_text(path, CorpusError)):
             word = line.split("#", 1)[0].strip()
             if word:
                 words.add(word.lower())

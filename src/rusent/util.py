@@ -5,12 +5,19 @@ raises the caller's RusentError subclass with `cannot read '<path>':
 RusentError with `cannot write '<path>': <strerror>`. All of them exit 2.
 read_lines and atomic_write_lines stream a file a line at a time, so
 that a large one is never held whole.
+
+It also owns the line rule that every reader of lines shares
+(split_lines): a line ends at "\\n" alone. str.splitlines would also break
+at "\\x0b", "\\x1c" or U+2028, which may occur inside a line, such as in a
+quoted ARFF value or a class value. A file read in text mode has had its
+"\\r\\n" and "\\r" line ends made into "\\n" first.
 """
 
 from __future__ import annotations
 
 import os
 import stat
+from collections.abc import Iterator
 from contextlib import contextmanager
 
 from .errors import ArffError, RusentError
@@ -40,6 +47,18 @@ def read_text(path, error: type[RusentError]) -> str:
         return fh.read()
 
 
+def split_lines(text: str) -> Iterator[str]:
+    """The lines of text without their line ends: split at "\\n" only, with
+    no "" after a final "\\n", each cut as it is reached, so that a reader
+    never holds them all."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    if start < len(text):
+        yield text[start:]
+
+
 @contextmanager
 def read_lines(path, error: type[RusentError]):
     """A with block over the UTF-8 text file at `path` that gives (size,
@@ -59,10 +78,7 @@ def read_lines(path, error: type[RusentError]):
         if text is None:
             yield info.st_size, _lines(fh, path, error)
         else:
-            lines = text.split("\n")
-            if text.endswith("\n"):
-                lines.pop()
-            yield len(text), iter(lines)
+            yield len(text), split_lines(text)
 
 
 def _lines(fh, path, error):

@@ -116,7 +116,7 @@ def test_criterion_3_mnb_hand_oracle():
                 assert likes[1, i] == pytest.approx(pos_probs[i], abs=1e-12)
                 assert likes[0, i] == pytest.approx(neg_probs[i], abs=1e-12)
             x = np.array([[1.0, 1.0, 0.0]])
-            post = mod.log_posteriors(dense_csr(x))[0]
+            post = mod.scores(dense_csr(x))[0]
             assert post[1] == pytest.approx(
                 math.log(0.5 * pos_probs[0] * pos_probs[1]), abs=1e-12
             )

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rusent.classifiers import train_mnb
+from rusent.classifiers import MultinomialNBModel, train_mnb
+from rusent.classifiers.base import _first_max
 from rusent.errors import ModelError
 
 from conftest import dense_csr, make_matrix, predicted
@@ -32,7 +33,7 @@ class TestHandOracle:
     def test_posteriors_match_hand_computation(self, hand_corpus):
         model = train_mnb(hand_corpus, alpha=1.0)
         x = [[1.0, 1.0, 0.0]]  # test doc "achi gari"
-        log_post = model.log_posteriors(dense_csr(x))[0]
+        log_post = model.scores(dense_csr(x))[0]
         expected_pos = math.log(0.5) + math.log(POS_PROBS[0]) + math.log(POS_PROBS[1])
         expected_neg = math.log(0.5) + math.log(NEG_PROBS[0]) + math.log(NEG_PROBS[1])
         assert log_post[1] == pytest.approx(expected_pos, abs=1e-12)
@@ -67,11 +68,18 @@ class TestEdgeCases:
         with pytest.raises(ModelError, match="alpha"):
             train_mnb(hand_corpus, alpha=alpha)
 
-    def test_scores_are_probabilities(self, hand_corpus):
-        model = train_mnb(hand_corpus)
-        scores = model.scores(dense_csr([[2.0, 0.0, 1.0]]))[0]
-        assert sum(scores) == pytest.approx(1.0, abs=1e-9)
-        assert all(0.0 <= s <= 1.0 for s in scores)
+    def test_a_nan_log_posterior_after_column_0_counts_as_minus_inf(self):
+        # predictions are the first maximum of the scores, the log
+        # posteriors, as for every variant: 2 * 1e308 + 2 * -1e308 is
+        # inf - inf, a NaN in column 1, which np.argmax would pick
+        model = MultinomialNBModel(("a", "b", "c"), 2, 1.0, np.log([0.25, 0.5, 0.25]),
+                                   np.array([[-1.0, -1.0], [1e308, -1e308], [-0.5, -0.5]]))
+        X = dense_csr([[2.0, 2.0], [0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = model.scores(X)
+            predictions = model.predict_indices(X)
+        assert np.isnan(scores[0, 1]) and not np.isnan(scores[1]).any()
+        assert predictions.tolist() == _first_max(scores).tolist() == [2, 1]
 
 
 @pytest.mark.parametrize("n, width", [(900, 1), (300, 2), (37, 5), (3, 1000), (800, 1919)])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rusent.arff import load_text_directory
 from rusent.classifiers import (
+    ALGORITHMS,
     train_adaboost,
     train_bagging,
     train_dtree,
@@ -16,7 +17,7 @@ from rusent.classifiers import (
     train_rforest,
     train_svm,
 )
-from rusent.classifiers.base import _first_max
+from rusent.classifiers.base import _REGISTRY, Model, _first_max
 from rusent.corpus import SplitSpec, split
 from rusent.errors import ModelError
 from rusent.evaluation import evaluate
@@ -65,9 +66,14 @@ def test_predict_indices_equals_per_row_predict(case, matrices):
     indices = model.predict_indices(dense_csr(X))
     assert indices.dtype == np.intp and indices.shape == (X.shape[0],)
     assert indices.tolist() == [model.predict_indices(dense_csr(x[None]))[0] for x in X]
-    if model.variant != "mnb":  # MNB takes its argmax in log space
-        assert indices.tolist() == [first_max(model.scores(dense_csr(x[None]))[0].tolist())
-                                    for x in X]
+    assert indices.tolist() == [first_max(model.scores(dense_csr(x[None]))[0].tolist())
+                                for x in X]
+
+
+def test_every_variant_predicts_by_models_one_rule():
+    assert sorted(_REGISTRY) == sorted(ALGORITHMS)
+    assert [v for v, cls in sorted(_REGISTRY.items())
+            if cls.predict_indices is not Model.predict_indices] == []
 
 
 def test_evaluate_tallies_the_batch_predictions(matrices):
@@ -92,11 +98,8 @@ def test_predict_indices_checks_the_shape(variant, matrices):
     width = model.feature_width
     bad_inputs = (train.rows, train.rows.tolist(), np.zeros(width), 0.0,
                   dense_csr(np.zeros((2, width + 1))), dense_csr(np.zeros((2, width - 1))))
-    methods = [model.predict_indices, model.scores]
-    if variant == "mnb":
-        methods.append(model.log_posteriors)
     for bad in bad_inputs:
-        for method in methods:
+        for method in (model.predict_indices, model.scores):
             with pytest.raises(ModelError):
                 method(bad)
     assert model.predict_indices(dense_csr(np.zeros((0, width)))).tolist() == []

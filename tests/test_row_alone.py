@@ -107,10 +107,6 @@ def test_each_rows_scores_alone_are_its_scores_in_the_batch(splits, models, corp
     order = np.repeat(np.arange(X.n_rows)[::-1], 2)
     assert model.scores(rows_of(X, order)).tobytes() == batch[order].tobytes()
     assert model.scores(rows_of(X, [])).shape == (0, len(model.class_values))
-    if variant == "mnb":
-        log_post = model.log_posteriors(X)
-        for i in range(X.n_rows):
-            assert model.log_posteriors(rows_of(X, [i])).tobytes() == log_post[i:i + 1].tobytes()
 
 
 # Each child process loads the models and the test rows saved by the test,
@@ -129,8 +125,6 @@ for corpus in ("synth", "zipf"):
         model = load_model(f"{root}/{corpus}-{name}.model")
         np.save(f"{root}/out/{corpus}-{name}-predict.npy", model.predict_indices(X))
         np.save(f"{root}/out/{corpus}-{name}-scores.npy", model.scores(X))
-        if model.variant == "mnb":
-            np.save(f"{root}/out/{corpus}-{name}-log_posteriors.npy", model.log_posteriors(X))
 """
 
 # numpy's own AVX-512 loops off (the X86_V4 group in numpy 2.4, its parts
@@ -157,8 +151,6 @@ def saved(splits, models, tmp_path_factory):
             model.save(root / f"{corpus}-{name}.model")
             mine[f"{corpus}-{name}-predict"] = model.predict_indices(test)
             mine[f"{corpus}-{name}-scores"] = model.scores(test)
-            if model.variant == "mnb":
-                mine[f"{corpus}-{name}-log_posteriors"] = model.log_posteriors(test)
     return root, mine
 
 
@@ -174,9 +166,9 @@ def test_scores_have_the_same_bits_under_other_cpu_settings(saved, setting):
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", CHILD, str(root), *TRAINERS], env=env, check=True,
                    timeout=300)
-    # MNB scores and MLP scores go through numpy's exp (and tanh), whose
-    # SIMD loops round their own way, so those hold across BLAS kernels only
-    simd = ("mnb-scores", "mlp-scores", "mlp-tanh-scores")
+    # MLP scores go through numpy's exp (and tanh), whose SIMD loops round
+    # their own way, so those hold across BLAS kernels only
+    simd = ("mlp-scores", "mlp-tanh-scores")
     drifted = []
     for name, bits in sorted(mine.items()):
         if setting in ("haswell", "nehalem") or not name.endswith(simd):
