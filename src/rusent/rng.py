@@ -6,7 +6,10 @@ so a fixed seed yields the same draws on any platform. The models made
 from them are byte-identical on one CPU; MLP model bytes also depend on
 the CPU, as MLP training sums its matrix products in the order of the
 kernel OpenBLAS picks for it and goes through numpy's exp and tanh, whose
-SIMD loops numpy picks for it.
+SIMD loops numpy picks for it. They can depend on OpenBLAS's thread count
+too, which splits a large enough product among threads: the mlp-one-batch
+model of tests/test_rng.py (one 600-row batch) has other bytes with one
+thread (OPENBLAS_NUM_THREADS=1) than with 2, 3 or 4.
 
 Draw-order contract: each training routine documents the exact sequence of
 calls it makes, and ensemble members use `derive(seed, index)` so members

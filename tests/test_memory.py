@@ -18,15 +18,15 @@ import numpy as np
 import pytest
 
 from rusent import cli
-from rusent.classifiers import train_knn
+from rusent.classifiers import train_knn, train_svm
 from rusent.classifiers.mlp import init_mlp
-from rusent.classifiers.svm import svm_objective
+from rusent.classifiers.svm import RUN_WIDTH, svm_objective
 from rusent.arff import parse_arff
 from rusent.classifiers.base import load_model
 from rusent.sparse import Csr
-from rusent.vectorize import fit, read_matrix, to_arff, transform
+from rusent.vectorize import FeatureMatrix, fit, read_matrix, to_arff, transform
 
-from conftest import dense_csr, make_matrix, zipf_corpus
+from conftest import dense_csr, make_matrix, predicted, zipf_corpus
 from test_knn import brute_force_predict
 
 
@@ -228,6 +228,25 @@ def test_train_never_holds_half_a_dense_train_matrix(compared, tmp_path, algorit
         "--model-out", str(tmp_path / f"{algorithm}.model"), *SHORT]))
     assert code == 0
     assert peak < dense / 2, (peak, dense)
+
+
+def test_svm_never_holds_half_a_dense_narrow_matrix():
+    # a matrix narrower than RUN_WIDTH screens runs of steps on its stored
+    # cells and takes the dense rows of the steps it does not clear from
+    # RowBlocks, a block at a time
+    rng = np.random.default_rng(0)
+    n_rows, width = 20_000, RUN_WIDTH - 1
+    first = rng.integers(0, width - 2, size=n_rows)
+    indices = first[:, None] + np.arange(3)
+    data = rng.integers(1, 4, size=(n_rows, 3)).astype(float)
+    labels = ["pos" if i < width // 2 else "neg" for i in first]
+    matrix = FeatureMatrix(np.arange(0, 3 * n_rows + 1, 3), indices.reshape(-1),
+                           data.reshape(-1), width, labels, ("neg", "pos"))
+    dense = n_rows * width * 8
+    assert dense > 20_000_000
+    peak, model = traced_peak(lambda: train_svm(matrix, epochs=2, seed=0))
+    assert peak < dense / 2, (peak, dense)
+    assert predicted(model, matrix).count("pos") > 0
 
 
 @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])

@@ -247,7 +247,10 @@ class TestBlockDraws:
 # sparse count matrix of test_tree.py. Taken from the scalar draw loops,
 # before the block draws replaced them; the mlp-3-class and mlp-one-batch
 # entries from the per-layer MLP trainer, before the flat-buffer step
-# replaced it.
+# replaced it. The MLP entries hold under OpenBLAS's SkylakeX kernel (see
+# the CI workflow), and mlp-one-batch's, whose one 600-row batch makes a
+# product OpenBLAS splits among threads, with 2, 3 or 4 threads: with one
+# (OPENBLAS_NUM_THREADS=1) it gives other bytes.
 WIDE_MODEL_HASHES = {
     "svm": "af2d53c6c7d39dbc40627fef36b4e2d1d00ca8ee3bd0811322f3ff404afa2fa0",
     "mlp-logistic": "7e746895dd71935cfd21c911e93db945063c968cefd325992bffa830a16062a2",

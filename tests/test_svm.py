@@ -1,10 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rusent.classifiers import train_svm
-from rusent.classifiers.svm import svm_objective
+from rusent import sparse
+from rusent.classifiers import svm, train_svm
+from rusent.classifiers.svm import MIN_RUN, RUN_WIDTH, LinearSvmModel, _Screen, svm_objective
 from rusent.errors import ModelError
 from rusent.rng import SplitMix64
+from rusent.sparse import RowBlocks
 
 from conftest import dense_csr, make_matrix, predicted
 
@@ -103,3 +109,185 @@ class TestValidation:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ModelError):
             train_svm(blob_matrix(), epochs=0)
+
+
+def oracle_svm(matrix, lam=1e-3, epochs=100, seed=0):
+    """train_svm taking every step one at a time, on every matrix: the loop
+    that trained every matrix before narrow ones screened runs, verbatim."""
+    model = LinearSvmModel(matrix.class_values, matrix.width, np.zeros(matrix.width), 0.0,
+                           lam, epochs, seed)
+    n = matrix.n_rows
+    blocks = RowBlocks(matrix)
+    rows = list(blocks.out)
+    signs = np.where(matrix.y == 1, 1.0, -1.0).tolist()
+    w, b = model.weights, 0.0
+    rng = SplitMix64(seed)
+    t = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = list(range(n))
+            rng.shuffle(order)
+            for start, stop in blocks(order):
+                for x, i in zip(rows, order[start:stop]):
+                    sign = signs[i]
+                    t += 1
+                    eta = 1.0 / (lam * t)
+                    margin = sign * (x.dot(w) + b)
+                    w *= 1.0 - eta * lam
+                    if margin < 1.0:
+                        step = eta * sign
+                        w += step * x
+                        b += step
+    model.bias = b
+    return model
+
+
+def outcome(model):
+    """A trained model's weight and bias bits, and its text or the error
+    that saving it raises (non-finite weights)."""
+    try:
+        text = model.dumps()
+    except ModelError as exc:
+        text = str(exc)
+    return model.weights.tobytes(), struct.pack("<d", model.bias), text
+
+
+# mixed signs, -0.0, subnormals, and values large enough to overflow the weights
+CELLS = st.one_of(
+    st.sampled_from([-0.0, 1.0, -1.0, 0.5, 3.0, 5e-324, -2.0**-1030, 1e150, -1e150]),
+    st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def svm_matrices(draw):
+    """A two-class matrix of up to 40 rows, narrower or wider than
+    RUN_WIDTH, each row storing up to 8 cells."""
+    width = draw(st.sampled_from([0, 1, 2, 7, 31, RUN_WIDTH - 1, RUN_WIDTH, 300]))
+    n = draw(st.integers(1, 40))
+    rows = np.zeros((n, width))
+    for row in rows:
+        if width:
+            for col in draw(st.lists(st.integers(0, width - 1), max_size=8, unique=True)):
+                row[col] = draw(CELLS)
+    labels = draw(st.lists(st.sampled_from(["neg", "pos"]), min_size=n, max_size=n))
+    return make_matrix(rows, labels)
+
+
+class TestScreenedRuns:
+    """A matrix narrower than RUN_WIDTH screens runs of steps on their
+    stored cells and takes the others exactly; every model has the bits of
+    the one-step loop (oracle_svm)."""
+
+    @settings(max_examples=400)
+    @given(matrix=svm_matrices(),
+           lam=st.sampled_from([1e-3, 0.1, 1.0, 7.5, 1e-300, 5e-324]),
+           epochs=st.integers(1, 6), seed=st.integers(0, 2**32),
+           min_run=st.sampled_from([1, 2, 5, MIN_RUN]),
+           budget=st.sampled_from([16, 256, sparse.DENSE_BUDGET]))
+    def test_training_has_the_bits_of_the_step_loop(self, matrix, lam, epochs, seed, min_run,
+                                                   budget):
+        # a small DENSE_BUDGET makes short blocks, so runs end at a block's
+        # end; a small MIN_RUN screens runs of a few steps
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sparse, "DENSE_BUDGET", budget)
+            patch.setattr(svm, "MIN_RUN", min_run)
+            got = outcome(train_svm(matrix, lam, epochs, seed))
+            assert got == outcome(oracle_svm(matrix, lam, epochs, seed))
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_the_screen_clears_most_steps_of_separable_rows(self, monkeypatch, seed):
+        m = make_matrix(np.hstack([blob_matrix(n_per_class=200, seed=seed).dense(),
+                                   np.zeros((400, 29))]), ["neg"] * 200 + ["pos"] * 200)
+        cleared = []
+        clear = _Screen.clear
+
+        def counted(self, p, m, w, b):
+            cleared.append(clear(self, p, m, w, b))
+            return cleared[-1]
+
+        monkeypatch.setattr(_Screen, "clear", counted)
+        model = train_svm(m, epochs=50, seed=seed)
+        assert outcome(model) == outcome(oracle_svm(m, epochs=50, seed=seed))
+        assert sum(cleared) > 0.6 * 400 * 50
+
+    def test_a_wide_matrix_screens_nothing(self, monkeypatch):
+        m = make_matrix(np.hstack([blob_matrix().dense(), np.zeros((40, RUN_WIDTH - 2))]),
+                        ["neg"] * 20 + ["pos"] * 20)
+        monkeypatch.setattr(svm, "MIN_RUN", 1)
+        monkeypatch.setattr(_Screen, "__init__", None)
+        assert outcome(train_svm(m, epochs=5)) == outcome(oracle_svm(m, epochs=5))
+
+    def test_a_diverging_lambda_takes_every_later_step_exactly(self, monkeypatch):
+        # the bound holds for finite operands, and the ddot reads every
+        # column, where 0 x inf is NaN: no run is screened once a weight or
+        # the bias is not finite
+        m = make_matrix(np.hstack([blob_matrix(seed=4).dense() * 1e306, np.zeros((40, 29))]),
+                        ["neg"] * 20 + ["pos"] * 20)
+        calls = []
+        clear = _Screen.clear
+
+        def checked(self, p, k, w, b):
+            calls.append(np.isfinite(w).all() and np.isfinite(b))
+            return clear(self, p, k, w, b)
+
+        monkeypatch.setattr(_Screen, "clear", checked)
+        monkeypatch.setattr(svm, "MIN_RUN", 1)
+        model = train_svm(m, epochs=5, seed=3)
+        assert outcome(model) == outcome(oracle_svm(m, epochs=5, seed=3))
+        assert not np.isfinite(model.weights).all()
+        assert calls and all(calls)
+
+
+def screened(row, weights, bias, sign=1.0, steps_before=3, lam=1.0):
+    """What _Screen.clear makes of one step on a one-row matrix: the steps
+    it clears and the weights after them."""
+    m = make_matrix([row], ["pos" if sign > 0 else "neg"])
+    screen = _Screen(m, np.array([sign]), lam, 1)
+    assert screen.epoch(np.array([0]), steps_before)
+    w = np.array(weights, dtype=float)
+    return screen.clear(0, 1, w, bias), w
+
+
+class TestBorderline:
+    """The screen clears a step only when its margin is at least 1 beyond
+    the bound; a screened margin within the bound of 1 is left to the
+    exact step. Row [1, 1] against weights [1e6, -1e6] has a screened dot
+    product of 0 and a sum of |products| of 2e6, so its bound is
+    16 (2e6 + 1) 2^-53, about 3.6e-9."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_margin_within_the_bound_of_one_is_left_to_the_exact_step(self, sign):
+        k, w = screened([1.0, 1.0], [1e6, -1e6], sign * (1.0 + 1e-10), sign)
+        assert k == 0
+        assert w.tolist() == [1e6, -1e6]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_margin_past_the_bound_is_cleared(self, sign):
+        # the step's t is 4, so w is scaled by 1 - (1 / 4) = 0.75
+        k, w = screened([1.0, 1.0], [1e6, -1e6], sign * (1.0 + 1e-8), sign)
+        assert k == 1
+        assert w.tolist() == [0.75e6, -0.75e6]
+
+    def test_a_margin_below_one_is_never_cleared(self):
+        assert screened([1.0, 1.0], [1e6, -1e6], 1.0 - 1e-8)[0] == 0
+        assert screened([2.0, 0.0], [0.25, 0.0], 0.25)[0] == 0
+        assert screened([0.0, 0.0], [0.0, 0.0], float("nan"))[0] == 0
+
+    def test_a_step_the_screen_cannot_clear_is_decided_by_the_ddot(self, monkeypatch):
+        # after step 1 (lambda 1) w is the first row and b is 1. Step 2's
+        # products are 2^54, -1, -2^54 and 0.5 in column order: summed in
+        # that order, 2^54 - 1 rounds to 2^54, so the screened margin is
+        # 1.5, within the bound (about 1e3) of 1. The step is decided by
+        # the ddot, which OpenBLAS's x86 kernels sum with columns 0 and 32
+        # (and 1 and 33) in one lane each: exactly -0.5, a margin of 0.5,
+        # so the step updates
+        first, second = np.zeros(64), np.zeros(64)
+        first[[0, 1, 32, 33]] = [2.0**27, 1.0, 2.0**27, 1.0]
+        second[[0, 1, 32, 33]] = [2.0**27, -1.0, -2.0**27, 0.5]
+        order = [0, 1]
+        SplitMix64(0).shuffle(order)
+        rows = np.zeros((2, 64))
+        rows[order] = [first, second]
+        m = make_matrix(rows, ["pos", "pos"])
+        monkeypatch.setattr(svm, "MIN_RUN", 1)
+        assert outcome(train_svm(m, lam=1.0, epochs=1)) == outcome(oracle_svm(m, lam=1.0, epochs=1))
