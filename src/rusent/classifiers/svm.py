@@ -225,36 +225,35 @@ class _Screen:
         lam = self.lam
         # step p scales the weights by factors[p], as the step loop does at t + p + 1
         self.factors = 1.0 - (1.0 / (lam * np.arange(t + 1, t + order.size + 1))) * lam
-        self.order, self.ends = order, None  # the cells are found at the epoch's first clear
+        self.order, self.cells = order, None  # found at the epoch's first clear
         return bool(np.isfinite(self.factors).all())
 
-    def _find_cells(self):
-        """The epoch's stored cells, step after step: step p's are
-        [ends[p], ends[p + 1])."""
+    def _find_cells(self) -> tuple:
+        """The epoch's stored cells, step after step (step p's are
+        [ends[p], ends[p + 1])): the step of each, its place in the rows of
+        `before` counted from the epoch's first step, and its value; the
+        ends, and the sign of each step."""
         matrix, order = self.matrix, self.order
-        pos, self.step_of = matrix._cells(order)
-        # each cell's place in the rows of `before`, counted from the epoch's first step
-        self.keys = self.step_of * matrix.width + matrix.indices[pos]
-        self.values = matrix.data[pos]
-        self.ends = np.concatenate(([0], np.cumsum(np.diff(matrix.indptr)[order])))
-        self.step_signs = self.signs[order]
+        pos, step_of = matrix._cells(order)
+        self.cells = (step_of, step_of * matrix.width + matrix.indices[pos], matrix.data[pos],
+                      np.concatenate(([0], np.cumsum(np.diff(matrix.indptr)[order]))),
+                      self.signs[order])
+        return self.cells
 
     def clear(self, p: int, m: int, w: np.ndarray, b: float) -> int:
         """The number k of steps from step p on, at most m, that the screen
         clears: w becomes the weights after them, scaled k times."""
-        if self.ends is None:
-            self._find_cells()
+        step_of, keys, values, ends, signs = self.cells or self._find_cells()
         before = self.before[:m + 1]
         before[0] = w
         before[1:] = self.factors[p:p + m, None]
         np.multiply.accumulate(before, axis=0, out=before)
-        lo, hi = self.ends[p], self.ends[p + m]
-        width = self.matrix.width
-        products = self.values[lo:hi] * before.reshape(-1)[self.keys[lo:hi] - p * width]
-        step_of = self.step_of[lo:hi] - p
+        lo, hi = ends[p], ends[p + m]
+        products = values[lo:hi] * before.reshape(-1)[keys[lo:hi] - p * self.matrix.width]
+        step_of = step_of[lo:hi] - p
         dots = np.bincount(step_of, products, minlength=m)
         sizes = np.bincount(step_of, np.abs(products), minlength=m)
-        v = self.step_signs[p:p + m] * (dots + b)
+        v = signs[p:p + m] * (dots + b)
         clear = v - self.slack * (_U * (sizes + np.abs(v)) + _ETA) >= 1.0
         k = m if clear.all() else int(clear.argmin())
         w[:] = before[k]
