@@ -28,15 +28,18 @@ same bits either way.
   run's step k: the chain of once-rounded products that k calls of
   w *= c make. A step that does not update only scales w, so after k
   cleared steps w is row k, bit for bit.
-* The screen. One gather of row k's weights at step k's stored cells
-  gives the products p_j, and two np.bincount calls give each step's
-  s = sum p_j and a = sum |p_j|; the screened margin is v = y (s + b).
+* The screen. Row k of the buffer times step k's dense row, the one
+  RowBlocks has written for the exact step, gives the products p_j in a
+  second buffer, and np.add.reduce along its rows gives each step's
+  s = sum p_j, then a = sum |p_j| once the products are made absolute in
+  place; the screened margin is v = y (s + b).
 * The bound (Higham, Accuracy and Stability of Numerical Algorithms,
   2002, ch. 3). Let n be the width, u = 2^-53 and D = x.w exactly. The
   ddot d sums n products in some order, with or without fused
   multiply-adds, so |d - D| <= gamma_n sum |x_j w_j|, with
-  gamma_n = n u / (1 - n u); s sums at most n rounded products, so
-  |s - D| obeys the same bound, and sum |x_j w_j| is a to first order.
+  gamma_n = n u / (1 - n u); s sums the same n rounded products in
+  another order (a column the row does not store gives an exact zero),
+  so |s - D| obeys the same bound, and sum |x_j w_j| is a to first order.
   Adding b rounds once on each side. So the margin the step computes is
   within 2 (n + 1) u (a + |v|) of v to first order, and products that
   underflow add at most n eta, eta = 2^-1074. The screen uses
@@ -44,28 +47,31 @@ same bits either way.
   the second-order terms and the rounding of the screen's own arithmetic.
   A step is cleared when v - E >= 1: its margin is then at least 1, and
   it does not update. A NaN clears nothing.
-* Non-finite values. The bound assumes finite operands, and a ddot reads
-  every column, where 0 x inf is NaN, while the screen reads the stored
-  cells alone. So once a weight, the bias or a step's factor is not
-  finite (a diverging lambda), every later step is taken exactly.
+* Non-finite values. The screen reads every column, as a ddot does, but
+  the bound assumes finite operands. So once a weight, the bias or a
+  step's factor is not finite (a diverging lambda), every later step is
+  taken exactly.
 * Run length. A run covers `run` steps, at most a block: `run` doubles
   after a run the screen clears in full, and halves after each exact step
   that updates, while one that does not adds one. Runs are screened only
   while `run` is at least MIN_RUN; below that, steps go one at a time,
   so data with frequent updates pays little for the screen.
-* Memory. The buffer holds about sparse.DENSE_BUDGET values and the
-  epoch's stored cells a few arrays of nnz entries; the dense rows come
-  from RowBlocks, which densifies a whole matrix only if it fits
-  DENSE_BUDGET.
+* Memory. The weights and the products take a buffer of about
+  sparse.DENSE_BUDGET values each, and no array of the epoch's stored
+  cells: the dense rows come from RowBlocks, which densifies a whole
+  matrix only if it fits DENSE_BUDGET.
 
 The width rule. Each step of a run costs about 4-5 ns per buffer value
-(the fill, and an accumulate whose numpy loop is not vectorized), where a
-step taken alone costs a ddot and a scale of w, a fraction of a ns a
-value, plus about 1.5 us of calls. Training on the synth seed-0 rows
+(the fill, and an accumulate whose numpy loop is not vectorized) and
+about 2.5 ns more for the screen's multiply, abs and two reductions,
+where a step taken alone costs a ddot and a scale of w, a fraction of a
+ns a value, plus about 1.5 us of calls. Training on the synth seed-0 rows
 (1600 x 31, 100 epochs, seed 42: 811 updates), with empty columns added
 to reach each width so that every width takes the same steps,
 in-process with one BLAS thread (2-vCPU Intel Xeon with AVX-512, median
-of 5 alternating runs, in s):
+of 5 alternating runs, in s, with a screen that summed the stored cells
+alone; with the dense rows, runs still won 5 of 5 up to 128 columns and
+none from 256):
 
     width       31     64    128    192    256    512   1024   1890
     runs     0.133  0.165  0.216  0.279  0.332  0.588  0.953  1.381
@@ -163,8 +169,7 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
     blocks = RowBlocks(matrix)
     rows = list(blocks.out)
     signs = np.where(matrix.y == 1, 1.0, -1.0)
-    sign_of = signs.tolist()
-    screen = _Screen(matrix, signs, lam, len(rows)) if matrix.width < RUN_WIDTH else None
+    screen = _Screen(matrix.width, lam, len(rows)) if matrix.width < RUN_WIDTH else None
     w, b = model.weights, 0.0
     rng = SplitMix64(seed)
     t, run = 0, 1
@@ -174,7 +179,9 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
         for _ in range(epochs):
             order = list(range(n))
             rng.shuffle(order)
-            if screen and not screen.epoch(np.array(order), t):
+            step_signs = signs[order]  # the sign of each step of the epoch
+            sign_of = step_signs.tolist()
+            if screen and not screen.epoch(step_signs, t):
                 screen = None
             for start, stop in blocks(order):
                 p = start
@@ -184,14 +191,14 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
                             screen = None
                             continue
                         m = min(run, stop - p)
-                        k = screen.clear(p, m, w, b)
+                        k = screen.clear(p, blocks.out[p - start:p - start + m], w, b)
                         t, p = t + k, p + k
                         if k == m:
                             run = min(2 * run, len(rows))
                             continue
                     # steps one at a time, at least one, until the run is long enough to screen
                     for p in range(p, stop):
-                        x, sign = rows[p - start], sign_of[order[p]]
+                        x, sign = rows[p - start], sign_of[p]
                         t += 1
                         eta = 1.0 / (lam * t)
                         margin = sign * (x.dot(w) + b)
@@ -212,48 +219,37 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
 
 class _Screen:
     """The steps of an epoch that leave the margin at least 1 for certain,
-    screened a run at a time on the stored cells; see the module docstring."""
+    screened a run at a time on the run's dense rows, the ones the exact
+    steps read; see the module docstring."""
 
-    def __init__(self, matrix, signs, lam: float, most: int):
-        self.matrix, self.signs, self.lam = matrix, signs, lam
-        self.before = np.empty((most + 1, matrix.width))  # the weights before each step of a run
-        self.slack = 4.0 * (matrix.width + 2)
+    def __init__(self, width: int, lam: float, most: int):
+        self.lam = lam
+        self.before = np.empty((most + 1, width))  # the weights before each step of a run
+        self.products = np.empty((most, width))  # each step's products x_j w_j
+        self.slack = 4.0 * (width + 2)
 
-    def epoch(self, order: np.ndarray, t: int) -> bool:
-        """Take an epoch's order of rows, t steps in; False if the scale
-        factor of one of its steps is not finite."""
+    def epoch(self, signs: np.ndarray, t: int) -> bool:
+        """Take the sign of each step of an epoch, t steps in; False if the
+        scale factor of one of its steps is not finite."""
         lam = self.lam
         # step p scales the weights by factors[p], as the step loop does at t + p + 1
-        self.factors = 1.0 - (1.0 / (lam * np.arange(t + 1, t + order.size + 1))) * lam
-        self.order, self.cells = order, None  # found at the epoch's first clear
+        self.factors = 1.0 - (1.0 / (lam * np.arange(t + 1, t + signs.size + 1))) * lam
+        self.signs = signs
         return bool(np.isfinite(self.factors).all())
 
-    def _find_cells(self) -> tuple:
-        """The epoch's stored cells, step after step (step p's are
-        [ends[p], ends[p + 1])): the step of each, its place in the rows of
-        `before` counted from the epoch's first step, and its value; the
-        ends, and the sign of each step."""
-        matrix, order = self.matrix, self.order
-        pos, step_of = matrix._cells(order)
-        self.cells = (step_of, step_of * matrix.width + matrix.indices[pos], matrix.data[pos],
-                      np.concatenate(([0], np.cumsum(np.diff(matrix.indptr)[order]))),
-                      self.signs[order])
-        return self.cells
-
-    def clear(self, p: int, m: int, w: np.ndarray, b: float) -> int:
-        """The number k of steps from step p on, at most m, that the screen
-        clears: w becomes the weights after them, scaled k times."""
-        step_of, keys, values, ends, signs = self.cells or self._find_cells()
+    def clear(self, p: int, rows: np.ndarray, w: np.ndarray, b: float) -> int:
+        """The number k of steps from step p on, at most len(rows), that the
+        screen clears, step p + i being on the dense row rows[i]: w becomes
+        the weights after them, scaled k times."""
+        m = len(rows)
         before = self.before[:m + 1]
         before[0] = w
         before[1:] = self.factors[p:p + m, None]
         np.multiply.accumulate(before, axis=0, out=before)
-        lo, hi = ends[p], ends[p + m]
-        products = values[lo:hi] * before.reshape(-1)[keys[lo:hi] - p * self.matrix.width]
-        step_of = step_of[lo:hi] - p
-        dots = np.bincount(step_of, products, minlength=m)
-        sizes = np.bincount(step_of, np.abs(products), minlength=m)
-        v = signs[p:p + m] * (dots + b)
+        products = np.multiply(before[:m], rows, out=self.products[:m])
+        dots = np.add.reduce(products, axis=1)
+        sizes = np.add.reduce(np.abs(products, out=products), axis=1)
+        v = self.signs[p:p + m] * (dots + b)
         clear = v - self.slack * (_U * (sizes + np.abs(v)) + _ETA) >= 1.0
         k = m if clear.all() else int(clear.argmin())
         w[:] = before[k]

@@ -17,9 +17,10 @@ Dense values are read through three doors only, each of which gives
 
 * dense(rows): a fresh float64 block of the given rows, in full;
 * RowBlocks: the rows of an order, a block at a time, written into one
-  reused buffer (see there), for the SVM and MLP trainers, which visit
-  every row in each epoch; it alone densifies a whole matrix, once, and
-  only one whose dense form fits DENSE_BUDGET;
+  reused buffer (see there), for the SVM trainer's screen and exact steps
+  and for the MLP trainer, which visit every row in each epoch; it alone
+  densifies a whole matrix, once, and only one whose dense form fits
+  DENSE_BUDGET;
 * at(rows, cols): single cells, for the trees, which read one per level,
   found among the stored cells' row-major keys, made at the first call
   and kept with the matrix.
@@ -214,9 +215,10 @@ def _frozen(values, dtype) -> np.ndarray:
 
 class RowBlocks:
     """The dense rows of a Csr in a chosen order, a block of `size` rows at a
-    time, in one reused buffer `out` of shape (size, width), for the SVM and
-    MLP trainers. By default a block holds as many rows as fit DENSE_BUDGET
-    values: at least one, and at most the matrix's rows.
+    time, in one reused buffer `out` of shape (size, width): the rows that
+    the SVM trainer's run screen and exact steps read, and the MLP
+    trainer's input batches. By default a block holds as many rows as fit
+    DENSE_BUDGET values: at least one, and at most the matrix's rows.
 
     A call with an order (a sequence of row indices) yields (start, stop)
     for each run order[start:stop] of `size` rows (the last may be

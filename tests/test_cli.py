@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from rusent.arff import parse_arff
 from rusent.classifiers import ALGORITHMS, train_dtree, train_knn, train_mnb
-from rusent.cli import main
+from rusent.cli import build_parser, main
 from rusent.synth import generate_corpus
 
 from conftest import make_matrix
@@ -1036,6 +1036,63 @@ class TestHyperparameterFlags:
             assert "argument --minkowski-p:" in err and left == []
         else:
             assert code == 0, err
+
+
+def command_lines(tmp_path, corpus_dir, train, test):
+    """Each subcommand on tiny inputs, by case name: (argv, its manifest),
+    each case reading only what an earlier one wrote."""
+    vtr, vte, model, report = (str(tmp_path / name) for name in (
+        "vtr.arff", "vte.arff", "m.model", "report.json"))
+    return {
+        "gen-corpus": (["gen-corpus", "--out", str(tmp_path / "gen"), "--per-class", "2"],
+                       tmp_path / "gen" / "manifest.json"),
+        "convert": (["convert", str(corpus_dir), str(tmp_path / "c.arff")],
+                    tmp_path / "c.arff.manifest.json"),
+        "vectorize": (["vectorize", "--train", str(train), "--test", str(test),
+                       "--out-train", vtr, "--out-test", vte],
+                      tmp_path / "vtr.arff.manifest.json"),
+        "train": (["train", "--train", vtr, "--algorithm", "mnb", "--model-out", model],
+                  tmp_path / "m.model.manifest.json"),
+        "evaluate": (["evaluate", "--model", model, "--test", vte, "--report-out", report],
+                     tmp_path / "report.json.manifest.json"),
+        "compare-raw": (["compare", "--train", str(train), "--test", str(test),
+                         "--out-dir", str(tmp_path / "raw"), "--algorithms", "mnb"],
+                        tmp_path / "raw" / "manifest.json"),
+        "compare-vectorized": (["compare", "--train", vtr, "--test", vte,
+                                "--out-dir", str(tmp_path / "vec"), "--algorithms", "mnb"],
+                               tmp_path / "vec" / "manifest.json"),
+    }
+
+
+class TestEveryFlagIsRecorded:
+    """A manifest records every flag of its command, given or defaulted:
+    each dest of the subcommand's parser is a key of the manifest's config,
+    or, for compare's vectorize flags, of config["vectorize"]."""
+
+    # the dests a case's manifest leaves out, and why: compare on an already
+    # vectorized input vectorizes nothing, so config["vectorize"] is null
+    # and the vectorize flags, which change nothing there, go unrecorded
+    UNRECORDED = {"compare-vectorized": {"weighting", "stopwords", "min_term_freq"}}
+
+    @pytest.mark.parametrize("case", ["gen-corpus", "convert", "vectorize", "train", "evaluate",
+                                      "compare-raw", "compare-vectorized"])
+    def test_every_dest_is_a_key_of_the_config(self, corpus_dir, arff_paths, tmp_path, capsys,
+                                               case):
+        lines = command_lines(tmp_path, corpus_dir, *arff_paths)
+        for name, (argv, _) in lines.items():
+            assert main(argv) == 0, (name, capsys.readouterr().err)
+            if name == case:
+                break
+        argv, manifest = lines[case]
+        args = build_parser().parse_args(argv)
+        # "command" is the top-level parser's dest, and "func" a default it
+        # sets, not a flag; help and --version leave no dest
+        dests = set(vars(args)) - {"command", "func"}
+        written = json.loads(manifest.read_text(encoding="utf-8"))
+        assert written["command"] == args.command
+        config = written["config"]
+        recorded = set(config) | set(config.get("vectorize") or ())
+        assert dests - recorded == self.UNRECORDED.get(case, set())
 
 
 def evaluate_tree_model(tmp_path, model_text, report):

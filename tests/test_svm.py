@@ -175,7 +175,7 @@ def svm_matrices(draw):
 
 class TestScreenedRuns:
     """A matrix narrower than RUN_WIDTH screens runs of steps on their
-    stored cells and takes the others exactly; every model has the bits of
+    dense rows and takes the others exactly; every model has the bits of
     the one-step loop (oracle_svm)."""
 
     @settings(max_examples=400)
@@ -217,6 +217,35 @@ class TestScreenedRuns:
         monkeypatch.setattr(_Screen, "__init__", None)
         assert outcome(train_svm(m, epochs=5)) == outcome(oracle_svm(m, epochs=5))
 
+    def test_each_epoch_gathers_the_stored_cells_once(self, monkeypatch):
+        # a narrow matrix too large to densify has each epoch's stored cells
+        # gathered by RowBlocks alone; the screen reads the rows it writes
+        n_rows, width = 4 * sparse.DENSE_BUDGET // (RUN_WIDTH - 1), RUN_WIDTH - 1
+        cols = np.arange(n_rows) * 7 % width
+        rows = np.zeros((n_rows, width))
+        rows[np.arange(n_rows), cols] = 1.0 + np.arange(n_rows) % 3
+        m = make_matrix(rows, ["pos" if col < width // 2 else "neg" for col in cols])
+        assert m.n_rows * m.width > sparse.DENSE_BUDGET
+        calls = []
+        cells = sparse.Csr._cells
+
+        def counted(self, order):
+            calls.append(order.size)
+            return cells(self, order)
+
+        monkeypatch.setattr(sparse.Csr, "_cells", counted)
+        cleared = []
+        clear = _Screen.clear
+
+        def screened_steps(self, p, rows, w, b):
+            cleared.append(clear(self, p, rows, w, b))
+            return cleared[-1]
+
+        monkeypatch.setattr(_Screen, "clear", screened_steps)
+        train_svm(m, epochs=3, seed=0)
+        assert calls == [n_rows] * 3
+        assert sum(cleared) > 0  # the screen ran
+
     def test_a_diverging_lambda_takes_every_later_step_exactly(self, monkeypatch):
         # the bound holds for finite operands, and the ddot reads every
         # column, where 0 x inf is NaN: no run is screened once a weight or
@@ -239,13 +268,13 @@ class TestScreenedRuns:
 
 
 def screened(row, weights, bias, sign=1.0, steps_before=3, lam=1.0):
-    """What _Screen.clear makes of one step on a one-row matrix: the steps
-    it clears and the weights after them."""
+    """What _Screen.clear makes of one step on a one-row matrix's dense
+    row: the steps it clears and the weights after them."""
     m = make_matrix([row], ["pos" if sign > 0 else "neg"])
-    screen = _Screen(m, np.array([sign]), lam, 1)
-    assert screen.epoch(np.array([0]), steps_before)
+    screen = _Screen(m.width, lam, 1)
+    assert screen.epoch(np.array([sign]), steps_before)
     w = np.array(weights, dtype=float)
-    return screen.clear(0, 1, w, bias), w
+    return screen.clear(0, m.dense(), w, bias), w
 
 
 class TestBorderline:
@@ -276,14 +305,34 @@ class TestBorderline:
     def test_a_step_the_screen_cannot_clear_is_decided_by_the_ddot(self, monkeypatch):
         # after step 1 (lambda 1) w is the first row and b is 1. Step 2's
         # products are 2^54, -1, -2^54 and 0.5 in column order: summed in
-        # that order, 2^54 - 1 rounds to 2^54, so the screened margin is
-        # 1.5, within the bound (about 1e3) of 1. The step is decided by
-        # the ddot, which OpenBLAS's x86 kernels sum with columns 0 and 32
-        # (and 1 and 33) in one lane each: exactly -0.5, a margin of 0.5,
-        # so the step updates
+        # that order, 2^54 - 1 rounds to 2^54, for a margin of 1.5, within
+        # the bound (about 1e3) of 1. The step is decided by the ddot, which
+        # OpenBLAS's x86 kernels sum with columns 0 and 32 (and 1 and 33) in
+        # one lane each: exactly -0.5, a margin of 0.5, so the step updates.
+        # (The screen's pairwise sum pairs those columns too; the next test
+        # separates the two orders)
         first, second = np.zeros(64), np.zeros(64)
         first[[0, 1, 32, 33]] = [2.0**27, 1.0, 2.0**27, 1.0]
         second[[0, 1, 32, 33]] = [2.0**27, -1.0, -2.0**27, 0.5]
+        order = [0, 1]
+        SplitMix64(0).shuffle(order)
+        rows = np.zeros((2, 64))
+        rows[order] = [first, second]
+        m = make_matrix(rows, ["pos", "pos"])
+        monkeypatch.setattr(svm, "MIN_RUN", 1)
+        assert outcome(train_svm(m, lam=1.0, epochs=1)) == outcome(oracle_svm(m, lam=1.0, epochs=1))
+
+    def test_a_screened_margin_past_one_within_the_bound_is_left_to_the_ddot(self, monkeypatch):
+        # as above, but the -1 product sits in column 8, so it shares a
+        # lane with columns 0 and 32 in numpy's pairwise sum (eight lanes,
+        # column j in lane j mod 8) and not in the ddot's. The screen adds
+        # 2^54 - 1, which rounds to 2^54, then -2^54 and 0.5: a screened
+        # margin of 1.5, past 1 but within the bound. The ddot sums to -0.5,
+        # a margin of 0.5, so the step updates, as the oracle's does; only
+        # the bound keeps the screen from clearing it
+        first, second = np.zeros(64), np.zeros(64)
+        first[[0, 8, 32, 33]] = [2.0**27, 1.0, 2.0**27, 1.0]
+        second[[0, 8, 32, 33]] = [2.0**27, -1.0, -2.0**27, 0.5]
         order = [0, 1]
         SplitMix64(0).shuffle(order)
         rows = np.zeros((2, 64))
