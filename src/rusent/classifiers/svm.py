@@ -10,52 +10,53 @@ not regularized.
 A step on row x with sign y at step t (Shalev-Shwartz et al., Pegasos,
 ICML 2007) is, with eta = 1/(lambda t):
 
-    margin = y (x.dot(w) + b)        a BLAS ddot over the dense row
+    margin = y (x.w + b)
     w *= 1 - eta lambda
     if margin < 1: w += eta y x; b += eta y
 
+x is the step's dense row, which rusent.sparse.RowBlocks writes. The sum
+x.w is taken one of two ways, by width:
+
+* A matrix narrower than RUN_WIDTH columns sums np.add.reduce(x * w):
+  the products, each rounded once, added in numpy's pairwise order (in
+  eight lanes, column j in lane j mod 8). No BLAS is called, so the
+  model's bytes do not depend on the OpenBLAS kernel; the frozen svm
+  hash also holds with numpy's AVX2 and AVX-512 loops off.
+* A wider matrix sums x.dot(w), a BLAS ddot, in the order of the kernel
+  OpenBLAS picks for the CPU. A margin only decides whether its step
+  updates, and the bytes have held under every kernel tried, but a margin
+  within a few ulps of 1 could take the other branch on another CPU.
+
 Most steps do not update (on the synth corpus at seed 42, 811 of 160,000
-do), yet each pays for a ddot and a scale of w. So a matrix narrower than
-RUN_WIDTH columns screens a run of m steps, within one block of
-rusent.sparse.RowBlocks, at once, and takes every step the screen does
-not clear exactly as above, on its dense row; a wider one takes every
-step that way. Every decision is the ddot decision, so the model has the
-same bits either way.
+do), yet each pays for a sum and a scale of w. So a narrow matrix screens
+a run of m steps, within one block of RowBlocks, in a few numpy calls,
+finds the first that updates, and takes that one alone as above; a wide
+one takes every step alone. The screen does the steps' own float
+operations, so the model has the same bits either way.
 
 * The weights before each step of the run. A (m + 1, width) buffer holds
   w, then the run's factors 1 - eta lambda, one per row, and
   np.multiply.accumulate along axis 0 makes row k the weights before the
   run's step k: the chain of once-rounded products that k calls of
   w *= c make. A step that does not update only scales w, so after k
-  cleared steps w is row k, bit for bit.
-* The screen. Row k of the buffer times step k's dense row, the one
-  RowBlocks has written for the exact step, gives the products p_j in a
-  second buffer, and np.add.reduce along its rows gives each step's
-  s = sum p_j, then a = sum |p_j| once the products are made absolute in
-  place; the screened margin is v = y (s + b).
-* The bound (Higham, Accuracy and Stability of Numerical Algorithms,
-  2002, ch. 3). Let n be the width, u = 2^-53 and D = x.w exactly. The
-  ddot d sums n products in some order, with or without fused
-  multiply-adds, so |d - D| <= gamma_n sum |x_j w_j|, with
-  gamma_n = n u / (1 - n u); s sums the same n rounded products in
-  another order (a column the row does not store gives an exact zero),
-  so |s - D| obeys the same bound, and sum |x_j w_j| is a to first order.
-  Adding b rounds once on each side. So the margin the step computes is
-  within 2 (n + 1) u (a + |v|) of v to first order, and products that
-  underflow add at most n eta, eta = 2^-1074. The screen uses
-  E = 4 (n + 2) (u (a + |v|) + eta), at least twice that, which covers
-  the second-order terms and the rounding of the screen's own arithmetic.
-  A step is cleared when v - E >= 1: its margin is then at least 1, and
-  it does not update. A NaN clears nothing.
-* Non-finite values. The screen reads every column, as a ddot does, but
-  the bound assumes finite operands. So once a weight, the bias or a
-  step's factor is not finite (a diverging lambda), every later step is
-  taken exactly.
+  such steps w is row k, bit for bit.
+* The margins. Row k of the buffer times step k's dense row gives the
+  products x * w of that step in a second buffer, and np.add.reduce along
+  its rows sums each row as the step's own np.add.reduce sums its 1-D
+  products (numpy reduces each row of a C-contiguous array as it does a
+  1-D one; the tests check the bits). So v = y (s + b) is the step's
+  margin, bit for bit, and the screen clears step k exactly when not
+  v < 1, that is when the step does not update.
+* Non-finite values. As the screen does the steps' float operations, a
+  weight, bias or factor that is inf or NaN (a diverging lambda) flows
+  through both alike: 0 x inf is NaN, and a NaN margin, not being below
+  1, does not update. The non-finite weights are reported when the model
+  is saved.
 * Run length. A run covers `run` steps, at most a block: `run` doubles
-  after a run the screen clears in full, and halves after each exact step
-  that updates, while one that does not adds one. Runs are screened only
-  while `run` is at least MIN_RUN; below that, steps go one at a time,
-  so data with frequent updates pays little for the screen.
+  after a run the screen clears in full, and halves after each step taken
+  alone that updates, while one that does not adds one. Runs are screened
+  only while `run` is at least MIN_RUN; below that, steps go one at a
+  time, so data with frequent updates pays little for the screen.
 * Memory. The weights and the products take a buffer of about
   sparse.DENSE_BUDGET values each, and no array of the epoch's stored
   cells: the dense rows come from RowBlocks, which densifies a whole
@@ -63,28 +64,29 @@ same bits either way.
 
 The width rule. Each step of a run costs about 4-5 ns per buffer value
 (the fill, and an accumulate whose numpy loop is not vectorized) and
-about 2.5 ns more for the screen's multiply, abs and two reductions,
-where a step taken alone costs a ddot and a scale of w, a fraction of a
-ns a value, plus about 1.5 us of calls. Training on the synth seed-0 rows
-(1600 x 31, 100 epochs, seed 42: 811 updates), with empty columns added
-to reach each width so that every width takes the same steps,
-in-process with one BLAS thread (2-vCPU Intel Xeon with AVX-512, median
-of 5 alternating runs, in s, with a screen that summed the stored cells
-alone; with the dense rows, runs still won 5 of 5 up to 128 columns and
-none from 256):
+1-2 ns more for the screen's multiply and reduction, where a step taken
+alone costs about 1.5 us of calls, and np.add.reduce(x * w) about 1 us
+more than x.dot(w). Training on the synth seed-0 rows (1600 x 31, 100
+epochs, seed 42: 811 updates), with empty columns added to reach each
+width so that every width takes the same steps, in-process, pinned, with
+one BLAS thread (2-vCPU Intel Xeon with AVX-512, best of 3 per run,
+median of 5 alternating runs, in s), by runs and one step at a time
+summed either way:
 
     width       31     64    128    192    256    512   1024   1890
-    runs     0.133  0.165  0.216  0.279  0.332  0.588  0.953  1.381
-    one step 0.229  0.236  0.235  0.260  0.335  0.261  0.277  0.329
+    runs     0.109  0.176  0.254  0.332  0.399  0.803  1.430  2.116
+    ddot     0.270  0.280  0.324  0.304  0.318  0.315  0.384  0.451
+    reduce   0.423  0.445  0.516  0.494  0.501  0.576  0.707  0.929
 
-Runs won each of the 5 times up to 128 columns, and at most 2 of 5 from
-192 on, so a matrix of 128 columns or more takes one step at a time
-(RUN_WIDTH). With more updates runs gain less: the Zipf seed-0 rows
-(800 x 1890) folded to 31, 64 and 127 columns update 18,641, 16,189 and
-4764 times in 80,000 steps, and took 0.146, 0.200 and 0.197 s by runs
-against 0.144, 0.211 and 0.139 s a step at a time. MIN_RUN = 32 is what
-keeps such data near the one-step time: screening every run, the
-31-column fold took 1.08 s against 0.20 s.
+Runs beat one ddot step at a time each of the 5 times up to 128 columns,
+and never from 192 on, so a matrix of 128 columns or more takes one
+step at a time (RUN_WIDTH), by ddot, the cheaper sum there. With more
+updates runs gain less: the Zipf seed-0 rows (800 x 1890) folded to 31,
+64 and 127 columns update 18,641, 16,189 and 4764 times in 80,000 steps,
+and took 0.257, 0.276 and 0.287 s by runs against 0.255, 0.265 and
+0.286 s a step at a time (0.177, 0.173 and 0.186 s by ddot). MIN_RUN = 32
+is what keeps such data near the one-step time: screening every run,
+the 31-column fold took 0.511 s.
 
 Prediction is sign(w.x + b), zero breaking to the lower class index;
 scores are the (-v, v) margin pair with v = w.x + b, w.x summed over the
@@ -93,8 +95,6 @@ row's stored cells alone (rusent.sparse.row_sums).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import ModelError
@@ -102,13 +102,11 @@ from ..rng import SplitMix64
 from ..sparse import Csr, RowBlocks, row_sums
 from .base import Model, fmt_floats, require_binary
 
-#: a matrix narrower than this screens runs of steps; see the module docstring
+#: a matrix narrower than this sums its margins as np.add.reduce(x * w) and
+#: screens runs of steps; a wider one sums x.dot(w). See the module docstring
 RUN_WIDTH = 128
 #: the shortest run that is screened
 MIN_RUN = 32
-
-_U = 2.0**-53
-_ETA = 2.0**-1074
 
 
 class LinearSvmModel(Model):
@@ -169,6 +167,7 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
     blocks = RowBlocks(matrix)
     rows = list(blocks.out)
     signs = np.where(matrix.y == 1, 1.0, -1.0)
+    # a narrow matrix sums each margin as the screen does; see the module docstring
     screen = _Screen(matrix.width, lam, len(rows)) if matrix.width < RUN_WIDTH else None
     w, b = model.weights, 0.0
     rng = SplitMix64(seed)
@@ -181,65 +180,56 @@ def train_svm(matrix, lam: float = 1e-3, epochs: int = 100, seed: int = 0) -> Li
             rng.shuffle(order)
             step_signs = signs[order]  # the sign of each step of the epoch
             sign_of = step_signs.tolist()
-            if screen and not screen.epoch(step_signs, t):
-                screen = None
+            if screen:
+                screen.epoch(step_signs, t)
             for start, stop in blocks(order):
                 p = start
                 while p < stop:
                     if screen and run >= MIN_RUN:
-                        if not (math.isfinite(b) and np.isfinite(w).all()):
-                            screen = None
-                            continue
                         m = min(run, stop - p)
                         k = screen.clear(p, blocks.out[p - start:p - start + m], w, b)
                         t, p = t + k, p + k
                         if k == m:
                             run = min(2 * run, len(rows))
                             continue
-                    # steps one at a time, at least one, until the run is long enough to screen
-                    for p in range(p, stop):
-                        x, sign = rows[p - start], sign_of[p]
-                        t += 1
-                        eta = 1.0 / (lam * t)
-                        margin = sign * (x.dot(w) + b)
-                        w *= 1.0 - eta * lam
-                        if margin < 1.0:
-                            step = eta * sign
-                            w += step * x
-                            b += step
-                            run = max(1, run // 2)
-                        else:
-                            run += 1
-                        if screen and run >= MIN_RUN:
-                            break
+                    # one step: one the screen found to update, or one not screened
+                    x, sign = rows[p - start], sign_of[p]
+                    t += 1
+                    eta = 1.0 / (lam * t)
+                    margin = sign * ((np.add.reduce(x * w) if screen else x.dot(w)) + b)
+                    w *= 1.0 - eta * lam
+                    if margin < 1.0:
+                        step = eta * sign
+                        w += step * x
+                        b += step
+                        run = max(1, run // 2)
+                    else:
+                        run += 1
                     p += 1
     model.bias = b
     return model
 
 
 class _Screen:
-    """The steps of an epoch that leave the margin at least 1 for certain,
-    screened a run at a time on the run's dense rows, the ones the exact
-    steps read; see the module docstring."""
+    """The steps of an epoch that do not update, found a run at a time on
+    the run's dense rows, the ones the single steps read, with the single
+    steps' own float operations; see the module docstring."""
 
     def __init__(self, width: int, lam: float, most: int):
         self.lam = lam
         self.before = np.empty((most + 1, width))  # the weights before each step of a run
         self.products = np.empty((most, width))  # each step's products x_j w_j
-        self.slack = 4.0 * (width + 2)
 
-    def epoch(self, signs: np.ndarray, t: int) -> bool:
-        """Take the sign of each step of an epoch, t steps in; False if the
-        scale factor of one of its steps is not finite."""
+    def epoch(self, signs: np.ndarray, t: int) -> None:
+        """Take the sign of each step of an epoch, t steps in."""
         lam = self.lam
         # step p scales the weights by factors[p], as the step loop does at t + p + 1
         self.factors = 1.0 - (1.0 / (lam * np.arange(t + 1, t + signs.size + 1))) * lam
         self.signs = signs
-        return bool(np.isfinite(self.factors).all())
 
     def clear(self, p: int, rows: np.ndarray, w: np.ndarray, b: float) -> int:
-        """The number k of steps from step p on, at most len(rows), that the
-        screen clears, step p + i being on the dense row rows[i]: w becomes
+        """The number k of steps from step p on, at most len(rows), that do
+        not update, step p + i being on the dense row rows[i]: w becomes
         the weights after them, scaled k times."""
         m = len(rows)
         before = self.before[:m + 1]
@@ -247,10 +237,8 @@ class _Screen:
         before[1:] = self.factors[p:p + m, None]
         np.multiply.accumulate(before, axis=0, out=before)
         products = np.multiply(before[:m], rows, out=self.products[:m])
-        dots = np.add.reduce(products, axis=1)
-        sizes = np.add.reduce(np.abs(products, out=products), axis=1)
-        v = self.signs[p:p + m] * (dots + b)
-        clear = v - self.slack * (_U * (sizes + np.abs(v)) + _ETA) >= 1.0
-        k = m if clear.all() else int(clear.argmin())
+        v = self.signs[p:p + m] * (np.add.reduce(products, axis=1) + b)
+        updates = v < 1.0
+        k = int(updates.argmax()) if updates.any() else m
         w[:] = before[k]
         return k

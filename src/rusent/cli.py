@@ -165,7 +165,8 @@ def cmd_vectorize(args) -> int:
     _write_vectorized(space, vocab_out, *written)
 
     _write_manifest(args.out_train + ".manifest.json", "vectorize", {
-        "train": args.train, "test": args.test, **_vectorize_config(args), **outputs,
+        "train": args.train, "test": args.test, **_vectorize_config(args), "out_test": None,
+        **outputs,
     })
     print(f"vocabulary size {space.width}; wrote {', '.join(outputs.values())}")
     return 0

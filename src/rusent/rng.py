@@ -9,7 +9,10 @@ kernel OpenBLAS picks for it and goes through numpy's exp and tanh, whose
 SIMD loops numpy picks for it. They can depend on OpenBLAS's thread count
 too, which splits a large enough product among threads: the mlp-one-batch
 model of tests/test_rng.py (one 600-row batch) has other bytes with one
-thread (OPENBLAS_NUM_THREADS=1) than with 2, 3 or 4.
+thread (OPENBLAS_NUM_THREADS=1) than with 2, 3 or 4. SVM training calls
+no BLAS on a matrix narrower than 128 columns; on a wider one it decides
+each step by a BLAS ddot, summed in the kernel's order, and its bytes have
+held under every kernel tried.
 
 Draw-order contract: each training routine documents the exact sequence of
 calls it makes, and ensemble members use `derive(seed, index)` so members

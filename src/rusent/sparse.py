@@ -17,7 +17,7 @@ Dense values are read through three doors only, each of which gives
 
 * dense(rows): a fresh float64 block of the given rows, in full;
 * RowBlocks: the rows of an order, a block at a time, written into one
-  reused buffer (see there), for the SVM trainer's screen and exact steps
+  reused buffer (see there), for the SVM trainer's run screen and single steps
   and for the MLP trainer, which visit every row in each epoch; it alone
   densifies a whole matrix, once, and only one whose dense form fits
   DENSE_BUDGET;
@@ -216,7 +216,7 @@ def _frozen(values, dtype) -> np.ndarray:
 class RowBlocks:
     """The dense rows of a Csr in a chosen order, a block of `size` rows at a
     time, in one reused buffer `out` of shape (size, width): the rows that
-    the SVM trainer's run screen and exact steps read, and the MLP
+    the SVM trainer's run screen and single steps read, and the MLP
     trainer's input batches. By default a block holds as many rows as fit
     DENSE_BUDGET values: at least one, and at most the matrix's rows.
 

@@ -315,3 +315,16 @@ def test_criterion_10_deterministic_model_bytes(tmp_path, capsys):
             if digest != expected:
                 drifted.append((algorithm, digest))
         assert drifted == [], "model bytes drifted"
+
+
+def test_criterion_10_svm_model_bytes_alone(tmp_path, capsys):
+    # criterion 10's svm hash, with no other model trained: a narrow
+    # matrix's SVM training calls no BLAS, so this hash holds on every
+    # OpenBLAS kernel and numpy SIMD level, where the mlp hash does not and
+    # criterion 10 is deselected (see .github/workflows/tests.yml)
+    train_path, test_path = _pipeline_inputs(str(tmp_path))
+    out_dir = tmp_path / "out"
+    assert main(["compare", "--train", train_path, "--test", test_path, "--out-dir", str(out_dir),
+                 "--algorithms", "svm", "--seed", "42"]) == 0
+    digest = hashlib.sha256((out_dir / "models" / "svm.model").read_bytes()).hexdigest()
+    assert digest == FROZEN_MODEL_HASHES["svm"]

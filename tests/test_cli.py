@@ -1051,6 +1051,9 @@ def command_lines(tmp_path, corpus_dir, train, test):
         "vectorize": (["vectorize", "--train", str(train), "--test", str(test),
                        "--out-train", vtr, "--out-test", vte],
                       tmp_path / "vtr.arff.manifest.json"),
+        "vectorize-no-test": (["vectorize", "--train", str(train),
+                               "--out-train", str(tmp_path / "alone.arff")],
+                              tmp_path / "alone.arff.manifest.json"),
         "train": (["train", "--train", vtr, "--algorithm", "mnb", "--model-out", model],
                   tmp_path / "m.model.manifest.json"),
         "evaluate": (["evaluate", "--model", model, "--test", vte, "--report-out", report],
@@ -1074,8 +1077,8 @@ class TestEveryFlagIsRecorded:
     # and the vectorize flags, which change nothing there, go unrecorded
     UNRECORDED = {"compare-vectorized": {"weighting", "stopwords", "min_term_freq"}}
 
-    @pytest.mark.parametrize("case", ["gen-corpus", "convert", "vectorize", "train", "evaluate",
-                                      "compare-raw", "compare-vectorized"])
+    @pytest.mark.parametrize("case", ["gen-corpus", "convert", "vectorize", "vectorize-no-test",
+                                      "train", "evaluate", "compare-raw", "compare-vectorized"])
     def test_every_dest_is_a_key_of_the_config(self, corpus_dir, arff_paths, tmp_path, capsys,
                                                case):
         lines = command_lines(tmp_path, corpus_dir, *arff_paths)

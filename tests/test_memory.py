@@ -232,8 +232,8 @@ def test_train_never_holds_half_a_dense_train_matrix(compared, tmp_path, algorit
 
 def test_svm_never_holds_half_a_dense_narrow_matrix():
     # a matrix narrower than RUN_WIDTH screens runs of steps on the dense
-    # rows that RowBlocks writes a block at a time, and takes the steps it
-    # does not clear exactly on the same rows; each epoch gathers its stored
+    # rows that RowBlocks writes a block at a time, and takes the steps that
+    # update one at a time on the same rows; each epoch gathers its stored
     # cells once, in RowBlocks
     rng = np.random.default_rng(0)
     n_rows, width = 20_000, RUN_WIDTH - 1

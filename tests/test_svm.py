@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rusent import sparse
 from rusent.classifiers import svm, train_svm
@@ -113,13 +114,16 @@ class TestValidation:
 
 def oracle_svm(matrix, lam=1e-3, epochs=100, seed=0):
     """train_svm taking every step one at a time, on every matrix: the loop
-    that trained every matrix before narrow ones screened runs, verbatim."""
+    that trained every matrix before narrow ones screened runs, with the
+    margin's sum chosen by width, np.add.reduce(x * w) below RUN_WIDTH
+    columns and the ddot x.dot(w) from it."""
     model = LinearSvmModel(matrix.class_values, matrix.width, np.zeros(matrix.width), 0.0,
                            lam, epochs, seed)
     n = matrix.n_rows
     blocks = RowBlocks(matrix)
     rows = list(blocks.out)
     signs = np.where(matrix.y == 1, 1.0, -1.0).tolist()
+    narrow = matrix.width < RUN_WIDTH
     w, b = model.weights, 0.0
     rng = SplitMix64(seed)
     t = 0
@@ -132,7 +136,7 @@ def oracle_svm(matrix, lam=1e-3, epochs=100, seed=0):
                     sign = signs[i]
                     t += 1
                     eta = 1.0 / (lam * t)
-                    margin = sign * (x.dot(w) + b)
+                    margin = sign * ((np.add.reduce(x * w) if narrow else x.dot(w)) + b)
                     w *= 1.0 - eta * lam
                     if margin < 1.0:
                         step = eta * sign
@@ -175,8 +179,8 @@ def svm_matrices(draw):
 
 class TestScreenedRuns:
     """A matrix narrower than RUN_WIDTH screens runs of steps on their
-    dense rows and takes the others exactly; every model has the bits of
-    the one-step loop (oracle_svm)."""
+    dense rows and takes the steps that update one at a time; every model
+    has the bits of the one-step loop (oracle_svm)."""
 
     @settings(max_examples=400)
     @given(matrix=svm_matrices(),
@@ -247,9 +251,10 @@ class TestScreenedRuns:
         assert sum(cleared) > 0  # the screen ran
 
     def test_a_diverging_lambda_takes_every_later_step_exactly(self, monkeypatch):
-        # the bound holds for finite operands, and the ddot reads every
-        # column, where 0 x inf is NaN: no run is screened once a weight or
-        # the bias is not finite
+        # rows of 1e306 overflow the weights; the screen does the step
+        # loop's own float operations, so it runs on the non-finite weights
+        # too (where 0 x inf is NaN, a margin that does not update) and
+        # clears what the steps would
         m = make_matrix(np.hstack([blob_matrix(seed=4).dense() * 1e306, np.zeros((40, 29))]),
                         ["neg"] * 20 + ["pos"] * 20)
         calls = []
@@ -264,79 +269,126 @@ class TestScreenedRuns:
         model = train_svm(m, epochs=5, seed=3)
         assert outcome(model) == outcome(oracle_svm(m, epochs=5, seed=3))
         assert not np.isfinite(model.weights).all()
-        assert calls and all(calls)
+        assert not all(calls)
+
+    @settings(max_examples=200)
+    @given(data=st.data(), width=st.integers(0, RUN_WIDTH - 1), m=st.integers(1, 12),
+           spare=st.integers(0, 3), lam=st.sampled_from([1e-3, 1.0, 7.5, 5e-324]),
+           t=st.integers(0, 50))
+    def test_the_screens_sums_are_the_one_step_margins(self, data, width, m, spare, lam, t):
+        # a run's weights and products, in the screen's own buffers, and
+        # their row sums have the bits that m steps of the one-step loop make
+        rows = data.draw(arrays(np.float64, (m, width), elements=CELLS))
+        w = data.draw(arrays(np.float64, width, elements=CELLS))
+        screen = _Screen(width, lam, m + spare)
+        weights = w.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            screen.epoch(np.ones(m), t)
+            # an infinite bias clears every step (or makes a NaN margin)
+            assert screen.clear(0, rows, weights, np.inf) == m
+            sums = np.add.reduce(screen.products[:m], axis=1)
+            for k, x in enumerate(rows):
+                assert bits(screen.before[k]) == bits(w)
+                assert bits(screen.products[k]) == bits(x * w)
+                assert bits(sums[k]) == bits(np.add.reduce(x * w))
+                eta = 1.0 / (lam * (t + k + 1))
+                w *= 1.0 - eta * lam
+        assert bits(weights) == bits(w)
 
 
-def screened(row, weights, bias, sign=1.0, steps_before=3, lam=1.0):
-    """What _Screen.clear makes of one step on a one-row matrix's dense
-    row: the steps it clears and the weights after them."""
-    m = make_matrix([row], ["pos" if sign > 0 else "neg"])
-    screen = _Screen(m.width, lam, 1)
-    assert screen.epoch(np.array([sign]), steps_before)
+def bits(values):
+    """The bytes of an array or a float, every NaN read as one value."""
+    values = np.array(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def screened(rows, weights, bias, signs, steps_before=3, lam=1.0):
+    """What _Screen.clear makes of a run of steps on the dense rows `rows`,
+    with signs `signs`, steps_before steps into training: the steps it
+    clears and the weights after them."""
+    rows = np.array(rows, dtype=float)
+    screen = _Screen(rows.shape[1], lam, len(rows))
+    screen.epoch(np.array(signs, dtype=float), steps_before)
     w = np.array(weights, dtype=float)
-    return screen.clear(0, m.dense(), w, bias), w
+    with np.errstate(invalid="ignore"):
+        return screen.clear(0, rows, w, bias), w
+
+
+def hand_built(width):
+    """A two-row matrix whose step 2 (lambda 1, one epoch) has the products
+    2^54, -1, -2^54 and 0.5 in columns 0, 8, 32 and 33. After step 1 w is
+    the first row and b is 1."""
+    first, second = np.zeros(width), np.zeros(width)
+    first[[0, 8, 32, 33]] = [2.0**27, 1.0, 2.0**27, 1.0]
+    second[[0, 8, 32, 33]] = [2.0**27, -1.0, -2.0**27, 0.5]
+    order = [0, 1]
+    SplitMix64(0).shuffle(order)
+    rows = np.zeros((2, width))
+    rows[order] = [first, second]
+    return make_matrix(rows, ["pos", "pos"]), first
 
 
 class TestBorderline:
-    """The screen clears a step only when its margin is at least 1 beyond
-    the bound; a screened margin within the bound of 1 is left to the
-    exact step. Row [1, 1] against weights [1e6, -1e6] has a screened dot
-    product of 0 and a sum of |products| of 2e6, so its bound is
-    16 (2e6 + 1) 2^-53, about 3.6e-9."""
+    """The screen clears a step exactly when its margin, summed as the one
+    step sums a narrow matrix's, is not below 1: exactly the steps that do
+    not update."""
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_a_margin_within_the_bound_of_one_is_left_to_the_exact_step(self, sign):
-        k, w = screened([1.0, 1.0], [1e6, -1e6], sign * (1.0 + 1e-10), sign)
+    def test_a_margin_just_below_one_is_not_cleared(self, sign):
+        # the products 0.5 and 0.5 - 2^-52 sum to 1 - 2^-52 exactly
+        k, w = screened([[1.0, 1.0]], [sign * 0.5, sign * (0.5 - 2.0**-52)], 0.0, [sign])
         assert k == 0
-        assert w.tolist() == [1e6, -1e6]
+        assert w.tolist() == [sign * 0.5, sign * (0.5 - 2.0**-52)]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_a_margin_past_the_bound_is_cleared(self, sign):
+    def test_a_margin_of_one_is_cleared(self, sign):
         # the step's t is 4, so w is scaled by 1 - (1 / 4) = 0.75
-        k, w = screened([1.0, 1.0], [1e6, -1e6], sign * (1.0 + 1e-8), sign)
+        k, w = screened([[1.0, 1.0]], [sign * 0.5, sign * 0.25], sign * 0.25, [sign])
         assert k == 1
-        assert w.tolist() == [0.75e6, -0.75e6]
+        assert w.tolist() == [sign * 0.375, sign * 0.1875]
+
+    def test_a_nan_margin_is_cleared(self):
+        # 0 x inf is NaN, and a NaN margin does not update
+        k, w = screened([[0.0, 1.0]], [np.inf, 1.0], 0.0, [1.0])
+        assert k == 1
+        assert w.tolist() == [np.inf, 0.75]
+        assert screened([[1.0, 1.0]], [1.0, 1.0], float("nan"), [1.0])[0] == 1
 
     def test_a_margin_below_one_is_never_cleared(self):
-        assert screened([1.0, 1.0], [1e6, -1e6], 1.0 - 1e-8)[0] == 0
-        assert screened([2.0, 0.0], [0.25, 0.0], 0.25)[0] == 0
-        assert screened([0.0, 0.0], [0.0, 0.0], float("nan"))[0] == 0
+        assert screened([[1.0, 1.0]], [1e6, -1e6], 1.0 - 1e-8, [1.0])[0] == 0
+        assert screened([[2.0, 0.0]], [0.25, 0.0], 0.25, [1.0])[0] == 0
+        assert screened([[1.0, 0.0]], [2.0, 0.0], -1.0, [-1.0])[0] == 0
+
+    def test_w_is_scaled_once_per_cleared_step(self):
+        # steps 0 and 1 have margins 10.1 and 7.575 and step 2 one of
+        # -2.22: w is scaled by 0.75, then by 0.8, one rounding each (the
+        # product of the two factors first would round w to other bits)
+        k, w = screened([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [10.1, -3.7], 0.0, [1.0] * 3)
+        assert k == 2
+        assert w.tolist() == [10.1 * 0.75 * 0.8, -3.7 * 0.75 * 0.8]
+        assert w.tolist() != [10.1 * (0.75 * 0.8), -3.7 * (0.75 * 0.8)]
+
+    def test_a_narrow_step_is_decided_by_the_screens_sum(self, monkeypatch):
+        # at 64 columns the -1 product in column 8 shares a lane with
+        # columns 0 and 32 in numpy's pairwise sum (eight lanes, column j
+        # in lane j mod 8), so 2^54 - 1 rounds to 2^54: the sum is 0.5, a
+        # margin of 1.5, and the step does not update. (OpenBLAS's x86
+        # ddot sums it to -0.5, a margin of 0.5.) Screened (MIN_RUN 1) or
+        # taken alone (MIN_RUN past the two-row block), step 2 only scales
+        # w by 1 - 1/2
+        m, first = hand_built(64)
+        for min_run in (1, MIN_RUN):
+            monkeypatch.setattr(svm, "MIN_RUN", min_run)
+            model = train_svm(m, lam=1.0, epochs=1)
+            assert model.weights.tolist() == (first * 0.5).tolist()
+            assert model.bias == 1.0
+            assert outcome(model) == outcome(oracle_svm(m, lam=1.0, epochs=1))
 
     def test_a_step_the_screen_cannot_clear_is_decided_by_the_ddot(self, monkeypatch):
-        # after step 1 (lambda 1) w is the first row and b is 1. Step 2's
-        # products are 2^54, -1, -2^54 and 0.5 in column order: summed in
-        # that order, 2^54 - 1 rounds to 2^54, for a margin of 1.5, within
-        # the bound (about 1e3) of 1. The step is decided by the ddot, which
-        # OpenBLAS's x86 kernels sum with columns 0 and 32 (and 1 and 33) in
-        # one lane each: exactly -0.5, a margin of 0.5, so the step updates.
-        # (The screen's pairwise sum pairs those columns too; the next test
-        # separates the two orders)
-        first, second = np.zeros(64), np.zeros(64)
-        first[[0, 1, 32, 33]] = [2.0**27, 1.0, 2.0**27, 1.0]
-        second[[0, 1, 32, 33]] = [2.0**27, -1.0, -2.0**27, 0.5]
-        order = [0, 1]
-        SplitMix64(0).shuffle(order)
-        rows = np.zeros((2, 64))
-        rows[order] = [first, second]
-        m = make_matrix(rows, ["pos", "pos"])
+        # a matrix of RUN_WIDTH columns or more is not screened: the same
+        # cells as above are summed by the ddot, as the oracle sums them
         monkeypatch.setattr(svm, "MIN_RUN", 1)
-        assert outcome(train_svm(m, lam=1.0, epochs=1)) == outcome(oracle_svm(m, lam=1.0, epochs=1))
-
-    def test_a_screened_margin_past_one_within_the_bound_is_left_to_the_ddot(self, monkeypatch):
-        # as above, but the -1 product sits in column 8, so it shares a
-        # lane with columns 0 and 32 in numpy's pairwise sum (eight lanes,
-        # column j in lane j mod 8) and not in the ddot's. The screen adds
-        # 2^54 - 1, which rounds to 2^54, then -2^54 and 0.5: a screened
-        # margin of 1.5, past 1 but within the bound. The ddot sums to -0.5,
-        # a margin of 0.5, so the step updates, as the oracle's does; only
-        # the bound keeps the screen from clearing it
-        first, second = np.zeros(64), np.zeros(64)
-        first[[0, 8, 32, 33]] = [2.0**27, 1.0, 2.0**27, 1.0]
-        second[[0, 8, 32, 33]] = [2.0**27, -1.0, -2.0**27, 0.5]
-        order = [0, 1]
-        SplitMix64(0).shuffle(order)
-        rows = np.zeros((2, 64))
-        rows[order] = [first, second]
-        m = make_matrix(rows, ["pos", "pos"])
-        monkeypatch.setattr(svm, "MIN_RUN", 1)
-        assert outcome(train_svm(m, lam=1.0, epochs=1)) == outcome(oracle_svm(m, lam=1.0, epochs=1))
+        for width in (RUN_WIDTH, 192):
+            m, _ = hand_built(width)
+            got = outcome(train_svm(m, lam=1.0, epochs=1))
+            assert got == outcome(oracle_svm(m, lam=1.0, epochs=1))
